@@ -5,6 +5,12 @@ Exit codes: 0 on success, 1 when a computation reaches a negative verdict
 inconclusive), 2 on usage errors.  Output is byte-identical across runs for
 fixed arguments; randomized property runs take --seed and default to a fixed
 seed.
+
+Inputs whose cost is known to outgrow the machine are usage errors too, refused
+before any work: ``--degree`` above :data:`DEGREE_BUDGET` or
+:data:`EXPAND_DEGREE_BUDGET`, an ``--assign`` coefficient above
+:data:`LINEAR_FORM_BOUND`, and ``certificate bp`` primes above the library's
+dense word budget.
 """
 
 from __future__ import annotations
@@ -47,6 +53,16 @@ _OP_RE = re.compile(r"(P|Sq)\^?(\d+)")
 _GEN_RE = re.compile(r"(t|xi)(\d+)")
 _TERM_RE = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*\*\s*)?([A-Za-z_]\w*)\s*")
 
+# Largest accepted --degree by command, and for expand by the number of
+# variables of the assignment, whose coefficients may be at most
+# LINEAR_FORM_BOUND in absolute value.  At these limits every mode and format
+# finished in under 30 s and 800 MiB on a 2-core machine with Python 3.11
+# (the slowest: inverse --degree 20 --mode rat --format json); one more order
+# roughly doubles both (verify: 16 s at 12 in rat mode, 48 s at 13).
+DEGREE_BUDGET = {"fgl": 16, "inverse": 20, "verify": 12}
+EXPAND_DEGREE_BUDGET = {1: 18, 2: 16, 3: 14}
+LINEAR_FORM_BOUND = 9
+
 
 def _add_common(parser, degree_default=6):
     parser.add_argument("--degree", type=int, default=degree_default,
@@ -77,8 +93,11 @@ def _emit(args, payload, text) -> None:
     else:
         body = text + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(body)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(body)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {args.out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(body)
 
@@ -91,6 +110,18 @@ def _parse_word(text) -> tuple:
     if not word:
         raise ParameterError("word must list at least one generator index")
     return word
+
+
+def _parse_degrees(text: str, flag: str) -> list:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ParameterError(f"cannot parse {flag} {text!r} (use e.g. 2,6,14)") from None
+
+
+def _check_degree(degree: int, budget: int, label: str) -> None:
+    if degree > budget:
+        raise ParameterError(f"{label} --degree {degree} is above the budget of {budget}")
 
 
 def _parse_linear_form(expr: str) -> dict:
@@ -108,16 +139,22 @@ def _parse_linear_form(expr: str) -> dict:
         pos = match.end()
     if not form:
         raise ParameterError(f"empty linear form {expr!r}")
+    if any(abs(c) > LINEAR_FORM_BOUND for c in form.values()):
+        raise ParameterError(
+            f"linear form coefficients must be at most {LINEAR_FORM_BOUND} in absolute value"
+        )
     return form
 
 
 def cmd_fgl(args) -> int:
+    _check_degree(args.degree, DEGREE_BUDGET["fgl"], "fgl")
     table = fgl_table(args.degree, _algebra(args))
     _emit(args, table.to_data(), str(table))
     return 0
 
 
 def cmd_inverse(args) -> int:
+    _check_degree(args.degree, DEGREE_BUDGET["inverse"], "inverse")
     table = inverse_table(args.degree, _algebra(args))
     _emit(args, table.to_data(), str(table))
     return 0
@@ -140,6 +177,8 @@ def cmd_expand(args) -> int:
     form = _parse_linear_form(expr)
     vardeg = algebra.profile.variable_degree
     target = VarSet(tuple(form), vardeg)
+    label = f"expand in {', '.join(target.names)}"
+    _check_degree(args.degree, EXPAND_DEGREE_BUDGET[len(target)], label)
     z = orientation_series(args.degree, algebra, VarSet((source,), vardeg))
     specialized = z.specialize({source: form}, target)
     basis = {
@@ -205,8 +244,8 @@ def cmd_certificate(args) -> int:
 
 def cmd_poincare(args) -> int:
     if args.poly or args.ext:
-        poly = [int(d) for d in args.poly.split(",")] if args.poly else []
-        ext = [int(d) for d in args.ext.split(",")] if args.ext else []
+        poly = _parse_degrees(args.poly, "--poly") if args.poly else []
+        ext = _parse_degrees(args.ext, "--ext") if args.ext else []
         series = series_graded_algebra(poly, ext, args.degree)
         label = f"graded algebra series, poly {poly}, exterior {ext}"
     else:
@@ -244,6 +283,9 @@ def cmd_rational(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_degree(args.degree, DEGREE_BUDGET["verify"], "verify")
+    if args.samples < 1:
+        raise ParameterError("--samples must be at least 1")
     algebra = _algebra(args)
     report = verify_axioms(args.degree, algebra)
     filtration_order = max(args.degree, 4)

@@ -8,9 +8,14 @@ expansion
 
 computed by :func:`ncfgl.series.left_expand` (a log/exp composition formula is
 not available: left substitution is not multiplicative over noncommuting
-coefficients).  The expansion route is pullback compatible, i.e. it commutes
-with the substitutions x -> x + y, x -> -x of central variables, which is what
-the axiom checks below exploit.
+coefficients).  Since the coefficient of x^a y^b in z(x)^i z(y)^j is
+P_i[a] P_j[b] with P_k[m] = [x^m] z^k, the expansion is two univariate
+triangular solves: for each fixed power x^a, the coefficients of x^a y^b in
+z(x + y) are first solved against the powers of z(y), keeping the solved
+coefficients on the left, and the results are then solved against the powers
+of z(x).  The inverse table is a single such solve.  The expansion route is
+pullback compatible, i.e. it commutes with the substitutions x -> x + y,
+x -> -x of central variables, which is what the axiom checks below exploit.
 """
 
 from __future__ import annotations
@@ -404,6 +409,8 @@ def filtration_property_run(
     max_k: int = 4,
 ):
     """Seeded batch of filtration checks; returns (all_ok, list of results)."""
+    if samples < 1:
+        raise ParameterError("a filtration run needs at least one sample")
     if algebra is None:
         algebra = FreeAlgebra()
     rng = random.Random(seed)

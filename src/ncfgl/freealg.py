@@ -150,6 +150,16 @@ class FreeAlgebra:
                 clean[tuple(word)] = value
         return FreeElement(self, clean)
 
+    def from_accumulator(self, acc: dict) -> "FreeElement":
+        """The element held by an :func:`add_product` accumulator."""
+        ring = self.ring
+        if ring.mode == "fp":
+            p = ring.prime
+            terms = {word: r for word, value in acc.items() if (r := value % p)}
+        else:
+            terms = {word: value for word, value in acc.items() if value}
+        return FreeElement(self, terms)
+
     def zero(self) -> "FreeElement":
         return FreeElement(self, {})
 
@@ -211,6 +221,10 @@ class FreeElement:
 
     def __len__(self):
         return len(self._terms)
+
+    def mutable_terms(self) -> dict:
+        """A fresh word -> coefficient dict, for use as an accumulator."""
+        return dict(self._terms)
 
     def homogeneous_components(self) -> dict:
         comps = {}
@@ -358,6 +372,22 @@ class FreeElement:
 
     def __repr__(self):
         return f"<{self}>"
+
+
+def add_product(acc: dict, left: FreeElement, right: FreeElement) -> None:
+    """acc[w] += (left * right)[w] for every word w, in place.
+
+    ``acc`` is a caller-owned word -> value dict, never an element's own
+    terms.  Values are combined with plain ``+`` and ``*`` and left
+    unreduced: zeros stay and an F_p residue may leave [0, p).
+    :meth:`FreeAlgebra.from_accumulator` reduces them and drops the zeros.
+    """
+    get = acc.get
+    right_terms = right._terms.items()
+    for w1, c1 in left._terms.items():
+        for w2, c2 in right_terms:
+            word = w1 + w2
+            acc[word] = get(word, 0) + c1 * c2
 
 
 def commutator(a: FreeElement, b: FreeElement) -> FreeElement:

@@ -26,7 +26,7 @@ from .errors import (
     ReversionError,
     ShapeError,
 )
-from .freealg import FreeAlgebra, FreeElement
+from .freealg import FreeAlgebra, FreeElement, add_product
 
 
 class VarSet:
@@ -402,8 +402,16 @@ def revert(f: CentralSeries) -> CentralSeries:
     """Unique g = x + ... with f(g) = x to the truncation order.
 
     ``f`` must be of unit-linear form x + (higher order).  The coefficients of
-    g are found by a triangular solve; no division is needed because the
-    linear coefficient is 1.
+    g are found one at a time, in the online style of van der Hoeven ("Relax,
+    but don't be too lazy", J. Symbolic Comput. 34, 2002).  With
+    P[k][n] = [x^n] g^k, the coefficient of x^n in f(g) is
+    g_n + sum_{k=2..n} f_k P[k][n], and for k >= 2 the entry P[k][n] involves
+    only g_1 .. g_(n-1) (see :func:`_power_column`).  Hence
+
+        g_n = -sum_{k=2..n} f_k P[k][n],
+
+    with every coefficient kept on the left.  No division is needed because
+    the linear coefficient is 1.
     """
     if len(f.varset) != 1:
         raise ShapeError("reversion needs a univariate series")
@@ -411,13 +419,46 @@ def revert(f: CentralSeries) -> CentralSeries:
         raise ReversionError("series must have zero constant term")
     if f.coefficient((1,)) != f.algebra.one():
         raise ReversionError("series must have linear coefficient 1")
+    algebra = f.algebra
     order = f.order
-    g = CentralSeries.variable(f.algebra, f.varset, order, f.varset.names[0])
+    negated = [-f.coefficient((k,)) for k in range(order + 1)]
+    g = [algebra.zero()] * (order + 1)
+    g[1] = algebra.one()
+    powers = _empty_powers(g, order, algebra)
     for n in range(2, order + 1):
-        overshoot = left_substitute(f, g).coefficient((n,))
-        if not overshoot.is_zero():
-            g = g + CentralSeries(f.algebra, f.varset, order, {(n,): -overshoot})
-    return g
+        _power_column(powers, n, algebra)
+        acc: dict = {}
+        for k in range(2, n + 1):
+            add_product(acc, negated[k], powers[k][n])
+        g[n] = algebra.from_accumulator(acc)
+    return CentralSeries(algebra, f.varset, order, {(n,): g[n] for n in range(1, order + 1)})
+
+
+def _empty_powers(g: list, order: int, algebra: FreeAlgebra) -> list:
+    """Rows P[k] = [[x^0] g^k, ..., [x^order] g^k] with P[0] = 1 and P[1] = g.
+
+    Rows from k = 2 on start as zeros; :func:`_power_column` fills them.
+    """
+    zero = algebra.zero()
+    unit = [zero] * (order + 1)
+    unit[0] = algebra.one()
+    return [unit, g] + [[zero] * (order + 1) for _ in range(2, order + 1)]
+
+
+def _power_column(powers: list, n: int, algebra: FreeAlgebra) -> None:
+    """Fill P[k][n] for 2 <= k <= n from columns 1 .. n-1 and from g_1 .. g_(n-1).
+
+    g^k = g^(k-1) g keeps the coefficients of g^(k-1) on the left, so
+    P[k][n] = sum_{m=k-1..n-1} P[k-1][m] g_(n-m), and P[n][n] = 1 since g_1 = 1.
+    """
+    g = powers[1]
+    for k in range(2, n):
+        previous = powers[k - 1]
+        acc: dict = {}
+        for m in range(k - 1, n):
+            add_product(acc, previous[m], g[n - m])
+        powers[k][n] = algebra.from_accumulator(acc)
+    powers[n][n] = algebra.one()
 
 
 def left_expand(target: CentralSeries, basis: dict) -> dict:
@@ -425,13 +466,21 @@ def left_expand(target: CentralSeries, basis: dict) -> dict:
 
     ``basis`` maps each variable name of the target to a univariate series of
     unit-linear form in that variable.  Basis powers are multiplied in
-    variable-set order with coefficients on the left; the expansion exists and
-    is unique because each ordered basis power is x^I plus terms of higher
-    total degree.  Returns only the nonzero A(I).
+    variable-set order with coefficients on the left, so the coefficient of
+    x^a in the basis power for I is P_1[i1][a1] * ... * P_m[im][am], where
+    P_v[k][a] = [x_v^a] b_v^k.  The expansion is therefore solved one
+    variable at a time, from the last one to the first: each line of the
+    target along the last variable is a univariate triangular system in the
+    powers of b_m (P[k][k] = 1 and P[k][a] = 0 for a < k), solved in place
+    with the solved coefficients kept on the left; its solutions are then
+    solved along the next variable, and so on.  Exists and is unique for
+    unit-linear bases.  Returns only the nonzero A(I), in graded-lexicographic
+    order.
     """
     varset = target.varset
     order = target.order
-    embedded = []
+    algebra = target.algebra
+    tables = []
     for name in varset.names:
         b = basis.get(name)
         if b is None:
@@ -442,52 +491,44 @@ def left_expand(target: CentralSeries, basis: dict) -> dict:
             raise ShapeError("basis and target must share the truncation order")
         if not b.constant_term().is_zero() or b.coefficient((1,)) != b.algebra.one():
             raise ExpansionError("basis series must be of unit-linear form")
-        embedded.append(b.specialize({}, varset))
+        powers = _empty_powers([b.coefficient((m,)) for m in range(order + 1)], order, algebra)
+        for n in range(2, order + 1):
+            _power_column(powers, n, algebra)
+        tables.append([[-entry for entry in row] for row in powers])
 
-    powers = []
-    for series in embedded:
-        row = [CentralSeries.unit(target.algebra, varset, order)]
-        for _ in range(order):
-            row.append(row[-1] * series)
-        powers.append(row)
-
-    product_cache: dict = {}
-
-    def basis_power(index) -> CentralSeries:
-        cached = product_cache.get(index)
-        if cached is not None:
-            return cached
-        result = powers[0][index[0]]
-        for v in range(1, len(index)):
-            if index[v]:
-                result = result * powers[v][index[v]]
-        product_cache[index] = result
-        return result
-
-    indices = sorted(_all_indices(len(varset), order), key=_graded_lex)
-    remainder = target
-    expansion = {}
-    for index in indices:
-        coeff = remainder.coefficient(index)
-        if coeff.is_zero():
-            continue
-        expansion[index] = coeff
-        remainder = remainder - basis_power(index).scale_left(coeff)
-    if not remainder.is_zero():
-        raise ExpansionError("expansion did not terminate; basis is not triangular")
-    return expansion
+    layer = target._coeffs
+    for v in reversed(range(len(varset))):
+        layer = _solve_along(layer, v, tables[v], order, algebra)
+    return {index: layer[index] for index in sorted(layer, key=_graded_lex)}
 
 
-def _all_indices(width: int, order: int):
-    if width == 1:
-        for a in range(order + 1):
-            yield (a,)
-    elif width == 2:
-        for a in range(order + 1):
-            for b in range(order + 1 - a):
-                yield (a, b)
-    else:
-        for a in range(order + 1):
-            for b in range(order + 1 - a):
-                for c in range(order + 1 - a - b):
-                    yield (a, b, c)
+def _solve_along(layer: dict, v: int, negated: list, order: int, algebra: FreeAlgebra) -> dict:
+    """Solve each line of ``layer`` along coordinate v against the rows P[k].
+
+    A line fixes every coordinate but v.  Its entries are
+    E[a] = sum_k C_k P[k][a] with C_k on the left, so C_n is E[n] once
+    C_k P[k][n] has been subtracted for every k < n.  ``negated`` holds the
+    rows -P[k], so that each subtraction is an :func:`add_product` into a
+    mutable per-exponent accumulator.  Returns the nonzero C_k, keyed by the
+    index with a_v replaced by k.
+    """
+    lines: dict = {}
+    for index, element in layer.items():
+        lines.setdefault(index[:v] + index[v + 1:], {})[index[v]] = element
+    solved = {}
+    for rest, entries in lines.items():
+        top = order - sum(rest)
+        accs = {a: element.mutable_terms() for a, element in entries.items()}
+        for n in range(top + 1):
+            acc = accs.pop(n, None)
+            if acc is None:
+                continue
+            coeff = algebra.from_accumulator(acc)
+            if coeff.is_zero():
+                continue
+            solved[rest[:v] + (n,) + rest[v:]] = coeff
+            row = negated[n]
+            for m in range(n + 1, top + 1):
+                if not row[m].is_zero():
+                    add_product(accs.setdefault(m, {}), coeff, row[m])
+    return solved

@@ -610,6 +610,10 @@ def _rhs_from_element(element: FreeElement, target_words):
     return rhs
 
 
+# Largest word basis the bp certificate solves densely over.
+DENSE_WORD_BUDGET = 4096
+
+
 def bp_obstruction_certificate(p: int) -> ObstructionCertificate:
     """Certify that no algebra map can send t_1, t_2 compatibly into the
     complex-profile free algebra over F_p.
@@ -619,13 +623,19 @@ def bp_obstruction_certificate(p: int) -> ObstructionCertificate:
     system [v, w] = 0, P^p v = 0, P^1 v = -w^p over the degree 2(p^2 - 1)
     component and records that every candidate system is inconsistent.
 
-    The interface admits p = 5, but there the final component has about 8.4
-    million basis words, far beyond a dense solve; p = 3 runs in seconds.
+    The degree 2(p^2 - 1) component has 2^(p^2 - 2) basis words (one per
+    composition of p^2 - 1).  Primes whose component exceeds
+    :data:`DENSE_WORD_BUDGET` are refused before any work: p = 3 needs 128
+    words and runs in well under a second, p = 5 would need about 8.4 million.
     """
     if not is_prime(p) or p == 2:
         raise ParameterError("the certificate needs an odd prime")
-    if p > 5:
-        raise ParameterError("complexity bound: p <= 5")
+    exponent = p * p - 2  # the component has 2^exponent words
+    if exponent >= DENSE_WORD_BUDGET.bit_length():  # 2^exponent > DENSE_WORD_BUDGET
+        raise ParameterError(
+            f"p = {p} needs a dense solve over 2^{exponent} words, "
+            f"above the budget of {DENSE_WORD_BUDGET}"
+        )
     algebra = FreeAlgebra(COMPLEX, GF(p))
     ring = algebra.ring
     op1 = MilnorOp(p, "P", 1)

@@ -6,6 +6,9 @@ import random
 from math import comb
 
 from ncfgl import (
+    COMPLEX,
+    GF,
+    QQ,
     CentralSeries,
     FreeAlgebra,
     VarSet,
@@ -79,13 +82,15 @@ def run_specialize_props(seed=0, pairs_per_width=200, order=4):
 
 
 def run_left_expand_roundtrip(seed=0, trials=40, order=5):
-    """Re-summing an expansion reproduces the target exactly."""
+    """Re-summing an expansion reproduces the target exactly, in 1 to 3
+    variables over Z, F_3 and Q."""
     rng = random.Random(seed)
-    algebra = FreeAlgebra()
+    algebras = (FreeAlgebra(), FreeAlgebra(COMPLEX, GF(3)), FreeAlgebra(COMPLEX, QQ))
     failures = []
-    names = ("x", "y")
+    names = ("x", "y", "w")
     for trial in range(trials):
-        width = rng.choice((1, 2))
+        algebra = algebras[trial % len(algebras)]
+        width = rng.choice((1, 2, 3))
         varset = VarSet(names[:width], 2)
         target = random_series(algebra, varset, order, rng)
         basis = {
@@ -102,7 +107,7 @@ def run_left_expand_roundtrip(seed=0, trials=40, order=5):
                     power = power * embedded[name]
             total = total + power.scale_left(coeff)
         if total != target:
-            failures.append(f"trial {trial}: round trip drifted")
+            failures.append(f"trial {trial} ({algebra.ring!r}, width {width}): round trip drifted")
     return failures
 
 

@@ -174,3 +174,90 @@ def test_json_round_trips_through_schema(capsys):
     }
     table = fgl_table(4, algebra)
     assert rebuilt == {key: element for key, element in table.items()}
+
+
+def assert_usage_error(capsys, *argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+def test_poincare_bad_degree_lists_are_usage_errors(capsys):
+    assert "--poly '2,,4'" in assert_usage_error(capsys, "poincare", "--poly", "2,,4")
+    assert "--poly 'a'" in assert_usage_error(capsys, "poincare", "--poly", "a")
+    assert "--ext '1,b'" in assert_usage_error(capsys, "poincare", "--ext", "1,b")
+
+
+def test_verify_needs_at_least_one_sample(capsys):
+    for samples in ("0", "-1"):
+        err = assert_usage_error(capsys, "verify", "--degree", "3", "--samples", samples)
+        assert "--samples" in err
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.txt"
+    assert_usage_error(capsys, "fgl", "--degree", "3", "--out", str(target))
+    assert not target.exists()
+
+
+def test_degree_budgets_refuse_before_any_work(monkeypatch, capsys):
+    import ncfgl.cli
+    import ncfgl.steenrod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused input must not start its computation")
+
+    for name in ("fgl_table", "inverse_table", "verify_axioms", "left_expand"):
+        monkeypatch.setattr(ncfgl.cli, name, no_work)
+    monkeypatch.setattr(ncfgl.steenrod, "FreeAlgebra", no_work)
+    for argv in (
+        ("fgl", "--degree", "17"),
+        ("inverse", "--degree", "21"),
+        ("verify", "--degree", "13"),
+        ("expand", "--assign", "x=-x", "--degree", "19"),
+        ("expand", "--assign", "x=x+y", "--degree", "17"),
+        ("expand", "--assign", "x=x+y+w", "--degree", "15"),
+        ("expand", "--assign", "x=10*x", "--degree", "3"),
+        ("expand", "--assign", "x=5*x+5*x", "--degree", "3"),
+        ("certificate", "bp", "--prime", "5"),
+    ):
+        assert_usage_error(capsys, *argv)
+
+
+def test_degree_budgets_accept_their_limits(monkeypatch, capsys):
+    # the computations are replaced by cheap ones of order 3; only the
+    # argument checks run at the limits
+    import ncfgl.cli
+    from ncfgl import fgl_table, inverse_table, verify_axioms
+
+    seen = []
+
+    def small(function):
+        def call(degree, *args, **kwargs):
+            seen.append(degree)
+            return function(3, *args, **kwargs)
+        return call
+
+    def small_expand(target, basis):
+        seen.append(target.order)
+        return {}
+
+    monkeypatch.setattr(ncfgl.cli, "fgl_table", small(fgl_table))
+    monkeypatch.setattr(ncfgl.cli, "inverse_table", small(inverse_table))
+    monkeypatch.setattr(ncfgl.cli, "verify_axioms", small(verify_axioms))
+    monkeypatch.setattr(ncfgl.cli, "left_expand", small_expand)
+    monkeypatch.setattr(ncfgl.cli, "filtration_property_run", lambda **kwargs: (True, []))
+    for argv in (
+        ("fgl", "--degree", "16"),
+        ("inverse", "--degree", "20"),
+        ("verify", "--degree", "12"),
+        ("expand", "--assign", "x=-9*x", "--degree", "18"),
+        ("expand", "--assign", "x=x-9*y", "--degree", "16"),
+        ("expand", "--assign", "x=x+y+w", "--degree", "14"),
+    ):
+        code, _, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+    assert seen == [16, 20, 12, 18, 16, 14]

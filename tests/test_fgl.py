@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -5,6 +7,8 @@ import pytest
 from ncfgl import (
     GF,
     QQ,
+    ZZ,
+    COMPLEX,
     CentralSeries,
     FreeAlgebra,
     ParameterError,
@@ -276,6 +280,35 @@ def test_filtration_series_against_convolution_oracle(A):
             for index in result.series.support()
         }
         assert produced == oracle
+
+
+def _digest(table):
+    return hashlib.sha256(json.dumps(table.to_data()).encode()).hexdigest()
+
+
+# sha256 of json.dumps(to_data()): the serialized tables are part of the
+# interface, so a faster expansion must reproduce them byte for byte.
+@pytest.mark.parametrize(
+    "ring, digest",
+    [
+        (ZZ, "23686c9b98341010cd4625296b61e7be4bd4d62d0195774cc1c7dabd4694f1a3"),
+        (GF(3), "6cca87bec8ec9d13fdcd3151ad19d918b242f5dc2d210e4b1c31cd37b868ab52"),
+        (QQ, "23686c9b98341010cd4625296b61e7be4bd4d62d0195774cc1c7dabd4694f1a3"),
+    ],
+)
+def test_fgl_table_order_12_digest(ring, digest):
+    assert _digest(fgl_table(12, FreeAlgebra(COMPLEX, ring))) == digest
+
+
+def test_inverse_table_order_16_digest():
+    digest = "9ceca281201023f4270fc5467e30edf52c8f912ba8923b260c9356763f1127ce"
+    assert _digest(inverse_table(16)) == digest
+
+
+def test_filtration_run_refuses_zero_samples(A):
+    for samples in (0, -1):
+        with pytest.raises(ParameterError):
+            filtration_property_run(order=6, samples=samples, algebra=A)
 
 
 def test_cross_check_with_reversion(A):

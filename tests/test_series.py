@@ -3,6 +3,10 @@ import random
 import pytest
 
 from ncfgl import (
+    COMPLEX,
+    GF,
+    QQ,
+    ZZ,
     CentralSeries,
     ComposabilityError,
     ExpansionError,
@@ -15,6 +19,8 @@ from ncfgl import (
     orientation_series,
     revert,
 )
+
+from oracles import uni_mul
 
 from props import (
     random_series,
@@ -178,6 +184,26 @@ def test_revert_rejects_bad_leading_terms(A, vs1):
         revert(CentralSeries(A, vs1, 4, {(1,): A.gen(1)}))
     with pytest.raises(ReversionError):
         revert(CentralSeries.unit(A, vs1, 4))
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3), QQ])
+def test_revert_satisfies_left_substitution_definition_order_12(ring):
+    # z(g) = sum_k Z_k g^(k+1) with Z_k on the left, summed with the oracle's
+    # dictionary series rather than left_substitute
+    order = 12
+    algebra = FreeAlgebra(COMPLEX, ring)
+    z = orientation_series(order, algebra)
+    g = revert(z)
+    g_terms = {k: g.coefficient((k,)) for k in range(1, order + 1)}
+    power = {0: algebra.one()}
+    total = {}
+    for k in range(order):
+        power = uni_mul(power, g_terms, order)
+        for n, value in power.items():
+            piece = z.coefficient((k + 1,)) * value
+            total[n] = total[n] + piece if n in total else piece
+    total = {n: value for n, value in total.items() if not value.is_zero()}
+    assert total == {1: algebra.one()}
 
 
 def test_revert_two_sided_on_tested_instances():

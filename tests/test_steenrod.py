@@ -345,6 +345,17 @@ def test_bp_certificate_parameter_validation():
             bp_obstruction_certificate(bad)
 
 
+def test_bp_certificate_refuses_p5_before_any_work(monkeypatch):
+    import ncfgl.steenrod
+
+    def no_algebra(*args, **kwargs):
+        raise AssertionError("a refused certificate must not build its algebra")
+
+    monkeypatch.setattr(ncfgl.steenrod, "FreeAlgebra", no_algebra)
+    with pytest.raises(ParameterError, match="2\\^23 words"):
+        bp_obstruction_certificate(5)
+
+
 def test_hf2_certificate():
     cert = hf2_obstruction_certificate()
     assert cert.verdict == "INFEASIBLE"
