@@ -8,9 +8,10 @@ seed.
 
 Inputs whose cost is known to outgrow the machine are usage errors too, refused
 before any work: ``--degree`` above :data:`DEGREE_BUDGET` or
-:data:`EXPAND_DEGREE_BUDGET`, an ``--assign`` coefficient above
-:data:`LINEAR_FORM_BOUND`, and ``certificate bp`` primes above the library's
-dense word budget.
+:data:`EXPAND_DEGREE_BUDGET`, a ``commutator --k`` that the degree budget
+cannot reach, an ``--assign`` coefficient above :data:`LINEAR_FORM_BOUND`,
+``verify --samples`` above :data:`SAMPLES_BUDGET`, and ``certificate bp``
+primes above the library's dense word budget.
 """
 
 from __future__ import annotations
@@ -53,15 +54,28 @@ _OP_RE = re.compile(r"(P|Sq)\^?(\d+)")
 _GEN_RE = re.compile(r"(t|xi)(\d+)")
 _TERM_RE = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*\*\s*)?([A-Za-z_]\w*)\s*")
 
-# Largest accepted --degree by command, and for expand by the number of
-# variables of the assignment, whose coefficients may be at most
-# LINEAR_FORM_BOUND in absolute value.  At these limits every mode and format
-# finished in under 30 s and 800 MiB on a 2-core machine with Python 3.11
-# (the slowest: inverse --degree 20 --mode rat --format json); one more order
-# roughly doubles both (verify: 16 s at 12 in rat mode, 48 s at 13).
-DEGREE_BUDGET = {"fgl": 16, "inverse": 20, "verify": 12}
+# Largest accepted --degree by command, checked in run() before any handler,
+# and for expand by the number of variables of the assignment, whose
+# coefficients may be at most LINEAR_FORM_BOUND in absolute value; commutator
+# --k may reach its degree budget less 2, and verify runs at most
+# SAMPLES_BUDGET samples.  At these limits every mode and format finished in
+# under 30 s and 800 MiB on a 2-core machine with Python 3.11 (the slowest:
+# inverse --degree 20 --mode rat --format json, and verify --degree 12 --mode
+# rat --samples 1000 in 26 s); one more order roughly doubles both, and
+# commutator, costliest near k = degree / 3, grows ~1.6-fold per degree.
+DEGREE_BUDGET = {
+    "fgl": 16,
+    "inverse": 20,
+    "verify": 12,
+    "commutator": 24,
+    "poincare": 4000,
+    "split": 4000,
+    "parity": 4000,
+    "rational": 4000,
+}
 EXPAND_DEGREE_BUDGET = {1: 18, 2: 16, 3: 14}
 LINEAR_FORM_BOUND = 9
+SAMPLES_BUDGET = 1000
 
 
 def _add_common(parser, degree_default=6):
@@ -119,9 +133,9 @@ def _parse_degrees(text: str, flag: str) -> list:
         raise ParameterError(f"cannot parse {flag} {text!r} (use e.g. 2,6,14)") from None
 
 
-def _check_degree(degree: int, budget: int, label: str) -> None:
+def _check_degree(degree: int, budget: int, label: str, flag: str = "--degree") -> None:
     if degree > budget:
-        raise ParameterError(f"{label} --degree {degree} is above the budget of {budget}")
+        raise ParameterError(f"{label} {flag} {degree} is above the budget of {budget}")
 
 
 def _parse_linear_form(expr: str) -> dict:
@@ -147,20 +161,19 @@ def _parse_linear_form(expr: str) -> dict:
 
 
 def cmd_fgl(args) -> int:
-    _check_degree(args.degree, DEGREE_BUDGET["fgl"], "fgl")
     table = fgl_table(args.degree, _algebra(args))
     _emit(args, table.to_data(), str(table))
     return 0
 
 
 def cmd_inverse(args) -> int:
-    _check_degree(args.degree, DEGREE_BUDGET["inverse"], "inverse")
     table = inverse_table(args.degree, _algebra(args))
     _emit(args, table.to_data(), str(table))
     return 0
 
 
 def cmd_commutator(args) -> int:
+    _check_degree(args.k, DEGREE_BUDGET["commutator"] - 2, "commutator", "--k")
     algebra = _algebra(args)
     u = algebra.monomial(_parse_word(args.word))
     result = commutator_filtration(u, args.k, args.degree)
@@ -283,9 +296,9 @@ def cmd_rational(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_degree(args.degree, DEGREE_BUDGET["verify"], "verify")
     if args.samples < 1:
         raise ParameterError("--samples must be at least 1")
+    _check_degree(args.samples, SAMPLES_BUDGET, "verify", "--samples")
     algebra = _algebra(args)
     report = verify_axioms(args.degree, algebra)
     filtration_order = max(args.degree, 4)
@@ -391,6 +404,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if args.command in DEGREE_BUDGET:
+            _check_degree(args.degree, DEGREE_BUDGET[args.command], args.command)
         return args.handler(args)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

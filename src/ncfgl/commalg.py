@@ -3,12 +3,15 @@
 Used for the polynomial dual Steenrod algebra F_p[xi_1, xi_2, ...], for
 polynomial coefficient algebras such as F_p[t_1, t_2, ...], and for small
 symbolic algebras like F_p[w].  Monomials are stored as sorted tuples of
-(generator index, exponent) pairs; the empty tuple is 1.
+(generator index, exponent) pairs; the empty tuple is 1.  Elements are the
+linear combinations of :mod:`ncfgl.lincomb`, with monomials multiplied by
+adding exponents.
 """
 
 from __future__ import annotations
 
-from .errors import ModeMismatchError, ParameterError
+from .errors import ParameterError
+from .lincomb import LinearCombination, SparseAlgebra
 from .scalars import ScalarRing
 
 Monomial = tuple  # sorted tuple of (index, exponent) with exponent >= 1
@@ -21,7 +24,20 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-class CommAlgebra:
+class CommElement(LinearCombination):
+    """Sparse commutative polynomial; immutable by convention."""
+
+    __slots__ = ()
+
+    def to_data(self):
+        ring = self.algebra.ring
+        return [
+            {"monomial": [list(pair) for pair in mono], "coeff": ring.render(self._terms[mono])}
+            for mono in self.support()
+        ]
+
+
+class CommAlgebra(SparseAlgebra):
     """A polynomial algebra with a fixed degree per generator index.
 
     Identity of the degree rule is tracked by ``key`` so that algebras built
@@ -29,6 +45,8 @@ class CommAlgebra:
     """
 
     __slots__ = ("key", "family", "ring", "_degree_of", "_num_generators")
+    element_class = CommElement
+    key_mul = staticmethod(monomial_mul)
 
     def __init__(self, key, family: str, degree_of, ring: ScalarRing, num_generators=None):
         self.key = key
@@ -58,29 +76,33 @@ class CommAlgebra:
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(e * self.degree_of(i) for i, e in mono)
 
+    key_degree = monomial_degree
+
+    def term_key(self, mono: Monomial):
+        """Canonical term order: by (degree, monomial)."""
+        return (self.monomial_degree(mono), mono)
+
+    def render_key(self, mono: Monomial) -> str:
+        family = self.family
+        return "*".join(f"{family}{i}" if e == 1 else f"{family}{i}^{e}" for i, e in mono)
+
+    def split_key(self, mono: Monomial):
+        """(lowest generator, the rest) of a monomial other than 1."""
+        (i, e), rest = mono[0], mono[1:]
+        return i, (((i, e - 1),) + rest if e > 1 else rest)
+
     # -- element construction --------------------------------------------------
 
-    def element(self, terms: dict) -> "CommElement":
-        ring = self.ring
-        clean = {}
-        for mono, value in terms.items():
-            value = ring.of_int(value) if isinstance(value, int) else value
-            if not ring.is_zero(value):
-                clean[tuple(sorted((i, e) for i, e in mono if e))] = value
-        return CommElement(self, clean)
+    def element(self, terms: dict) -> CommElement:
+        """The polynomial with these coefficients; monomials are normalized
+        (sorted by index, zero exponents dropped)."""
+        return super().element(
+            {tuple(sorted((i, e) for i, e in mono if e)): value for mono, value in terms.items()}
+        )
 
-    def zero(self) -> "CommElement":
-        return CommElement(self, {})
-
-    def one(self) -> "CommElement":
-        return CommElement(self, {(): self.ring.one})
-
-    def gen(self, i: int) -> "CommElement":
+    def gen(self, i: int) -> CommElement:
         self.degree_of(i)
-        return CommElement(self, {((i, 1),): self.ring.one})
-
-    def monomial(self, mono: Monomial, coeff=1) -> "CommElement":
-        return self.element({tuple(mono): coeff})
+        return self._wrap({((i, 1),): self.ring.one})
 
     def __eq__(self, other):
         return isinstance(other, CommAlgebra) and self.key == other.key
@@ -90,152 +112,3 @@ class CommAlgebra:
 
     def __repr__(self):
         return f"CommAlgebra({self.family!r}, {self.ring!r})"
-
-
-class CommElement:
-    """Sparse commutative polynomial; immutable by convention."""
-
-    __slots__ = ("algebra", "_terms")
-
-    def __init__(self, algebra: CommAlgebra, terms: dict):
-        self.algebra = algebra
-        self._terms = terms
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coefficient(self, mono: Monomial):
-        return self._terms.get(tuple(mono), self.algebra.ring.zero)
-
-    def support(self):
-        return sorted(self._terms, key=lambda m: (self.algebra.monomial_degree(m), m))
-
-    def terms(self):
-        return [(m, self._terms[m]) for m in self.support()]
-
-    def is_homogeneous(self) -> bool:
-        return len({self.algebra.monomial_degree(m) for m in self._terms}) <= 1
-
-    def degree(self):
-        degrees = {self.algebra.monomial_degree(m) for m in self._terms}
-        if not degrees:
-            return None
-        if len(degrees) > 1:
-            raise ParameterError("element is not homogeneous")
-        return degrees.pop()
-
-    def _check_compatible(self, other: "CommElement"):
-        if self.algebra != other.algebra:
-            raise ModeMismatchError("operands live in different polynomial algebras")
-
-    def __add__(self, other: "CommElement") -> "CommElement":
-        self._check_compatible(other)
-        ring = self.algebra.ring
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = out.get(mono)
-            if acc is None:
-                out[mono] = coeff
-            else:
-                s = ring.add(acc, coeff)
-                if ring.is_zero(s):
-                    del out[mono]
-                else:
-                    out[mono] = s
-        return CommElement(self.algebra, out)
-
-    def __neg__(self) -> "CommElement":
-        ring = self.algebra.ring
-        return CommElement(self.algebra, {m: ring.neg(c) for m, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, value) -> "CommElement":
-        ring = self.algebra.ring
-        if isinstance(value, int):
-            value = ring.of_int(value)
-        if ring.is_zero(value):
-            return CommElement(self.algebra, {})
-        return CommElement(
-            self.algebra,
-            {m: ring.mul(value, c) for m, c in self._terms.items()},
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        self._check_compatible(other)
-        ring = self.algebra.ring
-        out = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = monomial_mul(m1, m2)
-                c = ring.mul(c1, c2)
-                acc = out.get(mono)
-                out[mono] = c if acc is None else ring.add(acc, c)
-        return CommElement(
-            self.algebra, {m: c for m, c in out.items() if not ring.is_zero(c)}
-        )
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "CommElement":
-        if n < 0:
-            raise ParameterError("negative powers are not defined")
-        result = self.algebra.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CommElement)
-            and self.algebra == other.algebra
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, frozenset(self._terms.items())))
-
-    def to_data(self):
-        ring = self.algebra.ring
-        return [
-            {"monomial": [list(pair) for pair in mono], "coeff": ring.render(self._terms[mono])}
-            for mono in self.support()
-        ]
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        ring = self.algebra.ring
-        family = self.algebra.family
-        pieces = []
-        for mono in self.support():
-            coeff = self._terms[mono]
-            negative = ring.mode != "fp" and coeff < 0
-            mag = ring.render(ring.neg(coeff) if negative else coeff)
-            body = "*".join(
-                f"{family}{i}" if e == 1 else f"{family}{i}^{e}" for i, e in mono
-            )
-            if not mono:
-                text = mag
-            elif mag == "1":
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if not pieces:
-                pieces.append(("-" if negative else "") + text)
-            else:
-                pieces.append(("- " if negative else "+ ") + text)
-        return " ".join(pieces)
-
-    def __repr__(self):
-        return f"<{self}>"

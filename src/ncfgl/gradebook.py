@@ -97,7 +97,7 @@ def _degree_counts(degrees, order: int) -> dict:
     counts: dict = {}
     for d in degrees:
         if d < 1:
-            raise ParameterError("generators of degree 0 give a non-locally-finite algebra")
+            raise ParameterError(f"generator degrees must be positive, got {d}")
         if d <= order:
             counts[d] = counts.get(d, 0) + 1
     return counts

@@ -1,125 +1,88 @@
 """Exact dense linear algebra used by the centralizer and certificate solvers.
 
 Matrices are lists of rows; a row is a list of scalar values of the ambient
-:class:`~ncfgl.scalars.ScalarRing`.  Everything is deterministic: reduced row
-echelon form is unique, kernels are presented in reduced echelon form with
-respect to the given column order, and integer-mode kernels are primitive
-integer vectors with positive leading entry.
+:class:`~ncfgl.scalars.ScalarRing`.  One elimination, :func:`rref`, serves
+every ring: F_p in residues, Z and Q in Fractions.  Everything is
+deterministic: reduced row echelon form is unique, kernels are presented in
+reduced echelon form with respect to the given column order, and integer-mode
+kernels are primitive integer vectors with positive leading entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
+from .errors import UnsupportedInputError
 from .scalars import ScalarRing
-
-# Rational view used to run integer-mode kernels over Q before primitivizing.
-_QQ_VIEW = ScalarRing("rational")
-
-
-def _rref_fp(rows, ncols, p):
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        if inv != 1:
-            rows[r] = [x * inv % p for x in rows[r]]
-        lead = rows[r]
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                row = rows[i]
-                for j in range(c, ncols):
-                    if lead[j]:
-                        row[j] = (row[j] - f * lead[j]) % p
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _rref_frac(rows, ncols):
-    rows = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        lead = rows[r]
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                row = rows[i]
-                for j in range(c, ncols):
-                    if lead[j]:
-                        row[j] = row[j] - f * lead[j]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
 
 
 def rref(rows, ncols: int, ring: ScalarRing):
-    """Reduced row echelon form; returns (nonzero rows, pivot column list)."""
-    if ring.mode == "fp":
-        return _rref_fp(rows, ncols, ring.prime)
-    return _rref_frac(rows, ncols)
+    """Reduced row echelon form; returns (nonzero rows, pivot column list).
+
+    One Gauss-Jordan elimination serves every ring.  Over F_p the entries are
+    residues and each update is reduced mod p, which is the only step that
+    depends on the ring; over Z and Q they are Fractions.  Only the nonzero
+    columns of a pivot row are subtracted from the other rows.
+    """
+    p = ring.prime
+    if p:
+        rows = [[x % p for x in row] for row in rows]
+    else:
+        rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        lead = rows[r]
+        inv = pow(lead[c], -1, p) if p else 1 / lead[c]
+        if inv != 1:
+            lead = rows[r] = [x * inv % p for x in lead] if p else [x * inv for x in lead]
+        nonzero = [j for j in range(c, ncols) if lead[j]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if not f or i == r:
+                continue
+            if p:
+                for j in nonzero:
+                    row[j] = (row[j] - f * lead[j]) % p
+            else:
+                for j in nonzero:
+                    row[j] -= f * lead[j]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
 
 
 def _primitive(vec):
     """Scale a rational vector to a primitive integer vector, leading entry > 0."""
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in vec))
     ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return ints
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints]
 
 
-def _kernel_from_rref(reduced, pivots, ncols, ring):
+def _kernel(reduced, pivots, ncols, ring):
+    """Canonical kernel basis of a reduced row echelon form in ``ncols``
+    columns, from one vector per free column."""
     free_cols = [c for c in range(ncols) if c not in set(pivots)]
     basis = []
     for f in free_cols:
-        vec = [ring.zero] * ncols
-        vec[f] = ring.one
+        vec = [0] * ncols
+        vec[f] = 1
         for r, c in enumerate(pivots):
-            vec[c] = ring.neg(reduced[r][f])
+            vec[c] = -reduced[r][f]
         basis.append(vec)
-    return basis
+    return reduced_basis(basis, ncols, ring)
 
 
 def nullspace(rows, ncols: int, ring: ScalarRing):
@@ -129,23 +92,14 @@ def nullspace(rows, ncols: int, ring: ScalarRing):
     order (so it is canonical).  In integer mode the kernel is computed over Q
     and each vector is returned primitive.
     """
-    if not rows:
-        reduced, pivots = [], []
-    else:
-        reduced, pivots = rref(rows, ncols, ring)
-    work_ring = _QQ_VIEW if ring.mode == "integer" else ring
-    raw = _kernel_from_rref(reduced, pivots, ncols, work_ring)
-    return reduced_basis(raw, ncols, ring)
+    return _kernel(*rref(rows, ncols, ring), ncols, ring)
 
 
 def reduced_basis(vectors, ncols: int, ring: ScalarRing):
     """Canonical presentation of a span: RREF rows (primitive ints over Z)."""
     if not vectors:
         return []
-    if ring.mode == "fp":
-        reduced, _ = _rref_fp(vectors, ncols, ring.prime)
-        return reduced
-    reduced, _ = _rref_frac(vectors, ncols)
+    reduced, _ = rref(vectors, ncols, ring)
     if ring.mode == "integer":
         return [_primitive(v) for v in reduced]
     return reduced
@@ -156,17 +110,20 @@ def affine_solve(rows, rhs, ncols: int, ring: ScalarRing):
 
     Returns ``(particular, kernel_basis, rank)`` where ``particular`` is None
     when the system is inconsistent.  The particular solution sets every free
-    variable to zero.
+    variable to zero.  Over Z a solution may not exist where one over Q does,
+    so the integers are refused.
     """
+    if not ring.is_field:
+        raise UnsupportedInputError(f"affine_solve needs a field, got {ring!r}")
     augmented = [list(r) + [b] for r, b in zip(rows, rhs)]
     reduced, pivots = rref(augmented, ncols + 1, ring)
-    if pivots and pivots[-1] == ncols:
-        rank = len(pivots) - 1
-        coeff_pivots = pivots[:-1]
-        kernel = _kernel_from_rref([r[:ncols] for r in reduced], coeff_pivots, ncols, ring)
-        return None, reduced_basis(kernel, ncols, ring), rank
+    consistent = not pivots or pivots[-1] != ncols
+    if not consistent:
+        pivots = pivots[:-1]
+    kernel = _kernel(reduced, pivots, ncols, ring)  # the rhs column is never free
+    if not consistent:
+        return None, kernel, len(pivots)
     particular = [ring.zero] * ncols
     for r, c in enumerate(pivots):
         particular[c] = reduced[r][ncols]
-    kernel = _kernel_from_rref([r[:ncols] for r in reduced], pivots, ncols, ring)
-    return particular, reduced_basis(kernel, ncols, ring), len(pivots)
+    return particular, kernel, len(pivots)

@@ -1,0 +1,243 @@
+"""Sparse linear combinations over one scalar ring: the shared element core.
+
+Free-algebra elements, commutative polynomials and tensors are all finite
+sums of basis keys (words, monomials, pairs of those) with nonzero
+coefficients in a :class:`~ncfgl.scalars.ScalarRing`.  :class:`LinearCombination`
+implements their arithmetic and rendering once; the :class:`SparseAlgebra` an
+element lives in supplies the basis.  Sums reduce each coefficient as it is
+formed; products accumulate with plain ``+`` and ``*`` and reduce once.
+Every coefficient that enters from outside goes through
+:meth:`ScalarRing.coerce`, so a scalar of one ring never lands in another.
+
+All values are immutable after construction and every operation is a pure
+function of its inputs.
+"""
+
+from __future__ import annotations
+
+from .errors import ModeMismatchError, ParameterError, UnsupportedInputError
+
+
+class SparseAlgebra:
+    """The parent of linear combinations over ``self.ring``.
+
+    Subclasses set ``element_class`` and ``ring``, define ``__eq__`` and
+    ``__hash__``, and supply the basis:
+
+    * ``key_mul(a, b)`` -- the key of the product of two basis elements;
+    * ``term_key(key)`` -- the sort key of the canonical term order;
+    * ``render_key(key)`` -- the text of a key, ``""`` for the unit key;
+    * ``key_degree(key)`` -- the degree of a basis element, for the graded
+      algebras whose elements are asked for degrees.
+
+    :meth:`from_accumulator` turns a key -> value dict whose values were
+    combined with plain ``+`` and ``*`` into an element.
+    """
+
+    __slots__ = ()
+    unit_key = ()
+
+    def _wrap(self, terms: dict):
+        """An element over ``terms`` as they are: reduced and nonzero."""
+        element = object.__new__(self.element_class)
+        element.algebra = self
+        element._terms = terms
+        return element
+
+    def element(self, terms: dict):
+        """The element with these coefficients, each coerced into the ring."""
+        coerce = self.ring.coerce
+        clean = {}
+        for key, value in terms.items():
+            value = coerce(value)
+            if value:
+                clean[key] = value
+        return self._wrap(clean)
+
+    def from_accumulator(self, acc: dict):
+        """The element held by an accumulator of unreduced key -> value sums."""
+        p = self.ring.prime
+        if p:
+            terms = {key: r for key, value in acc.items() if (r := value % p)}
+        else:
+            terms = {key: value for key, value in acc.items() if value}
+        return self._wrap(terms)
+
+    def zero(self):
+        return self._wrap({})
+
+    def one(self):
+        return self._wrap({self.unit_key: self.ring.one})
+
+    def monomial(self, key, coeff=1):
+        return self.element({tuple(key): coeff})
+
+
+class LinearCombination:
+    """A finite sum of basis keys with nonzero scalar coefficients.
+
+    Instances are immutable by convention: no method mutates ``self`` and the
+    term mapping is never exposed for writing.
+    """
+
+    __slots__ = ("algebra", "_terms")
+
+    def __init__(self, algebra: SparseAlgebra, terms: dict):
+        self.algebra = algebra
+        self._terms = terms
+
+    # -- inspection ------------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def coefficient(self, key):
+        return self._terms.get(tuple(key), self.algebra.ring.zero)
+
+    def support(self):
+        """Keys with nonzero coefficient, in canonical term order."""
+        return sorted(self._terms, key=self.algebra.term_key)
+
+    def terms(self):
+        """(key, coefficient) pairs in canonical term order."""
+        return [(key, self._terms[key]) for key in self.support()]
+
+    def __len__(self):
+        return len(self._terms)
+
+    def mutable_terms(self) -> dict:
+        """A fresh key -> coefficient dict, for use as an accumulator."""
+        return dict(self._terms)
+
+    def homogeneous_components(self) -> dict:
+        """The parts of each degree, by increasing degree."""
+        comps = {}
+        for key, coeff in self._terms.items():
+            comps.setdefault(self.algebra.key_degree(key), {})[key] = coeff
+        return {d: self.algebra._wrap(part) for d, part in sorted(comps.items())}
+
+    def is_homogeneous(self) -> bool:
+        return len({self.algebra.key_degree(key) for key in self._terms}) <= 1
+
+    def degree(self):
+        """Degree of a homogeneous element; None for 0."""
+        degrees = {self.algebra.key_degree(key) for key in self._terms}
+        if not degrees:
+            return None
+        if len(degrees) > 1:
+            raise UnsupportedInputError("element is not homogeneous")
+        return degrees.pop()
+
+    # -- arithmetic --------------------------------------------------------------
+
+    def _check_compatible(self, other: "LinearCombination"):
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
+            raise ModeMismatchError(
+                "operands live in different algebras "
+                f"({self.algebra!r} vs {other.algebra!r})"
+            )
+
+    def _combine(self, other: "LinearCombination", sign: int):
+        """self + sign * other, each coefficient reduced as it is formed."""
+        self._check_compatible(other)
+        p = self.algebra.ring.prime
+        out = dict(self._terms)
+        get = out.get
+        for key, coeff in other._terms.items():
+            value = get(key, 0) + sign * coeff
+            if p:
+                value %= p
+            if value:
+                out[key] = value
+            else:
+                del out[key]
+        return self.algebra._wrap(out)
+
+    def __add__(self, other: "LinearCombination"):
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "LinearCombination"):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self.algebra.from_accumulator({key: -c for key, c in self._terms.items()})
+
+    def scale(self, value):
+        """Multiply by a central scalar (an int or a value of the ring)."""
+        value = self.algebra.ring.coerce(value)
+        if not value:
+            return self.algebra.zero()
+        return self.algebra.from_accumulator(
+            {key: value * c for key, c in self._terms.items()}
+        )
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self.scale(other)
+        self._check_compatible(other)
+        key_mul = self.algebra.key_mul
+        acc = {}
+        get = acc.get
+        right_terms = other._terms.items()
+        for k1, c1 in self._terms.items():
+            for k2, c2 in right_terms:
+                key = key_mul(k1, k2)
+                acc[key] = get(key, 0) + c1 * c2
+        return self.algebra.from_accumulator(acc)
+
+    def __rmul__(self, other):
+        if isinstance(other, int):
+            return self.scale(other)
+        return NotImplemented
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ParameterError("negative powers are not defined")
+        result = self.algebra.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, LinearCombination)
+            and self.algebra == other.algebra
+            and self._terms == other._terms
+        )
+
+    def __hash__(self):
+        return hash((self.algebra, frozenset(self._terms.items())))
+
+    # -- presentation ---------------------------------------------------------
+
+    def __str__(self):
+        if not self._terms:
+            return "0"
+        ring = self.algebra.ring
+        render_key = self.algebra.render_key
+        signed = ring.prime is None
+        pieces = []
+        for key in self.support():
+            coeff = self._terms[key]
+            negative = signed and coeff < 0
+            mag = ring.render(-coeff if negative else coeff)
+            body = render_key(key)
+            if not body:
+                text = mag
+            elif mag == "1":
+                text = body
+            else:
+                text = f"{mag}*{body}"
+            if not pieces:
+                pieces.append(("-" if negative else "") + text)
+            else:
+                pieces.append(("- " if negative else "+ ") + text)
+        return " ".join(pieces)
+
+    def __repr__(self):
+        return f"<{self}>"

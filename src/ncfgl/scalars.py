@@ -93,9 +93,6 @@ class ScalarRing:
     def add(self, a, b):
         return (a + b) % self.prime if self.mode == "fp" else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.prime if self.mode == "fp" else a - b
-
     def neg(self, a):
         return (-a) % self.prime if self.mode == "fp" else -a
 
@@ -115,9 +112,6 @@ class ScalarRing:
 
     def is_zero(self, a) -> bool:
         return a == 0
-
-    def is_one(self, a) -> bool:
-        return a == self.one
 
     @property
     def is_field(self) -> bool:

@@ -7,7 +7,7 @@ algebra on the polynomial algebra F_p[t_1, t_2, ...] with deg t_r = 2p^r - 2,
 right actions a.theta = sum <theta, a'> a'', the Cartan rule for extending a
 generator action table over products, the induced action on the free algebra
 generators, and two finite obstruction certificates built from these actions
-by exact linear algebra.
+by exact linear algebra; tensors are sums over a :class:`TensorAlgebra`.
 
 Only the polynomial (even) part of the dual Steenrod algebra is modelled; the
 exterior generators at odd primes are never needed by the computations here.
@@ -19,22 +19,33 @@ from dataclasses import dataclass, field
 from itertools import product as _iproduct
 from math import comb
 
-from .commalg import CommAlgebra, CommElement, monomial_mul
+from .commalg import CommAlgebra, CommElement
 from .errors import (
     IncompleteTableError,
     ModeMismatchError,
     ParameterError,
     UnsupportedInputError,
 )
-from .freealg import COMPLEX, REAL, FreeAlgebra, FreeElement, centralizer_basis
+from .freealg import (
+    COMPLEX,
+    REAL,
+    FreeAlgebra,
+    FreeElement,
+    centralizer_basis,
+    commutator,
+    matrix_of,
+)
+from .lincomb import LinearCombination, SparseAlgebra
 from .linalg import affine_solve
 from .scalars import GF, is_prime
 
 
 def lucas_binomial(m: int, k: int, p: int) -> int:
-    """C(m, k) mod p by the base-p digit rule; m, k >= 0."""
+    """C(m, k) mod p by the base-p digit rule; m, k >= 0 and p prime."""
     if m < 0 or k < 0:
         raise ParameterError("binomial arguments must be nonnegative")
+    if not is_prime(p):
+        raise ParameterError(f"the digit rule needs a prime modulus, got {p}")
     result = 1
     while k:
         m, md = divmod(m, p)
@@ -101,7 +112,7 @@ def bp_homology(p: int) -> CommAlgebra:
 # -- tensor square ------------------------------------------------------------
 
 
-class TensorElement:
+class TensorElement(LinearCombination):
     """Finite sum of (left tensor right) terms in bilinear normal form.
 
     The left factor lives in a dual Steenrod algebra; the right factor in any
@@ -109,151 +120,82 @@ class TensorElement:
     sit in even degrees (or p = 2), so multiplication carries no signs.
     """
 
-    __slots__ = ("left_algebra", "right_carrier", "_terms")
+    __slots__ = ()
 
     def __init__(self, left_algebra, right_carrier, terms: dict):
-        ring = left_algebra.ring
-        self.left_algebra = left_algebra
-        self.right_carrier = right_carrier
-        self._terms = {k: v for k, v in terms.items() if not ring.is_zero(v)}
+        parent = TensorAlgebra(left_algebra, right_carrier)
+        super().__init__(parent, parent.element(terms)._terms)
+
+    @property
+    def left_algebra(self):
+        return self.algebra.left
+
+    @property
+    def right_carrier(self):
+        return self.algebra.right
 
     @classmethod
     def tensor(cls, a: CommElement, b) -> "TensorElement":
-        ring = a.algebra.ring
-        terms = {}
-        for lm, lc in a.terms():
-            for rm, rc in b.terms():
-                terms[(lm, rm)] = ring.mul(lc, rc)
+        terms = {(lm, rm): lc * rc for lm, lc in a.terms() for rm, rc in b.terms()}
         return cls(a.algebra, b.algebra, terms)
 
     @classmethod
     def unit(cls, left_algebra, right_carrier) -> "TensorElement":
-        one = left_algebra.ring.one
-        return cls(left_algebra, right_carrier, {((), ()): one})
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def _check_compatible(self, other: "TensorElement"):
-        if (
-            self.left_algebra != other.left_algebra
-            or self.right_carrier != other.right_carrier
-        ):
-            raise ModeMismatchError("tensor operands live over different carriers")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check_compatible(other)
-        ring = self.left_algebra.ring
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = out.get(key)
-            out[key] = coeff if acc is None else ring.add(acc, coeff)
-        return TensorElement(self.left_algebra, self.right_carrier, out)
-
-    def __neg__(self):
-        ring = self.left_algebra.ring
-        return TensorElement(
-            self.left_algebra,
-            self.right_carrier,
-            {k: ring.neg(v) for k, v in self._terms.items()},
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, value) -> "TensorElement":
-        ring = self.left_algebra.ring
-        if isinstance(value, int):
-            value = ring.of_int(value)
-        return TensorElement(
-            self.left_algebra,
-            self.right_carrier,
-            {k: ring.mul(value, v) for k, v in self._terms.items()},
-        )
-
-    def _right_mul(self, k1, k2):
-        if isinstance(self.right_carrier, FreeAlgebra):
-            return k1 + k2
-        return monomial_mul(k1, k2)
-
-    def __mul__(self, other: "TensorElement") -> "TensorElement":
-        self._check_compatible(other)
-        ring = self.left_algebra.ring
-        out = {}
-        for (l1, r1), c1 in self._terms.items():
-            for (l2, r2), c2 in other._terms.items():
-                key = (monomial_mul(l1, l2), self._right_mul(r1, r2))
-                c = ring.mul(c1, c2)
-                acc = out.get(key)
-                out[key] = c if acc is None else ring.add(acc, c)
-        return TensorElement(self.left_algebra, self.right_carrier, out)
-
-    def __pow__(self, n: int) -> "TensorElement":
-        if n < 0:
-            raise ParameterError("negative powers are not defined")
-        result = TensorElement.unit(self.left_algebra, self.right_carrier)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.left_algebra == other.left_algebra
-            and self.right_carrier == other.right_carrier
-            and self._terms == other._terms
-        )
-
-    def terms(self):
-        def sort_key(key):
-            lm, rm = key
-            if isinstance(self.right_carrier, FreeAlgebra):
-                rkey = self.right_carrier.term_key(rm)
-            else:
-                rkey = (self.right_carrier.monomial_degree(rm), rm)
-            return ((self.left_algebra.monomial_degree(lm), lm), rkey)
-
-        return [(k, self._terms[k]) for k in sorted(self._terms, key=sort_key)]
+        return TensorAlgebra(left_algebra, right_carrier).one()
 
     def pair_left(self, op: MilnorOp):
         """Contract the left factor against a Milnor operation."""
-        ring = self.left_algebra.ring
-        out = {}
-        for (lm, rm), coeff in self._terms.items():
-            value = _pair_monomial(op, lm, ring)
-            if ring.is_zero(value):
-                continue
-            c = ring.mul(value, coeff)
-            acc = out.get(rm)
-            out[rm] = c if acc is None else ring.add(acc, c)
-        return self.right_carrier.element(out)
+        dual = _dual_monomial(op)
+        return self.algebra.right._wrap(
+            {rm: coeff for (lm, rm), coeff in self._terms.items() if lm == dual}
+        )
 
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        ring = self.left_algebra.ring
-        pieces = []
-        for (lm, rm), coeff in self.terms():
-            left = str(self.left_algebra.monomial(lm))
-            right = str(self.right_carrier.monomial(rm))
-            c = ring.render(coeff)
-            prefix = "" if c == "1" else f"{c}*"
-            pieces.append(f"{prefix}({left} (x) {right})")
-        return " + ".join(pieces)
+
+class TensorAlgebra(SparseAlgebra):
+    """The tensor product of two algebras over one ring, on (left, right) keys.
+
+    Keys multiply factorwise and sort by the left factor's order, then the
+    right factor's.
+    """
+
+    __slots__ = ("left", "right", "ring")
+    element_class = TensorElement
+    unit_key = ((), ())
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+        self.ring = left.ring
+
+    def key_mul(self, a, b):
+        return (self.left.key_mul(a[0], b[0]), self.right.key_mul(a[1], b[1]))
+
+    def term_key(self, key):
+        return (self.left.term_key(key[0]), self.right.term_key(key[1]))
+
+    def render_key(self, key) -> str:
+        left = self.left.render_key(key[0]) or "1"
+        right = self.right.render_key(key[1]) or "1"
+        return f"({left} (x) {right})"
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TensorAlgebra)
+            and self.left == other.left
+            and self.right == other.right
+        )
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
     def __repr__(self):
-        return f"<tensor {self}>"
+        return f"TensorAlgebra({self.left!r}, {self.right!r})"
 
 
-def _pair_monomial(op: MilnorOp, mono, ring):
-    """<P^k, xi_1^k> = 1 (likewise Sq^k at p = 2); zero on every other monomial."""
-    if op.index == 0:
-        return ring.one if mono == () else ring.zero
-    return ring.one if mono == ((1, op.index),) else ring.zero
+def _dual_monomial(op: MilnorOp):
+    """xi_1^k: <P^k, xi_1^k> = 1 (likewise Sq^k at p = 2), and the pairing
+    is zero on every other monomial."""
+    return ((1, op.index),) if op.index else ()
 
 
 def milnor_pair(op: MilnorOp, a: CommElement):
@@ -261,11 +203,7 @@ def milnor_pair(op: MilnorOp, a: CommElement):
     algebra = a.algebra
     if algebra.key != ("dual-steenrod", op.prime):
         raise UnsupportedInputError("pairing is defined on dual Steenrod elements")
-    ring = algebra.ring
-    total = ring.zero
-    for mono, coeff in a.terms():
-        total = ring.add(total, ring.mul(_pair_monomial(op, mono, ring), coeff))
-    return total
+    return a.coefficient(_dual_monomial(op))
 
 
 # -- coproduct, counit, antipode ------------------------------------------------
@@ -274,18 +212,28 @@ _PSI_CACHE: dict = {}
 _CHI_CACHE: dict = {}
 
 
+def _multiplicative(a: CommElement, target: SparseAlgebra, image) -> LinearCombination:
+    """The algebra map into ``target`` sending generator i to image(i), at ``a``."""
+    out = target.zero()
+    for mono, coeff in a.terms():
+        term = target.one()
+        for i, e in mono:
+            term = term * image(i) ** e
+        out = out + term.scale(coeff)
+    return out
+
+
 def _xi_coproduct(p: int, n: int) -> TensorElement:
     cached = _PSI_CACHE.get((p, n))
     if cached is not None:
         return cached
     algebra = dual_steenrod(p)
     terms = {}
-    one = algebra.ring.one
     for i in range(n + 1):
         left = () if i == n else ((n - i, p ** i),)
         right = () if i == 0 else ((i, 1),)
-        terms[(left, right)] = one
-    psi = TensorElement(algebra, algebra, terms)
+        terms[(left, right)] = 1
+    psi = TensorAlgebra(algebra, algebra).element(terms)
     _PSI_CACHE[(p, n)] = psi
     return psi
 
@@ -296,13 +244,7 @@ def coproduct(a: CommElement) -> TensorElement:
     if algebra.key[0] != "dual-steenrod":
         raise UnsupportedInputError("coproduct is defined on dual Steenrod elements")
     p = algebra.ring.prime
-    out = TensorElement(algebra, algebra, {})
-    for mono, coeff in a.terms():
-        term = TensorElement.unit(algebra, algebra)
-        for i, e in mono:
-            term = term * _xi_coproduct(p, i) ** e
-        out = out + term.scale(coeff)
-    return out
+    return _multiplicative(a, TensorAlgebra(algebra, algebra), lambda i: _xi_coproduct(p, i))
 
 
 def counit(a: CommElement):
@@ -316,13 +258,7 @@ def antipode(a: CommElement) -> CommElement:
     if algebra.key[0] != "dual-steenrod":
         raise UnsupportedInputError("antipode is defined on dual Steenrod elements")
     p = algebra.ring.prime
-    out = algebra.zero()
-    for mono, coeff in a.terms():
-        term = algebra.one()
-        for i, e in mono:
-            term = term * _chi_generator(p, i) ** e
-        out = out + term.scale(coeff)
-    return out
+    return _multiplicative(a, algebra, lambda i: _chi_generator(p, i))
 
 
 def _chi_generator(p: int, n: int) -> CommElement:
@@ -358,17 +294,13 @@ def bp_coaction(a: CommElement) -> TensorElement:
     if p == 2:
         raise UnsupportedInputError("the displayed coaction is the odd-prime form")
     steenrod = dual_steenrod(p)
-    out = TensorElement(steenrod, algebra, {})
-    for mono, coeff in a.terms():
-        term = TensorElement.unit(steenrod, algebra)
-        for n, e in mono:
-            term = term * _t_coaction(p, n, steenrod, algebra) ** e
-        out = out + term.scale(coeff)
-    return out
+    return _multiplicative(
+        a, TensorAlgebra(steenrod, algebra), lambda n: _t_coaction(p, n, steenrod, algebra)
+    )
 
 
 def _t_coaction(p, n, steenrod, algebra) -> TensorElement:
-    total = TensorElement(steenrod, algebra, {})
+    total = TensorAlgebra(steenrod, algebra).zero()
     for k in range(n + 1):
         zeta = conjugate_generator(p, k)
         t_part = algebra.one() if n == k else algebra.gen(n - k) ** (p ** k)
@@ -422,15 +354,6 @@ class GeneratorActionTable:
             ) from None
 
 
-def _monomial_from_sequence(carrier, seq):
-    if isinstance(carrier, FreeAlgebra):
-        return carrier.monomial(seq)
-    exps: dict = {}
-    for i in seq:
-        exps[i] = exps.get(i, 0) + 1
-    return carrier.monomial(tuple(sorted(exps.items())))
-
-
 def cartan_extend(table: GeneratorActionTable, a, op: MilnorOp):
     """Extend a generator action over products: (uv).P^k = sum (u.P^i)(v.P^j).
 
@@ -446,16 +369,15 @@ def cartan_extend(table: GeneratorActionTable, a, op: MilnorOp):
     zero = carrier.zero()
     memo: dict = {}
 
-    def act(seq, k):
+    def act(key, k):
         if k == 0:
-            return _monomial_from_sequence(carrier, seq)
-        if not seq:
+            return carrier.monomial(key)
+        if not key:
             return zero
-        key = (seq, k)
-        cached = memo.get(key)
+        cached = memo.get((key, k))
         if cached is not None:
             return cached
-        first, rest = seq[0], seq[1:]
+        first, rest = carrier.split_key(key)
         total = zero
         for i in range(k + 1):
             img = table.image(i, first)
@@ -465,16 +387,12 @@ def cartan_extend(table: GeneratorActionTable, a, op: MilnorOp):
             if tail.is_zero():
                 continue
             total = total + img * tail
-        memo[key] = total
+        memo[(key, k)] = total
         return total
 
     result = zero
-    for mono, coeff in a.terms():
-        if isinstance(carrier, FreeAlgebra):
-            seq = mono
-        else:
-            seq = tuple(i for i, e in mono for _ in range(e))
-        result = result + act(seq, op.index).scale(coeff)
+    for key, coeff in a.terms():
+        result = result + act(key, op.index).scale(coeff)
     return result
 
 
@@ -578,36 +496,39 @@ class ObstructionCertificate:
         return "\n".join(lines)
 
 
-def _action_rows(algebra, op, source_words, target_words):
-    ring = algebra.ring
-    index = {w: r for r, w in enumerate(target_words)}
-    rows = [[ring.zero] * len(source_words) for _ in target_words]
-    for col, word in enumerate(source_words):
-        image = nsym_action(op, algebra.monomial(word))
-        for w, c in image.terms():
-            rows[index[w]][col] = c
-    return rows
+def _acting(algebra, op):
+    """word -> op applied to the word, as a map for :func:`matrix_of`."""
+    return lambda word: nsym_action(op, algebra.monomial(word))
 
 
-def _commutator_rows(algebra, w: FreeElement, source_words, target_words):
-    ring = algebra.ring
-    index = {t: r for r, t in enumerate(target_words)}
-    rows = [[ring.zero] * len(source_words) for _ in target_words]
-    for col, word in enumerate(source_words):
-        v = algebra.monomial(word)
-        bracket = v * w - w * v
-        for t, c in bracket.terms():
-            rows[index[t]][col] = c
-    return rows
+def _commuting(w: FreeElement):
+    """word -> [word, w], as a map for :func:`matrix_of`."""
+    return lambda word: commutator(w.algebra.monomial(word), w)
 
 
-def _rhs_from_element(element: FreeElement, target_words):
-    ring = element.algebra.ring
-    index = {t: r for r, t in enumerate(target_words)}
-    rhs = [ring.zero] * len(target_words)
-    for word, coeff in element.terms():
-        rhs[index[word]] = coeff
-    return rhs
+def _column(element: FreeElement, target_words) -> list:
+    """The coefficients of ``element`` on ``target_words``, as a right-hand side."""
+    return [coeff for coeff, in matrix_of(lambda _: element, [()], target_words)]
+
+
+def _solve(systems: list, degree: int, words, rows, rhs, ring):
+    """Solve rows * x = rhs over the ``words`` of one degree; record the system."""
+    particular, kernel, rank = affine_solve(rows, rhs, len(words), ring)
+    systems.append({"degree": degree, "dimension": len(words), "rank": rank})
+    return particular, kernel
+
+
+def _solution_record(candidate: FreeElement, words, particular, kernel) -> dict:
+    """The solutions of a consistent system, written as elements."""
+
+    def written(vec):
+        return str(candidate.algebra.element(dict(zip(words, vec))))
+
+    return {
+        "candidate": str(candidate),
+        "particular": written(particular),
+        "kernel": [written(vec) for vec in kernel],
+    }
 
 
 # Largest word basis the bp certificate solves densely over.
@@ -641,53 +562,36 @@ def bp_obstruction_certificate(p: int) -> ObstructionCertificate:
     op1 = MilnorOp(p, "P", 1)
     opp = MilnorOp(p, "P", p)
 
+    systems = []
     low_degree = 2 * p - 2
     W = algebra.words_of_degree(low_degree)
-    rows = _action_rows(algebra, op1, W, algebra.words_of_degree(0))
-    rhs = [ring.of_int(-1)]
-    particular, kernel, rank = affine_solve(rows, rhs, len(W), ring)
-    systems = [{"degree": low_degree, "dimension": len(W), "rank": rank}]
+    rows = matrix_of(_acting(algebra, op1), W, algebra.words_of_degree(0))
+    particular, kernel = _solve(systems, low_degree, W, rows, [ring.of_int(-1)], ring)
     if particular is None:
         return ObstructionCertificate(p, [], systems, [], "INFEASIBLE")
 
-    candidates = []
-    for lambdas in _iproduct(range(p), repeat=len(kernel)):
-        vec = list(particular)
-        for lam, kv in zip(lambdas, kernel):
-            if lam:
-                vec = [ring.add(v, ring.mul(ring.of_int(lam), x)) for v, x in zip(vec, kv)]
-        candidates.append(algebra.element({W[i]: v for i, v in enumerate(vec)}))
+    base, *directions = (algebra.element(dict(zip(W, vec))) for vec in [particular] + kernel)
+    candidates = [
+        sum((d.scale(lam) for lam, d in zip(lambdas, directions)), base)
+        for lambdas in _iproduct(range(p), repeat=len(kernel))
+    ]
 
     high_degree = 2 * (p * p - 1)
     V = algebra.words_of_degree(high_degree)
     comm_targets = algebra.words_of_degree(high_degree + low_degree)
     pp_targets = algebra.words_of_degree(high_degree - opp.degree)
     p1_targets = algebra.words_of_degree(high_degree - op1.degree)
-    pp_rows = _action_rows(algebra, opp, V, pp_targets)
-    p1_rows = _action_rows(algebra, op1, V, p1_targets)
+    action_rows = matrix_of(_acting(algebra, opp), V, pp_targets) + matrix_of(
+        _acting(algebra, op1), V, p1_targets
+    )
 
     solutions = []
     for w in candidates:
-        rows = _commutator_rows(algebra, w, V, comm_targets) + pp_rows + p1_rows
-        rhs = (
-            [ring.zero] * len(comm_targets)
-            + [ring.zero] * len(pp_targets)
-            + _rhs_from_element(-(w ** p), p1_targets)
-        )
-        particular, kernel, rank = affine_solve(rows, rhs, len(V), ring)
-        systems.append({"degree": high_degree, "dimension": len(V), "rank": rank})
+        rows = matrix_of(_commuting(w), V, comm_targets) + action_rows
+        rhs = [0] * (len(comm_targets) + len(pp_targets)) + _column(-(w ** p), p1_targets)
+        particular, kernel = _solve(systems, high_degree, V, rows, rhs, ring)
         if particular is not None:
-            base = algebra.element({V[i]: c for i, c in enumerate(particular)})
-            solutions.append(
-                {
-                    "candidate": str(w),
-                    "particular": str(base),
-                    "kernel": [
-                        str(algebra.element({V[i]: c for i, c in enumerate(vec)}))
-                        for vec in kernel
-                    ],
-                }
-            )
+            solutions.append(_solution_record(w, V, particular, kernel))
     verdict = "INFEASIBLE" if not solutions else "FEASIBLE"
     return ObstructionCertificate(p, [str(w) for w in candidates], systems, solutions, verdict)
 
@@ -705,16 +609,15 @@ def hf2_obstruction_certificate() -> ObstructionCertificate:
     sq1 = MilnorOp(2, "Sq", 1)
     sq2 = MilnorOp(2, "Sq", 2)
 
+    systems = []
     W = algebra.words_of_degree(1)
-    rows = _action_rows(algebra, sq1, W, algebra.words_of_degree(0))
-    particular, kernel, rank = affine_solve(rows, [ring.one], len(W), ring)
-    systems = [{"degree": 1, "dimension": len(W), "rank": rank}]
+    rows = matrix_of(_acting(algebra, sq1), W, algebra.words_of_degree(0))
+    particular, kernel = _solve(systems, 1, W, rows, [ring.one], ring)
     if particular is None:
         return ObstructionCertificate(2, [], systems, [], "INFEASIBLE")
-    candidates = [algebra.element({W[i]: c for i, c in enumerate(particular)})]
     if kernel:
         raise ParameterError("degree-1 solve was expected to be unique")
-    w = candidates[0]
+    w = algebra.element(dict(zip(W, particular)))
 
     centralizer = centralizer_basis(w, 3)
     V = algebra.words_of_degree(3)
@@ -722,29 +625,13 @@ def hf2_obstruction_certificate() -> ObstructionCertificate:
     sq2_targets = algebra.words_of_degree(1)
     sq1_targets = algebra.words_of_degree(2)
     rows = (
-        _commutator_rows(algebra, w, V, comm_targets)
-        + _action_rows(algebra, sq2, V, sq2_targets)
-        + _action_rows(algebra, sq1, V, sq1_targets)
+        matrix_of(_commuting(w), V, comm_targets)
+        + matrix_of(_acting(algebra, sq2), V, sq2_targets)
+        + matrix_of(_acting(algebra, sq1), V, sq1_targets)
     )
-    rhs = (
-        [ring.zero] * len(comm_targets)
-        + _rhs_from_element(w, sq2_targets)
-        + [ring.zero] * len(sq1_targets)
-    )
-    particular, kernel, rank = affine_solve(rows, rhs, len(V), ring)
-    systems.append({"degree": 3, "dimension": len(V), "rank": rank})
-    solutions = []
-    if particular is not None:
-        solutions.append(
-            {
-                "candidate": str(w),
-                "particular": str(algebra.element({V[i]: c for i, c in enumerate(particular)})),
-                "kernel": [
-                    str(algebra.element({V[i]: c for i, c in enumerate(vec)}))
-                    for vec in kernel
-                ],
-            }
-        )
+    rhs = [0] * len(comm_targets) + _column(w, sq2_targets) + [0] * len(sq1_targets)
+    particular, kernel = _solve(systems, 3, V, rows, rhs, ring)
+    solutions = [] if particular is None else [_solution_record(w, V, particular, kernel)]
     verdict = "INFEASIBLE" if not solutions else "FEASIBLE"
     return ObstructionCertificate(
         2,

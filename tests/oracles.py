@@ -129,3 +129,96 @@ def commutator_with_z_power(u, k, order):
         if not diff.is_zero():
             out[key] = diff
     return out
+
+
+# -- abelianization: Z_i -> b_i, commuting -------------------------------------
+#
+# Mapping each Z_i to a commuting variable b_i is a ring map NSym -> Z[b_1, ...],
+# so it sends the table to the commutative law z(z^-1(X) + z^-1(Y)) with
+# z(x) = sum_{i>=0} b_i x^(i+1), b_0 = 1.  Polynomials are dicts from sorted
+# (index, exponent) tuples to ints; series are dicts from exponent tuples to
+# polynomials.  ``p`` is a prime modulus, or None over the integers.
+
+
+def _reduced(poly, p):
+    return {m: r for m, c in poly.items() if (r := c % p if p else c)}
+
+
+def poly_mul(a, b, p):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            exps = dict(m1)
+            for i, e in m2:
+                exps[i] = exps.get(i, 0) + e
+            m = tuple(sorted(exps.items()))
+            out[m] = out.get(m, 0) + c1 * c2
+    return _reduced(out, p)
+
+
+def poly_add(a, b, p, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return _reduced(out, p)
+
+
+def series_add(f, g, p):
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = poly_add(out.get(e, {}), c, p)
+    return {e: c for e, c in out.items() if c}
+
+
+def series_mul(f, g, order, p):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if sum(e) <= order:
+                out[e] = poly_add(out.get(e, {}), poly_mul(c1, c2, p), p)
+    return {e: c for e, c in out.items() if c}
+
+
+def z_of(s, order, p):
+    """z(s) = sum_{i>=0} b_i s^(i+1) for a series s without constant term."""
+    out = {}
+    power = s
+    for i in range(order):
+        b_i = {(): 1} if i == 0 else {((i, 1),): 1}
+        out = series_add(out, {e: poly_mul(b_i, c, p) for e, c in power.items()}, p)
+        power = series_mul(power, s, order, p)
+    return out
+
+
+def z_inverse(order, p):
+    """l(x) = z^-1(x) as {(n,): polynomial}, one coefficient at a time.
+
+    With l known below x^n, the x^n coefficient of z(l) is l_n plus the value
+    it has with l_n = 0, and it must vanish for n >= 2.
+    """
+    log = {(1,): {(): 1}}
+    for n in range(2, order + 1):
+        known = z_of(log, n, p).get((n,), {})
+        log[(n,)] = poly_add({}, known, p, sign=-1)
+    return {e: c for e, c in log.items() if c}
+
+
+def commutative_fgl(order, p=None):
+    """{(i, j): polynomial} of z(z^-1(X) + z^-1(Y)) through total degree ``order``."""
+    log = z_inverse(order, p)
+    in_x = {(n, 0): c for (n,), c in log.items()}
+    in_y = {(0, n): c for (n,), c in log.items()}
+    return z_of(series_add(in_x, in_y, p), order, p)
+
+
+def abelianize(element, p=None):
+    """The commutative polynomial of a free-algebra element, Z_i -> b_i."""
+    out = {}
+    for word, coeff in element.terms():
+        exps = {}
+        for i in word:
+            exps[i] = exps.get(i, 0) + 1
+        m = tuple(sorted(exps.items()))
+        out[m] = out.get(m, 0) + coeff
+    return _reduced(out, p)

@@ -261,3 +261,98 @@ def test_degree_budgets_accept_their_limits(monkeypatch, capsys):
         code, _, err = invoke(capsys, *argv)
         assert (code, err) == (0, "")
     assert seen == [16, 20, 12, 18, 16, 14]
+
+
+def test_series_commutator_and_sample_budgets_refuse_before_any_work(monkeypatch, capsys):
+    import ncfgl.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused input must not start its computation")
+
+    for name in (
+        "commutator_filtration",
+        "series_free_assoc",
+        "series_graded_algebra",
+        "splitting_multiplicities",
+        "parity_check_ku",
+        "rational_mu_series_check",
+        "verify_axioms",
+        "filtration_property_run",
+    ):
+        monkeypatch.setattr(ncfgl.cli, name, no_work)
+    for argv in (
+        ("commutator", "--degree", "25"),
+        ("commutator", "--k", "23", "--degree", "24"),
+        ("poincare", "--degree", "4001"),
+        ("poincare", "--poly", "2,6", "--degree", "4001"),
+        ("split", "--prime", "2", "--degree", "4001"),
+        ("parity", "--prime", "2", "--degree", "4001"),
+        ("rational", "--degree", "4001"),
+        ("verify", "--degree", "3", "--samples", "1001"),
+    ):
+        assert_usage_error(capsys, *argv)
+
+
+def test_series_commutator_and_sample_budgets_accept_their_limits(monkeypatch, capsys):
+    # the computations are replaced by cheap ones; only the argument checks
+    # run at the limits
+    import ncfgl.cli
+    from ncfgl import (
+        commutator_filtration,
+        parity_check_ku,
+        rational_mu_series_check,
+        series_free_assoc,
+        series_graded_algebra,
+        splitting_multiplicities,
+    )
+
+    seen = []
+
+    def small(function, *cheap):
+        def call(*args, **kwargs):
+            seen.append((function.__name__,) + tuple(a for a in args if isinstance(a, int)))
+            return function(*cheap)
+        return call
+
+    def small_run(**kwargs):
+        seen.append(("filtration_property_run", kwargs["samples"]))
+        return True, []
+
+    monkeypatch.setattr(
+        ncfgl.cli, "commutator_filtration",
+        small(commutator_filtration, ncfgl.cli.FreeAlgebra().gen(1), 1, 3),
+    )
+    monkeypatch.setattr(ncfgl.cli, "series_free_assoc", small(series_free_assoc, [2], 3))
+    monkeypatch.setattr(ncfgl.cli, "series_graded_algebra", small(series_graded_algebra, [2], [], 3))
+    monkeypatch.setattr(ncfgl.cli, "splitting_multiplicities", small(splitting_multiplicities, 2, 3))
+    monkeypatch.setattr(ncfgl.cli, "parity_check_ku", small(parity_check_ku, 2, 3))
+    monkeypatch.setattr(ncfgl.cli, "rational_mu_series_check", small(rational_mu_series_check, 3))
+    monkeypatch.setattr(ncfgl.cli, "filtration_property_run", small_run)
+    for argv in (
+        ("commutator", "--k", "22", "--degree", "24"),
+        ("poincare", "--degree", "4000"),
+        ("poincare", "--poly", "2,6", "--degree", "4000"),
+        ("split", "--prime", "2", "--degree", "4000"),
+        ("parity", "--prime", "2", "--degree", "4000"),
+        ("rational", "--degree", "4000"),
+        ("verify", "--degree", "3", "--samples", "1000"),
+    ):
+        code, _, err = invoke(capsys, *argv)
+        assert err == ""
+        assert code in (0, 1)  # a cheap stand-in may reach either verdict
+    assert seen == [
+        ("commutator_filtration", 22, 24),
+        ("series_free_assoc", 4000),
+        ("series_graded_algebra", 4000),
+        ("splitting_multiplicities", 2, 4000),
+        ("parity_check_ku", 2, 4000),
+        ("rational_mu_series_check", 4000),
+        ("filtration_property_run", 1000),
+    ]
+
+
+def test_negative_generator_degrees_are_named(capsys):
+    for flag in ("--poly", "--ext"):
+        err = assert_usage_error(capsys, "poincare", flag, "-2")
+        assert "must be positive" in err
+        assert "degree 0" not in err

@@ -26,7 +26,7 @@ from ncfgl import (
     verify_axioms,
 )
 
-from oracles import brute_force_fgl_table, commutator_with_z_power
+from oracles import abelianize, brute_force_fgl_table, commutative_fgl, commutator_with_z_power
 
 
 @pytest.fixture
@@ -315,3 +315,16 @@ def test_cross_check_with_reversion(A):
     z = orientation_series(8, A)
     x = CentralSeries.variable(A, z.varset, 8, "x")
     assert left_substitute(z, revert(z)) == x
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3)])
+def test_abelianized_table_is_the_commutative_law(ring):
+    # Z_i -> b_i sends the table to z(z^-1(X) + z^-1(Y)), computed by the
+    # oracle in commutative dict polynomials
+    order = 10
+    law = commutative_fgl(order, ring.prime)
+    table = fgl_table(order, FreeAlgebra(COMPLEX, ring))
+    assert law  # the comparison below is not vacuous
+    for (i, j), element in table.items():
+        assert abelianize(element, ring.prime) == law.get((i, j), {}), (i, j)
+    assert set(law) <= {index for index, _ in table.items()}

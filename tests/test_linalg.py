@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from ncfgl import GF, QQ, ZZ
+import pytest
+
+from ncfgl import GF, QQ, ZZ, ToolkitError
 from ncfgl.linalg import affine_solve, nullspace, rref
 
 
@@ -80,3 +82,9 @@ def test_full_rank_unique_solution_fp():
     rows = [[1]]
     particular, kernel, rank = affine_solve(rows, [1], 1, F)
     assert particular == [1] and kernel == [] and rank == 1
+
+
+def test_affine_solve_refuses_the_integers():
+    # over Z, 2x = 1 has no solution although it has one over Q
+    with pytest.raises(ToolkitError):
+        affine_solve([[2]], [1], 1, ZZ)

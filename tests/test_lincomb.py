@@ -1,0 +1,121 @@
+"""The shared linear-combination core, through its three element types."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from ncfgl import (
+    COMPLEX,
+    GF,
+    QQ,
+    ZZ,
+    CommAlgebra,
+    FreeAlgebra,
+    ModeMismatchError,
+    ParameterError,
+    TensorElement,
+)
+
+
+def random_word(rng):
+    return tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3)))
+
+
+def random_mono(rng):
+    return tuple((i, e) for i in (1, 2) if (e := rng.randint(0, 2)))
+
+
+def random_element(algebra, rng, random_key):
+    value = algebra.ring.random_value
+    return algebra.element(
+        {random_key(rng): value(rng, nonzero=True) for _ in range(rng.randint(1, 4))}
+    )
+
+
+def free_factory(ring):
+    algebra = FreeAlgebra(COMPLEX, ring)
+    return lambda rng: random_element(algebra, rng, random_word)
+
+
+def poly_factory(ring):
+    algebra = CommAlgebra.with_degrees("t", (2, 6), ring)
+    return lambda rng: random_element(algebra, rng, random_mono)
+
+
+def tensor_factory(ring):
+    # a commutative left factor and a noncommutative right one
+    left = CommAlgebra.with_degrees("t", (2, 6), ring)
+    right = FreeAlgebra(COMPLEX, ring)
+    algebra = TensorElement.unit(left, right).algebra
+    return lambda rng: random_element(algebra, rng, lambda r: (random_mono(r), random_word(r)))
+
+
+FACTORIES = {"free": free_factory, "poly": poly_factory, "tensor": tensor_factory}
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=repr)
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+def test_core_laws_on_random_elements(kind, ring):
+    draw = FACTORIES[kind](ring)
+    rng = random.Random(f"{kind}-{ring!r}")
+    for _ in range(20):
+        a, b, c = draw(rng), draw(rng), draw(rng)
+        zero = a.algebra.zero()
+        assert a - a == zero and (a - a).is_zero()
+        assert (a + b) * c == a * c + b * c
+        assert a - b == a + (-b)
+        power = a.algebra.one()
+        for n in range(5):
+            assert a ** n == power
+            power = power * a
+        total = zero
+        for n in range(5):
+            assert a.scale(n) == total == n * a
+            assert a.scale(-n) == -total
+            total = total + a
+
+
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+def test_mixing_algebras_is_refused(kind):
+    rng = random.Random(kind)
+    a = FACTORIES[kind](GF(3))(rng)
+    for other in (FACTORIES[kind](GF(5))(rng), free_factory(GF(3))(rng), poly_factory(GF(3))(rng)):
+        if other.algebra == a.algebra:
+            continue
+        with pytest.raises(ModeMismatchError):
+            a + other
+        with pytest.raises(ModeMismatchError):
+            a * other
+
+
+def test_fraction_coefficient_is_refused_over_the_integers():
+    with pytest.raises(ModeMismatchError):
+        FreeAlgebra(COMPLEX, ZZ).element({(1,): Fraction(1, 2)})
+    P = CommAlgebra.with_degrees("t", (2, 6), ZZ)
+    with pytest.raises(ModeMismatchError):
+        P.element({((1, 1),): Fraction(1, 2)})
+    with pytest.raises(ModeMismatchError):
+        P.gen(1).scale(Fraction(1, 2))
+
+
+def test_fraction_scale_is_refused_over_a_prime_field():
+    with pytest.raises(ModeMismatchError):
+        FreeAlgebra(COMPLEX, GF(3)).gen(1).scale(Fraction(1, 2))
+    F = CommAlgebra.with_degrees("t", (2,), GF(3))
+    with pytest.raises(ModeMismatchError):
+        TensorElement(F, F, {((), ()): Fraction(1, 2)})
+
+
+def test_bool_coefficient_is_refused():
+    A = FreeAlgebra()
+    with pytest.raises(ParameterError):
+        A.monomial((1,), True)
+    with pytest.raises(ParameterError):
+        A.gen(1).scale(True)
+
+
+def test_coefficients_are_reduced_into_the_ring():
+    assert str(FreeAlgebra(COMPLEX, QQ).element({(1,): Fraction(1, 2)})) == "1/2*Z1"
+    assert str(FreeAlgebra(COMPLEX, GF(3)).element({(1,): 7, (2,): -1})) == "Z1 + 2*Z2"
+    assert FreeAlgebra(COMPLEX, GF(3)).element({(1,): 3}).is_zero()

@@ -365,3 +365,8 @@ def test_hf2_certificate():
     data = cert.to_data()
     assert data["verdict"] == "INFEASIBLE"
     assert data["systems"][1]["dimension"] == 4
+
+
+def test_lucas_refuses_a_composite_modulus():
+    with pytest.raises(ParameterError):
+        lucas_binomial(5, 2, 4)
