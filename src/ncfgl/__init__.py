@@ -8,7 +8,7 @@ Poincaré series; it also produces finite obstruction certificates and exposes
 everything through a deterministic command line interface.
 """
 
-from .commalg import CommAlgebra, CommElement
+from .commalg import CommAlgebra, CommElement, frobenius
 from .errors import (
     ComposabilityError,
     ConsistencyError,

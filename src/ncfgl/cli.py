@@ -10,8 +10,12 @@ Inputs whose cost is known to outgrow the machine are usage errors too, refused
 before any work: ``--degree`` above :data:`DEGREE_BUDGET` or
 :data:`EXPAND_DEGREE_BUDGET`, a ``commutator --k`` that the degree budget
 cannot reach, an ``--assign`` coefficient above :data:`LINEAR_FORM_BOUND`,
-``verify --samples`` above :data:`SAMPLES_BUDGET`, and ``certificate bp``
-primes above the library's dense word budget.
+``verify --samples`` above :data:`SAMPLES_BUDGET`, a ``--word`` longer than
+:data:`WORD_LENGTH_BUDGET`, a ``poincare --poly``/``--ext`` list longer than
+:data:`LIST_LENGTH_BUDGET`, a ``steenrod --gen`` index above
+:data:`GEN_INDEX_BUDGET` or ``--op`` index above :data:`OP_INDEX_BUDGET`, a
+``steenrod --word`` action with more than :data:`ACTION_TERM_BUDGET` possible
+terms, and ``certificate bp`` primes above the library's dense word budget.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import argparse
 import json
 import re
 import sys
+from math import comb
 
 from .errors import ConsistencyError, ParameterError, ToolkitError
 from .fgl import (
@@ -77,6 +82,25 @@ EXPAND_DEGREE_BUDGET = {1: 18, 2: 16, 3: 14}
 LINEAR_FORM_BOUND = 9
 SAMPLES_BUDGET = 1000
 
+# Lengths and indices, checked before any work.  A --word (commutator,
+# steenrod) has at most WORD_LENGTH_BUDGET letters and a poincare --poly or
+# --ext list at most LIST_LENGTH_BUDGET entries.  steenrod --gen tN/xiN takes
+# N <= GEN_INDEX_BUDGET: t_N costs ~2^N terms through the conjugate
+# chi(xi_N); --op takes an index <= OP_INDEX_BUDGET.  On a word of L letters,
+# P^k (or Sq^k) gives at most one term per split of k over the letters, so
+# the action is refused when the C(k + L - 1, L - 1) splits number more than
+# ACTION_TERM_BUDGET.  The slowest accepted inputs, sized on a 2-core machine with Python
+# 3.11 at primes below 3.3e24: steenrod --gen t17 at the prime 3e24 + 7 in
+# 6.9 s and 388 MiB (t18 took 16 s and 799 MiB); commutator with 32 letters
+# at --k 8 --degree 24 --mode rat --format json in 8.4 s and 479 MiB; a
+# 20-letter Sq^6 action (177 100 splits) in 7.4 s and 490 MiB; poincare with
+# 4096-entry --poly and --ext lists at --degree 4000 in 13.6 s and 45 MiB.
+WORD_LENGTH_BUDGET = 32
+LIST_LENGTH_BUDGET = 4096
+GEN_INDEX_BUDGET = 17
+OP_INDEX_BUDGET = 4096
+ACTION_TERM_BUDGET = 200_000
+
 
 def _add_common(parser, degree_default=6):
     parser.add_argument("--degree", type=int, default=degree_default,
@@ -117,8 +141,13 @@ def _emit(args, payload, text) -> None:
 
 
 def _parse_word(text) -> tuple:
+    parts = [part for part in text.split(",") if part.strip()]
+    if len(parts) > WORD_LENGTH_BUDGET:
+        raise ParameterError(
+            f"word has {len(parts)} letters, above the budget of {WORD_LENGTH_BUDGET}"
+        )
     try:
-        word = tuple(int(part) for part in text.split(",") if part.strip())
+        word = tuple(int(part) for part in parts)
     except ValueError:
         raise ParameterError(f"cannot parse word {text!r}") from None
     if not word:
@@ -127,6 +156,11 @@ def _parse_word(text) -> tuple:
 
 
 def _parse_degrees(text: str, flag: str) -> list:
+    count = text.count(",") + 1
+    if count > LIST_LENGTH_BUDGET:
+        raise ParameterError(
+            f"{flag} lists {count} degrees, above the budget of {LIST_LENGTH_BUDGET}"
+        )
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
@@ -136,6 +170,16 @@ def _parse_degrees(text: str, flag: str) -> list:
 def _check_degree(degree: int, budget: int, label: str, flag: str = "--degree") -> None:
     if degree > budget:
         raise ParameterError(f"{label} {flag} {degree} is above the budget of {budget}")
+
+
+def _parse_index(digits: str, budget: int, label: str) -> int:
+    """The decimal index ``digits``, refused above ``budget`` before a long
+    string is converted."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(budget)) or int(digits) > budget:
+        shown = digits if len(digits) <= 12 else digits[:12] + "..."
+        raise ParameterError(f"{label} {shown} is above the budget of {budget}")
+    return int(digits)
 
 
 def _parse_linear_form(expr: str) -> dict:
@@ -220,17 +264,26 @@ def cmd_steenrod(args) -> int:
     match = _OP_RE.fullmatch(args.op)
     if not match:
         raise ParameterError(f"cannot parse operation {args.op!r} (use e.g. P1 or Sq2)")
-    op = MilnorOp(prime, match.group(1), int(match.group(2)))
+    index = _parse_index(match.group(2), OP_INDEX_BUDGET, "steenrod --op index")
+    op = MilnorOp(prime, match.group(1), index)
     if args.gen:
         gen_match = _GEN_RE.fullmatch(args.gen)
         if not gen_match:
             raise ParameterError(f"cannot parse generator {args.gen!r} (use e.g. t2, xi1)")
-        family, index = gen_match.group(1), int(gen_match.group(2))
+        family = gen_match.group(1)
+        index = _parse_index(gen_match.group(2), GEN_INDEX_BUDGET, "steenrod --gen index")
         algebra = bp_homology(prime) if family == "t" else dual_steenrod(prime)
         element = algebra.gen(index)
     elif args.word:
+        word = _parse_word(args.word)
+        splits = comb(op.index + len(word) - 1, len(word) - 1)
+        if splits > ACTION_TERM_BUDGET:
+            raise ParameterError(
+                f"{op} on a word of {len(word)} letters has {splits} possible terms, "
+                f"above the budget of {ACTION_TERM_BUDGET}"
+            )
         profile = COMPLEX if args.profile == "complex" else REAL
-        element = FreeAlgebra(profile, GF(prime)).monomial(_parse_word(args.word))
+        element = FreeAlgebra(profile, GF(prime)).monomial(word)
     else:
         raise ParameterError("steenrod needs --gen or --word")
     result = right_action(element, op)

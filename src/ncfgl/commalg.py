@@ -24,6 +24,27 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
+def frobenius(element: "CommElement", q: int) -> "CommElement":
+    """element ** q over F_p, for q a power of p.
+
+    (sum_m c_m m)^q = sum_m c_m^q m^q because the cross terms of a p-th power
+    vanish mod p, and c^q = c in F_p; so every exponent is multiplied by q and
+    the coefficients stay.  Distinct monomials stay distinct, so no terms
+    combine.
+    """
+    p = element.algebra.ring.prime
+    if not p:
+        raise ParameterError("the Frobenius map needs coefficients in F_p")
+    rest = q
+    while rest > 1 and rest % p == 0:
+        rest //= p
+    if q < 1 or rest != 1:
+        raise ParameterError(f"{q} is not a power of {p}")
+    return element.algebra._wrap(
+        {tuple((i, e * q) for i, e in mono): c for mono, c in element._terms.items()}
+    )
+
+
 class CommElement(LinearCombination):
     """Sparse commutative polynomial; immutable by convention."""
 

@@ -15,13 +15,25 @@ term satisfies
 
 matching the convention that coefficient degrees count negatively against the
 variable grading.
+
+Arithmetic never builds intermediate series.  A product, a substitution, a
+scaling and a sum of left multiples (:func:`left_combination`) add every
+coefficient product into one word -> value accumulator per multi-index with
+:func:`~ncfgl.freealg.add_product` and reduce each accumulator once with
+``FreeAlgebra.from_accumulator``.  Results are wrapped by the internal
+``CentralSeries._wrap``, which skips the index checks of the public
+``CentralSeries(...)`` constructor: the module only builds indices of the
+right width within the order.
 """
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import (
     ComposabilityError,
     ExpansionError,
+    ModeMismatchError,
     ParameterError,
     ReversionError,
     ShapeError,
@@ -99,6 +111,34 @@ class CentralSeries:
         self.order = order
         self._coeffs = clean
 
+    @classmethod
+    def _wrap(cls, algebra: FreeAlgebra, varset: VarSet, order: int, coeffs: dict):
+        """A series over ``coeffs`` as they are, without the checks of ``__init__``.
+
+        For results this module builds itself: every index is a tuple of the
+        width of ``varset`` with total at most ``order``, and every element is
+        nonzero.
+        """
+        series = object.__new__(cls)
+        series.algebra = algebra
+        series.varset = varset
+        series.order = order
+        series._coeffs = coeffs
+        return series
+
+    def _from_accumulators(self, accs: dict, varset: VarSet | None = None) -> "CentralSeries":
+        """The series of this shape (or over ``varset``) held by per-index
+        word accumulators, each reduced once."""
+        from_accumulator = self.algebra.from_accumulator
+        out = {}
+        for index, acc in accs.items():
+            element = from_accumulator(acc)
+            if not element.is_zero():
+                out[index] = element
+        if varset is None:
+            varset = self.varset
+        return CentralSeries._wrap(self.algebra, varset, self.order, out)
+
     # -- constructors -----------------------------------------------------------
 
     @classmethod
@@ -163,70 +203,103 @@ class CentralSeries:
         ):
             raise ShapeError("series operands disagree in algebra, variables, or order")
 
-    def __add__(self, other: "CentralSeries") -> "CentralSeries":
+    def _combine(self, other: "CentralSeries", sign: int) -> "CentralSeries":
+        """self + sign * other; indices in both are combined coefficientwise."""
         self._check_shape(other)
         out = dict(self._coeffs)
         for index, element in other._coeffs.items():
-            acc = out.get(index)
-            out[index] = element if acc is None else acc + element
-        return CentralSeries(self.algebra, self.varset, self.order, out)
+            mine = out.get(index)
+            if mine is None:
+                out[index] = element if sign > 0 else -element
+                continue
+            value = mine + element if sign > 0 else mine - element
+            if value.is_zero():
+                del out[index]
+            else:
+                out[index] = value
+        return CentralSeries._wrap(self.algebra, self.varset, self.order, out)
+
+    def __add__(self, other: "CentralSeries") -> "CentralSeries":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "CentralSeries") -> "CentralSeries":
+        return self._combine(other, -1)
 
     def __neg__(self) -> "CentralSeries":
-        return CentralSeries(
-            self.algebra,
-            self.varset,
-            self.order,
-            {index: -element for index, element in self._coeffs.items()},
-        )
+        negated = {index: -element for index, element in self._coeffs.items()}
+        return CentralSeries._wrap(self.algebra, self.varset, self.order, negated)
 
-    def __sub__(self, other):
-        return self + (-other)
+    def _add_products(self, accs: dict, value: FreeElement, on_left: bool) -> None:
+        """accs[I] += value * c_I (``on_left``) or c_I * value, for each stored I."""
+        if value.algebra != self.algebra:
+            raise ModeMismatchError("coefficient and series live in different algebras")
+        get = accs.get
+        for index, element in self._coeffs.items():
+            acc = get(index)
+            if acc is None:
+                acc = accs[index] = {}
+            if on_left:
+                add_product(acc, value, element)
+            else:
+                add_product(acc, element, value)
 
     def scale_left(self, value) -> "CentralSeries":
         """Multiply every coefficient by ``value`` on the left."""
         if isinstance(value, int):
-            return CentralSeries(
-                self.algebra,
-                self.varset,
-                self.order,
-                {i: e.scale(value) for i, e in self._coeffs.items()},
-            )
-        return CentralSeries(
-            self.algebra,
-            self.varset,
-            self.order,
-            {i: value * e for i, e in self._coeffs.items()},
-        )
+            return self._scaled(value)
+        accs: dict = {}
+        self._add_products(accs, value, True)
+        return self._from_accumulators(accs)
 
-    def scale_right(self, value: FreeElement) -> "CentralSeries":
+    def scale_right(self, value) -> "CentralSeries":
         """Multiply every coefficient by ``value`` on the right."""
-        return CentralSeries(
-            self.algebra,
-            self.varset,
-            self.order,
-            {i: e * value for i, e in self._coeffs.items()},
-        )
+        if isinstance(value, int):
+            return self._scaled(value)
+        accs: dict = {}
+        self._add_products(accs, value, False)
+        return self._from_accumulators(accs)
+
+    def _scaled(self, value: int) -> "CentralSeries":
+        out = {}
+        for index, element in self._coeffs.items():
+            scaled = element.scale(value)
+            if not scaled.is_zero():
+                out[index] = scaled
+        return CentralSeries._wrap(self.algebra, self.varset, self.order, out)
+
+    def commutator(self, value: FreeElement) -> "CentralSeries":
+        """value * self - self * value, coefficientwise.
+
+        Both products of each coefficient go into one accumulator per index.
+        """
+        accs: dict = {}
+        self._add_products(accs, value, True)
+        self._add_products(accs, -value, False)
+        return self._from_accumulators(accs)
 
     def __mul__(self, other: "CentralSeries") -> "CentralSeries":
         """Product in left-normal form: (a x^I)(b x^J) = (ab) x^(I+J).
 
         The central variables pass through the coefficients; the coefficients
-        keep their order.
+        keep their order.  Every product ab is added into the accumulator of
+        its index I + J, and each accumulator is reduced once.
         """
         self._check_shape(other)
         order = self.order
-        out = {}
+        accs: dict = {}
+        get = accs.get
         right = [(index, sum(index), element) for index, element in other._coeffs.items()]
         for i1, a in self._coeffs.items():
             t1 = sum(i1)
             for i2, t2, b in right:
                 if t1 + t2 > order:
                     continue
-                index = tuple(x + y for x, y in zip(i1, i2))
-                prod = a * b
-                acc = out.get(index)
-                out[index] = prod if acc is None else acc + prod
-        return CentralSeries(self.algebra, self.varset, order, out)
+                index = tuple(map(add, i1, i2))
+                acc = get(index)
+                if acc is None:
+                    acc = accs[index] = {}
+                add_product(acc, a, b)
+        return self._from_accumulators(accs)
 
     def __pow__(self, n: int) -> "CentralSeries":
         if n < 0:
@@ -239,7 +312,7 @@ class CentralSeries:
     def truncate(self, order: int) -> "CentralSeries":
         if order > self.order:
             raise ParameterError("cannot extend a truncated series")
-        return CentralSeries(
+        return CentralSeries._wrap(
             self.algebra,
             self.varset,
             order,
@@ -308,7 +381,7 @@ class CentralSeries:
             power_cache[key] = result
             return result
 
-        out: dict = {}
+        accs: dict = {}
         for index, element in self._coeffs.items():
             expansion = {(0,) * width: 1}
             for fi, e in enumerate(index):
@@ -326,13 +399,13 @@ class CentralSeries:
                 expansion = merged
                 if not expansion:
                     break
+            terms = element.mutable_terms().items()
             for key, c in expansion.items():
-                if c == 0:
-                    continue
-                piece = element.scale(c)
-                acc = out.get(key)
-                out[key] = piece if acc is None else acc + piece
-        return CentralSeries(self.algebra, target, order, out)
+                if c:
+                    acc = accs.setdefault(key, {})
+                    for word, value in terms:
+                        acc[word] = acc.get(word, 0) + c * value
+        return self._from_accumulators(accs, target)
 
     # -- presentation ----------------------------------------------------------
 
@@ -387,15 +460,30 @@ def left_substitute(f: CentralSeries, g: CentralSeries) -> CentralSeries:
     if not g.constant_term().is_zero():
         raise ComposabilityError("substitution target must have zero constant term")
     order = g.order
-    result = CentralSeries.zero(g.algebra, g.varset, order)
+    accs: dict = {}
     power = CentralSeries.unit(g.algebra, g.varset, order)
     for k in range(order + 1):
         fk = f.coefficient((k,))
         if not fk.is_zero():
-            result = result + power.scale_left(fk)
+            power._add_products(accs, fk, True)
         if k < order:
             power = power * g
-    return result
+    return g._from_accumulators(accs)
+
+
+def left_combination(pairs, like: CentralSeries) -> CentralSeries:
+    """sum_k a_k s_k over (a_k, s_k) pairs, each a_k on the left of s_k.
+
+    Every series s_k has the shape of ``like``.  Each product of a_k with a
+    coefficient of s_k is added into one accumulator per index, so no
+    intermediate series is built; ``pairs`` may be a generator that forms each
+    s_k as it is needed.
+    """
+    accs: dict = {}
+    for value, series in pairs:
+        like._check_shape(series)
+        series._add_products(accs, value, True)
+    return like._from_accumulators(accs)
 
 
 def revert(f: CentralSeries) -> CentralSeries:
@@ -431,7 +519,9 @@ def revert(f: CentralSeries) -> CentralSeries:
         for k in range(2, n + 1):
             add_product(acc, negated[k], powers[k][n])
         g[n] = algebra.from_accumulator(acc)
-    return CentralSeries(algebra, f.varset, order, {(n,): g[n] for n in range(1, order + 1)})
+    return CentralSeries._wrap(
+        algebra, f.varset, order, {(n,): g[n] for n in range(1, order + 1) if not g[n].is_zero()}
+    )
 
 
 def _empty_powers(g: list, order: int, algebra: FreeAlgebra) -> list:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import product as _iproduct
 from math import comb
 
-from .commalg import CommAlgebra, CommElement
+from .commalg import CommAlgebra, CommElement, frobenius
 from .errors import (
     IncompleteTableError,
     ModeMismatchError,
@@ -271,7 +271,7 @@ def _chi_generator(p: int, n: int) -> CommElement:
     else:
         total = algebra.zero()
         for i in range(1, n + 1):
-            total = total + (_chi_generator(p, n - i) ** (p ** i)) * algebra.gen(i)
+            total = total + frobenius(_chi_generator(p, n - i), p ** i) * algebra.gen(i)
         value = -total
     _CHI_CACHE[(p, n)] = value
     return value

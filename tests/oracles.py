@@ -222,3 +222,82 @@ def abelianize(element, p=None):
         m = tuple(sorted(exps.items()))
         out[m] = out.get(m, 0) + coeff
     return _reduced(out, p)
+
+
+# -- plain word-dict series: {index: {word: scalar}} -----------------------------
+#
+# A CentralSeries is read out through its public inspection methods only
+# (support, coefficient, terms) and the operations are redone here on plain
+# dictionaries: words concatenate as tuples, scalars are ints, residues or
+# Fractions combined with + and *, and ``p`` (a prime, or None) reduces them.
+# No ncfgl arithmetic runs on this side.
+
+
+def plain_series(series):
+    return {index: dict(series.coefficient(index).terms()) for index in series.support()}
+
+
+def _plain_reduced(series, p):
+    out = {}
+    for index, element in series.items():
+        clean = {w: r for w, c in element.items() if (r := c % p if p else c)}
+        if clean:
+            out[index] = clean
+    return out
+
+
+def plain_add(f, g, p, sign=1):
+    out = {index: dict(element) for index, element in f.items()}
+    for index, element in g.items():
+        acc = out.setdefault(index, {})
+        for w, c in element.items():
+            acc[w] = acc.get(w, 0) + sign * c
+    return _plain_reduced(out, p)
+
+
+def plain_mul(f, g, order, p):
+    out = {}
+    for i1, e1 in f.items():
+        for i2, e2 in g.items():
+            index = tuple(a + b for a, b in zip(i1, i2))
+            if sum(index) > order:
+                continue
+            acc = out.setdefault(index, {})
+            for w1, c1 in e1.items():
+                for w2, c2 in e2.items():
+                    acc[w1 + w2] = acc.get(w1 + w2, 0) + c1 * c2
+    return _plain_reduced(out, p)
+
+
+def plain_scale(f, element, p, on_left):
+    """element * f (``on_left``) or f * element, coefficientwise."""
+    out = {}
+    for index, e in f.items():
+        acc = out.setdefault(index, {})
+        for w1, c1 in e.items():
+            for w2, c2 in element.items():
+                word = w2 + w1 if on_left else w1 + w2
+                acc[word] = acc.get(word, 0) + c1 * c2
+    return _plain_reduced(out, p)
+
+
+def plain_specialize(f, forms, width, order, p):
+    """Substitute the integer linear form forms[v] (``width`` coefficients)
+    for variable v, one factor of each power at a time."""
+    out = {}
+    for index, element in f.items():
+        expansion = {(0,) * width: 1}
+        for v, e in enumerate(index):
+            for _ in range(e):
+                step = {}
+                for key, c in expansion.items():
+                    for j, cj in enumerate(forms[v]):
+                        new = key[:j] + (key[j] + 1,) + key[j + 1:]
+                        if cj and sum(new) <= order:
+                            step[new] = step.get(new, 0) + c * cj
+                expansion = step
+        for key, c in expansion.items():
+            acc = out.setdefault(key, {})
+            for w, value in element.items():
+                acc[w] = acc.get(w, 0) + c * value
+    return _plain_reduced(out, p)

@@ -356,3 +356,76 @@ def test_negative_generator_degrees_are_named(capsys):
         err = assert_usage_error(capsys, "poincare", flag, "-2")
         assert "must be positive" in err
         assert "degree 0" not in err
+
+
+def _letters(letter, count):
+    return ",".join([str(letter)] * count)
+
+
+def test_length_and_index_budgets_refuse_before_any_work(monkeypatch, capsys):
+    import ncfgl.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused input must not start its computation")
+
+    for name in ("right_action", "commutator_filtration", "series_graded_algebra"):
+        monkeypatch.setattr(ncfgl.cli, name, no_work)
+    for argv in (
+        ("steenrod", "--prime", "3", "--op", "P1", "--gen", "t18"),
+        ("steenrod", "--prime", "3", "--op", "P1", "--gen", "xi18"),
+        ("steenrod", "--prime", "3", "--op", "P4097", "--gen", "t1"),
+        ("steenrod", "--prime", "3", "--op", "P" + "9" * 5000, "--gen", "t1"),
+        ("steenrod", "--prime", "3", "--op", "P1", "--gen", "t" + "9" * 5000),
+        ("steenrod", "--prime", "2", "--op", "Sq1", "--word", _letters(1, 33)),
+        ("steenrod", "--prime", "2", "--op", "Sq7", "--word", _letters(31, 20), "--profile", "real"),
+        ("commutator", "--word", _letters(1, 33)),
+        ("poincare", "--poly", _letters(2, 4097)),
+        ("poincare", "--ext", _letters(2, 4097)),
+    ):
+        err = assert_usage_error(capsys, *argv)
+        assert "budget" in err and len(err.splitlines()) == 1
+
+
+def test_length_and_index_budgets_accept_their_limits(monkeypatch, capsys):
+    # the computations are replaced by cheap ones; only the argument checks
+    # run at the limits
+    import ncfgl.cli
+    from ncfgl import commutator_filtration, series_graded_algebra
+
+    seen = []
+
+    def cheap_action(element, op):
+        seen.append(("right_action", str(op), str(element)))
+        return element.algebra.zero()
+
+    def cheap_commutator(u, k, order):
+        seen.append(("commutator_filtration", len(u.support()[0])))
+        return commutator_filtration(u.algebra.gen(1), 1, 3)
+
+    def cheap_series(poly, ext, order):
+        seen.append(("series_graded_algebra", len(poly), len(ext)))
+        return series_graded_algebra([2], [], 3)
+
+    monkeypatch.setattr(ncfgl.cli, "right_action", cheap_action)
+    monkeypatch.setattr(ncfgl.cli, "commutator_filtration", cheap_commutator)
+    monkeypatch.setattr(ncfgl.cli, "series_graded_algebra", cheap_series)
+    for argv in (
+        ("steenrod", "--prime", "3", "--op", "P1", "--gen", "t17"),
+        ("steenrod", "--prime", "3", "--op", "P1", "--gen", "xi17"),
+        ("steenrod", "--prime", "3", "--op", "P4096", "--gen", "t1"),
+        ("steenrod", "--prime", "2", "--op", "Sq1", "--word", _letters(1, 32)),
+        ("steenrod", "--prime", "2", "--op", "Sq6", "--word", _letters(31, 20), "--profile", "real"),
+        ("commutator", "--word", _letters(1, 32)),
+        ("poincare", "--poly", _letters(2, 4096), "--ext", _letters(2, 4096)),
+    ):
+        code, _, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+    assert seen == [
+        ("right_action", "P^1", "t17"),
+        ("right_action", "P^1", "xi17"),
+        ("right_action", "P^4096", "t1"),
+        ("right_action", "Sq^1", "*".join(["Z1"] * 32)),
+        ("right_action", "Sq^6", "*".join(["z31"] * 20)),
+        ("commutator_filtration", 32),
+        ("series_graded_algebra", 4096, 4096),
+    ]

@@ -10,6 +10,7 @@ from ncfgl import (
     ZZ,
     COMPLEX,
     CentralSeries,
+    FGLTable,
     FreeAlgebra,
     ParameterError,
     UnsupportedInputError,
@@ -328,3 +329,105 @@ def test_abelianized_table_is_the_commutative_law(ring):
     for (i, j), element in table.items():
         assert abelianize(element, ring.prime) == law.get((i, j), {}), (i, j)
     assert set(law) <= {index for index, _ in table.items()}
+
+
+# -- the failure path of the axiom checks ---------------------------------------
+
+
+def _corrupted(order):
+    # a[2,3] := a[3,2]: the two differ by 2 Z1 Z2 Z1 - 2 Z1 Z1 Z2 (see FGLTable)
+    algebra = FreeAlgebra(COMPLEX, ZZ)
+    table = fgl_table(order, algebra)
+    entries = dict(table.items())
+    entries[(2, 3)] = entries[(3, 2)]
+    return verify_axioms(order, algebra, table=FGLTable(algebra, order, entries))
+
+
+@pytest.mark.parametrize("order", [7, 9])
+def test_corrupted_table_fails_three_checks_exactly(order):
+    report = _corrupted(order)
+    failures = {
+        "commutativity": "F(x, y): first offending monomial (2, 3): 2*Z1*Z1*Z2 - 2*Z1*Z2*Z1",
+        "associativity": "grouping (x+y)+w: first offending monomial (0, 2, 3): "
+        "2*Z1*Z1*Z2 - 2*Z1*Z2*Z1",
+        "inverse": "F(x, xbar): first offending monomial (5,): -2*Z1*Z1*Z2 + 2*Z1*Z2*Z1",
+    }
+    assert json.dumps(report.to_data()) == json.dumps(
+        {
+            "order": order,
+            "checks": {
+                "unit": True,
+                "commutativity": False,
+                "associativity": False,
+                "inverse": False,
+            },
+            "failures": failures,
+        }
+    )
+    assert str(report) == "\n".join(
+        [
+            f"axiom checks at order {order}",
+            "          unit: PASS",
+            f" commutativity: FAIL ({failures['commutativity']})",
+            f" associativity: FAIL ({failures['associativity']})",
+            f"       inverse: FAIL ({failures['inverse']})",
+        ]
+    )
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3), QQ])
+def test_verify_axioms_order_9_digest(ring):
+    report = verify_axioms(9, FreeAlgebra(COMPLEX, ring))
+    digest = hashlib.sha256(json.dumps(report.to_data()).encode()).hexdigest()
+    assert digest == "205d7fe2d3aad8b64b29f49a9bf1d3c2ab02463817dedcdaf5af8c90a2613998"
+
+
+@pytest.mark.parametrize(
+    "ring, digest",
+    [
+        (ZZ, "94a2fe2cf61bfc8a8425c0f245275953fbfbcb01d1714f841e5a553db7e2633a"),
+        (GF(3), "a7bedf2037e1c98a5337900e341f188ff94b8f0957caa8f98e5fd912131c7b73"),
+        (QQ, "6b58f95f0cab64a65269692891e0672b489d151589cba15d2df6d0b69bf91308"),
+    ],
+)
+def test_filtration_run_digest(ring, digest):
+    ok, results = filtration_property_run(
+        order=10, samples=100, seed=7, algebra=FreeAlgebra(COMPLEX, ring)
+    )
+    assert ok and len(results) == 100
+    data = json.dumps([result.to_data() for result in results])
+    assert hashlib.sha256(data.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3), QQ])
+def test_filtration_run_matches_single_checks(ring):
+    # the run shares z^k between samples; each result must be the one the
+    # single check computes for the same draw of (u, k)
+    algebra = FreeAlgebra(COMPLEX, ring)
+    order, max_degree, max_k, seed = 9, 8, 4, 11
+    _, results = filtration_property_run(
+        order=order, samples=40, seed=seed, algebra=algebra, max_degree=max_degree, max_k=max_k
+    )
+    rng = random.Random(seed)
+    degrees = [d for d in range(1, max_degree + 1) if algebra.dim(d)]
+    expected = []
+    for _ in range(40):
+        degree = rng.choice(degrees)
+        k = rng.randint(1, min(max_k, order - 2))
+        u = random_homogeneous(algebra, degree, rng)
+        if not u.is_zero():
+            expected.append(commutator_filtration(u, k, order))
+    assert len(results) == len(expected) == 40
+    assert {r.k for r in results} == {1, 2, 3, 4}
+    for got, want in zip(results, expected):
+        assert (got.k, got.order, got.valuation, got.required) == (
+            want.k, want.order, want.valuation, want.required
+        )
+        assert got.series == want.series
+        assert not got.series.is_zero()
+
+
+def test_filtration_run_refuses_an_empty_exponent_range(A):
+    for order, max_k in ((2, 4), (6, 0)):
+        with pytest.raises(ParameterError):
+            filtration_property_run(order=order, samples=1, algebra=A, max_k=max_k)

@@ -11,6 +11,8 @@ from ncfgl import (
     ComposabilityError,
     ExpansionError,
     FreeAlgebra,
+    ModeMismatchError,
+    ParameterError,
     ReversionError,
     ShapeError,
     VarSet,
@@ -20,9 +22,17 @@ from ncfgl import (
     revert,
 )
 
-from oracles import uni_mul
+from oracles import (
+    plain_add,
+    plain_mul,
+    plain_scale,
+    plain_series,
+    plain_specialize,
+    uni_mul,
+)
 
 from props import (
+    random_element,
     random_series,
     random_unit_linear,
     run_left_expand_roundtrip,
@@ -317,3 +327,66 @@ def test_varset_validation():
         VarSet(("x", "x"), 2)
     with pytest.raises(Exception):
         VarSet(("a", "b", "c", "d"), 2)
+
+
+# -- the accumulator kernel against plain dictionaries ------------------------------
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3), QQ])
+def test_series_arithmetic_against_plain_dict_oracle(ring):
+    rng = random.Random(2024)
+    algebra = FreeAlgebra(COMPLEX, ring)
+    p = ring.prime
+    checked = 0
+    for width in (1, 2, 3):
+        varset = VarSet(("x", "y", "w")[:width], 2)
+        for _ in range(20):
+            order = rng.randint(2, 6)
+            f = random_series(algebra, varset, order, rng)
+            g = random_series(algebra, varset, order, rng)
+            u = random_element(algebra, rng, 4, 3)
+            n = rng.randint(-4, 4)
+            pf, pg, pu = plain_series(f), plain_series(g), dict(u.terms())
+            assert plain_series(f * g) == plain_mul(pf, pg, order, p)
+            assert plain_series(f + g) == plain_add(pf, pg, p)
+            assert plain_series(f - g) == plain_add(pf, pg, p, -1)
+            assert plain_series(f.scale_left(u)) == plain_scale(pf, pu, p, True)
+            assert plain_series(f.scale_right(u)) == plain_scale(pf, pu, p, False)
+            assert plain_series(f.scale_left(n)) == plain_scale(pf, {(): n}, p, True)
+            assert plain_series(f.commutator(u)) == plain_add(
+                plain_scale(pf, pu, p, True), plain_scale(pf, pu, p, False), p, -1
+            )
+            forms = [tuple(rng.randint(-2, 2) for _ in range(width)) for _ in range(width)]
+            assignment = {
+                name: {t: c for t, c in zip(varset.names, form) if c}
+                for name, form in zip(varset.names, forms)
+                if any(form)
+            }
+            forms = [
+                forms[v] if name in assignment else tuple(int(j == v) for j in range(width))
+                for v, name in enumerate(varset.names)
+            ]
+            assert plain_series(f.specialize(assignment)) == plain_specialize(
+                pf, forms, width, order, p
+            )
+            checked += bool(pf) and bool(pg)
+    assert checked > 30  # most draws are nonzero, so the comparisons bite
+
+
+def test_public_constructor_still_validates(A, vs1, vs2):
+    with pytest.raises(ShapeError):
+        CentralSeries(A, vs2, 4, {(1,): A.one()})
+    with pytest.raises(ParameterError):
+        CentralSeries(A, vs1, 4, {(-1,): A.one()})
+    with pytest.raises(ParameterError):
+        CentralSeries(A, vs1, -1, {})
+    clean = CentralSeries(A, vs1, 3, {(1,): A.one(), (2,): A.zero(), (5,): A.gen(1)})
+    assert clean.support() == [(1,)]
+
+
+def test_series_coefficients_must_share_the_algebra(A, vs1):
+    other = FreeAlgebra(COMPLEX, GF(3))
+    f = x_series(A, vs1, 3)
+    for operation in (f.scale_left, f.scale_right, f.commutator):
+        with pytest.raises(ModeMismatchError):
+            operation(other.gen(1))

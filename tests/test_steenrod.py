@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from ncfgl import (
     COMPLEX,
     GF,
+    QQ,
     REAL,
     CommAlgebra,
     FreeAlgebra,
@@ -22,6 +25,7 @@ from ncfgl import (
     conjugate_generator,
     coproduct,
     dual_steenrod,
+    frobenius,
     hf2_obstruction_certificate,
     lucas_binomial,
     milnor_pair,
@@ -370,3 +374,47 @@ def test_hf2_certificate():
 def test_lucas_refuses_a_composite_modulus():
     with pytest.raises(ParameterError):
         lucas_binomial(5, 2, 4)
+
+
+# -- Frobenius ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_frobenius_is_the_p_power_map(p):
+    rng = random.Random(p)
+    algebra = dual_steenrod(p)
+    for _ in range(10):
+        element = algebra.zero()
+        for _ in range(rng.randint(1, 4)):
+            mono = {rng.randint(1, 3): rng.randint(1, 3) for _ in range(rng.randint(1, 2))}
+            element = element + algebra.element({tuple(mono.items()): rng.randint(1, p - 1)})
+        for q in (1, p, p * p):
+            assert frobenius(element, q) == element ** q
+
+
+def test_frobenius_refuses_other_exponents_and_rings():
+    xi = dual_steenrod(3).gen(1)
+    for q in (0, 2, 6, -3):
+        with pytest.raises(ParameterError):
+            frobenius(xi, q)
+    rational = CommAlgebra.with_degrees("b", (2, 4), QQ)
+    with pytest.raises(ParameterError):
+        frobenius(rational.gen(1), 1)
+
+
+# sha256 over n = 0 .. top of json.dumps(to_data()) + str of chi(xi_n): the
+# values the repeated-squaring route gave, at every n it finished in seconds.
+@pytest.mark.parametrize(
+    "p, top, digest",
+    [
+        (2, 12, "9d4fe5a40e84e470dda43af76fc10760a56bbd5b9df4914f3cd69497ad83f959"),
+        (3, 7, "71dafcaf21419a5bcdfaea1960c8d7d07409716e7e110fc7a6f2f7f057d8ae50"),
+        (5, 6, "eeaa80e1b5e60c80c99225cef9c2dd4aea0e1ae4dff9a1efe3376a2a327904c2"),
+    ],
+)
+def test_conjugate_generator_digests(p, top, digest):
+    h = hashlib.sha256()
+    for n in range(top + 1):
+        zeta = conjugate_generator(p, n)
+        h.update((json.dumps(zeta.to_data()) + str(zeta)).encode())
+    assert h.hexdigest() == digest
