@@ -6,16 +6,14 @@ inconclusive), 2 on usage errors.  Output is byte-identical across runs for
 fixed arguments; randomized property runs take --seed and default to a fixed
 seed.
 
-Inputs whose cost is known to outgrow the machine are usage errors too, refused
-before any work: ``--degree`` above :data:`DEGREE_BUDGET` or
-:data:`EXPAND_DEGREE_BUDGET`, a ``commutator --k`` that the degree budget
-cannot reach, an ``--assign`` coefficient above :data:`LINEAR_FORM_BOUND`,
-``verify --samples`` above :data:`SAMPLES_BUDGET`, a ``--word`` longer than
-:data:`WORD_LENGTH_BUDGET`, a ``poincare --poly``/``--ext`` list longer than
-:data:`LIST_LENGTH_BUDGET`, a ``steenrod --gen`` index above
-:data:`GEN_INDEX_BUDGET` or ``--op`` index above :data:`OP_INDEX_BUDGET`, a
-``steenrod --word`` action with more than :data:`ACTION_TERM_BUDGET` possible
-terms, and ``certificate bp`` primes above the library's dense word budget.
+Every raw argument is parsed where argparse declares it, by a ``type=``
+function, and inputs whose cost is known to outgrow the machine are usage
+errors too, refused before any work: each measured input has one row in
+:data:`LIMITS`, whose name is also the label of its error message.  Two rows
+need two arguments and are checked by their handlers: ``expand``'s degree by
+the number of variables of ``--assign``, and ``steenrod --word``'s possible
+action terms.  ``certificate bp`` primes are bounded by the library's dense
+word budget, and every ``--prime`` by the range where primality is exact.
 """
 
 from __future__ import annotations
@@ -59,52 +57,146 @@ _OP_RE = re.compile(r"(P|Sq)\^?(\d+)")
 _GEN_RE = re.compile(r"(t|xi)(\d+)")
 _TERM_RE = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*\*\s*)?([A-Za-z_]\w*)\s*")
 
-# Largest accepted --degree by command, checked in run() before any handler,
-# and for expand by the number of variables of the assignment, whose
-# coefficients may be at most LINEAR_FORM_BOUND in absolute value; commutator
-# --k may reach its degree budget less 2, and verify runs at most
-# SAMPLES_BUDGET samples.  At these limits every mode and format finished in
-# under 30 s and 800 MiB on a 2-core machine with Python 3.11 (the slowest:
-# inverse --degree 20 --mode rat --format json, and verify --degree 12 --mode
-# rat --samples 1000 in 26 s); one more order roughly doubles both, and
-# commutator, costliest near k = degree / 3, grows ~1.6-fold per degree.
-DEGREE_BUDGET = {
-    "fgl": 16,
-    "inverse": 20,
-    "verify": 12,
-    "commutator": 24,
-    "poincare": 4000,
-    "split": 4000,
-    "parity": 4000,
-    "rational": 4000,
+# The largest accepted value of each measured input.  At these limits every
+# mode and format finished in under 30 s and 800 MiB on a 2-core machine with
+# Python 3.11 (the slowest: inverse --degree 20 --mode rat --format json, and
+# verify --degree 12 --mode rat --samples 1000 in 26 s); one more order
+# roughly doubles both, and commutator, costliest near k = degree / 3, grows
+# ~1.6-fold per degree.  steenrod --gen tN costs ~2^N terms through the
+# conjugate chi(xi_N).  On a word of L letters, P^k (or Sq^k) gives at most
+# one term per split of k over the letters, so the action is refused when the
+# C(k + L - 1, L - 1) splits number more than "action terms".  The slowest
+# accepted inputs of the length and index rows, at primes below 3.3e24:
+# steenrod --gen t17 at the prime 3e24 + 7 in 6.9 s and 388 MiB (t18 took
+# 16 s and 799 MiB); commutator with 32 letters at --k 8 --degree 24 --mode
+# rat --format json in 8.4 s and 479 MiB; a 20-letter Sq^6 action (177 100
+# splits) in 7.4 s and 490 MiB; poincare with 4096-entry --poly and --ext
+# lists at --degree 4000 in 13.6 s and 45 MiB.
+LIMITS = {
+    "fgl --degree": 16,
+    "inverse --degree": 20,
+    "verify --degree": 12,
+    "commutator --degree": 24,
+    "poincare --degree": 4000,
+    "split --degree": 4000,
+    "parity --degree": 4000,
+    "rational --degree": 4000,
+    "expand in 1 variable --degree": 18,
+    "expand in 2 variables --degree": 16,
+    "expand in 3 variables --degree": 14,
+    "--assign coefficient": 9,
+    "commutator --k": 22,
+    "verify --samples": 1000,
+    "--word letters": 32,
+    "--poly entries": 4096,
+    "--ext entries": 4096,
+    "--gen index": 17,
+    "--op index": 4096,
+    "action terms": 200_000,
 }
-EXPAND_DEGREE_BUDGET = {1: 18, 2: 16, 3: 14}
-LINEAR_FORM_BOUND = 9
-SAMPLES_BUDGET = 1000
-
-# Lengths and indices, checked before any work.  A --word (commutator,
-# steenrod) has at most WORD_LENGTH_BUDGET letters and a poincare --poly or
-# --ext list at most LIST_LENGTH_BUDGET entries.  steenrod --gen tN/xiN takes
-# N <= GEN_INDEX_BUDGET: t_N costs ~2^N terms through the conjugate
-# chi(xi_N); --op takes an index <= OP_INDEX_BUDGET.  On a word of L letters,
-# P^k (or Sq^k) gives at most one term per split of k over the letters, so
-# the action is refused when the C(k + L - 1, L - 1) splits number more than
-# ACTION_TERM_BUDGET.  The slowest accepted inputs, sized on a 2-core machine with Python
-# 3.11 at primes below 3.3e24: steenrod --gen t17 at the prime 3e24 + 7 in
-# 6.9 s and 388 MiB (t18 took 16 s and 799 MiB); commutator with 32 letters
-# at --k 8 --degree 24 --mode rat --format json in 8.4 s and 479 MiB; a
-# 20-letter Sq^6 action (177 100 splits) in 7.4 s and 490 MiB; poincare with
-# 4096-entry --poly and --ext lists at --degree 4000 in 13.6 s and 45 MiB.
-WORD_LENGTH_BUDGET = 32
-LIST_LENGTH_BUDGET = 4096
-GEN_INDEX_BUDGET = 17
-OP_INDEX_BUDGET = 4096
-ACTION_TERM_BUDGET = 200_000
 
 
-def _add_common(parser, degree_default=6):
-    parser.add_argument("--degree", type=int, default=degree_default,
-                        help="truncation order (default %(default)s)")
+def _limit(name: str, value):
+    """``value`` if it is at most ``LIMITS[name]``, else a ParameterError.
+
+    A string of decimal digits is measured by its length first, so that one
+    too long for the limit is refused without being converted.
+    """
+    limit = LIMITS[name]
+    if isinstance(value, str):
+        value = value.lstrip("0") or "0"
+        if len(value) <= len(str(limit)):
+            value = int(value)
+        elif len(value) > 12:
+            value = value[:12] + "..."
+    if isinstance(value, str) or value > limit:
+        raise ParameterError(f"{name} {value} is above the budget of {limit}")
+    return value
+
+
+def _at_most(name: str):
+    """An argparse type: a decimal integer within ``LIMITS[name]``."""
+
+    def integer(text: str) -> int:
+        return _limit(name, int(text))
+
+    return integer
+
+
+def _samples(text: str) -> int:
+    samples = _limit("verify --samples", int(text))
+    if samples < 1:
+        raise ParameterError("--samples must be at least 1")
+    return samples
+
+
+def _word(text: str) -> tuple:
+    parts = [part for part in text.split(",") if part.strip()]
+    _limit("--word letters", len(parts))
+    try:
+        word = tuple(int(part) for part in parts)
+    except ValueError:
+        raise ParameterError(f"cannot parse word {text!r}") from None
+    if not word:
+        raise ParameterError("word must list at least one generator index")
+    return word
+
+
+def _degrees(flag: str):
+    """An argparse type: a comma separated list of degrees; empty text is the
+    empty list."""
+
+    def degrees(text: str) -> list:
+        if not text:
+            return []
+        _limit(f"{flag} entries", text.count(",") + 1)
+        try:
+            return [int(part) for part in text.split(",")]
+        except ValueError:
+            raise ParameterError(f"cannot parse {flag} {text!r} (use e.g. 2,6,14)") from None
+
+    return degrees
+
+
+def _indexed(pattern, flag: str, what: str, example: str):
+    """An argparse type: a name followed by a decimal index, as (name, index)."""
+
+    def parse(text: str) -> tuple:
+        match = pattern.fullmatch(text)
+        if not match:
+            raise ParameterError(f"cannot parse {what} {text!r} (use e.g. {example})")
+        return match.group(1), _limit(f"{flag} index", match.group(2))
+
+    return parse
+
+
+def _assignment(text: str) -> tuple:
+    """``source=linear form`` as (source, {variable: coefficient})."""
+    source, _, expr = text.partition("=")
+    source = source.strip()
+    if not source or not expr:
+        raise ParameterError("--assign must look like 'x=x+y'")
+    form: dict = {}
+    pos = 0
+    while pos < len(expr):
+        match = _TERM_RE.match(expr, pos)
+        if not match or match.end() == pos:
+            raise ParameterError(f"cannot parse linear form {expr!r}")
+        sign, magnitude, name = match.groups()
+        coeff = _limit("--assign coefficient", magnitude) if magnitude else 1
+        form[name] = form.get(name, 0) + (-coeff if sign == "-" else coeff)
+        pos = match.end()
+    if not form:
+        raise ParameterError(f"empty linear form {expr!r}")
+    for coeff in form.values():
+        _limit("--assign coefficient", abs(coeff))
+    return source, form
+
+
+def _add_common(parser, command: str, degree_default: int = 6):
+    name = f"{command} --degree"
+    parser.add_argument("--degree", type=_at_most(name) if name in LIMITS else int,
+                        default=degree_default, help="truncation order (default %(default)s)")
     parser.add_argument("--profile", choices=("complex", "real"), default="complex")
     parser.add_argument("--mode", choices=("int", "rat", "fp"), default="int")
     parser.add_argument("--prime", type=int, default=None)
@@ -140,70 +232,6 @@ def _emit(args, payload, text) -> None:
         sys.stdout.write(body)
 
 
-def _parse_word(text) -> tuple:
-    parts = [part for part in text.split(",") if part.strip()]
-    if len(parts) > WORD_LENGTH_BUDGET:
-        raise ParameterError(
-            f"word has {len(parts)} letters, above the budget of {WORD_LENGTH_BUDGET}"
-        )
-    try:
-        word = tuple(int(part) for part in parts)
-    except ValueError:
-        raise ParameterError(f"cannot parse word {text!r}") from None
-    if not word:
-        raise ParameterError("word must list at least one generator index")
-    return word
-
-
-def _parse_degrees(text: str, flag: str) -> list:
-    count = text.count(",") + 1
-    if count > LIST_LENGTH_BUDGET:
-        raise ParameterError(
-            f"{flag} lists {count} degrees, above the budget of {LIST_LENGTH_BUDGET}"
-        )
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ParameterError(f"cannot parse {flag} {text!r} (use e.g. 2,6,14)") from None
-
-
-def _check_degree(degree: int, budget: int, label: str, flag: str = "--degree") -> None:
-    if degree > budget:
-        raise ParameterError(f"{label} {flag} {degree} is above the budget of {budget}")
-
-
-def _parse_index(digits: str, budget: int, label: str) -> int:
-    """The decimal index ``digits``, refused above ``budget`` before a long
-    string is converted."""
-    digits = digits.lstrip("0") or "0"
-    if len(digits) > len(str(budget)) or int(digits) > budget:
-        shown = digits if len(digits) <= 12 else digits[:12] + "..."
-        raise ParameterError(f"{label} {shown} is above the budget of {budget}")
-    return int(digits)
-
-
-def _parse_linear_form(expr: str) -> dict:
-    form: dict = {}
-    pos = 0
-    while pos < len(expr):
-        match = _TERM_RE.match(expr, pos)
-        if not match or match.end() == pos:
-            raise ParameterError(f"cannot parse linear form {expr!r}")
-        sign, magnitude, name = match.groups()
-        coeff = int(magnitude) if magnitude else 1
-        if sign == "-":
-            coeff = -coeff
-        form[name] = form.get(name, 0) + coeff
-        pos = match.end()
-    if not form:
-        raise ParameterError(f"empty linear form {expr!r}")
-    if any(abs(c) > LINEAR_FORM_BOUND for c in form.values()):
-        raise ParameterError(
-            f"linear form coefficients must be at most {LINEAR_FORM_BOUND} in absolute value"
-        )
-    return form
-
-
 def cmd_fgl(args) -> int:
     table = fgl_table(args.degree, _algebra(args))
     _emit(args, table.to_data(), str(table))
@@ -217,9 +245,7 @@ def cmd_inverse(args) -> int:
 
 
 def cmd_commutator(args) -> int:
-    _check_degree(args.k, DEGREE_BUDGET["commutator"] - 2, "commutator", "--k")
-    algebra = _algebra(args)
-    u = algebra.monomial(_parse_word(args.word))
+    u = _algebra(args).monomial(args.word)
     result = commutator_filtration(u, args.k, args.degree)
     _emit(args, result.to_data(), str(result))
     return 0 if result.ok else 1
@@ -227,15 +253,10 @@ def cmd_commutator(args) -> int:
 
 def cmd_expand(args) -> int:
     algebra = _algebra(args)
-    source, _, expr = args.assign.partition("=")
-    source = source.strip()
-    if not source or not expr:
-        raise ParameterError("--assign must look like 'x=x+y'")
-    form = _parse_linear_form(expr)
+    source, form = args.assign
     vardeg = algebra.profile.variable_degree
     target = VarSet(tuple(form), vardeg)
-    label = f"expand in {', '.join(target.names)}"
-    _check_degree(args.degree, EXPAND_DEGREE_BUDGET[len(target)], label)
+    _limit(f"expand in {len(target)} variable{'s' * (len(target) > 1)} --degree", args.degree)
     z = orientation_series(args.degree, algebra, VarSet((source,), vardeg))
     specialized = z.specialize({source: form}, target)
     basis = {
@@ -261,27 +282,14 @@ def cmd_expand(args) -> int:
 
 def cmd_steenrod(args) -> int:
     prime = args.prime if args.prime is not None else 2
-    match = _OP_RE.fullmatch(args.op)
-    if not match:
-        raise ParameterError(f"cannot parse operation {args.op!r} (use e.g. P1 or Sq2)")
-    index = _parse_index(match.group(2), OP_INDEX_BUDGET, "steenrod --op index")
-    op = MilnorOp(prime, match.group(1), index)
+    op = MilnorOp(prime, *args.op)
     if args.gen:
-        gen_match = _GEN_RE.fullmatch(args.gen)
-        if not gen_match:
-            raise ParameterError(f"cannot parse generator {args.gen!r} (use e.g. t2, xi1)")
-        family = gen_match.group(1)
-        index = _parse_index(gen_match.group(2), GEN_INDEX_BUDGET, "steenrod --gen index")
+        family, index = args.gen
         algebra = bp_homology(prime) if family == "t" else dual_steenrod(prime)
         element = algebra.gen(index)
     elif args.word:
-        word = _parse_word(args.word)
-        splits = comb(op.index + len(word) - 1, len(word) - 1)
-        if splits > ACTION_TERM_BUDGET:
-            raise ParameterError(
-                f"{op} on a word of {len(word)} letters has {splits} possible terms, "
-                f"above the budget of {ACTION_TERM_BUDGET}"
-            )
+        word = args.word
+        _limit("action terms", comb(op.index + len(word) - 1, len(word) - 1))
         profile = COMPLEX if args.profile == "complex" else REAL
         element = FreeAlgebra(profile, GF(prime)).monomial(word)
     else:
@@ -310,8 +318,7 @@ def cmd_certificate(args) -> int:
 
 def cmd_poincare(args) -> int:
     if args.poly or args.ext:
-        poly = _parse_degrees(args.poly, "--poly") if args.poly else []
-        ext = _parse_degrees(args.ext, "--ext") if args.ext else []
+        poly, ext = args.poly or [], args.ext or []
         series = series_graded_algebra(poly, ext, args.degree)
         label = f"graded algebra series, poly {poly}, exterior {ext}"
     else:
@@ -349,9 +356,6 @@ def cmd_rational(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise ParameterError("--samples must be at least 1")
-    _check_degree(args.samples, SAMPLES_BUDGET, "verify", "--samples")
     algebra = _algebra(args)
     report = verify_axioms(args.degree, algebra)
     filtration_order = max(args.degree, 4)
@@ -392,60 +396,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fgl", help="formal group law coefficient table")
-    _add_common(p)
-    p.set_defaults(handler=cmd_fgl)
+    def command(name, handler, summary, degree_default=6):
+        p = sub.add_parser(name, help=summary)
+        _add_common(p, name, degree_default)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("inverse", help="formal inverse series coefficients")
-    _add_common(p)
-    p.set_defaults(handler=cmd_inverse)
+    command("fgl", cmd_fgl, "formal group law coefficient table")
+    command("inverse", cmd_inverse, "formal inverse series coefficients")
 
-    p = sub.add_parser("commutator", help="commutator with a power of the orientation series")
-    _add_common(p)
-    p.add_argument("--word", default="1", help="comma separated generator indices")
-    p.add_argument("--k", type=int, default=1)
-    p.set_defaults(handler=cmd_commutator)
+    p = command("commutator", cmd_commutator, "commutator with a power of the orientation series")
+    p.add_argument("--word", type=_word, default="1", help="comma separated generator indices")
+    p.add_argument("--k", type=_at_most("commutator --k"), default=1)
 
-    p = sub.add_parser("expand", help="left-basis expansion of a substituted orientation series")
-    _add_common(p)
-    p.add_argument("--assign", default="x=x+y", help="substitution, e.g. 'x=-x' or 'x=x+y'")
-    p.set_defaults(handler=cmd_expand)
+    p = command("expand", cmd_expand, "left-basis expansion of a substituted orientation series")
+    p.add_argument("--assign", type=_assignment, default="x=x+y",
+                   help="substitution, e.g. 'x=-x' or 'x=x+y'")
 
-    p = sub.add_parser("steenrod", help="right Steenrod action on a generator or word")
-    _add_common(p)
-    p.add_argument("--op", required=True, help="operation, e.g. P1 or Sq2")
-    p.add_argument("--gen", default=None, help="polynomial generator, e.g. t2 or xi1")
-    p.add_argument("--word", default=None, help="free-algebra word, e.g. 1,1")
-    p.set_defaults(handler=cmd_steenrod)
+    p = command("steenrod", cmd_steenrod, "right Steenrod action on a generator or word")
+    p.add_argument("--op", type=_indexed(_OP_RE, "--op", "operation", "P1 or Sq2"),
+                   required=True, help="operation, e.g. P1 or Sq2")
+    p.add_argument("--gen", type=_indexed(_GEN_RE, "--gen", "generator", "t2, xi1"),
+                   default=None, help="polynomial generator, e.g. t2 or xi1")
+    p.add_argument("--word", type=_word, default=None, help="free-algebra word, e.g. 1,1")
 
-    p = sub.add_parser("certificate", help="finite obstruction certificates")
+    p = command("certificate", cmd_certificate, "finite obstruction certificates")
     p.add_argument("which", choices=("bp", "hf2"))
-    _add_common(p)
-    p.set_defaults(handler=cmd_certificate)
 
-    p = sub.add_parser("poincare", help="graded dimension series")
-    _add_common(p, degree_default=12)
-    p.add_argument("--poly", default=None, help="polynomial generator degrees, e.g. 2,6,14")
-    p.add_argument("--ext", default=None, help="exterior generator degrees")
-    p.set_defaults(handler=cmd_poincare)
+    p = command("poincare", cmd_poincare, "graded dimension series", degree_default=12)
+    p.add_argument("--poly", type=_degrees("--poly"), default=None,
+                   help="polynomial generator degrees, e.g. 2,6,14")
+    p.add_argument("--ext", type=_degrees("--ext"), default=None, help="exterior generator degrees")
 
-    p = sub.add_parser("split", help="wedge splitting multiplicities at a prime")
-    _add_common(p, degree_default=12)
-    p.set_defaults(handler=cmd_split)
+    command("split", cmd_split, "wedge splitting multiplicities at a prime", degree_default=12)
+    command("parity", cmd_parity, "even/odd comparison against K-homology degrees",
+            degree_default=20)
+    command("rational", cmd_rational, "polynomial algebra versus partition counts",
+            degree_default=40)
 
-    p = sub.add_parser("parity", help="even/odd comparison against K-homology degrees")
-    _add_common(p, degree_default=20)
-    p.set_defaults(handler=cmd_parity)
-
-    p = sub.add_parser("rational", help="polynomial algebra versus partition counts")
-    _add_common(p, degree_default=40)
-    p.set_defaults(handler=cmd_rational)
-
-    p = sub.add_parser("verify", help="aggregate axiom and filtration checks")
-    _add_common(p)
+    p = command("verify", cmd_verify, "aggregate axiom and filtration checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=50)
-    p.set_defaults(handler=cmd_verify)
+    p.add_argument("--samples", type=_samples, default=50)
 
     return parser
 
@@ -454,13 +445,10 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        if args.command in DEGREE_BUDGET:
-            _check_degree(args.degree, DEGREE_BUDGET[args.command], args.command)
-        return args.handler(args)
-    except ToolkitError as exc:
+    except ToolkitError as exc:  # from a handler, or from an argument's type
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import random
 
-from .errors import DegenerateInputError, ParameterError, UnsupportedInputError
+from .errors import (
+    DegenerateInputError,
+    ModeMismatchError,
+    ParameterError,
+    UnsupportedInputError,
+)
 from .freealg import FreeAlgebra, FreeElement, random_homogeneous
 from .series import CentralSeries, VarSet, left_combination, left_expand
 
@@ -277,7 +282,9 @@ def verify_axioms(
     three-variable series ring with the two groupings realized by the central
     substitutions x -> x + y and y -> y + w; the inverse identity is checked
     with the negated orientation series in both orders.  Failures are
-    reported with the first offending monomial, never raised.
+    reported with the first offending monomial, never raised.  A given
+    ``table`` of another order is refused with ParameterError, one over
+    another algebra with ModeMismatchError, before any series is built.
     """
     if order < 2:
         raise ParameterError("axiom verification needs order >= 2")
@@ -285,6 +292,10 @@ def verify_axioms(
         algebra = FreeAlgebra()
     if table is None:
         table = fgl_table(order, algebra)
+    elif table.order != order:
+        raise ParameterError(f"the table has order {table.order}, not {order}")
+    elif table.algebra != algebra:
+        raise ModeMismatchError(f"the table is over {table.algebra!r}, not {algebra!r}")
     one = algebra.one()
     zero = algebra.zero()
     failures = {}

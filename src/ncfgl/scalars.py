@@ -12,13 +12,27 @@ from fractions import Fraction
 
 from .errors import ModeMismatchError, ParameterError
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to the thirteen bases above (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+# 2017); it is 1287836182261 * 2575672364521.
+PRIMALITY_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every modulus below 3.3e24."""
+    """Deterministic Miller-Rabin over the prime bases 2..41.
+
+    Exact for every n below :data:`PRIMALITY_BOUND` = psi_13 ~ 3.3e24; larger
+    n are refused with ParameterError before any round, since no proof covers
+    them and a round on a number of thousands of digits takes seconds.
+    """
     if n < 2:
         return False
+    if n >= PRIMALITY_BOUND:
+        raise ParameterError(
+            f"primality is decided only below {PRIMALITY_BOUND}, the least strong "
+            "pseudoprime to the bases 2..41"
+        )
     for q in _MR_BASES:
         if n % q == 0:
             return n == q

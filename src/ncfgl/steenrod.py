@@ -506,29 +506,72 @@ def _commuting(w: FreeElement):
     return lambda word: commutator(w.algebra.monomial(word), w)
 
 
-def _column(element: FreeElement, target_words) -> list:
-    """The coefficients of ``element`` on ``target_words``, as a right-hand side."""
-    return [coeff for coeff, in matrix_of(lambda _: element, [()], target_words)]
+def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
+    """The procedure of both certificates, over the algebra of ``c``.
 
+    Stage one solves op(w) = c over the words of degree op.degree + deg c and
+    lists every solution w over F_p as a candidate.  Stage two, for each
+    candidate, solves [v, w] = 0 stacked with one block theta(v) = image(w)
+    per (theta, image) in ``blocks`` over the words v of ``high_degree``.
+    Returns the candidates and the certificate, whose systems are recorded in
+    solve order.
+    """
+    algebra = c.algebra
+    ring = algebra.ring
+    systems = []
 
-def _solve(systems: list, degree: int, words, rows, rhs, ring):
-    """Solve rows * x = rhs over the ``words`` of one degree; record the system."""
-    particular, kernel, rank = affine_solve(rows, rhs, len(words), ring)
-    systems.append({"degree": degree, "dimension": len(words), "rank": rank})
-    return particular, kernel
+    def solve(degree, words, rows, rhs):
+        particular, kernel, rank = affine_solve(rows, rhs, len(words), ring)
+        systems.append({"degree": degree, "dimension": len(words), "rank": rank})
+        return particular, kernel
 
+    def column(element, target_words):
+        return [coeff for coeff, in matrix_of(lambda _: element, [()], target_words)]
 
-def _solution_record(candidate: FreeElement, words, particular, kernel) -> dict:
-    """The solutions of a consistent system, written as elements."""
+    low_degree = op.degree + c.degree()
+    W = algebra.words_of_degree(low_degree)
+    targets = algebra.words_of_degree(c.degree())
+    particular, kernel = solve(
+        low_degree, W, matrix_of(_acting(algebra, op), W, targets), column(c, targets)
+    )
+    candidates = []
+    if particular is not None:
+        base, *directions = (algebra.element(dict(zip(W, vec))) for vec in [particular] + kernel)
+        candidates = [
+            sum((d.scale(lam) for lam, d in zip(lambdas, directions)), base)
+            for lambdas in _iproduct(range(ring.prime), repeat=len(kernel))
+        ]
+
+    V = algebra.words_of_degree(high_degree)
+    comm_targets = algebra.words_of_degree(high_degree + low_degree)
+    block_targets = [algebra.words_of_degree(high_degree - theta.degree) for theta, _ in blocks]
+    action_rows = [
+        row
+        for (theta, _), words in zip(blocks, block_targets)
+        for row in matrix_of(_acting(algebra, theta), V, words)
+    ]
 
     def written(vec):
-        return str(candidate.algebra.element(dict(zip(words, vec))))
+        return str(algebra.element(dict(zip(V, vec))))
 
-    return {
-        "candidate": str(candidate),
-        "particular": written(particular),
-        "kernel": [written(vec) for vec in kernel],
-    }
+    solutions = []
+    for w in candidates:
+        rows = matrix_of(_commuting(w), V, comm_targets) + action_rows
+        rhs = [0] * len(comm_targets) + [
+            x for (_, image), words in zip(blocks, block_targets) for x in column(image(w), words)
+        ]
+        particular, kernel = solve(high_degree, V, rows, rhs)
+        if particular is not None:
+            solutions.append({
+                "candidate": str(w),
+                "particular": written(particular),
+                "kernel": [written(vec) for vec in kernel],
+            })
+    verdict = "INFEASIBLE" if not solutions else "FEASIBLE"
+    certificate = ObstructionCertificate(
+        ring.prime, [str(w) for w in candidates], systems, solutions, verdict
+    )
+    return candidates, certificate
 
 
 # Largest word basis the bp certificate solves densely over.
@@ -558,42 +601,15 @@ def bp_obstruction_certificate(p: int) -> ObstructionCertificate:
             f"above the budget of {DENSE_WORD_BUDGET}"
         )
     algebra = FreeAlgebra(COMPLEX, GF(p))
-    ring = algebra.ring
     op1 = MilnorOp(p, "P", 1)
-    opp = MilnorOp(p, "P", p)
-
-    systems = []
-    low_degree = 2 * p - 2
-    W = algebra.words_of_degree(low_degree)
-    rows = matrix_of(_acting(algebra, op1), W, algebra.words_of_degree(0))
-    particular, kernel = _solve(systems, low_degree, W, rows, [ring.of_int(-1)], ring)
-    if particular is None:
-        return ObstructionCertificate(p, [], systems, [], "INFEASIBLE")
-
-    base, *directions = (algebra.element(dict(zip(W, vec))) for vec in [particular] + kernel)
-    candidates = [
-        sum((d.scale(lam) for lam, d in zip(lambdas, directions)), base)
-        for lambdas in _iproduct(range(p), repeat=len(kernel))
-    ]
-
-    high_degree = 2 * (p * p - 1)
-    V = algebra.words_of_degree(high_degree)
-    comm_targets = algebra.words_of_degree(high_degree + low_degree)
-    pp_targets = algebra.words_of_degree(high_degree - opp.degree)
-    p1_targets = algebra.words_of_degree(high_degree - op1.degree)
-    action_rows = matrix_of(_acting(algebra, opp), V, pp_targets) + matrix_of(
-        _acting(algebra, op1), V, p1_targets
+    zero = algebra.zero()
+    _, certificate = _two_stage(
+        op1,
+        -algebra.one(),
+        2 * (p * p - 1),
+        [(MilnorOp(p, "P", p), lambda w: zero), (op1, lambda w: -(w ** p))],
     )
-
-    solutions = []
-    for w in candidates:
-        rows = matrix_of(_commuting(w), V, comm_targets) + action_rows
-        rhs = [0] * (len(comm_targets) + len(pp_targets)) + _column(-(w ** p), p1_targets)
-        particular, kernel = _solve(systems, high_degree, V, rows, rhs, ring)
-        if particular is not None:
-            solutions.append(_solution_record(w, V, particular, kernel))
-    verdict = "INFEASIBLE" if not solutions else "FEASIBLE"
-    return ObstructionCertificate(p, [str(w) for w in candidates], systems, solutions, verdict)
+    return certificate
 
 
 def hf2_obstruction_certificate() -> ObstructionCertificate:
@@ -605,39 +621,12 @@ def hf2_obstruction_certificate() -> ObstructionCertificate:
     whose nonzero Sq^1 image is what makes the system inconsistent.
     """
     algebra = FreeAlgebra(REAL, GF(2))
-    ring = algebra.ring
     sq1 = MilnorOp(2, "Sq", 1)
-    sq2 = MilnorOp(2, "Sq", 2)
-
-    systems = []
-    W = algebra.words_of_degree(1)
-    rows = matrix_of(_acting(algebra, sq1), W, algebra.words_of_degree(0))
-    particular, kernel = _solve(systems, 1, W, rows, [ring.one], ring)
-    if particular is None:
-        return ObstructionCertificate(2, [], systems, [], "INFEASIBLE")
-    if kernel:
-        raise ParameterError("degree-1 solve was expected to be unique")
-    w = algebra.element(dict(zip(W, particular)))
-
-    centralizer = centralizer_basis(w, 3)
-    V = algebra.words_of_degree(3)
-    comm_targets = algebra.words_of_degree(4)
-    sq2_targets = algebra.words_of_degree(1)
-    sq1_targets = algebra.words_of_degree(2)
-    rows = (
-        matrix_of(_commuting(w), V, comm_targets)
-        + matrix_of(_acting(algebra, sq2), V, sq2_targets)
-        + matrix_of(_acting(algebra, sq1), V, sq1_targets)
+    zero = algebra.zero()
+    candidates, certificate = _two_stage(
+        sq1, algebra.one(), 3, [(MilnorOp(2, "Sq", 2), lambda w: w), (sq1, lambda w: zero)]
     )
-    rhs = [0] * len(comm_targets) + _column(w, sq2_targets) + [0] * len(sq1_targets)
-    particular, kernel = _solve(systems, 3, V, rows, rhs, ring)
-    solutions = [] if particular is None else [_solution_record(w, V, particular, kernel)]
-    verdict = "INFEASIBLE" if not solutions else "FEASIBLE"
-    return ObstructionCertificate(
-        2,
-        [str(w)],
-        systems,
-        solutions,
-        verdict,
-        centralizers={str(w): [str(b) for b in centralizer]},
-    )
+    certificate.centralizers = {
+        str(w): [str(b) for b in centralizer_basis(w, 3)] for w in candidates
+    }
+    return certificate

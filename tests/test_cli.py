@@ -429,3 +429,99 @@ def test_length_and_index_budgets_accept_their_limits(monkeypatch, capsys):
         ("commutator_filtration", 32),
         ("series_graded_algebra", 4096, 4096),
     ]
+
+
+class _Stub:
+    """What a stubbed computation returns: passing verdicts and no data."""
+
+    ok = match = unit_ok = commutativity_ok = associativity_ok = inverse_ok = True
+    verdict = "NOT-ISOMORPHIC"
+
+    def to_data(self):
+        return {}
+
+    def __str__(self):
+        return "stub"
+
+
+def _limit_cases(limits):
+    """Row of ``limits`` -> (an argv at its limit, an argv above it)."""
+    from math import comb
+
+    builders = {
+        "fgl --degree": lambda n: ("fgl", "--degree", str(n)),
+        "inverse --degree": lambda n: ("inverse", "--degree", str(n)),
+        "verify --degree": lambda n: ("verify", "--degree", str(n)),
+        "commutator --degree": lambda n: ("commutator", "--degree", str(n)),
+        "poincare --degree": lambda n: ("poincare", "--degree", str(n)),
+        "split --degree": lambda n: ("split", "--prime", "2", "--degree", str(n)),
+        "parity --degree": lambda n: ("parity", "--prime", "2", "--degree", str(n)),
+        "rational --degree": lambda n: ("rational", "--degree", str(n)),
+        "expand in 1 variable --degree": lambda n: ("expand", "--assign", "x=-x", "--degree", str(n)),
+        "expand in 2 variables --degree": lambda n: ("expand", "--assign", "x=x+y", "--degree", str(n)),
+        "expand in 3 variables --degree": lambda n: ("expand", "--assign", "x=x+y+w", "--degree", str(n)),
+        "--assign coefficient": lambda n: ("expand", "--assign", f"x=x-{n}*y", "--degree", "3"),
+        "commutator --k": lambda n: ("commutator", "--k", str(n), "--degree", "24"),
+        "verify --samples": lambda n: ("verify", "--degree", "3", "--samples", str(n)),
+        "--word letters": lambda n: ("commutator", "--word", _letters(1, n)),
+        "--poly entries": lambda n: ("poincare", "--poly", _letters(2, n)),
+        "--ext entries": lambda n: ("poincare", "--ext", _letters(2, n)),
+        "--gen index": lambda n: ("steenrod", "--prime", "3", "--op", "P1", "--gen", f"t{n}"),
+        "--op index": lambda n: ("steenrod", "--prime", "3", "--op", f"P{n}", "--gen", "t1"),
+    }
+    cases = {row: (build(limits[row]), build(limits[row] + 1)) for row, build in builders.items()}
+    # P^k on a word of three letters has C(k + 2, 2) possible terms; no k
+    # gives exactly the limit, so the largest k within it and the next one
+    # stand for "at" and "above"
+    k = 0
+    while comb(k + 3, 2) <= limits["action terms"]:
+        k += 1
+    cases["action terms"] = tuple(
+        ("steenrod", "--prime", "3", "--op", f"P{index}", "--word", "1,1,1") for index in (k, k + 1)
+    )
+    return cases
+
+
+def test_every_limit_accepts_its_value_and_refuses_the_next(monkeypatch, capsys):
+    # the computations are stubbed; only the argument checks run
+    import ncfgl.cli
+
+    calls = []
+
+    def stub(name, result):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return result() if callable(result) else result
+        return call
+
+    for name in (
+        "fgl_table", "inverse_table", "verify_axioms", "commutator_filtration", "right_action",
+        "series_free_assoc", "series_graded_algebra", "splitting_multiplicities",
+        "parity_check_ku", "rational_mu_series_check",
+    ):
+        monkeypatch.setattr(ncfgl.cli, name, stub(name, _Stub))
+    monkeypatch.setattr(ncfgl.cli, "filtration_property_run", stub("filtration", (True, [])))
+    monkeypatch.setattr(ncfgl.cli, "left_expand", stub("left_expand", dict))
+
+    cases = _limit_cases(ncfgl.cli.LIMITS)
+    assert set(cases) == set(ncfgl.cli.LIMITS)
+    for row, limit in ncfgl.cli.LIMITS.items():
+        at, above = cases[row]
+        calls.clear()
+        code, _, err = invoke(capsys, *at)
+        assert (code, err) == (0, ""), row
+        assert calls, row
+        calls.clear()
+        err = assert_usage_error(capsys, *above)
+        assert not calls, row
+        assert len(err.splitlines()) == 1, row
+        assert err.startswith(f"error: {row} ") and err.endswith(
+            f" is above the budget of {limit}\n"
+        ), (row, err)
+
+
+def test_primes_beyond_the_exact_range_are_usage_errors(capsys):
+    for prime in ("318665857834031151167461", "3317044064679887385961981", "1" + "0" * 3999 + "7"):
+        assert_usage_error(capsys, "fgl", "--mode", "fp", "--prime", prime, "--degree", "3")
+        assert_usage_error(capsys, "steenrod", "--prime", prime, "--op", "P1", "--gen", "t1")
+        assert_usage_error(capsys, "split", "--prime", prime)

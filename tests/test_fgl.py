@@ -431,3 +431,23 @@ def test_filtration_run_refuses_an_empty_exponent_range(A):
     for order, max_k in ((2, 4), (6, 0)):
         with pytest.raises(ParameterError):
             filtration_property_run(order=order, samples=1, algebra=A, max_k=max_k)
+
+
+def test_verify_axioms_refuses_a_foreign_table_before_any_series(monkeypatch):
+    import ncfgl.fgl
+    from ncfgl import ModeMismatchError
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("a refused table must not start the checks")
+
+    small, large = fgl_table(5), fgl_table(7)
+    rational = fgl_table(5, FreeAlgebra(COMPLEX, QQ))
+    monkeypatch.setattr(ncfgl.fgl, "orientation_series", no_series)
+    with pytest.raises(ParameterError, match="order 7, not 5"):
+        verify_axioms(5, table=large)
+    with pytest.raises(ParameterError, match="order 5, not 7"):
+        verify_axioms(7, table=small)
+    with pytest.raises(ModeMismatchError):
+        verify_axioms(5, FreeAlgebra(COMPLEX, GF(3)), table=small)
+    with pytest.raises(ModeMismatchError):
+        verify_axioms(5, table=rational)

@@ -55,3 +55,32 @@ def test_render_parse_round_trip():
     for ring, value in ((ZZ, -12), (QQ, Fraction(3, 7)), (GF(5), 3)):
         v = ring.coerce(value)
         assert ring.parse(ring.render(v)) == v
+
+
+# psi_12 and psi_13: the least strong pseudoprimes to the prime bases up to
+# 37 and up to 41 (Sorenson and Webster 2017)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_finds_the_least_strong_pseudoprime_to_twelve_bases():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    with pytest.raises(ParameterError):
+        GF(PSI_12)
+
+
+def test_is_prime_keeps_the_primes_it_was_sized_at():
+    assert is_prime(3 * 10 ** 24 + 7)
+    assert is_prime(2 ** 61 - 1)
+
+
+def test_is_prime_refuses_beyond_its_proven_range_at_once():
+    import time
+
+    assert PSI_13 == 1287836182261 * 2575672364521
+    for n in (PSI_13, 10 ** 3999 + 7):
+        begin = time.perf_counter()
+        with pytest.raises(ParameterError, match=str(PSI_13)):
+            is_prime(n)
+        assert time.perf_counter() - begin < 0.1

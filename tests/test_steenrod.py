@@ -418,3 +418,20 @@ def test_conjugate_generator_digests(p, top, digest):
         zeta = conjugate_generator(p, n)
         h.update((json.dumps(zeta.to_data()) + str(zeta)).encode())
     assert h.hexdigest() == digest
+
+
+# sha256 of json.dumps(to_data(), indent=2) + str of each certificate, as the
+# two hand-written certificate procedures gave them before they were merged
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (lambda: bp_obstruction_certificate(3),
+         "5a3aa6b4cb36a602cc73d353718fe105156c5e498d9f38142cacb40ad8a48b97"),
+        (hf2_obstruction_certificate,
+         "025b3d70dd34b42efbd74d866202d4584c3d39aadcce373fc69a45f002c0a686"),
+    ],
+)
+def test_certificate_digests(build, digest):
+    certificate = build()
+    data = json.dumps(certificate.to_data(), indent=2) + str(certificate)
+    assert hashlib.sha256(data.encode()).hexdigest() == digest
