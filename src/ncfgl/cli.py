@@ -14,44 +14,20 @@ need two arguments and are checked by their handlers: ``expand``'s degree by
 the number of variables of ``--assign``, and ``steenrod --word``'s possible
 action terms.  ``certificate bp`` primes are bounded by the library's dense
 word budget, and every ``--prime`` by the range where primality is exact.
+
+Only :mod:`ncfgl.errors` is imported with this module; each handler imports
+its own layer, so that a call loads only what its subcommand needs, and an
+argument refused by argparse loads no layer at all.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from math import comb
 
 from .errors import ConsistencyError, ParameterError, ToolkitError
-from .fgl import (
-    commutator_filtration,
-    fgl_table,
-    filtration_property_run,
-    inverse_table,
-    orientation_series,
-    verify_axioms,
-)
-from .freealg import COMPLEX, REAL, FreeAlgebra
-from .gradebook import (
-    parity_check_ku,
-    profile_degrees,
-    rational_mu_series_check,
-    series_free_assoc,
-    series_graded_algebra,
-    splitting_multiplicities,
-)
-from .scalars import GF, QQ, ZZ
-from .series import VarSet, left_expand
-from .steenrod import (
-    MilnorOp,
-    bp_homology,
-    bp_obstruction_certificate,
-    dual_steenrod,
-    hf2_obstruction_certificate,
-    right_action,
-)
 
 _OP_RE = re.compile(r"(P|Sq)\^?(\d+)")
 _GEN_RE = re.compile(r"(t|xi)(\d+)")
@@ -204,8 +180,16 @@ def _add_common(parser, command: str, degree_default: int = 6):
     parser.add_argument("--out", default=None, help="write output to a file")
 
 
-def _algebra(args) -> FreeAlgebra:
-    profile = COMPLEX if args.profile == "complex" else REAL
+def _profile(args):
+    from .freealg import COMPLEX, REAL
+
+    return COMPLEX if args.profile == "complex" else REAL
+
+
+def _algebra(args):
+    from .freealg import FreeAlgebra
+    from .scalars import GF, QQ, ZZ
+
     if args.mode == "int":
         ring = ZZ
     elif args.mode == "rat":
@@ -214,11 +198,13 @@ def _algebra(args) -> FreeAlgebra:
         if args.prime is None:
             raise ParameterError("--mode fp needs --prime")
         ring = GF(args.prime)
-    return FreeAlgebra(profile, ring)
+    return FreeAlgebra(_profile(args), ring)
 
 
 def _emit(args, payload, text) -> None:
     if args.format == "json":
+        import json
+
         body = json.dumps(payload, indent=2) + "\n"
     else:
         body = text + "\n"
@@ -233,18 +219,24 @@ def _emit(args, payload, text) -> None:
 
 
 def cmd_fgl(args) -> int:
+    from .fgl import fgl_table
+
     table = fgl_table(args.degree, _algebra(args))
     _emit(args, table.to_data(), str(table))
     return 0
 
 
 def cmd_inverse(args) -> int:
+    from .fgl import inverse_table
+
     table = inverse_table(args.degree, _algebra(args))
     _emit(args, table.to_data(), str(table))
     return 0
 
 
 def cmd_commutator(args) -> int:
+    from .fgl import commutator_filtration
+
     u = _algebra(args).monomial(args.word)
     result = commutator_filtration(u, args.k, args.degree)
     _emit(args, result.to_data(), str(result))
@@ -252,6 +244,9 @@ def cmd_commutator(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from .fgl import orientation_series
+    from .series import VarSet, left_expand
+
     algebra = _algebra(args)
     source, form = args.assign
     vardeg = algebra.profile.variable_degree
@@ -281,19 +276,21 @@ def cmd_expand(args) -> int:
 
 
 def cmd_steenrod(args) -> int:
+    from .steenrod import MilnorOp, bp_homology, dual_steenrod, right_action
+
     prime = args.prime if args.prime is not None else 2
     op = MilnorOp(prime, *args.op)
     if args.gen:
         family, index = args.gen
         algebra = bp_homology(prime) if family == "t" else dual_steenrod(prime)
         element = algebra.gen(index)
-    elif args.word:
+    else:
+        from .freealg import FreeAlgebra
+        from .scalars import GF
+
         word = args.word
         _limit("action terms", comb(op.index + len(word) - 1, len(word) - 1))
-        profile = COMPLEX if args.profile == "complex" else REAL
-        element = FreeAlgebra(profile, GF(prime)).monomial(word)
-    else:
-        raise ParameterError("steenrod needs --gen or --word")
+        element = FreeAlgebra(_profile(args), GF(prime)).monomial(word)
     result = right_action(element, op)
     payload = {
         "prime": prime,
@@ -309,21 +306,26 @@ def cmd_certificate(args) -> int:
     if args.which == "bp":
         if args.prime is None:
             raise ParameterError("certificate bp needs --prime")
+        from .steenrod import bp_obstruction_certificate
+
         certificate = bp_obstruction_certificate(args.prime)
     else:
+        from .steenrod import hf2_obstruction_certificate
+
         certificate = hf2_obstruction_certificate()
     _emit(args, certificate.to_data(), str(certificate))
     return 0 if certificate.infeasible else 1
 
 
 def cmd_poincare(args) -> int:
+    from .gradebook import profile_degrees, series_free_assoc, series_graded_algebra
+
     if args.poly or args.ext:
         poly, ext = args.poly or [], args.ext or []
         series = series_graded_algebra(poly, ext, args.degree)
         label = f"graded algebra series, poly {poly}, exterior {ext}"
     else:
-        profile = COMPLEX if args.profile == "complex" else REAL
-        series = series_free_assoc(profile_degrees(profile, args.degree), args.degree)
+        series = series_free_assoc(profile_degrees(_profile(args), args.degree), args.degree)
         label = f"free associative series on the {args.profile} profile"
     _emit(args, series.to_data(), f"{label}, order {args.degree}\n{series}")
     return 0
@@ -332,6 +334,8 @@ def cmd_poincare(args) -> int:
 def cmd_split(args) -> int:
     if args.prime is None:
         raise ParameterError("split needs --prime")
+    from .gradebook import splitting_multiplicities
+
     try:
         series = splitting_multiplicities(args.prime, args.degree)
     except ConsistencyError as exc:
@@ -344,18 +348,24 @@ def cmd_split(args) -> int:
 def cmd_parity(args) -> int:
     if args.prime is None:
         raise ParameterError("parity needs --prime")
+    from .gradebook import parity_check_ku
+
     report = parity_check_ku(args.prime, args.degree)
     _emit(args, report.to_data(), str(report))
     return 0 if report.verdict == "NOT-ISOMORPHIC" else 1
 
 
 def cmd_rational(args) -> int:
+    from .gradebook import rational_mu_series_check
+
     report = rational_mu_series_check(args.degree)
     _emit(args, report.to_data(), str(report))
     return 0 if report.match else 1
 
 
 def cmd_verify(args) -> int:
+    from .fgl import filtration_property_run, verify_axioms
+
     algebra = _algebra(args)
     report = verify_axioms(args.degree, algebra)
     filtration_order = max(args.degree, 4)
@@ -416,9 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("steenrod", cmd_steenrod, "right Steenrod action on a generator or word")
     p.add_argument("--op", type=_indexed(_OP_RE, "--op", "operation", "P1 or Sq2"),
                    required=True, help="operation, e.g. P1 or Sq2")
-    p.add_argument("--gen", type=_indexed(_GEN_RE, "--gen", "generator", "t2, xi1"),
-                   default=None, help="polynomial generator, e.g. t2 or xi1")
-    p.add_argument("--word", type=_word, default=None, help="free-algebra word, e.g. 1,1")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--gen", type=_indexed(_GEN_RE, "--gen", "generator", "t2, xi1"),
+                        help="polynomial generator, e.g. t2 or xi1")
+    source.add_argument("--word", type=_word, help="free-algebra word, e.g. 1,1")
 
     p = command("certificate", cmd_certificate, "finite obstruction certificates")
     p.add_argument("which", choices=("bp", "hf2"))

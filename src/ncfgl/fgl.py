@@ -20,7 +20,6 @@ x -> -x of central variables, which is what the axiom checks below exploit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 import random
 
 from .errors import (
@@ -30,6 +29,7 @@ from .errors import (
     UnsupportedInputError,
 )
 from .freealg import FreeAlgebra, FreeElement, random_homogeneous
+from .record import Record
 from .series import CentralSeries, VarSet, left_combination, left_expand
 
 
@@ -192,16 +192,13 @@ def inverse_table(order: int, algebra: FreeAlgebra | None = None) -> InverseTabl
     )
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(Record):
     """Outcome of the four formal group law checks at one truncation order."""
 
-    order: int
-    unit_ok: bool
-    commutativity_ok: bool
-    associativity_ok: bool
-    inverse_ok: bool
-    failures: dict = field(default_factory=dict)
+    __slots__ = (
+        "order", "unit_ok", "commutativity_ok", "associativity_ok", "inverse_ok", "failures"
+    )
+    _defaults = {"failures": dict}
 
     @property
     def all_ok(self) -> bool:
@@ -365,15 +362,10 @@ def verify_axioms(
     )
 
 
-@dataclass
-class FiltrationResult:
+class FiltrationResult(Record):
     """u z^k - z^k u together with its x-adic valuation."""
 
-    k: int
-    order: int
-    series: CentralSeries
-    valuation: int | None
-    required: int
+    __slots__ = ("k", "order", "series", "valuation", "required")
 
     @property
     def ok(self) -> bool:

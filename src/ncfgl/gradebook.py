@@ -10,10 +10,9 @@ polynomial-algebra comparison with partition counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConsistencyError, DivisionError, ParameterError
 from .freealg import GradingProfile
+from .record import Record
 from .scalars import is_prime
 
 
@@ -223,17 +222,12 @@ def _ku_series(p: int, order: int) -> PoincareSeries:
     return total
 
 
-@dataclass
-class ParityReport:
+class ParityReport(Record):
     """Comparison of the shifted K-homology series against the even model."""
 
-    prime: int
-    order: int
-    ku_dims: PoincareSeries
-    cp_dims: PoincareSeries
-    least_odd_degree: int | None
-    cp_even_only: bool
-    verdict: str
+    __slots__ = (
+        "prime", "order", "ku_dims", "cp_dims", "least_odd_degree", "cp_even_only", "verdict"
+    )
 
     def to_data(self):
         return {
@@ -299,14 +293,10 @@ def _partition_counts(order: int):
     return counts
 
 
-@dataclass
-class RationalComparisonReport:
+class RationalComparisonReport(Record):
     """Polynomial algebra on degrees 2, 4, 6, ... versus partition counts."""
 
-    order: int
-    constructed: PoincareSeries
-    partition_model: PoincareSeries
-    match: bool
+    __slots__ = ("order", "constructed", "partition_model", "match")
 
     def to_data(self):
         return {

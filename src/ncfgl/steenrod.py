@@ -15,7 +15,6 @@ exterior generators at odd primes are never needed by the computations here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as _iproduct
 from math import comb
 
@@ -37,6 +36,7 @@ from .freealg import (
 )
 from .lincomb import LinearCombination, SparseAlgebra
 from .linalg import affine_solve
+from .record import Record
 from .scalars import GF, is_prime
 
 
@@ -56,15 +56,13 @@ def lucas_binomial(m: int, k: int, p: int) -> int:
     return result % p
 
 
-@dataclass(frozen=True)
-class MilnorOp:
-    """P^k at an odd prime, or Sq^k at p = 2; index 0 is the identity."""
+class MilnorOp(Record):
+    """P^k at an odd prime, or Sq^k at p = 2; index 0 is the identity; immutable."""
 
-    prime: int
-    kind: str
-    index: int
+    __slots__ = ("prime", "kind", "index")
 
-    def __post_init__(self):
+    def __init__(self, prime: int, kind: str, index: int):
+        super().__init__(prime, kind, index)
         if not is_prime(self.prime):
             raise ParameterError(f"{self.prime} is not prime")
         if self.kind == "P":
@@ -77,6 +75,15 @@ class MilnorOp:
             raise ParameterError(f"unknown operation kind {self.kind!r}")
         if self.index < 0:
             raise ParameterError("operation index must be nonnegative")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MilnorOp is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"MilnorOp is immutable; cannot delete {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
 
     @property
     def degree(self) -> int:
@@ -213,14 +220,36 @@ _CHI_CACHE: dict = {}
 
 
 def _multiplicative(a: CommElement, target: SparseAlgebra, image) -> LinearCombination:
-    """The algebra map into ``target`` sending generator i to image(i), at ``a``."""
+    """The algebra map into ``target`` sending generator i to image(i), at ``a``.
+
+    Both algebras are commutative over F_p, so for e = p^j r the power
+    image(i)^e is image(i)^r followed by the Frobenius p^j on its keys.
+    """
+    p = a.algebra.ring.prime
     out = target.zero()
     for mono, coeff in a.terms():
         term = target.one()
         for i, e in mono:
-            term = term * image(i) ** e
+            q = 1
+            while e % p == 0:
+                e //= p
+                q *= p
+            term = term * _frobenius(image(i) ** e, q)
         out = out + term.scale(coeff)
     return out
+
+
+def _frobenius(x: LinearCombination, q: int) -> LinearCombination:
+    """x ** q for q a power of p, as :func:`frobenius` on either tensor factor."""
+    if q == 1:
+        return x
+    if not isinstance(x.algebra, TensorAlgebra):
+        return frobenius(x, q)
+
+    def scale(mono):
+        return tuple((i, e * q) for i, e in mono)
+
+    return x.algebra._wrap({(scale(lm), scale(rm)): c for (lm, rm), c in x._terms.items()})
 
 
 def _xi_coproduct(p: int, n: int) -> TensorElement:
@@ -448,8 +477,7 @@ def nsym_action(op: MilnorOp, a: FreeElement) -> FreeElement:
 # -- obstruction certificates ----------------------------------------------------------
 
 
-@dataclass
-class ObstructionCertificate:
+class ObstructionCertificate(Record):
     """Finite linear-algebra certificate that a constraint system is empty.
 
     ``verdict`` is INFEASIBLE exactly when ``solutions`` is empty; each entry
@@ -457,12 +485,8 @@ class ObstructionCertificate:
     unknowns, rank of the constraint matrix).
     """
 
-    prime: int
-    candidates: list
-    systems: list
-    solutions: list
-    verdict: str
-    centralizers: dict = field(default_factory=dict)
+    __slots__ = ("prime", "candidates", "systems", "solutions", "verdict", "centralizers")
+    _defaults = {"centralizers": dict}
 
     @property
     def infeasible(self) -> bool:

@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import ncfgl
 from ncfgl.cli import run
 
 
@@ -88,6 +94,16 @@ def test_steenrod_subcommand_word(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["result"] == [{"word": [1, 1], "coeff": "1"}]
+
+
+def test_steenrod_takes_exactly_one_of_gen_and_word(capsys):
+    for argv in (
+        ("steenrod", "--prime", "3", "--op", "P1", "--gen", "t2", "--word", "1,1"),
+        ("steenrod", "--prime", "3", "--op", "P1"),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "--gen" in err and "--word" in err
 
 
 def test_certificate_bp_exit_codes(capsys):
@@ -204,14 +220,16 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
 
 
 def test_degree_budgets_refuse_before_any_work(monkeypatch, capsys):
-    import ncfgl.cli
+    import ncfgl.fgl
+    import ncfgl.series
     import ncfgl.steenrod
 
     def no_work(*args, **kwargs):
         raise AssertionError("a refused input must not start its computation")
 
-    for name in ("fgl_table", "inverse_table", "verify_axioms", "left_expand"):
-        monkeypatch.setattr(ncfgl.cli, name, no_work)
+    for name in ("fgl_table", "inverse_table", "verify_axioms"):
+        monkeypatch.setattr(ncfgl.fgl, name, no_work)
+    monkeypatch.setattr(ncfgl.series, "left_expand", no_work)
     monkeypatch.setattr(ncfgl.steenrod, "FreeAlgebra", no_work)
     for argv in (
         ("fgl", "--degree", "17"),
@@ -227,10 +245,36 @@ def test_degree_budgets_refuse_before_any_work(monkeypatch, capsys):
         assert_usage_error(capsys, *argv)
 
 
+_running = []  # the stand-ins of patch_for_handlers in progress
+
+
+def patch_for_handlers(monkeypatch, module, name, stand_in):
+    """Patch ``module.name`` with ``stand_in`` for the calls a handler makes.
+
+    Handlers import their layer's functions when they run, so the patch sits
+    on the layer module.  That module's own functions call one another
+    through the same names, so a call made while a stand-in runs goes to the
+    original function.
+    """
+    original = getattr(module, name)
+
+    def call(*args, **kwargs):
+        if _running:
+            return original(*args, **kwargs)
+        _running.append(name)
+        try:
+            return stand_in(*args, **kwargs)
+        finally:
+            _running.pop()
+
+    monkeypatch.setattr(module, name, call)
+
+
 def test_degree_budgets_accept_their_limits(monkeypatch, capsys):
     # the computations are replaced by cheap ones of order 3; only the
     # argument checks run at the limits
-    import ncfgl.cli
+    import ncfgl.fgl
+    import ncfgl.series
     from ncfgl import fgl_table, inverse_table, verify_axioms
 
     seen = []
@@ -245,11 +289,11 @@ def test_degree_budgets_accept_their_limits(monkeypatch, capsys):
         seen.append(target.order)
         return {}
 
-    monkeypatch.setattr(ncfgl.cli, "fgl_table", small(fgl_table))
-    monkeypatch.setattr(ncfgl.cli, "inverse_table", small(inverse_table))
-    monkeypatch.setattr(ncfgl.cli, "verify_axioms", small(verify_axioms))
-    monkeypatch.setattr(ncfgl.cli, "left_expand", small_expand)
-    monkeypatch.setattr(ncfgl.cli, "filtration_property_run", lambda **kwargs: (True, []))
+    patch_for_handlers(monkeypatch, ncfgl.fgl, "fgl_table", small(fgl_table))
+    patch_for_handlers(monkeypatch, ncfgl.fgl, "inverse_table", small(inverse_table))
+    patch_for_handlers(monkeypatch, ncfgl.fgl, "verify_axioms", small(verify_axioms))
+    monkeypatch.setattr(ncfgl.series, "left_expand", small_expand)
+    monkeypatch.setattr(ncfgl.fgl, "filtration_property_run", lambda **kwargs: (True, []))
     for argv in (
         ("fgl", "--degree", "16"),
         ("inverse", "--degree", "20"),
@@ -264,22 +308,22 @@ def test_degree_budgets_accept_their_limits(monkeypatch, capsys):
 
 
 def test_series_commutator_and_sample_budgets_refuse_before_any_work(monkeypatch, capsys):
-    import ncfgl.cli
+    import ncfgl.fgl
+    import ncfgl.gradebook
 
     def no_work(*args, **kwargs):
         raise AssertionError("a refused input must not start its computation")
 
+    for name in ("commutator_filtration", "verify_axioms", "filtration_property_run"):
+        monkeypatch.setattr(ncfgl.fgl, name, no_work)
     for name in (
-        "commutator_filtration",
         "series_free_assoc",
         "series_graded_algebra",
         "splitting_multiplicities",
         "parity_check_ku",
         "rational_mu_series_check",
-        "verify_axioms",
-        "filtration_property_run",
     ):
-        monkeypatch.setattr(ncfgl.cli, name, no_work)
+        monkeypatch.setattr(ncfgl.gradebook, name, no_work)
     for argv in (
         ("commutator", "--degree", "25"),
         ("commutator", "--k", "23", "--degree", "24"),
@@ -296,7 +340,9 @@ def test_series_commutator_and_sample_budgets_refuse_before_any_work(monkeypatch
 def test_series_commutator_and_sample_budgets_accept_their_limits(monkeypatch, capsys):
     # the computations are replaced by cheap ones; only the argument checks
     # run at the limits
-    import ncfgl.cli
+    import ncfgl.fgl
+    import ncfgl.freealg
+    import ncfgl.gradebook
     from ncfgl import (
         commutator_filtration,
         parity_check_ku,
@@ -318,16 +364,19 @@ def test_series_commutator_and_sample_budgets_accept_their_limits(monkeypatch, c
         seen.append(("filtration_property_run", kwargs["samples"]))
         return True, []
 
-    monkeypatch.setattr(
-        ncfgl.cli, "commutator_filtration",
-        small(commutator_filtration, ncfgl.cli.FreeAlgebra().gen(1), 1, 3),
+    patch_for_handlers(
+        monkeypatch, ncfgl.fgl, "commutator_filtration",
+        small(commutator_filtration, ncfgl.freealg.FreeAlgebra().gen(1), 1, 3),
     )
-    monkeypatch.setattr(ncfgl.cli, "series_free_assoc", small(series_free_assoc, [2], 3))
-    monkeypatch.setattr(ncfgl.cli, "series_graded_algebra", small(series_graded_algebra, [2], [], 3))
-    monkeypatch.setattr(ncfgl.cli, "splitting_multiplicities", small(splitting_multiplicities, 2, 3))
-    monkeypatch.setattr(ncfgl.cli, "parity_check_ku", small(parity_check_ku, 2, 3))
-    monkeypatch.setattr(ncfgl.cli, "rational_mu_series_check", small(rational_mu_series_check, 3))
-    monkeypatch.setattr(ncfgl.cli, "filtration_property_run", small_run)
+    for function, *cheap in (
+        (series_free_assoc, [2], 3),
+        (series_graded_algebra, [2], [], 3),
+        (splitting_multiplicities, 2, 3),
+        (parity_check_ku, 2, 3),
+        (rational_mu_series_check, 3),
+    ):
+        patch_for_handlers(monkeypatch, ncfgl.gradebook, function.__name__, small(function, *cheap))
+    monkeypatch.setattr(ncfgl.fgl, "filtration_property_run", small_run)
     for argv in (
         ("commutator", "--k", "22", "--degree", "24"),
         ("poincare", "--degree", "4000"),
@@ -363,13 +412,16 @@ def _letters(letter, count):
 
 
 def test_length_and_index_budgets_refuse_before_any_work(monkeypatch, capsys):
-    import ncfgl.cli
+    import ncfgl.fgl
+    import ncfgl.gradebook
+    import ncfgl.steenrod
 
     def no_work(*args, **kwargs):
         raise AssertionError("a refused input must not start its computation")
 
-    for name in ("right_action", "commutator_filtration", "series_graded_algebra"):
-        monkeypatch.setattr(ncfgl.cli, name, no_work)
+    monkeypatch.setattr(ncfgl.steenrod, "right_action", no_work)
+    monkeypatch.setattr(ncfgl.fgl, "commutator_filtration", no_work)
+    monkeypatch.setattr(ncfgl.gradebook, "series_graded_algebra", no_work)
     for argv in (
         ("steenrod", "--prime", "3", "--op", "P1", "--gen", "t18"),
         ("steenrod", "--prime", "3", "--op", "P1", "--gen", "xi18"),
@@ -389,7 +441,9 @@ def test_length_and_index_budgets_refuse_before_any_work(monkeypatch, capsys):
 def test_length_and_index_budgets_accept_their_limits(monkeypatch, capsys):
     # the computations are replaced by cheap ones; only the argument checks
     # run at the limits
-    import ncfgl.cli
+    import ncfgl.fgl
+    import ncfgl.gradebook
+    import ncfgl.steenrod
     from ncfgl import commutator_filtration, series_graded_algebra
 
     seen = []
@@ -406,9 +460,9 @@ def test_length_and_index_budgets_accept_their_limits(monkeypatch, capsys):
         seen.append(("series_graded_algebra", len(poly), len(ext)))
         return series_graded_algebra([2], [], 3)
 
-    monkeypatch.setattr(ncfgl.cli, "right_action", cheap_action)
-    monkeypatch.setattr(ncfgl.cli, "commutator_filtration", cheap_commutator)
-    monkeypatch.setattr(ncfgl.cli, "series_graded_algebra", cheap_series)
+    monkeypatch.setattr(ncfgl.steenrod, "right_action", cheap_action)
+    monkeypatch.setattr(ncfgl.fgl, "commutator_filtration", cheap_commutator)
+    monkeypatch.setattr(ncfgl.gradebook, "series_graded_algebra", cheap_series)
     for argv in (
         ("steenrod", "--prime", "3", "--op", "P1", "--gen", "t17"),
         ("steenrod", "--prime", "3", "--op", "P1", "--gen", "xi17"),
@@ -485,6 +539,10 @@ def _limit_cases(limits):
 def test_every_limit_accepts_its_value_and_refuses_the_next(monkeypatch, capsys):
     # the computations are stubbed; only the argument checks run
     import ncfgl.cli
+    import ncfgl.fgl
+    import ncfgl.gradebook
+    import ncfgl.series
+    import ncfgl.steenrod
 
     calls = []
 
@@ -494,14 +552,18 @@ def test_every_limit_accepts_its_value_and_refuses_the_next(monkeypatch, capsys)
             return result() if callable(result) else result
         return call
 
-    for name in (
-        "fgl_table", "inverse_table", "verify_axioms", "commutator_filtration", "right_action",
-        "series_free_assoc", "series_graded_algebra", "splitting_multiplicities",
-        "parity_check_ku", "rational_mu_series_check",
+    for module, names in (
+        (ncfgl.fgl, ("fgl_table", "inverse_table", "verify_axioms", "commutator_filtration")),
+        (ncfgl.steenrod, ("right_action",)),
+        (ncfgl.gradebook, (
+            "series_free_assoc", "series_graded_algebra", "splitting_multiplicities",
+            "parity_check_ku", "rational_mu_series_check",
+        )),
     ):
-        monkeypatch.setattr(ncfgl.cli, name, stub(name, _Stub))
-    monkeypatch.setattr(ncfgl.cli, "filtration_property_run", stub("filtration", (True, [])))
-    monkeypatch.setattr(ncfgl.cli, "left_expand", stub("left_expand", dict))
+        for name in names:
+            monkeypatch.setattr(module, name, stub(name, _Stub))
+    monkeypatch.setattr(ncfgl.fgl, "filtration_property_run", stub("filtration", (True, [])))
+    monkeypatch.setattr(ncfgl.series, "left_expand", stub("left_expand", dict))
 
     cases = _limit_cases(ncfgl.cli.LIMITS)
     assert set(cases) == set(ncfgl.cli.LIMITS)
@@ -525,3 +587,58 @@ def test_primes_beyond_the_exact_range_are_usage_errors(capsys):
         assert_usage_error(capsys, "fgl", "--mode", "fp", "--prime", prime, "--degree", "3")
         assert_usage_error(capsys, "steenrod", "--prime", prime, "--op", "P1", "--gen", "t1")
         assert_usage_error(capsys, "split", "--prime", prime)
+
+
+# -- start-up footprint -----------------------------------------------------------
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(ncfgl.__file__)))
+_GRADEBOOK_ONLY = {"ncfgl.fgl", "ncfgl.series", "ncfgl.steenrod", "ncfgl.commalg"}
+_STEENROD_ONLY = {"ncfgl.fgl", "ncfgl.series", "ncfgl.gradebook"}
+_FGL_ONLY = {"ncfgl.steenrod", "ncfgl.gradebook", "ncfgl.commalg"}
+
+
+def _imports(*args):
+    """(exit code, the modules named by -X importtime) of a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc.returncode, names - {"imported package"}
+
+
+@pytest.fixture(scope="module")
+def bare_start():
+    """What the interpreter imports on its own, to be left out of each count."""
+    return _imports("-c", "pass")[1]
+
+
+@pytest.mark.parametrize(
+    "argv, code, needed, forbidden",
+    [
+        (("parity", "--prime", "2"), 0, "ncfgl.gradebook", _GRADEBOOK_ONLY | {"json"}),
+        (("poincare", "--format", "json"), 0, "ncfgl.gradebook", _GRADEBOOK_ONLY),
+        (("steenrod", "--prime", "3", "--op", "P1", "--gen", "t2"), 0, "ncfgl.steenrod",
+         _STEENROD_ONLY | {"json"}),
+        (("certificate", "hf2"), 0, "ncfgl.steenrod", _STEENROD_ONLY | {"json"}),
+        (("fgl", "--degree", "3"), 0, "ncfgl.fgl", _FGL_ONLY | {"json"}),
+        (("verify", "--degree", "3", "--format", "json"), 0, "ncfgl.fgl", _FGL_ONLY),
+    ],
+)
+def test_each_command_loads_only_its_layer(bare_start, argv, code, needed, forbidden):
+    returncode, loaded = _imports("-m", "ncfgl.cli", *argv)
+    assert returncode == code
+    assert needed in loaded
+    assert not (loaded - bare_start) & (forbidden | {"dataclasses", "inspect"})
+
+
+def test_an_argparse_refusal_loads_no_layer(bare_start):
+    returncode, loaded = _imports("-m", "ncfgl.cli", "poincare", "--poly", "2,,4")
+    assert returncode == 2
+    assert {name for name in loaded if name.startswith("ncfgl")} == {"ncfgl", "ncfgl.errors"}
+    assert not (loaded - bare_start) & {"json", "dataclasses", "inspect"}

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -145,6 +146,50 @@ def test_bp_coaction_t2():
 def test_bp_coaction_multiplicative():
     B = bp_homology(3)
     assert bp_coaction(B.gen(1) ** 2) == bp_coaction(B.gen(1)) ** 2
+
+
+def _cube_repeatedly(x, times):
+    """x ** (3 ** times) by plain products, sharing no code with the Frobenius."""
+    for _ in range(times):
+        x = x * x * x
+    return x
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_bp_coaction_of_a_p_power_is_the_closed_form(j):
+    # psi(t3)^(3^j) = sum_k zeta_k^(3^j) (x) t_(3-k)^(3^(j+k))
+    p = 3
+    B = bp_homology(p)
+    expected = TensorElement.unit(dual_steenrod(p), B).scale(0)
+    for k in range(4):
+        zeta = _cube_repeatedly(conjugate_generator(p, k), j)
+        t_part = B.monomial(((3 - k, p ** (j + k)),)) if k < 3 else B.one()
+        expected = expected + TensorElement.tensor(zeta, t_part)
+    assert bp_coaction(B.gen(3) ** p ** j) == expected
+
+
+def test_bp_coaction_of_t3_to_the_27_is_fast():
+    # plain binary powering took about 7 s for these 8 terms
+    B = bp_homology(3)
+    start = time.perf_counter()
+    psi = bp_coaction(B.gen(3) ** 27)
+    assert time.perf_counter() - start < 0.5
+    assert len(psi) == 8
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_multiplicative_maps_match_binary_powering(p):
+    B = bp_homology(p)
+    A = dual_steenrod(p)
+    t1, t2 = B.gen(1), B.gen(2)
+    for e1, e2 in ((4, 3), (2 * p, p), (p, 1), (p * p, 2)):
+        mono = t1 ** e1 * t2 ** e2
+        assert bp_coaction(mono) == bp_coaction(t1) ** e1 * bp_coaction(t2) ** e2
+    xi1, xi2 = A.gen(1), A.gen(2)
+    for e1, e2 in ((4, 3), (2 * p, p)):
+        mono = xi1 ** e1 * xi2 ** e2
+        assert coproduct(mono) == coproduct(xi1) ** e1 * coproduct(xi2) ** e2
+        assert antipode(mono) == antipode(xi1) ** e1 * antipode(xi2) ** e2
 
 
 def test_bp_coaction_rejects_p2():
