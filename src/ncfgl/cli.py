@@ -13,7 +13,9 @@ errors too, refused before any work: each measured input has one row in
 need two arguments and are checked by their handlers: ``expand``'s degree by
 the number of variables of ``--assign``, and ``steenrod --word``'s possible
 action terms.  ``certificate bp`` primes are bounded by the library's dense
-word budget, and every ``--prime`` by the range where primality is exact.
+word budget, and every ``--prime`` by the range where primality is exact; a
+``--prime`` that the run would never read (a series command without ``--mode
+fp``, ``certificate hf2``, ``poincare``, ``rational``) is refused as well.
 
 Only :mod:`ncfgl.errors` is imported with this module; each handler imports
 its own layer, so that a call loads only what its subcommand needs, and an
@@ -186,10 +188,18 @@ def _profile(args):
     return COMPLEX if args.profile == "complex" else REAL
 
 
+def _refuse_prime(args, reader: str) -> None:
+    """A ParameterError for a --prime that this run would never read."""
+    if args.prime is not None:
+        raise ParameterError(f"--prime is not read by {reader}")
+
+
 def _algebra(args):
     from .freealg import FreeAlgebra
     from .scalars import GF, QQ, ZZ
 
+    if args.mode != "fp":
+        _refuse_prime(args, f"{args.command} without --mode fp")
     if args.mode == "int":
         ring = ZZ
     elif args.mode == "rat":
@@ -201,13 +211,17 @@ def _algebra(args):
     return FreeAlgebra(_profile(args), ring)
 
 
-def _emit(args, payload, text) -> None:
+def _emit(args, data, text) -> None:
+    """Write ``data()`` as JSON or ``text()``, whichever --format selects.
+
+    Both are zero-argument callables, and only the selected one is called.
+    """
     if args.format == "json":
         import json
 
-        body = json.dumps(payload, indent=2) + "\n"
+        body = json.dumps(data(), indent=2) + "\n"
     else:
-        body = text + "\n"
+        body = text() + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -222,7 +236,7 @@ def cmd_fgl(args) -> int:
     from .fgl import fgl_table
 
     table = fgl_table(args.degree, _algebra(args))
-    _emit(args, table.to_data(), str(table))
+    _emit(args, table.to_data, table.__str__)
     return 0
 
 
@@ -230,7 +244,7 @@ def cmd_inverse(args) -> int:
     from .fgl import inverse_table
 
     table = inverse_table(args.degree, _algebra(args))
-    _emit(args, table.to_data(), str(table))
+    _emit(args, table.to_data, table.__str__)
     return 0
 
 
@@ -239,7 +253,7 @@ def cmd_commutator(args) -> int:
 
     u = _algebra(args).monomial(args.word)
     result = commutator_filtration(u, args.k, args.degree)
-    _emit(args, result.to_data(), str(result))
+    _emit(args, result.to_data, result.__str__)
     return 0 if result.ok else 1
 
 
@@ -259,19 +273,24 @@ def cmd_expand(args) -> int:
         for name in target.names
     }
     expansion = left_expand(specialized, basis)
-    ordered = sorted(expansion, key=lambda index: (sum(index), index))
-    payload = {
-        "assignment": {source: form},
-        "order": args.degree,
-        "terms": [
-            {"exponents": list(index), "element": expansion[index].to_data()}
-            for index in ordered
-        ],
-    }
-    lines = [f"expansion of the substituted series, order {args.degree}"]
-    for index in ordered:
-        lines.append(f"A{list(index)} = {expansion[index]}")
-    _emit(args, payload, "\n".join(lines))
+
+    def data():
+        return {
+            "assignment": {source: form},
+            "order": args.degree,
+            "terms": [
+                {"exponents": list(index), "element": element.to_data()}
+                for index, element in expansion.items()
+            ],
+        }
+
+    def text():
+        lines = [f"expansion of the substituted series, order {args.degree}"]
+        for index, element in expansion.items():
+            lines.append(f"A{list(index)} = {element}")
+        return "\n".join(lines)
+
+    _emit(args, data, text)
     return 0
 
 
@@ -292,13 +311,16 @@ def cmd_steenrod(args) -> int:
         _limit("action terms", comb(op.index + len(word) - 1, len(word) - 1))
         element = FreeAlgebra(_profile(args), GF(prime)).monomial(word)
     result = right_action(element, op)
-    payload = {
-        "prime": prime,
-        "op": str(op),
-        "input": str(element),
-        "result": result.to_data(),
-    }
-    _emit(args, payload, f"{op} . ({element}) = {result}")
+
+    def data():
+        return {
+            "prime": prime,
+            "op": str(op),
+            "input": str(element),
+            "result": result.to_data(),
+        }
+
+    _emit(args, data, lambda: f"{op} . ({element}) = {result}")
     return 0
 
 
@@ -310,14 +332,16 @@ def cmd_certificate(args) -> int:
 
         certificate = bp_obstruction_certificate(args.prime)
     else:
+        _refuse_prime(args, "certificate hf2")
         from .steenrod import hf2_obstruction_certificate
 
         certificate = hf2_obstruction_certificate()
-    _emit(args, certificate.to_data(), str(certificate))
+    _emit(args, certificate.to_data, certificate.__str__)
     return 0 if certificate.infeasible else 1
 
 
 def cmd_poincare(args) -> int:
+    _refuse_prime(args, "poincare")
     from .gradebook import profile_degrees, series_free_assoc, series_graded_algebra
 
     if args.poly or args.ext:
@@ -327,7 +351,7 @@ def cmd_poincare(args) -> int:
     else:
         series = series_free_assoc(profile_degrees(_profile(args), args.degree), args.degree)
         label = f"free associative series on the {args.profile} profile"
-    _emit(args, series.to_data(), f"{label}, order {args.degree}\n{series}")
+    _emit(args, series.to_data, lambda: f"{label}, order {args.degree}\n{series}")
     return 0
 
 
@@ -341,7 +365,7 @@ def cmd_split(args) -> int:
     except ConsistencyError as exc:
         print(f"splitting inconsistency: {exc}", file=sys.stderr)
         return 1
-    _emit(args, series.to_data(), f"splitting multiplicities at p = {args.prime}\n{series}")
+    _emit(args, series.to_data, lambda: f"splitting multiplicities at p = {args.prime}\n{series}")
     return 0
 
 
@@ -351,15 +375,16 @@ def cmd_parity(args) -> int:
     from .gradebook import parity_check_ku
 
     report = parity_check_ku(args.prime, args.degree)
-    _emit(args, report.to_data(), str(report))
+    _emit(args, report.to_data, report.__str__)
     return 0 if report.verdict == "NOT-ISOMORPHIC" else 1
 
 
 def cmd_rational(args) -> int:
+    _refuse_prime(args, "rational")
     from .gradebook import rational_mu_series_check
 
     report = rational_mu_series_check(args.degree)
-    _emit(args, report.to_data(), str(report))
+    _emit(args, report.to_data, report.__str__)
     return 0 if report.match else 1
 
 
@@ -383,18 +408,24 @@ def cmd_verify(args) -> int:
         ("inverse", report.inverse_ok),
         ("filtration", filtration_ok),
     ]
-    lines = [f"verification at order {args.degree} (seed {args.seed})"]
-    for name, ok in checks:
-        lines.append(f"{name:>14}: {'PASS' if ok else 'FAIL'}")
-    lines.append(f"filtration samples: {len(results)}")
-    payload = {
-        "order": args.degree,
-        "seed": args.seed,
-        "checks": {name: ok for name, ok in checks},
-        "axioms": report.to_data(),
-        "filtration_samples": len(results),
-    }
-    _emit(args, payload, "\n".join(lines))
+
+    def data():
+        return {
+            "order": args.degree,
+            "seed": args.seed,
+            "checks": {name: ok for name, ok in checks},
+            "axioms": report.to_data(),
+            "filtration_samples": len(results),
+        }
+
+    def text():
+        lines = [f"verification at order {args.degree} (seed {args.seed})"]
+        for name, ok in checks:
+            lines.append(f"{name:>14}: {'PASS' if ok else 'FAIL'}")
+        lines.append(f"filtration samples: {len(results)}")
+        return "\n".join(lines)
+
+    _emit(args, data, text)
     return 0 if all(ok for _, ok in checks) else 1
 
 

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .freealg import FreeAlgebra, FreeElement, random_homogeneous
 from .record import Record
-from .series import CentralSeries, VarSet, left_combination, left_expand
+from .series import CentralSeries, VarSet, _powers, left_combination, left_expand
 
 
 def orientation_series(
@@ -257,11 +257,24 @@ def _fgl_sum(table: FGLTable, zs1, zs2) -> CentralSeries:
     )
 
 
-def _powers(series: CentralSeries, order: int):
-    out = [CentralSeries.unit(series.algebra, series.varset, series.order)]
-    for _ in range(order):
-        out.append(out[-1] * series)
-    return out
+# One row per series check of :func:`verify_axioms`: the check, its variables,
+# the linear form L of the expected series z(L) (the empty form gives the zero
+# series), and two labelled groupings (L1, L2), each compared as
+# sum a_{i,j} z(L1)^i z(L2)^j against the expected series.
+_AXIOM_ROWS = (
+    ("commutativity", ("x", "y"), {"x": 1, "y": 1}, (
+        ("F(x, y)", ({"x": 1}, {"y": 1})),
+        ("F(y, x)", ({"y": 1}, {"x": 1})),
+    )),
+    ("associativity", ("x", "y", "w"), {"x": 1, "y": 1, "w": 1}, (
+        ("grouping (x+y)+w", ({"x": 1, "y": 1}, {"w": 1})),
+        ("grouping x+(y+w)", ({"x": 1}, {"y": 1, "w": 1})),
+    )),
+    ("inverse", ("x",), {}, (
+        ("F(x, xbar)", ({"x": 1}, {"x": -1})),
+        ("F(xbar, x)", ({"x": -1}, {"x": 1})),
+    )),
+)
 
 
 def verify_axioms(
@@ -278,10 +291,12 @@ def verify_axioms(
     5 on; see :class:`FGLTable`.)  Associativity is checked in the
     three-variable series ring with the two groupings realized by the central
     substitutions x -> x + y and y -> y + w; the inverse identity is checked
-    with the negated orientation series in both orders.  Failures are
-    reported with the first offending monomial, never raised.  A given
-    ``table`` of another order is refused with ParameterError, one over
-    another algebra with ModeMismatchError, before any series is built.
+    with the negated orientation series in both orders.  These three checks
+    are the rows of ``_AXIOM_ROWS``; every series in them is z(x) after one
+    central substitution, and each power list is built once per row.
+    Failures are reported with the first offending monomial, never raised.
+    A given ``table`` of another order is refused with ParameterError, one
+    over another algebra with ModeMismatchError, before any series is built.
     """
     if order < 2:
         raise ParameterError("axiom verification needs order >= 2")
@@ -296,69 +311,34 @@ def verify_axioms(
     one = algebra.one()
     zero = algebra.zero()
     failures = {}
-
-    unit_ok = True
+    ok = {"unit": True}
     for i in range(order + 1):
         expected = one if i == 1 else zero
         for key in ((i, 0), (0, i)):
             if table.entry(*key) != expected:
-                unit_ok = False
+                ok["unit"] = False
                 failures.setdefault("unit", f"a[{key[0]},{key[1]}] = {table.entry(*key)}")
 
     vardeg = algebra.profile.variable_degree
-    pair = VarSet(("x", "y"), vardeg)
-    z2_x = orientation_series(order, algebra, pair, "x")
-    z2_y = orientation_series(order, algebra, pair, "y")
-    z2_sum = z2_x.specialize({"x": {"x": 1, "y": 1}})
-    pow2_x = _powers(z2_x, order)
-    pow2_y = _powers(z2_y, order)
-    commutativity_ok = True
-    for label, total in (
-        ("F(x, y)", _fgl_sum(table, pow2_x, pow2_y)),
-        ("F(y, x)", _fgl_sum(table, pow2_y, pow2_x)),
-    ):
-        detail = _first_difference(total, z2_sum)
-        if detail is not None:
-            commutativity_ok = False
-            failures.setdefault("commutativity", f"{label}: {detail}")
-    triple = VarSet(("x", "y", "w"), vardeg)
-    z_x = orientation_series(order, algebra, triple, "x")
-    z_w = orientation_series(order, algebra, triple, "w")
-    z_xy = z_x.specialize({"x": {"x": 1, "y": 1}})
-    z_yw = z_x.specialize({"x": {"y": 1, "w": 1}})
-    z_xyw = z_x.specialize({"x": {"x": 1, "y": 1, "w": 1}})
-    pow_x = _powers(z_x, order)
-    pow_w = _powers(z_w, order)
-    pow_xy = _powers(z_xy, order)
-    pow_yw = _powers(z_yw, order)
-    associativity_ok = True
-    for label, left_sum in (
-        ("(x+y)+w", _fgl_sum(table, pow_xy, pow_w)),
-        ("x+(y+w)", _fgl_sum(table, pow_x, pow_yw)),
-    ):
-        detail = _first_difference(left_sum, z_xyw)
-        if detail is not None:
-            associativity_ok = False
-            failures.setdefault("associativity", f"grouping {label}: {detail}")
-
-    single = VarSet(("x",), vardeg)
-    z = orientation_series(order, algebra, single)
-    zbar = z.specialize({"x": {"x": -1}})
-    pow_z = _powers(z, order)
-    pow_zbar = _powers(zbar, order)
-    zero_series = CentralSeries.zero(algebra, single, order)
-    inverse_ok = True
-    for label, total in (
-        ("F(x, xbar)", _fgl_sum(table, pow_z, pow_zbar)),
-        ("F(xbar, x)", _fgl_sum(table, pow_zbar, pow_z)),
-    ):
-        detail = _first_difference(total, zero_series)
-        if detail is not None:
-            inverse_ok = False
-            failures.setdefault("inverse", f"{label}: {detail}")
+    for name, variables, expected_form, groupings in _AXIOM_ROWS:
+        z = orientation_series(order, algebra, VarSet(variables, vardeg))
+        expected = z.specialize({"x": expected_form})
+        powers = {}
+        ok[name] = True
+        for label, forms in groupings:
+            pair = []
+            for form in forms:
+                key = tuple(form.items())
+                if key not in powers:
+                    powers[key] = _powers(z.specialize({"x": form}), order)
+                pair.append(powers[key])
+            detail = _first_difference(_fgl_sum(table, *pair), expected)
+            if detail is not None:
+                ok[name] = False
+                failures.setdefault(name, f"{label}: {detail}")
 
     return AxiomReport(
-        order, unit_ok, commutativity_ok, associativity_ok, inverse_ok, failures
+        order, ok["unit"], ok["commutativity"], ok["associativity"], ok["inverse"], failures
     )
 
 

@@ -11,7 +11,6 @@ polynomial-algebra comparison with partition counts.
 from __future__ import annotations
 
 from .errors import ConsistencyError, DivisionError, ParameterError
-from .freealg import GradingProfile
 from .record import Record
 from .scalars import is_prime
 
@@ -155,7 +154,7 @@ def series_divide(num: PoincareSeries, den: PoincareSeries, order: int | None = 
     return PoincareSeries(order, q)
 
 
-def profile_degrees(profile: GradingProfile, order: int):
+def profile_degrees(profile, order: int):
     """Generator degrees of a grading profile, listed up to the order."""
     return [profile.degree_of(i) for i in profile.generators_of_degree_at_most(order)]
 
@@ -173,15 +172,14 @@ def bp_degrees(p: int, order: int):
 def splitting_multiplicities(p: int, order: int) -> PoincareSeries:
     """Multiplicity of the degree-2d wedge summand in the p-local splitting.
 
-    Divides the complex-profile free-algebra series by the series of
-    F_p[t_1, t_2, ...]; the quotient must consist of nonnegative integers for
-    the splitting to be consistent, and that is checked here.
+    Divides the complex-profile free-algebra series (generators in degrees
+    2, 4, 6, ...) by the series of F_p[t_1, t_2, ...]; the quotient must
+    consist of nonnegative integers for the splitting to be consistent, and
+    that is checked here.
     """
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
-    from .freealg import COMPLEX
-
-    num = series_free_assoc(profile_degrees(COMPLEX, order), order)
+    num = series_free_assoc(range(2, order + 1, 2), order)
     den = series_graded_algebra(bp_degrees(p, order), (), order)
     quotient = series_divide(num, den, order)
     for n, c in enumerate(quotient.dims):

@@ -336,71 +336,45 @@ class CentralSeries:
         ``assignment`` maps a variable name to ``{target_name: int}``.  Variables
         without an entry are carried along unchanged (they must exist in the
         target variable set).  This is a ring homomorphism: it touches only the
-        central variables and leaves coefficient order alone.
+        central variables and leaves coefficient order alone.  The image of each
+        monomial x^I is kept in one memo, built as the image of x^(I - e_v) times
+        the form of v; a linear form keeps the total exponent, so no image
+        leaves the truncation order.
         """
         if target is None:
             target = self.varset
         forms = []
         for name in self.varset.names:
             if name in assignment:
-                form = assignment[name]
-                for tname, c in form.items():
-                    target.index(tname)
+                form = []
+                for tname, c in assignment[name].items():
+                    j = target.index(tname)
                     if not isinstance(c, int):
                         raise ParameterError("substitutions must have integer coefficients")
-                vector = [form.get(t, 0) for t in target.names]
+                    if c:
+                        form.append((j, c))
+                forms.append(form)
             else:
-                vector = [0] * len(target)
-                vector[target.index(name)] = 1
-            forms.append(tuple(vector))
-        width = len(target)
-        order = self.order
-        power_cache: dict = {}
+                forms.append([(target.index(name), 1)])
+        images = {(0,) * len(self.varset): {(0,) * len(target): 1}}
 
-        def form_power(fi: int, e: int) -> dict:
-            # (sum_j c_j t_j)^e as {multi-index: int}, truncated at the order
-            key = (fi, e)
-            cached = power_cache.get(key)
-            if cached is not None:
-                return cached
-            if e == 0:
-                result = {(0,) * width: 1}
-            else:
-                prev = form_power(fi, e - 1)
-                result = {}
-                for index, c in prev.items():
-                    for j, cj in enumerate(forms[fi]):
-                        if cj == 0:
-                            continue
-                        new = list(index)
-                        new[j] += 1
-                        if sum(new) > order:
-                            continue
-                        new = tuple(new)
-                        result[new] = result.get(new, 0) + c * cj
-            power_cache[key] = result
-            return result
+        def image(index):
+            # {target index: int}; v is the first variable of the index
+            found = images.get(index)
+            if found is None:
+                v = next(v for v, e in enumerate(index) if e)
+                found = {}
+                for key, c in image(index[:v] + (index[v] - 1,) + index[v + 1:]).items():
+                    for j, cj in forms[v]:
+                        new = key[:j] + (key[j] + 1,) + key[j + 1:]
+                        found[new] = found.get(new, 0) + c * cj
+                images[index] = found
+            return found
 
         accs: dict = {}
         for index, element in self._coeffs.items():
-            expansion = {(0,) * width: 1}
-            for fi, e in enumerate(index):
-                if e == 0:
-                    continue
-                powered = form_power(fi, e)
-                merged: dict = {}
-                for i1, c1 in expansion.items():
-                    t1 = sum(i1)
-                    for i2, c2 in powered.items():
-                        if t1 + sum(i2) > order:
-                            continue
-                        key = tuple(x + y for x, y in zip(i1, i2))
-                        merged[key] = merged.get(key, 0) + c1 * c2
-                expansion = merged
-                if not expansion:
-                    break
             terms = element.mutable_terms().items()
-            for key, c in expansion.items():
+            for key, c in image(index).items():
                 if c:
                     acc = accs.setdefault(key, {})
                     for word, value in terms:
@@ -471,6 +445,14 @@ def left_substitute(f: CentralSeries, g: CentralSeries) -> CentralSeries:
     return g._from_accumulators(accs)
 
 
+def _powers(series: CentralSeries, count: int) -> list:
+    """[series^0, series^1, ..., series^count], each one product from the last."""
+    out = [CentralSeries.unit(series.algebra, series.varset, series.order)]
+    for _ in range(count):
+        out.append(out[-1] * series)
+    return out
+
+
 def left_combination(pairs, like: CentralSeries) -> CentralSeries:
     """sum_k a_k s_k over (a_k, s_k) pairs, each a_k on the left of s_k.
 
@@ -489,17 +471,14 @@ def left_combination(pairs, like: CentralSeries) -> CentralSeries:
 def revert(f: CentralSeries) -> CentralSeries:
     """Unique g = x + ... with f(g) = x to the truncation order.
 
-    ``f`` must be of unit-linear form x + (higher order).  The coefficients of
-    g are found one at a time, in the online style of van der Hoeven ("Relax,
-    but don't be too lazy", J. Symbolic Comput. 34, 2002).  With
-    P[k][n] = [x^n] g^k, the coefficient of x^n in f(g) is
-    g_n + sum_{k=2..n} f_k P[k][n], and for k >= 2 the entry P[k][n] involves
-    only g_1 .. g_(n-1) (see :func:`_power_column`).  Hence
-
-        g_n = -sum_{k=2..n} f_k P[k][n],
-
-    with every coefficient kept on the left.  No division is needed because
-    the linear coefficient is 1.
+    ``f`` must be of unit-linear form x + (higher order).  Then g is the left
+    expansion of x in the powers of f, x = sum_k g_k f^k (see
+    :func:`left_expand`).  Write p(h) = sum_k p_k h^k with the coefficients on
+    the left.  If f(g) = x, then f^k(g) = sum_i f_i f^(k-1)(g) g^i is
+    x^(k-1) f(g) = x^k by induction on k, because x is central; so
+    p -> p(g) undoes p -> p(f).  Both maps are left-linear and
+    unit-triangular, so the reverse composite is the identity too, g(f) = x,
+    and the left expansion is unique.
     """
     if len(f.varset) != 1:
         raise ShapeError("reversion needs a univariate series")
@@ -507,48 +486,9 @@ def revert(f: CentralSeries) -> CentralSeries:
         raise ReversionError("series must have zero constant term")
     if f.coefficient((1,)) != f.algebra.one():
         raise ReversionError("series must have linear coefficient 1")
-    algebra = f.algebra
-    order = f.order
-    negated = [-f.coefficient((k,)) for k in range(order + 1)]
-    g = [algebra.zero()] * (order + 1)
-    g[1] = algebra.one()
-    powers = _empty_powers(g, order, algebra)
-    for n in range(2, order + 1):
-        _power_column(powers, n, algebra)
-        acc: dict = {}
-        for k in range(2, n + 1):
-            add_product(acc, negated[k], powers[k][n])
-        g[n] = algebra.from_accumulator(acc)
-    return CentralSeries._wrap(
-        algebra, f.varset, order, {(n,): g[n] for n in range(1, order + 1) if not g[n].is_zero()}
-    )
-
-
-def _empty_powers(g: list, order: int, algebra: FreeAlgebra) -> list:
-    """Rows P[k] = [[x^0] g^k, ..., [x^order] g^k] with P[0] = 1 and P[1] = g.
-
-    Rows from k = 2 on start as zeros; :func:`_power_column` fills them.
-    """
-    zero = algebra.zero()
-    unit = [zero] * (order + 1)
-    unit[0] = algebra.one()
-    return [unit, g] + [[zero] * (order + 1) for _ in range(2, order + 1)]
-
-
-def _power_column(powers: list, n: int, algebra: FreeAlgebra) -> None:
-    """Fill P[k][n] for 2 <= k <= n from columns 1 .. n-1 and from g_1 .. g_(n-1).
-
-    g^k = g^(k-1) g keeps the coefficients of g^(k-1) on the left, so
-    P[k][n] = sum_{m=k-1..n-1} P[k-1][m] g_(n-m), and P[n][n] = 1 since g_1 = 1.
-    """
-    g = powers[1]
-    for k in range(2, n):
-        previous = powers[k - 1]
-        acc: dict = {}
-        for m in range(k - 1, n):
-            add_product(acc, previous[m], g[n - m])
-        powers[k][n] = algebra.from_accumulator(acc)
-    powers[n][n] = algebra.one()
+    name = f.varset.names[0]
+    x = CentralSeries.variable(f.algebra, f.varset, f.order, name)
+    return CentralSeries._wrap(f.algebra, f.varset, f.order, left_expand(x, {name: f}))
 
 
 def left_expand(target: CentralSeries, basis: dict) -> dict:
@@ -581,10 +521,9 @@ def left_expand(target: CentralSeries, basis: dict) -> dict:
             raise ShapeError("basis and target must share the truncation order")
         if not b.constant_term().is_zero() or b.coefficient((1,)) != b.algebra.one():
             raise ExpansionError("basis series must be of unit-linear form")
-        powers = _empty_powers([b.coefficient((m,)) for m in range(order + 1)], order, algebra)
-        for n in range(2, order + 1):
-            _power_column(powers, n, algebra)
-        tables.append([[-entry for entry in row] for row in powers])
+        tables.append(
+            [[-power.coefficient((a,)) for a in range(order + 1)] for power in _powers(b, order)]
+        )
 
     layer = target._coeffs
     for v in reversed(range(len(varset))):

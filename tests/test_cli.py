@@ -589,6 +589,55 @@ def test_primes_beyond_the_exact_range_are_usage_errors(capsys):
         assert_usage_error(capsys, "split", "--prime", prime)
 
 
+def test_text_output_never_builds_the_json_payload(capsys, monkeypatch):
+    from ncfgl.fgl import FGLTable, fgl_table
+
+    expected = str(fgl_table(3)) + "\n"
+
+    def refuse(self):
+        raise AssertionError("to_data called for text output")
+
+    monkeypatch.setattr(FGLTable, "to_data", refuse)
+    assert invoke(capsys, "fgl", "--degree", "3") == (0, expected, "")
+
+
+def test_json_output_never_renders_the_text(capsys, monkeypatch):
+    from ncfgl.fgl import FGLTable, fgl_table
+
+    expected = json.dumps(fgl_table(3).to_data(), indent=2) + "\n"
+
+    def refuse(self):
+        raise AssertionError("__str__ called for JSON output")
+
+    monkeypatch.setattr(FGLTable, "__str__", refuse)
+    assert invoke(capsys, "fgl", "--degree", "3", "--format", "json") == (0, expected, "")
+
+
+@pytest.mark.parametrize("command", [
+    ("fgl", "--degree", "3"),
+    ("inverse", "--degree", "3"),
+    ("commutator", "--degree", "4"),
+    ("expand", "--degree", "3"),
+    ("verify", "--degree", "3", "--samples", "1"),
+])
+@pytest.mark.parametrize("mode", ["int", "rat"])
+def test_series_commands_refuse_a_prime_without_mode_fp(capsys, command, mode):
+    err = assert_usage_error(capsys, *command, "--mode", mode, "--prime", "4")
+    assert "--prime is not read" in err
+    code, _, _ = invoke(capsys, *command, "--mode", "fp", "--prime", "3")
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", [
+    ("certificate", "hf2", "--prime", "7"),
+    ("poincare", "--prime", "3"),
+    ("poincare", "--poly", "2", "--prime", "2"),
+    ("rational", "--prime", "2"),
+])
+def test_commands_that_never_read_a_prime_refuse_it(capsys, command):
+    assert "--prime is not read" in assert_usage_error(capsys, *command)
+
+
 # -- start-up footprint -----------------------------------------------------------
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(ncfgl.__file__)))
@@ -621,7 +670,8 @@ def bare_start():
 @pytest.mark.parametrize(
     "argv, code, needed, forbidden",
     [
-        (("parity", "--prime", "2"), 0, "ncfgl.gradebook", _GRADEBOOK_ONLY | {"json"}),
+        (("parity", "--prime", "2"), 0, "ncfgl.gradebook",
+         _GRADEBOOK_ONLY | {"json", "ncfgl.freealg", "ncfgl.lincomb", "ncfgl.linalg"}),
         (("poincare", "--format", "json"), 0, "ncfgl.gradebook", _GRADEBOOK_ONLY),
         (("steenrod", "--prime", "3", "--op", "P1", "--gen", "t2"), 0, "ncfgl.steenrod",
          _STEENROD_ONLY | {"json"}),

@@ -21,6 +21,7 @@ from ncfgl import (
     orientation_series,
     revert,
 )
+from ncfgl.series import left_combination
 
 from oracles import (
     plain_add,
@@ -214,6 +215,23 @@ def test_revert_satisfies_left_substitution_definition_order_12(ring):
             total[n] = total[n] + piece if n in total else piece
     total = {n: value for n, value in total.items() if not value.is_zero()}
     assert total == {1: algebra.one()}
+
+
+def test_revert_is_the_left_expansion_of_x_in_powers_of_f():
+    # the universal z (free coefficients) and one seeded non-homogeneous f;
+    # the identity x = sum_k g_k f^k is summed from explicit powers of f
+    algebra = FreeAlgebra()
+    f_random = random_unit_linear(algebra, 9, random.Random(8))
+    assert f_random.cohomological_degree() is None
+    for f in (orientation_series(14, algebra), f_random):
+        g = revert(f)
+        x = x_series(algebra, f.varset, f.order)
+        assert {index: g.coefficient(index) for index in g.support()} == left_expand(
+            x, {"x": f}
+        )
+        powers = ((g.coefficient((k,)), f ** k) for k in range(1, f.order + 1))
+        assert left_combination(powers, x) == x
+        assert left_substitute(f, g) == x
 
 
 def test_revert_two_sided_on_tested_instances():
