@@ -12,10 +12,15 @@ errors too, refused before any work: each measured input has one row in
 :data:`LIMITS`, whose name is also the label of its error message.  Two rows
 need two arguments and are checked by their handlers: ``expand``'s degree by
 the number of variables of ``--assign``, and ``steenrod --word``'s possible
-action terms.  ``certificate bp`` primes are bounded by the library's dense
-word budget, and every ``--prime`` by the range where primality is exact; a
-``--prime`` that the run would never read (a series command without ``--mode
-fp``, ``certificate hf2``, ``poincare``, ``rational``) is refused as well.
+action terms.  ``certificate bp`` primes are bounded by the library's word
+budget, and every ``--prime`` by the range where primality is exact.
+
+Each subcommand declares only the shared options (``--degree``,
+``--profile``, ``--mode``, ``--prime``) that its handler reads, and an option
+that the run would never read is a usage error naming it: a shared option the
+subcommand does not declare, ``--prime`` on a series command without ``--mode
+fp`` or on ``certificate hf2``, and ``--profile`` on ``steenrod --gen`` or
+``poincare --poly``/``--ext``.
 
 Only :mod:`ncfgl.errors` is imported with this module; each handler imports
 its own layer, so that a call loads only what its subcommand needs, and an
@@ -171,13 +176,22 @@ def _assignment(text: str) -> tuple:
     return source, form
 
 
-def _add_common(parser, command: str, degree_default: int = 6):
-    name = f"{command} --degree"
-    parser.add_argument("--degree", type=_at_most(name) if name in LIMITS else int,
-                        default=degree_default, help="truncation order (default %(default)s)")
-    parser.add_argument("--profile", choices=("complex", "real"), default="complex")
-    parser.add_argument("--mode", choices=("int", "rat", "fp"), default="int")
-    parser.add_argument("--prime", type=int, default=None)
+# The options that several subcommands share; each declares those it reads.
+SHARED = ("degree", "profile", "mode", "prime")
+
+
+def _add_common(parser, command: str, reads, degree_default: int = 6):
+    if "degree" in reads:
+        name = f"{command} --degree"
+        parser.add_argument("--degree", type=_at_most(name) if name in LIMITS else int,
+                            default=degree_default, help="truncation order (default %(default)s)")
+    if "profile" in reads:
+        parser.add_argument("--profile", choices=("complex", "real"), default=None,
+                            help="grading profile (default complex)")
+    if "mode" in reads:
+        parser.add_argument("--mode", choices=("int", "rat", "fp"), default="int")
+    if "prime" in reads:
+        parser.add_argument("--prime", type=int, default=None)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None, help="write output to a file")
 
@@ -185,13 +199,23 @@ def _add_common(parser, command: str, degree_default: int = 6):
 def _profile(args):
     from .freealg import COMPLEX, REAL
 
-    return COMPLEX if args.profile == "complex" else REAL
+    return REAL if args.profile == "real" else COMPLEX
 
 
-def _refuse_prime(args, reader: str) -> None:
-    """A ParameterError for a --prime that this run would never read."""
-    if args.prime is not None:
-        raise ParameterError(f"--prime is not read by {reader}")
+def _refuse(args, option: str, reader: str) -> None:
+    """A ParameterError for a --option given to a run that would never read it."""
+    if getattr(args, option) is not None:
+        raise ParameterError(f"--{option} is not read by {reader}")
+
+
+def _refuse_unread(parser, command: str, extras) -> None:
+    """Refuse the arguments that ``command`` does not declare: a shared option
+    by name, anything else as argparse does."""
+    for token in extras:
+        option = token.partition("=")[0]
+        if option.startswith("--") and option[2:] in SHARED:
+            raise ParameterError(f"{option} is not read by {command}")
+    parser.error(f"unrecognized arguments: {' '.join(extras)}")
 
 
 def _algebra(args):
@@ -199,7 +223,7 @@ def _algebra(args):
     from .scalars import GF, QQ, ZZ
 
     if args.mode != "fp":
-        _refuse_prime(args, f"{args.command} without --mode fp")
+        _refuse(args, "prime", f"{args.command} without --mode fp")
     if args.mode == "int":
         ring = ZZ
     elif args.mode == "rat":
@@ -300,6 +324,7 @@ def cmd_steenrod(args) -> int:
     prime = args.prime if args.prime is not None else 2
     op = MilnorOp(prime, *args.op)
     if args.gen:
+        _refuse(args, "profile", "steenrod --gen")
         family, index = args.gen
         algebra = bp_homology(prime) if family == "t" else dual_steenrod(prime)
         element = algebra.gen(index)
@@ -332,7 +357,7 @@ def cmd_certificate(args) -> int:
 
         certificate = bp_obstruction_certificate(args.prime)
     else:
-        _refuse_prime(args, "certificate hf2")
+        _refuse(args, "prime", "certificate hf2")
         from .steenrod import hf2_obstruction_certificate
 
         certificate = hf2_obstruction_certificate()
@@ -341,16 +366,16 @@ def cmd_certificate(args) -> int:
 
 
 def cmd_poincare(args) -> int:
-    _refuse_prime(args, "poincare")
     from .gradebook import profile_degrees, series_free_assoc, series_graded_algebra
 
     if args.poly or args.ext:
+        _refuse(args, "profile", "poincare --poly or --ext")
         poly, ext = args.poly or [], args.ext or []
         series = series_graded_algebra(poly, ext, args.degree)
         label = f"graded algebra series, poly {poly}, exterior {ext}"
     else:
         series = series_free_assoc(profile_degrees(_profile(args), args.degree), args.degree)
-        label = f"free associative series on the {args.profile} profile"
+        label = f"free associative series on the {_profile(args).kind} profile"
     _emit(args, series.to_data, lambda: f"{label}, order {args.degree}\n{series}")
     return 0
 
@@ -380,7 +405,6 @@ def cmd_parity(args) -> int:
 
 
 def cmd_rational(args) -> int:
-    _refuse_prime(args, "rational")
     from .gradebook import rational_mu_series_check
 
     report = rational_mu_series_check(args.degree)
@@ -437,9 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, summary, degree_default=6):
+    def command(name, handler, summary, reads=SHARED, degree_default=6):
         p = sub.add_parser(name, help=summary)
-        _add_common(p, name, degree_default)
+        _add_common(p, name, reads, degree_default)
         p.set_defaults(handler=handler)
         return p
 
@@ -454,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assign", type=_assignment, default="x=x+y",
                    help="substitution, e.g. 'x=-x' or 'x=x+y'")
 
-    p = command("steenrod", cmd_steenrod, "right Steenrod action on a generator or word")
+    p = command("steenrod", cmd_steenrod, "right Steenrod action on a generator or word",
+                reads=("profile", "prime"))
     p.add_argument("--op", type=_indexed(_OP_RE, "--op", "operation", "P1 or Sq2"),
                    required=True, help="operation, e.g. P1 or Sq2")
     source = p.add_mutually_exclusive_group(required=True)
@@ -462,19 +487,22 @@ def build_parser() -> argparse.ArgumentParser:
                         help="polynomial generator, e.g. t2 or xi1")
     source.add_argument("--word", type=_word, help="free-algebra word, e.g. 1,1")
 
-    p = command("certificate", cmd_certificate, "finite obstruction certificates")
+    p = command("certificate", cmd_certificate, "finite obstruction certificates",
+                reads=("prime",))
     p.add_argument("which", choices=("bp", "hf2"))
 
-    p = command("poincare", cmd_poincare, "graded dimension series", degree_default=12)
+    p = command("poincare", cmd_poincare, "graded dimension series",
+                reads=("degree", "profile"), degree_default=12)
     p.add_argument("--poly", type=_degrees("--poly"), default=None,
                    help="polynomial generator degrees, e.g. 2,6,14")
     p.add_argument("--ext", type=_degrees("--ext"), default=None, help="exterior generator degrees")
 
-    command("split", cmd_split, "wedge splitting multiplicities at a prime", degree_default=12)
+    command("split", cmd_split, "wedge splitting multiplicities at a prime",
+            reads=("degree", "prime"), degree_default=12)
     command("parity", cmd_parity, "even/odd comparison against K-homology degrees",
-            degree_default=20)
+            reads=("degree", "prime"), degree_default=20)
     command("rational", cmd_rational, "polynomial algebra versus partition counts",
-            degree_default=40)
+            reads=("degree",), degree_default=40)
 
     p = command("verify", cmd_verify, "aggregate axiom and filtration checks")
     p.add_argument("--seed", type=int, default=0)
@@ -486,7 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            _refuse_unread(parser, args.command, extras)
         return args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

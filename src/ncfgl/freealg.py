@@ -9,7 +9,8 @@ generator indices, the empty tuple being the unit) to nonzero scalars; their
 arithmetic and rendering are those of :mod:`ncfgl.lincomb`, with words
 multiplied by concatenation.  :func:`matrix_of` writes a linear map between
 spans of words as the matrix that the exact elimination of :mod:`ncfgl.linalg`
-solves.
+solves: one dict ``{column: nonzero value}`` per target word, so that no zero
+of these few-percent-dense systems is ever stored.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no coordination.
@@ -215,15 +216,14 @@ def commutator(a: FreeElement, b: FreeElement) -> FreeElement:
 
 
 def matrix_of(linear_map, source_words, target_words) -> list:
-    """Rows of the matrix of a linear map between spans of words.
+    """Dict rows of the matrix of a linear map between spans of words.
 
     Column j holds the coefficients of ``linear_map(source_words[j])``, an
     element whose words must all lie in ``target_words``; row i belongs to
-    ``target_words[i]``.  A constant map gives the column of one element, as
-    a right-hand side.
+    ``target_words[i]`` and maps each column to its nonzero entry.
     """
     index = {word: r for r, word in enumerate(target_words)}
-    rows = [[0] * len(source_words) for _ in target_words]
+    rows = [{} for _ in target_words]
     for col, word in enumerate(source_words):
         for target, coeff in linear_map(word)._terms.items():
             rows[index[target]][col] = coeff
@@ -251,7 +251,7 @@ def centralizer_basis(w: FreeElement, degree: int) -> list:
         algebra.words_of_degree(degree + w.degree()),
     )
     kernel = nullspace(rows, len(words), algebra.ring)
-    return [algebra.element(dict(zip(words, vec))) for vec in kernel]
+    return [algebra.element({words[j]: x for j, x in vec.items()}) for vec in kernel]
 
 
 def random_homogeneous(algebra: FreeAlgebra, degree: int, rng, max_terms: int = 3) -> FreeElement:

@@ -1,11 +1,16 @@
-"""Exact dense linear algebra used by the centralizer and certificate solvers.
+"""Exact sparse linear algebra used by the centralizer and certificate solvers.
 
-Matrices are lists of rows; a row is a list of scalar values of the ambient
-:class:`~ncfgl.scalars.ScalarRing`.  One elimination, :func:`rref`, serves
-every ring: F_p in residues, Z and Q in Fractions.  Everything is
-deterministic: reduced row echelon form is unique, kernels are presented in
-reduced echelon form with respect to the given column order, and integer-mode
-kernels are primitive integer vectors with positive leading entry.
+A row, and any vector, is a dict ``{column: nonzero value}`` over the scalars
+of the ambient :class:`~ncfgl.scalars.ScalarRing`; a matrix is a list of such
+rows, and a column absent from a row holds zero.  The systems solved here are
+a few percent dense at most, so no zero is ever stored or scanned.
+
+One elimination, :func:`rref`, serves every ring: F_p in residues, Z and Q in
+Fractions.  It picks each pivot as the shortest row holding the column, to
+limit fill-in.  The reduced row echelon form of a matrix is unique, so that
+choice cannot change any result: kernels are presented in reduced echelon
+form with respect to the given column order, and integer-mode kernels are
+primitive integer vectors with positive leading entry.
 """
 
 from __future__ import annotations
@@ -18,70 +23,79 @@ from .scalars import ScalarRing
 
 
 def rref(rows, ncols: int, ring: ScalarRing):
-    """Reduced row echelon form; returns (nonzero rows, pivot column list).
+    """Reduced row echelon form of dict rows in columns ``0 .. ncols - 1``.
 
-    One Gauss-Jordan elimination serves every ring.  Over F_p the entries are
-    residues and each update is reduced mod p, which is the only step that
-    depends on the ring; over Z and Q they are Fractions.  Only the nonzero
-    columns of a pivot row are subtracted from the other rows.
+    Returns the nonzero reduced rows, in pivot order and each with its
+    columns in increasing order, and the list of pivot columns.  The input
+    rows are not modified.  A column -> rows index lets each step touch only
+    the rows that hold the pivot column; cancelled entries are dropped.
     """
     p = ring.prime
     if p:
-        rows = [[x % p for x in row] for row in rows]
+        rows = [{c: x % p for c, x in row.items() if x % p} for row in rows]
     else:
-        rows = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
+        rows = [{c: Fraction(x) for c, x in row.items() if x} for row in rows]
+    holding = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            holding.setdefault(c, set()).add(i)
+    pivots, order, chosen = [], [], set()
     for c in range(ncols):
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                break
-        else:
+        holders = holding.get(c, set())
+        r = min((i for i in holders if i not in chosen), key=lambda i: (len(rows[i]), i),
+                default=None)
+        if r is None:
             continue
-        rows[r], rows[i] = rows[i], rows[r]
         lead = rows[r]
-        inv = pow(lead[c], -1, p) if p else 1 / lead[c]
-        if inv != 1:
-            lead = rows[r] = [x * inv % p for x in lead] if p else [x * inv for x in lead]
-        nonzero = [j for j in range(c, ncols) if lead[j]]
-        for i, row in enumerate(rows):
+        if lead[c] != 1:
+            inv = pow(lead[c], -1, p) if p else 1 / lead[c]
+            for j, x in lead.items():
+                lead[j] = x * inv % p if p else x * inv
+        for i in holders - {r}:
+            row = rows[i]
             f = row[c]
-            if not f or i == r:
-                continue
-            if p:
-                for j in nonzero:
-                    row[j] = (row[j] - f * lead[j]) % p
-            else:
-                for j in nonzero:
-                    row[j] -= f * lead[j]
+            for j, x in lead.items():
+                v = row.get(j, 0) - f * x
+                if p:
+                    v %= p
+                if v:
+                    if j not in row:
+                        holding.setdefault(j, set()).add(i)
+                    row[j] = v
+                else:
+                    del row[j]
+                    holding[j].discard(i)
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+        order.append(r)
+        chosen.add(r)
+    return [dict(sorted(rows[r].items())) for r in order], pivots
 
 
 def _primitive(vec):
     """Scale a rational vector to a primitive integer vector, leading entry > 0."""
-    denom = lcm(*(x.denominator for x in vec))
-    ints = [int(x * denom) for x in vec]
-    g = gcd(*ints)
-    if next(x for x in ints if x) < 0:
+    denom = lcm(*(x.denominator for x in vec.values()))
+    ints = {c: int(x * denom) for c, x in vec.items()}
+    g = gcd(*ints.values())
+    if ints[min(ints)] < 0:
         g = -g
-    return [x // g for x in ints]
+    return {c: x // g for c, x in ints.items()}
 
 
 def _kernel(reduced, pivots, ncols, ring):
     """Canonical kernel basis of a reduced row echelon form in ``ncols``
     columns, from one vector per free column."""
-    free_cols = [c for c in range(ncols) if c not in set(pivots)]
+    entries = {}  # free column -> [(pivot column, -entry)], pivots increasing
+    for row, c in zip(reduced, pivots):
+        for j, x in row.items():
+            if j != c and j < ncols:  # column ncols is affine_solve's right-hand side
+                entries.setdefault(j, []).append((c, -x))
+    pivot_set = set(pivots)
     basis = []
-    for f in free_cols:
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][f]
-        basis.append(vec)
+    for f in range(ncols):
+        if f not in pivot_set:
+            vec = dict(entries.get(f, ()))
+            vec[f] = 1
+            basis.append(vec)
     return reduced_basis(basis, ncols, ring)
 
 
@@ -106,7 +120,7 @@ def reduced_basis(vectors, ncols: int, ring: ScalarRing):
 
 
 def affine_solve(rows, rhs, ncols: int, ring: ScalarRing):
-    """Solve ``rows * x = rhs`` over a field.
+    """Solve ``rows * x = rhs`` over a field; ``rhs`` is a dict {row: value}.
 
     Returns ``(particular, kernel_basis, rank)`` where ``particular`` is None
     when the system is inconsistent.  The particular solution sets every free
@@ -115,7 +129,7 @@ def affine_solve(rows, rhs, ncols: int, ring: ScalarRing):
     """
     if not ring.is_field:
         raise UnsupportedInputError(f"affine_solve needs a field, got {ring!r}")
-    augmented = [list(r) + [b] for r, b in zip(rows, rhs)]
+    augmented = [{**row, ncols: rhs[i]} if i in rhs else row for i, row in enumerate(rows)]
     reduced, pivots = rref(augmented, ncols + 1, ring)
     consistent = not pivots or pivots[-1] != ncols
     if not consistent:
@@ -123,7 +137,5 @@ def affine_solve(rows, rhs, ncols: int, ring: ScalarRing):
     kernel = _kernel(reduced, pivots, ncols, ring)  # the rhs column is never free
     if not consistent:
         return None, kernel, len(pivots)
-    particular = [ring.zero] * ncols
-    for r, c in enumerate(pivots):
-        particular[c] = reduced[r][ncols]
+    particular = {c: row[ncols] for row, c in zip(reduced, pivots) if ncols in row}
     return particular, kernel, len(pivots)

@@ -549,8 +549,10 @@ def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
         systems.append({"degree": degree, "dimension": len(words), "rank": rank})
         return particular, kernel
 
-    def column(element, target_words):
-        return [coeff for coeff, in matrix_of(lambda _: element, [()], target_words)]
+    def column(element, target_words, offset=0):
+        """The coefficients of ``element`` as a dict {offset + row: value}."""
+        index = {word: offset + r for r, word in enumerate(target_words)}
+        return {index[word]: x for word, x in element._terms.items()}
 
     low_degree = op.degree + c.degree()
     W = algebra.words_of_degree(low_degree)
@@ -560,7 +562,9 @@ def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
     )
     candidates = []
     if particular is not None:
-        base, *directions = (algebra.element(dict(zip(W, vec))) for vec in [particular] + kernel)
+        base, *directions = (
+            algebra.element({W[j]: x for j, x in vec.items()}) for vec in [particular] + kernel
+        )
         candidates = [
             sum((d.scale(lam) for lam, d in zip(lambdas, directions)), base)
             for lambdas in _iproduct(range(ring.prime), repeat=len(kernel))
@@ -576,14 +580,16 @@ def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
     ]
 
     def written(vec):
-        return str(algebra.element(dict(zip(V, vec))))
+        return str(algebra.element({V[j]: x for j, x in vec.items()}))
 
     solutions = []
     for w in candidates:
         rows = matrix_of(_commuting(w), V, comm_targets) + action_rows
-        rhs = [0] * len(comm_targets) + [
-            x for (_, image), words in zip(blocks, block_targets) for x in column(image(w), words)
-        ]
+        rhs = {}
+        offset = len(comm_targets)
+        for (_, image), words in zip(blocks, block_targets):
+            rhs.update(column(image(w), words, offset))
+            offset += len(words)
         particular, kernel = solve(high_degree, V, rows, rhs)
         if particular is not None:
             solutions.append({
@@ -598,7 +604,9 @@ def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
     return candidates, certificate
 
 
-# Largest word basis the bp certificate solves densely over.
+# Largest number of words in the degree-2(p^2 - 1) component, whose 2^(p^2 - 2)
+# words are the unknowns of the bp certificate's stage two.  The solve is
+# sparse, but its rows and columns still grow with the component.
 DENSE_WORD_BUDGET = 4096
 
 

@@ -3,7 +3,8 @@ production series machinery.  Bivariate and univariate truncated series are
 plain dictionaries mapping exponent tuples to free-algebra elements; products
 and expansions are written out directly."""
 
-from math import comb
+from fractions import Fraction
+from math import comb, gcd, lcm
 
 from ncfgl import FreeAlgebra
 
@@ -301,3 +302,75 @@ def plain_specialize(f, forms, width, order, p):
             for w, value in element.items():
                 acc[w] = acc.get(w, 0) + c * value
     return _plain_reduced(out, p)
+
+
+# -- dense Gauss-Jordan -----------------------------------------------------------
+#
+# Matrices are lists of equal-length lists.  ``p`` is a prime modulus, or None
+# for exact rational arithmetic in Fractions.  Each pivot is the first row at
+# or below the current one that holds the column, as in the textbook method.
+
+
+def _entry(x, p):
+    return x % p if p else Fraction(x)
+
+
+def dense_rref(matrix, ncols, p=None):
+    """(nonzero reduced rows, pivot columns) of a dense matrix."""
+    rows = [[_entry(x, p) for x in row] for row in matrix]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], -1, p) if p else 1 / rows[r][c]
+        rows[r] = [_entry(x * inv, p) for x in rows[r]]
+        for k, row in enumerate(rows):
+            if k != r and row[c]:
+                f = row[c]
+                rows[k] = [_entry(a - f * b, p) for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def dense_primitive(vec):
+    """The integer multiple of a rational vector with coprime entries and a
+    positive first nonzero entry."""
+    scaled = [int(x * lcm(*(Fraction(y).denominator for y in vec))) for x in vec]
+    g = gcd(*scaled)
+    if next(x for x in scaled if x) < 0:
+        g = -g
+    return [x // g for x in scaled]
+
+
+def dense_span(vectors, ncols, p=None, integer=False):
+    """Reduced echelon rows of a span, each made primitive when ``integer``."""
+    reduced, _ = dense_rref(vectors, ncols, p)
+    return [dense_primitive(v) for v in reduced] if integer else reduced
+
+
+def dense_nullspace(matrix, ncols, p=None, integer=False):
+    """Kernel of a dense matrix: one vector per free column, then reduced."""
+    reduced, pivots = dense_rref(matrix, ncols, p)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[f] = 1
+        for row, c in zip(reduced, pivots):
+            vec[c] = -row[f]
+        basis.append(vec)
+    return dense_span(basis, ncols, p, integer)
+
+
+def dense_affine_solve(matrix, rhs, ncols, p=None):
+    """(particular solution or None, kernel, rank) of matrix * x = rhs."""
+    reduced, pivots = dense_rref([row + [b] for row, b in zip(matrix, rhs)], ncols + 1, p)
+    kernel = dense_nullspace(matrix, ncols, p)
+    if pivots and pivots[-1] == ncols:
+        return None, kernel, len(pivots) - 1
+    particular = [_entry(0, p)] * ncols
+    for row, c in zip(reduced, pivots):
+        particular[c] = row[ncols]
+    return particular, kernel, len(pivots)

@@ -638,6 +638,38 @@ def test_commands_that_never_read_a_prime_refuse_it(capsys, command):
     assert "--prime is not read" in assert_usage_error(capsys, *command)
 
 
+@pytest.mark.parametrize("command, option", [
+    (("steenrod", "--prime", "3", "--op", "P1", "--gen", "t2", "--mode", "rat", "--degree", "3"),
+     "--mode"),
+    (("certificate", "hf2", "--mode", "fp", "--profile", "complex", "--degree", "2"), "--mode"),
+    (("certificate", "bp", "--prime", "3", "--degree", "2"), "--degree"),
+    (("split", "--prime", "2", "--profile", "real", "--mode", "rat"), "--profile"),
+    (("rational", "--profile", "real", "--mode", "fp"), "--profile"),
+    (("parity", "--prime", "2", "--mode", "rat"), "--mode"),
+    (("poincare", "--mode=rat"), "--mode"),
+    (("steenrod", "--prime", "3", "--op", "P1", "--gen", "t2", "--profile", "complex"),
+     "--profile"),
+    (("poincare", "--poly", "2,6", "--profile", "complex"), "--profile"),
+    (("poincare", "--ext", "3", "--profile", "real"), "--profile"),
+])
+def test_options_a_run_never_reads_are_refused(capsys, command, option):
+    assert f"{option} is not read by" in assert_usage_error(capsys, *command)
+
+
+def test_undeclared_arguments_keep_the_argparse_message(capsys):
+    code, out, err = invoke(capsys, "rational", "--degree", "3", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --seed 1" in err
+
+
+def test_profile_is_read_by_steenrod_word_and_poincare_without_lists(capsys):
+    assert invoke(capsys, "steenrod", "--op", "Sq1", "--word", "1,1", "--profile", "real")[0] == 0
+    code, out, _ = invoke(capsys, "poincare", "--profile", "real", "--degree", "3")
+    assert code == 0 and "on the real profile" in out
+    code, out, _ = invoke(capsys, "poincare", "--degree", "3")
+    assert code == 0 and "on the complex profile" in out
+
+
 # -- start-up footprint -----------------------------------------------------------
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(ncfgl.__file__)))

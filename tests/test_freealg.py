@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -156,6 +158,40 @@ def test_centralizer_degree16_over_f3():
     assert algebra.dim(16) == 128
     basis = centralizer_basis(w, 16)
     assert basis == [w ** 4]
+
+
+# The centralizers of the certificate benchmark workload, as (w, degrees),
+# with the sha256 over each degree of json.dumps([b.to_data() for b in basis])
+# plus a newline, as the dense elimination gave them before rows were sparse.
+_ZZ_CENTRALIZERS = (
+    ({(1,): 1}, (2, 4, 6, 8, 10, 12, 14, 16)),
+    ({(2,): 1}, (8, 12, 16)),
+    ({(2,): 1, (1, 1): -1}, (8, 12, 14)),
+)
+_GF3_CENTRALIZERS = (
+    ({(2,): -1, (1, 1): 1}, (8, 12, 16, 18)),
+    ({(1,): 1}, (14, 16, 18)),
+    ({(3,): 1, (1, 2): 1}, (12, 18)),
+)
+
+
+@pytest.mark.parametrize(
+    "ring, specs, digest",
+    [
+        (ZZ, _ZZ_CENTRALIZERS, "5ddf38319f029abe9d8fea523a13ce4d44ee6e44a225cafcc89b7fb6c36a949e"),
+        (GF(3), _GF3_CENTRALIZERS,
+         "856cfa8375fc6e99455ba563453e6d29db949057aa6abf281a0000ff8c818bfd"),
+    ],
+)
+def test_centralizer_digests(ring, specs, digest):
+    algebra = FreeAlgebra(COMPLEX, ring)
+    h = hashlib.sha256()
+    for terms, degrees in specs:
+        w = algebra.element(terms)
+        for d in degrees:
+            basis = centralizer_basis(w, d)
+            h.update((json.dumps([b.to_data() for b in basis]) + "\n").encode())
+    assert h.hexdigest() == digest
 
 
 def test_centralizer_rejects_bad_inputs(A):

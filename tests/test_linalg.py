@@ -4,38 +4,40 @@ from fractions import Fraction
 import pytest
 
 from ncfgl import GF, QQ, ZZ, ToolkitError
-from ncfgl.linalg import affine_solve, nullspace, rref
+from ncfgl.linalg import affine_solve, nullspace, reduced_basis, rref
+
+from oracles import dense_affine_solve, dense_nullspace, dense_rref, dense_span
 
 
 def _matvec(rows, vec, ring):
     out = []
     for row in rows:
         acc = ring.zero
-        for a, x in zip(row, vec):
-            acc = ring.add(acc, ring.mul(a, x))
+        for c, a in row.items():
+            acc = ring.add(acc, ring.mul(a, vec.get(c, ring.zero)))
         out.append(acc)
     return out
 
 
 def test_rref_hand_example_fp():
     F = GF(5)
-    rows = [[1, 2, 3], [2, 4, 1], [0, 0, 4]]
+    rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 1}, {2: 4}]
     reduced, pivots = rref(rows, 3, F)
     assert pivots == [0, 2]
-    assert reduced == [[1, 2, 0], [0, 0, 1]]
+    assert reduced == [{0: 1, 1: 2}, {2: 1}]
 
 
 def test_nullspace_fp_kernel_vectors_annihilate():
     F = GF(3)
     rng = random.Random(7)
     for _ in range(25):
-        rows = [[rng.randrange(3) for _ in range(6)] for _ in range(4)]
+        rows = [{c: x for c in range(6) if (x := rng.randrange(3))} for _ in range(4)]
         for vec in nullspace(rows, 6, F):
             assert _matvec(rows, vec, F) == [0, 0, 0, 0]
 
 
 def test_nullspace_rational():
-    rows = [[Fraction(1), Fraction(1), Fraction(0)]]
+    rows = [{0: Fraction(1), 1: Fraction(1)}]
     basis = nullspace(rows, 3, QQ)
     assert len(basis) == 2
     for vec in basis:
@@ -43,33 +45,33 @@ def test_nullspace_rational():
 
 
 def test_nullspace_integer_is_primitive():
-    rows = [[2, 4]]
+    rows = [{0: 2, 1: 4}]
     basis = nullspace(rows, 2, ZZ)
-    assert basis == [[2, -1]]
+    assert basis == [{0: 2, 1: -1}]
 
 
 def test_affine_solve_consistent():
     F = GF(5)
-    rows = [[1, 1], [0, 1]]
-    particular, kernel, rank = affine_solve(rows, [3, 4], 2, F)
-    assert particular == [4, 4]
+    rows = [{0: 1, 1: 1}, {1: 1}]
+    particular, kernel, rank = affine_solve(rows, {0: 3, 1: 4}, 2, F)
+    assert particular == {0: 4, 1: 4}
     assert kernel == []
     assert rank == 2
 
 
 def test_affine_solve_inconsistent():
     F = GF(3)
-    rows = [[1, 1], [2, 2]]
-    particular, kernel, rank = affine_solve(rows, [1, 0], 2, F)
+    rows = [{0: 1, 1: 1}, {0: 2, 1: 2}]
+    particular, kernel, rank = affine_solve(rows, {0: 1}, 2, F)
     assert particular is None
     assert rank == 1  # rank of the coefficient matrix, augmented pivot excluded
-    assert kernel == [[1, 2]]  # x + y = const solutions differ by (1, -1)
+    assert kernel == [{0: 1, 1: 2}]  # x + y = const solutions differ by (1, -1)
 
 
 def test_affine_solve_underdetermined():
     F = GF(7)
-    rows = [[1, 2, 3]]
-    particular, kernel, rank = affine_solve(rows, [4], 3, F)
+    rows = [{0: 1, 1: 2, 2: 3}]
+    particular, kernel, rank = affine_solve(rows, {0: 4}, 3, F)
     assert particular is not None
     assert _matvec(rows, particular, F) == [4]
     assert len(kernel) == 2
@@ -79,12 +81,84 @@ def test_affine_solve_underdetermined():
 
 def test_full_rank_unique_solution_fp():
     F = GF(2)
-    rows = [[1]]
-    particular, kernel, rank = affine_solve(rows, [1], 1, F)
-    assert particular == [1] and kernel == [] and rank == 1
+    rows = [{0: 1}]
+    particular, kernel, rank = affine_solve(rows, {0: 1}, 1, F)
+    assert particular == {0: 1} and kernel == [] and rank == 1
 
 
 def test_affine_solve_refuses_the_integers():
     # over Z, 2x = 1 has no solution although it has one over Q
     with pytest.raises(ToolkitError):
-        affine_solve([[2]], [1], 1, ZZ)
+        affine_solve([{0: 2}], {0: 1}, 1, ZZ)
+
+
+# -- against the dense oracle --------------------------------------------------
+
+# (matrix, number of columns, right-hand side or None for a random one)
+_SPECIAL = [
+    ([[0, 0, 0], [1, 2, 0], [0, 0, 0], [2, 1, 0]], 3, None),  # zero rows, an empty column
+    ([[0, 0, 0, 0]] * 3, 4, None),  # rank 0
+    ([], 3, None),  # no rows at all
+    ([[0, 1, 0], [1, 1, 0], [2, 0, 1]], 3, None),  # full rank
+    ([[1, 1, 1, 1], [1, 0, 0, 2], [0, 1, 1, 0]], 4, None),  # shortest pivot row is not the first
+    ([[1, 1], [1, 1]], 2, [1, 2]),  # inconsistent over every field
+]
+_RINGS = [(GF(2), 2, False), (GF(3), 3, False), (GF(5), 5, False), (QQ, None, False),
+          (ZZ, None, True)]
+
+
+def _dense(vectors, ncols):
+    return [[vec.get(c, 0) for c in range(ncols)] for vec in vectors]
+
+
+def _sparse(matrix):
+    return [{c: x for c, x in enumerate(row) if x} for row in matrix]
+
+
+def _random_value(ring, rng):
+    if ring is QQ:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return rng.randint(-3, 3)
+
+
+def _cases(ring, rng):
+    cases = list(_SPECIAL)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+        density = rng.choice((0.15, 0.4, 0.8))
+        matrix = [[_random_value(ring, rng) if rng.random() < density else 0
+                   for _ in range(ncols)] for _ in range(nrows)]
+        cases.append((matrix, ncols, None))
+    return [(m, n, rhs if rhs is not None else [_random_value(ring, rng) for _ in m])
+            for m, n, rhs in cases]
+
+
+@pytest.mark.parametrize("ring, p, integer", _RINGS, ids=repr)
+def test_sparse_elimination_matches_the_dense_oracle(ring, p, integer):
+    rng = random.Random(20 + (p or 0) + integer)
+    inconsistent = consistent = 0
+    for matrix, ncols, rhs in _cases(ring, rng):
+        rows = _sparse(matrix)
+        reduced, pivots = rref(rows, ncols, ring)
+        assert (_dense(reduced, ncols), pivots) == dense_rref(matrix, ncols, p)
+        assert _dense(nullspace(rows, ncols, ring), ncols) == dense_nullspace(
+            matrix, ncols, p, integer
+        )
+        assert _dense(reduced_basis(rows, ncols, ring), ncols) == dense_span(
+            matrix, ncols, p, integer
+        )
+        assert rows == _sparse(matrix)  # the inputs are left as they were
+        sparse_rhs = {i: b for i, b in enumerate(rhs) if b}
+        if integer:
+            with pytest.raises(ToolkitError):
+                affine_solve(rows, sparse_rhs, ncols, ring)
+            continue
+        particular, kernel, rank = affine_solve(rows, sparse_rhs, ncols, ring)
+        expected = dense_affine_solve(matrix, rhs, ncols, p)
+        got = (None if particular is None else _dense([particular], ncols)[0],
+               _dense(kernel, ncols), rank)
+        assert got == expected
+        inconsistent += particular is None
+        consistent += particular is not None
+    if not integer:
+        assert inconsistent and consistent
