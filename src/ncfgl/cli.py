@@ -15,12 +15,13 @@ the number of variables of ``--assign``, and ``steenrod --word``'s possible
 action terms.  ``certificate bp`` primes are bounded by the library's word
 budget, and every ``--prime`` by the range where primality is exact.
 
-Each subcommand declares only the shared options (``--degree``,
-``--profile``, ``--mode``, ``--prime``) that its handler reads, and an option
-that the run would never read is a usage error naming it: a shared option the
-subcommand does not declare, ``--prime`` on a series command without ``--mode
-fp`` or on ``certificate hf2``, and ``--profile`` on ``steenrod --gen`` or
-``poincare --poly``/``--ext``.
+Every subcommand declares the shared options (``--degree``, ``--profile``,
+``--mode``, ``--prime``), and an option that the run would never read is a
+usage error naming it: a shared option the subcommand's handler does not
+read (declared hidden and untyped, so that its value is never parsed),
+``--prime`` on a series command without ``--mode fp`` or on ``certificate
+hf2``, and ``--profile`` on ``steenrod --gen`` or ``poincare
+--poly``/``--ext``.
 
 Only :mod:`ncfgl.errors` is imported with this module; each handler imports
 its own layer, so that a call loads only what its subcommand needs, and an
@@ -176,11 +177,23 @@ def _assignment(text: str) -> tuple:
     return source, form
 
 
-# The options that several subcommands share; each declares those it reads.
+# The options that several subcommands share; each declares them all.
 SHARED = ("degree", "profile", "mode", "prime")
 
 
+class _Unread(argparse.Action):
+    """A shared option the subcommand never reads: its name is kept, in
+    command-line order, for :func:`run` to refuse."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.unread += (self.dest,)
+
+
 def _add_common(parser, command: str, reads, degree_default: int = 6):
+    parser.set_defaults(unread=())
+    for option in SHARED:
+        if option not in reads:
+            parser.add_argument(f"--{option}", action=_Unread, help=argparse.SUPPRESS)
     if "degree" in reads:
         name = f"{command} --degree"
         parser.add_argument("--degree", type=_at_most(name) if name in LIMITS else int,
@@ -206,16 +219,6 @@ def _refuse(args, option: str, reader: str) -> None:
     """A ParameterError for a --option given to a run that would never read it."""
     if getattr(args, option) is not None:
         raise ParameterError(f"--{option} is not read by {reader}")
-
-
-def _refuse_unread(parser, command: str, extras) -> None:
-    """Refuse the arguments that ``command`` does not declare: a shared option
-    by name, anything else as argparse does."""
-    for token in extras:
-        option = token.partition("=")[0]
-        if option.startswith("--") and option[2:] in SHARED:
-            raise ParameterError(f"{option} is not read by {command}")
-    parser.error(f"unrecognized arguments: {' '.join(extras)}")
 
 
 def _algebra(args):
@@ -514,9 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args, extras = parser.parse_known_args(argv)
-        if extras:
-            _refuse_unread(parser, args.command, extras)
+        args = parser.parse_args(argv)
+        if args.unread:
+            raise ParameterError(f"--{args.unread[0]} is not read by {args.command}")
         return args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -5,7 +5,7 @@ polynomial coefficient algebras such as F_p[t_1, t_2, ...], and for small
 symbolic algebras like F_p[w].  Monomials are stored as sorted tuples of
 (generator index, exponent) pairs; the empty tuple is 1.  Elements are the
 linear combinations of :mod:`ncfgl.lincomb`, with monomials multiplied by
-adding exponents.
+adding exponents and raised to a power by multiplying them.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def frobenius(element: "CommElement", q: int) -> "CommElement":
-    """element ** q over F_p, for q a power of p.
+def frobenius(element: LinearCombination, q: int) -> LinearCombination:
+    """element ** q over F_p, for q a power of p, in a commutative algebra.
 
-    (sum_m c_m m)^q = sum_m c_m^q m^q because the cross terms of a p-th power
-    vanish mod p, and c^q = c in F_p; so every exponent is multiplied by q and
-    the coefficients stay.  Distinct monomials stay distinct, so no terms
-    combine.
+    (sum_k c_k k)^q = sum_k c_k^q k^q because the cross terms of a p-th power
+    vanish mod p, and c^q = c in F_p; so each key k becomes its power
+    ``key_frobenius(k, q)`` and the coefficients stay.  Distinct keys stay
+    distinct, so no terms combine.
     """
     p = element.algebra.ring.prime
     if not p:
@@ -40,9 +40,8 @@ def frobenius(element: "CommElement", q: int) -> "CommElement":
         rest //= p
     if q < 1 or rest != 1:
         raise ParameterError(f"{q} is not a power of {p}")
-    return element.algebra._wrap(
-        {tuple((i, e * q) for i, e in mono): c for mono, c in element._terms.items()}
-    )
+    key_frobenius = element.algebra.key_frobenius
+    return element.algebra._wrap({key_frobenius(key, q): c for key, c in element._terms.items()})
 
 
 class CommElement(LinearCombination):
@@ -102,6 +101,11 @@ class CommAlgebra(SparseAlgebra):
     def term_key(self, mono: Monomial):
         """Canonical term order: by (degree, monomial)."""
         return (self.monomial_degree(mono), mono)
+
+    @staticmethod
+    def key_frobenius(mono: Monomial, q: int) -> Monomial:
+        """The monomial mono^q."""
+        return tuple((i, e * q) for i, e in mono)
 
     def render_key(self, mono: Monomial) -> str:
         family = self.family

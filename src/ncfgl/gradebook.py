@@ -203,11 +203,7 @@ def _ku_series(p: int, order: int) -> PoincareSeries:
             poly.append(2 ** s - 1)
             s += 1
         return series_graded_algebra(poly, (), order).shift(2)
-    poly = []
-    s = 1
-    while 2 * p ** s - 2 <= order:
-        poly.append(2 * p ** s - 2)
-        s += 1
+    poly = bp_degrees(p, order)
     ext = []
     s = 2
     while 2 * p ** s - 1 <= order:

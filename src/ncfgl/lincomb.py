@@ -4,10 +4,12 @@ Free-algebra elements, commutative polynomials and tensors are all finite
 sums of basis keys (words, monomials, pairs of those) with nonzero
 coefficients in a :class:`~ncfgl.scalars.ScalarRing`.  :class:`LinearCombination`
 implements their arithmetic and rendering once; the :class:`SparseAlgebra` an
-element lives in supplies the basis.  Sums reduce each coefficient as it is
-formed; products accumulate with plain ``+`` and ``*`` and reduce once.
-Every coefficient that enters from outside goes through
-:meth:`ScalarRing.coerce`, so a scalar of one ring never lands in another.
+element lives in supplies the basis and forms every product: its
+:meth:`~SparseAlgebra.add_product` adds term pairs into an accumulator with
+plain ``+`` and ``*``, which :meth:`~SparseAlgebra.from_accumulator` reduces
+once.  Sums reduce each coefficient as it is formed.  Every coefficient that
+enters from outside goes through :meth:`ScalarRing.coerce`, so a scalar of one
+ring never lands in another.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -28,10 +30,13 @@ class SparseAlgebra:
     * ``term_key(key)`` -- the sort key of the canonical term order;
     * ``render_key(key)`` -- the text of a key, ``""`` for the unit key;
     * ``key_degree(key)`` -- the degree of a basis element, for the graded
-      algebras whose elements are asked for degrees.
+      algebras whose elements are asked for degrees;
+    * ``key_frobenius(key, q)`` -- the key of a basis element's q-th power,
+      in the commutative algebras that :func:`~ncfgl.commalg.frobenius` maps
+      (any other algebra refuses).
 
-    :meth:`from_accumulator` turns a key -> value dict whose values were
-    combined with plain ``+`` and ``*`` into an element.
+    :meth:`add_product` adds a product into a key -> value accumulator with
+    plain ``+`` and ``*``; :meth:`from_accumulator` turns one into an element.
     """
 
     __slots__ = ()
@@ -53,6 +58,23 @@ class SparseAlgebra:
             if value:
                 clean[key] = value
         return self._wrap(clean)
+
+    def add_product(self, acc: dict, left, right) -> None:
+        """acc[k] += (left * right)[k] for every key k, in place and unreduced.
+
+        ``acc`` is the caller's, never an element's own terms; zeros stay and
+        an F_p residue may leave [0, p) until :meth:`from_accumulator`.
+        """
+        key_mul = self.key_mul
+        get = acc.get
+        right_terms = right._terms.items()
+        for k1, c1 in left._terms.items():
+            for k2, c2 in right_terms:
+                key = key_mul(k1, k2)
+                acc[key] = get(key, 0) + c1 * c2
+
+    def key_frobenius(self, key, q):
+        raise UnsupportedInputError("the Frobenius map needs a commutative algebra")
 
     def from_accumulator(self, acc: dict):
         """The element held by an accumulator of unreduced key -> value sums."""
@@ -175,14 +197,8 @@ class LinearCombination:
         if isinstance(other, int):
             return self.scale(other)
         self._check_compatible(other)
-        key_mul = self.algebra.key_mul
-        acc = {}
-        get = acc.get
-        right_terms = other._terms.items()
-        for k1, c1 in self._terms.items():
-            for k2, c2 in right_terms:
-                key = key_mul(k1, k2)
-                acc[key] = get(key, 0) + c1 * c2
+        acc: dict = {}
+        self.algebra.add_product(acc, self, other)
         return self.algebra.from_accumulator(acc)
 
     def __rmul__(self, other):

@@ -16,11 +16,12 @@ term satisfies
 matching the convention that coefficient degrees count negatively against the
 variable grading.
 
-Arithmetic never builds intermediate series.  A product, a substitution, a
-scaling and a sum of left multiples (:func:`left_combination`) add every
-coefficient product into one word -> value accumulator per multi-index with
-:func:`~ncfgl.freealg.add_product` and reduce each accumulator once with
-``FreeAlgebra.from_accumulator``.  Results are wrapped by the internal
+Arithmetic never builds intermediate series.  A product, a scaling, a sum of
+left multiples (:func:`left_combination`, which a substitution is) and each
+step of :func:`left_expand` add every coefficient product into one word ->
+value accumulator per multi-index with ``FreeAlgebra.add_product``, the loop
+that multiplies two free-algebra elements, and reduce each accumulator once
+with ``from_accumulator``.  Results are wrapped by the internal
 ``CentralSeries._wrap``, which skips the index checks of the public
 ``CentralSeries(...)`` constructor: the module only builds indices of the
 right width within the order.
@@ -38,7 +39,7 @@ from .errors import (
     ReversionError,
     ShapeError,
 )
-from .freealg import FreeAlgebra, FreeElement, add_product
+from .freealg import FreeAlgebra, FreeElement
 
 
 class VarSet:
@@ -233,6 +234,7 @@ class CentralSeries:
         """accs[I] += value * c_I (``on_left``) or c_I * value, for each stored I."""
         if value.algebra != self.algebra:
             raise ModeMismatchError("coefficient and series live in different algebras")
+        add_product = self.algebra.add_product
         get = accs.get
         for index, element in self._coeffs.items():
             acc = get(index)
@@ -245,27 +247,19 @@ class CentralSeries:
 
     def scale_left(self, value) -> "CentralSeries":
         """Multiply every coefficient by ``value`` on the left."""
-        if isinstance(value, int):
-            return self._scaled(value)
-        accs: dict = {}
-        self._add_products(accs, value, True)
-        return self._from_accumulators(accs)
+        return self._scaled(value, True)
 
     def scale_right(self, value) -> "CentralSeries":
         """Multiply every coefficient by ``value`` on the right."""
-        if isinstance(value, int):
-            return self._scaled(value)
-        accs: dict = {}
-        self._add_products(accs, value, False)
-        return self._from_accumulators(accs)
+        return self._scaled(value, False)
 
-    def _scaled(self, value: int) -> "CentralSeries":
-        out = {}
-        for index, element in self._coeffs.items():
-            scaled = element.scale(value)
-            if not scaled.is_zero():
-                out[index] = scaled
-        return CentralSeries._wrap(self.algebra, self.varset, self.order, out)
+    def _scaled(self, value, on_left: bool) -> "CentralSeries":
+        """The products with ``value``, an element or an int read as a scalar."""
+        if isinstance(value, int):
+            value = self.algebra.one().scale(value)
+        accs: dict = {}
+        self._add_products(accs, value, on_left)
+        return self._from_accumulators(accs)
 
     def commutator(self, value: FreeElement) -> "CentralSeries":
         """value * self - self * value, coefficientwise.
@@ -286,6 +280,7 @@ class CentralSeries:
         """
         self._check_shape(other)
         order = self.order
+        add_product = self.algebra.add_product
         accs: dict = {}
         get = accs.get
         right = [(index, sum(index), element) for index, element in other._coeffs.items()]
@@ -433,16 +428,8 @@ def left_substitute(f: CentralSeries, g: CentralSeries) -> CentralSeries:
         raise ShapeError("truncation orders must agree")
     if not g.constant_term().is_zero():
         raise ComposabilityError("substitution target must have zero constant term")
-    order = g.order
-    accs: dict = {}
-    power = CentralSeries.unit(g.algebra, g.varset, order)
-    for k in range(order + 1):
-        fk = f.coefficient((k,))
-        if not fk.is_zero():
-            power._add_products(accs, fk, True)
-        if k < order:
-            power = power * g
-    return g._from_accumulators(accs)
+    powers = _powers(g, g.order)
+    return left_combination(((f.coefficient((k,)), gk) for k, gk in enumerate(powers)), g)
 
 
 def _powers(series: CentralSeries, count: int) -> list:
@@ -537,7 +524,7 @@ def _solve_along(layer: dict, v: int, negated: list, order: int, algebra: FreeAl
     A line fixes every coordinate but v.  Its entries are
     E[a] = sum_k C_k P[k][a] with C_k on the left, so C_n is E[n] once
     C_k P[k][n] has been subtracted for every k < n.  ``negated`` holds the
-    rows -P[k], so that each subtraction is an :func:`add_product` into a
+    rows -P[k], so that each subtraction is an ``add_product`` into a
     mutable per-exponent accumulator.  Returns the nonzero C_k, keyed by the
     index with a_v replaced by k.
     """
@@ -559,5 +546,5 @@ def _solve_along(layer: dict, v: int, negated: list, order: int, algebra: FreeAl
             row = negated[n]
             for m in range(n + 1, top + 1):
                 if not row[m].is_zero():
-                    add_product(accs.setdefault(m, {}), coeff, row[m])
+                    algebra.add_product(accs.setdefault(m, {}), coeff, row[m])
     return solved

@@ -177,6 +177,9 @@ class TensorAlgebra(SparseAlgebra):
     def key_mul(self, a, b):
         return (self.left.key_mul(a[0], b[0]), self.right.key_mul(a[1], b[1]))
 
+    def key_frobenius(self, key, q):
+        return (self.left.key_frobenius(key[0], q), self.right.key_frobenius(key[1], q))
+
     def term_key(self, key):
         return (self.left.term_key(key[0]), self.right.term_key(key[1]))
 
@@ -223,33 +226,23 @@ def _multiplicative(a: CommElement, target: SparseAlgebra, image) -> LinearCombi
     """The algebra map into ``target`` sending generator i to image(i), at ``a``.
 
     Both algebras are commutative over F_p, so for e = p^j r the power
-    image(i)^e is image(i)^r followed by the Frobenius p^j on its keys.
+    image(i)^e is image(i)^r followed by the Frobenius p^j on its keys.  The
+    image of each monomial is its coefficient times the product of these
+    powers; the last product goes straight into one accumulator for all of
+    ``a``.
     """
     p = a.algebra.ring.prime
-    out = target.zero()
+    acc: dict = {}
     for mono, coeff in a.terms():
-        term = target.one()
+        term, last = target.monomial(target.unit_key, coeff), target.one()
         for i, e in mono:
             q = 1
             while e % p == 0:
                 e //= p
                 q *= p
-            term = term * _frobenius(image(i) ** e, q)
-        out = out + term.scale(coeff)
-    return out
-
-
-def _frobenius(x: LinearCombination, q: int) -> LinearCombination:
-    """x ** q for q a power of p, as :func:`frobenius` on either tensor factor."""
-    if q == 1:
-        return x
-    if not isinstance(x.algebra, TensorAlgebra):
-        return frobenius(x, q)
-
-    def scale(mono):
-        return tuple((i, e * q) for i, e in mono)
-
-    return x.algebra._wrap({(scale(lm), scale(rm)): c for (lm, rm), c in x._terms.items()})
+            term, last = term * last, frobenius(image(i) ** e, q)
+        target.add_product(acc, term, last)
+    return target.from_accumulator(acc)
 
 
 def _xi_coproduct(p: int, n: int) -> TensorElement:
@@ -298,10 +291,10 @@ def _chi_generator(p: int, n: int) -> CommElement:
     if n == 0:
         value = algebra.one()
     else:
-        total = algebra.zero()
+        acc: dict = {}
         for i in range(1, n + 1):
-            total = total + frobenius(_chi_generator(p, n - i), p ** i) * algebra.gen(i)
-        value = -total
+            algebra.add_product(acc, frobenius(_chi_generator(p, n - i), p ** i), -algebra.gen(i))
+        value = algebra.from_accumulator(acc)
     _CHI_CACHE[(p, n)] = value
     return value
 
@@ -329,12 +322,14 @@ def bp_coaction(a: CommElement) -> TensorElement:
 
 
 def _t_coaction(p, n, steenrod, algebra) -> TensorElement:
-    total = TensorAlgebra(steenrod, algebra).zero()
+    """sum_k zeta_k (x) t_{n-k}^{p^k}: each k has its own right monomial, so the
+    terms never combine and are written down directly."""
+    terms = {}
     for k in range(n + 1):
-        zeta = conjugate_generator(p, k)
-        t_part = algebra.one() if n == k else algebra.gen(n - k) ** (p ** k)
-        total = total + TensorElement.tensor(zeta, t_part)
-    return total
+        right = () if n == k else ((n - k, p ** k),)
+        for left, coeff in conjugate_generator(p, k)._terms.items():
+            terms[(left, right)] = coeff
+    return TensorAlgebra(steenrod, algebra)._wrap(terms)
 
 
 # -- right actions ----------------------------------------------------------------
@@ -407,22 +402,18 @@ def cartan_extend(table: GeneratorActionTable, a, op: MilnorOp):
         if cached is not None:
             return cached
         first, rest = carrier.split_key(key)
-        total = zero
+        acc: dict = {}
         for i in range(k + 1):
             img = table.image(i, first)
-            if img.is_zero():
-                continue
-            tail = act(rest, k - i)
-            if tail.is_zero():
-                continue
-            total = total + img * tail
-        memo[(key, k)] = total
+            if not img.is_zero():
+                carrier.add_product(acc, img, act(rest, k - i))
+        total = memo[(key, k)] = carrier.from_accumulator(acc)
         return total
 
-    result = zero
+    acc: dict = {}
     for key, coeff in a.terms():
-        result = result + act(key, op.index).scale(coeff)
-    return result
+        carrier.add_product(acc, carrier.monomial(carrier.unit_key, coeff), act(key, op.index))
+    return carrier.from_accumulator(acc)
 
 
 # -- the induced action on the free algebra ------------------------------------------

@@ -651,6 +651,7 @@ def test_commands_that_never_read_a_prime_refuse_it(capsys, command):
      "--profile"),
     (("poincare", "--poly", "2,6", "--profile", "complex"), "--profile"),
     (("poincare", "--ext", "3", "--profile", "real"), "--profile"),
+    (("certificate", "--degree", "2", "hf2"), "--degree"),
 ])
 def test_options_a_run_never_reads_are_refused(capsys, command, option):
     assert f"{option} is not read by" in assert_usage_error(capsys, *command)

@@ -355,7 +355,7 @@ def test_series_arithmetic_against_plain_dict_oracle(ring):
     rng = random.Random(2024)
     algebra = FreeAlgebra(COMPLEX, ring)
     p = ring.prime
-    checked = 0
+    checked = substituted = 0
     for width in (1, 2, 3):
         varset = VarSet(("x", "y", "w")[:width], 2)
         for _ in range(20):
@@ -387,8 +387,20 @@ def test_series_arithmetic_against_plain_dict_oracle(ring):
             assert plain_series(f.specialize(assignment)) == plain_specialize(
                 pf, forms, width, order, p
             )
+            if width == 1:
+                # f(g) = sum_k f_k g^k, for g without its constant term
+                pg0 = {index: element for index, element in pg.items() if sum(index)}
+                g0 = CentralSeries(algebra, varset, order, {i: g.coefficient(i) for i in pg0})
+                expected, power = {}, {(0,): {(): 1}}
+                for k in range(order + 1):
+                    if (k,) in pf:
+                        expected = plain_add(expected, plain_scale(power, pf[(k,)], p, True), p)
+                    power = plain_mul(power, pg0, order, p)
+                assert plain_series(left_substitute(f, g0)) == expected
+                substituted += bool(expected)
             checked += bool(pf) and bool(pg)
     assert checked > 30  # most draws are nonzero, so the comparisons bite
+    assert substituted > 10  # and most univariate substitutions are nonzero
 
 
 def test_public_constructor_still_validates(A, vs1, vs2):

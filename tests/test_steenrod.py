@@ -435,6 +435,9 @@ def test_frobenius_is_the_p_power_map(p):
             element = element + algebra.element({tuple(mono.items()): rng.randint(1, p - 1)})
         for q in (1, p, p * p):
             assert frobenius(element, q) == element ** q
+    tensor = coproduct(algebra.gen(1) + algebra.gen(2))  # on both tensor factors
+    for q in (1, p):
+        assert frobenius(tensor, q) == tensor ** q
 
 
 def test_frobenius_refuses_other_exponents_and_rings():
@@ -445,6 +448,8 @@ def test_frobenius_refuses_other_exponents_and_rings():
     rational = CommAlgebra.with_degrees("b", (2, 4), QQ)
     with pytest.raises(ParameterError):
         frobenius(rational.gen(1), 1)
+    with pytest.raises(UnsupportedInputError):  # words do not commute
+        frobenius(FreeAlgebra(COMPLEX, GF(3)).gen(1), 3)
 
 
 # sha256 over n = 0 .. top of json.dumps(to_data()) + str of chi(xi_n): the
