@@ -192,38 +192,36 @@ def inverse_table(order: int, algebra: FreeAlgebra | None = None) -> InverseTabl
     )
 
 
+# The checks of :func:`verify_axioms`, in report order; an :class:`AxiomReport`
+# holds one ``<name>_ok`` field per check.
+AXIOM_CHECKS = ("unit", "commutativity", "associativity", "inverse")
+
+
+def check_results(report) -> list:
+    """(name, passed) for each of :data:`AXIOM_CHECKS`, read from ``report``."""
+    return [(name, getattr(report, f"{name}_ok")) for name in AXIOM_CHECKS]
+
+
 class AxiomReport(Record):
     """Outcome of the four formal group law checks at one truncation order."""
 
-    __slots__ = (
-        "order", "unit_ok", "commutativity_ok", "associativity_ok", "inverse_ok", "failures"
-    )
+    __slots__ = ("order", *(f"{name}_ok" for name in AXIOM_CHECKS), "failures")
     _defaults = {"failures": dict}
 
     @property
     def all_ok(self) -> bool:
-        return self.unit_ok and self.commutativity_ok and self.associativity_ok and self.inverse_ok
+        return all(ok for _, ok in check_results(self))
 
     def to_data(self):
         return {
             "order": self.order,
-            "checks": {
-                "unit": self.unit_ok,
-                "commutativity": self.commutativity_ok,
-                "associativity": self.associativity_ok,
-                "inverse": self.inverse_ok,
-            },
+            "checks": dict(check_results(self)),
             "failures": dict(self.failures),
         }
 
     def __str__(self):
         lines = [f"axiom checks at order {self.order}"]
-        for name, ok in (
-            ("unit", self.unit_ok),
-            ("commutativity", self.commutativity_ok),
-            ("associativity", self.associativity_ok),
-            ("inverse", self.inverse_ok),
-        ):
+        for name, ok in check_results(self):
             status = "PASS" if ok else f"FAIL ({self.failures.get(name, 'no detail')})"
             lines.append(f"{name:>14}: {status}")
         return "\n".join(lines)
@@ -310,13 +308,11 @@ def verify_axioms(
         raise ModeMismatchError(f"the table is over {table.algebra!r}, not {algebra!r}")
     one = algebra.one()
     zero = algebra.zero()
-    failures = {}
-    ok = {"unit": True}
+    failures = {}  # a check passes exactly when it has no entry here
     for i in range(order + 1):
         expected = one if i == 1 else zero
         for key in ((i, 0), (0, i)):
             if table.entry(*key) != expected:
-                ok["unit"] = False
                 failures.setdefault("unit", f"a[{key[0]},{key[1]}] = {table.entry(*key)}")
 
     vardeg = algebra.profile.variable_degree
@@ -324,7 +320,6 @@ def verify_axioms(
         z = orientation_series(order, algebra, VarSet(variables, vardeg))
         expected = z.specialize({"x": expected_form})
         powers = {}
-        ok[name] = True
         for label, forms in groupings:
             pair = []
             for form in forms:
@@ -334,12 +329,9 @@ def verify_axioms(
                 pair.append(powers[key])
             detail = _first_difference(_fgl_sum(table, *pair), expected)
             if detail is not None:
-                ok[name] = False
                 failures.setdefault(name, f"{label}: {detail}")
 
-    return AxiomReport(
-        order, ok["unit"], ok["commutativity"], ok["associativity"], ok["inverse"], failures
-    )
+    return AxiomReport(order, *(name not in failures for name in AXIOM_CHECKS), failures)
 
 
 class FiltrationResult(Record):

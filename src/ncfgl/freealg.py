@@ -216,6 +216,12 @@ def commutator(a: FreeElement, b: FreeElement) -> FreeElement:
     return a.algebra.from_accumulator(acc)
 
 
+def commutator_map(w: FreeElement):
+    """word -> [word, w], the linear map whose kernel is the centralizer of ``w``."""
+    monomial = w.algebra.monomial
+    return lambda word: commutator(monomial(word), w)
+
+
 def matrix_of(linear_map, source_words, target_words) -> list:
     """Dict rows of the matrix of a linear map between spans of words.
 
@@ -246,11 +252,7 @@ def centralizer_basis(w: FreeElement, degree: int) -> list:
     words = algebra.words_of_degree(degree)
     if not words:
         return []
-    rows = matrix_of(
-        lambda word: commutator(algebra.monomial(word), w),
-        words,
-        algebra.words_of_degree(degree + w.degree()),
-    )
+    rows = matrix_of(commutator_map(w), words, algebra.words_of_degree(degree + w.degree()))
     kernel = nullspace(rows, len(words), algebra.ring)
     return [algebra.element({words[j]: x for j, x in vec.items()}) for vec in kernel]
 

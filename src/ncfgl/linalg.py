@@ -72,12 +72,14 @@ def rref(rows, ncols: int, ring: ScalarRing):
 
 
 def _primitive(vec):
-    """Scale a rational vector to a primitive integer vector, leading entry > 0."""
+    """Scale a rational vector to a primitive integer vector.
+
+    Every caller passes an :func:`rref` row, whose leading entry is 1, so
+    scaling by the positive lcm and gcd keeps that entry positive.
+    """
     denom = lcm(*(x.denominator for x in vec.values()))
     ints = {c: int(x * denom) for c, x in vec.items()}
     g = gcd(*ints.values())
-    if ints[min(ints)] < 0:
-        g = -g
     return {c: x // g for c, x in ints.items()}
 
 

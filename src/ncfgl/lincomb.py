@@ -106,7 +106,7 @@ class LinearCombination:
 
     def __init__(self, algebra: SparseAlgebra, terms: dict):
         self.algebra = algebra
-        self._terms = terms
+        self._terms = algebra.element(terms)._terms
 
     # -- inspection ------------------------------------------------------------
 

@@ -7,7 +7,11 @@ algebra on the polynomial algebra F_p[t_1, t_2, ...] with deg t_r = 2p^r - 2,
 right actions a.theta = sum <theta, a'> a'', the Cartan rule for extending a
 generator action table over products, the induced action on the free algebra
 generators, and two finite obstruction certificates built from these actions
-by exact linear algebra; tensors are sums over a :class:`TensorAlgebra`.
+by exact linear algebra; tensors are sums over a :class:`TensorAlgebra`.  The
+induced action has one index-shift rule for both profiles and every prime: an
+operation of degree d sends Z_i to C(i - s + 1, s/(p - 1)) Z_{i-s}, where
+s = d / (degree of the series variable), Z_0 = 1, and the image is zero
+unless s is a whole number at most i.
 
 Only the polynomial (even) part of the dual Steenrod algebra is modelled; the
 exterior generators at odd primes are never needed by the computations here.
@@ -31,7 +35,7 @@ from .freealg import (
     FreeAlgebra,
     FreeElement,
     centralizer_basis,
-    commutator,
+    commutator_map,
     matrix_of,
 )
 from .lincomb import LinearCombination, SparseAlgebra
@@ -130,8 +134,7 @@ class TensorElement(LinearCombination):
     __slots__ = ()
 
     def __init__(self, left_algebra, right_carrier, terms: dict):
-        parent = TensorAlgebra(left_algebra, right_carrier)
-        super().__init__(parent, parent.element(terms)._terms)
+        super().__init__(TensorAlgebra(left_algebra, right_carrier), terms)
 
     @property
     def left_algebra(self):
@@ -355,13 +358,20 @@ class GeneratorActionTable:
     """Images of generators under P^k (or Sq^k) for one algebra.
 
     Entries are keyed by (operation index, generator index); index zero is the
-    identity and is never stored.  :func:`cartan_extend` raises when a needed
-    entry is missing, naming the generator and the index.
+    identity and is never stored.  A carrier over another ring than F_prime,
+    or an entry over another algebra than the carrier, is refused with
+    ModeMismatchError.  :func:`cartan_extend` raises when a needed entry is
+    missing, naming the generator and the index.
     """
 
     __slots__ = ("carrier", "kind", "prime", "entries")
 
     def __init__(self, carrier, kind: str, prime: int, entries: dict):
+        if carrier.ring.prime != prime:
+            raise ModeMismatchError(f"a table for p = {prime} cannot act over {carrier!r}")
+        for (k, i), image in entries.items():
+            if image.algebra is not carrier and image.algebra != carrier:
+                raise ModeMismatchError(f"entry ({k}, {i}) does not live over {carrier!r}")
         self.carrier = carrier
         self.kind = kind
         self.prime = prime
@@ -420,26 +430,15 @@ def cartan_extend(table: GeneratorActionTable, a, op: MilnorOp):
 
 
 def _generator_image(algebra: FreeAlgebra, op: MilnorOp, k: int, i: int) -> FreeElement:
-    """Image of generator i under the index-k operation, from the projective
-    family action C(m, k) dual rule with the unit convention for index 0."""
-    p = op.prime
-    if algebra.profile.kind == "complex":
-        if op.kind == "P":
-            shift = k * (p - 1)
-        else:
-            # at p = 2 only the even squares can act for degree reasons
-            if k % 2:
-                return algebra.zero()
-            shift = k // 2
-        target = i - shift
-        coeff = 0 if target < 0 else lucas_binomial(target + 1, k if op.kind == "P" else shift, p)
-    else:
-        target = i - k
-        coeff = 0 if target < 0 else lucas_binomial(target + 1, k, p)
-    if target < 0 or coeff == 0:
+    """Image of generator i under the index-k operation of ``op``'s kind, by
+    the index-shift rule (module docstring): the degree of an operation is
+    proportional to its index, so that operation has degree k/index of
+    ``op.degree``."""
+    s, rest = divmod(k * op.degree // op.index, algebra.profile.variable_degree)
+    if rest or s > i:
         return algebra.zero()
-    base = algebra.one() if target == 0 else algebra.gen(target)
-    return base.scale(coeff)
+    coeff = lucas_binomial(i - s + 1, s // (op.prime - 1), op.prime)
+    return algebra.monomial((i - s,) if s < i else (), coeff)
 
 
 def nsym_action(op: MilnorOp, a: FreeElement) -> FreeElement:
@@ -516,11 +515,6 @@ def _acting(algebra, op):
     return lambda word: nsym_action(op, algebra.monomial(word))
 
 
-def _commuting(w: FreeElement):
-    """word -> [word, w], as a map for :func:`matrix_of`."""
-    return lambda word: commutator(w.algebra.monomial(word), w)
-
-
 def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
     """The procedure of both certificates, over the algebra of ``c``.
 
@@ -575,7 +569,7 @@ def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
 
     solutions = []
     for w in candidates:
-        rows = matrix_of(_commuting(w), V, comm_targets) + action_rows
+        rows = matrix_of(commutator_map(w), V, comm_targets) + action_rows
         rhs = {}
         offset = len(comm_targets)
         for (_, image), words in zip(blocks, block_targets):

@@ -343,6 +343,17 @@ def _corrupted(order):
     return verify_axioms(order, algebra, table=FGLTable(algebra, order, entries))
 
 
+def test_a_wrong_unit_column_entry_fails_the_unit_check():
+    order = 5
+    algebra = FreeAlgebra(COMPLEX, ZZ)
+    entries = dict(fgl_table(order, algebra).items())
+    entries[(0, 3)] = algebra.gen(2)
+    report = verify_axioms(order, algebra, table=FGLTable(algebra, order, entries))
+    assert not report.unit_ok and not report.all_ok
+    assert report.failures["unit"] == "a[0,3] = Z2"
+    assert "          unit: FAIL (a[0,3] = Z2)" in str(report).splitlines()
+
+
 @pytest.mark.parametrize("order", [7, 9])
 def test_corrupted_table_fails_three_checks_exactly(order):
     report = _corrupted(order)

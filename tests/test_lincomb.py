@@ -12,6 +12,7 @@ from ncfgl import (
     ZZ,
     CommAlgebra,
     FreeAlgebra,
+    FreeElement,
     ModeMismatchError,
     ParameterError,
     TensorElement,
@@ -105,6 +106,16 @@ def test_fraction_scale_is_refused_over_a_prime_field():
     F = CommAlgebra.with_degrees("t", (2,), GF(3))
     with pytest.raises(ModeMismatchError):
         TensorElement(F, F, {((), ()): Fraction(1, 2)})
+
+
+def test_element_constructors_coerce_into_the_ring():
+    with pytest.raises(ModeMismatchError):
+        FreeElement(FreeAlgebra(COMPLEX, ZZ), {(1,): Fraction(1, 2)})
+    F3 = FreeAlgebra(COMPLEX, GF(3))
+    element = FreeElement(F3, {(1,): 7, (2,): 0})
+    assert len(element) == 1
+    assert element == F3.gen(1)
+    assert repr(element) == "<Z1>"
 
 
 def test_bool_coefficient_is_refused():

@@ -154,3 +154,27 @@ def test_milnor_op_is_hashable_and_immutable():
         del op.index
     assert op.index == 1
     assert pickle.loads(pickle.dumps(op)) == op
+
+
+# -- no runtime dependencies -----------------------------------------------------
+
+
+def test_the_package_imports_only_the_standard_library():
+    import ast
+    from pathlib import Path
+
+    root = Path(ncfgl.__file__).parent
+    sources = sorted(root.glob("*.py"))
+    assert len(sources) > len(SUBMODULES)  # the walk reaches every submodule
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] in sys.stdlib_module_names, (source.name, module)
+    pyproject = (root.parent.parent / "pyproject.toml").read_text().splitlines()
+    assert "dependencies = []" in pyproject

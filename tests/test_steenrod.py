@@ -33,7 +33,7 @@ from ncfgl import (
     nsym_action,
     right_action,
 )
-from ncfgl.steenrod import TensorElement
+from ncfgl.steenrod import TensorElement, _two_stage
 
 from props import run_coalgebra_laws, run_lucas_check
 
@@ -83,6 +83,12 @@ def test_coproduct_second_generator(p):
         },
     )
     assert psi == expected
+
+
+def test_coproduct_renders_each_tensor_factor():
+    assert str(coproduct(dual_steenrod(3).gen(2))) == (
+        "(1 (x) xi2) + (xi1^3 (x) xi1) + (xi2 (x) 1)"
+    )
 
 
 def test_coproduct_is_multiplicative():
@@ -307,6 +313,21 @@ def test_cartan_table_mismatch():
         cartan_extend(table, W.gen(1), MilnorOp(5, "P", 1))
 
 
+def test_action_table_refuses_an_entry_over_another_ring():
+    # over F_3, w1^2 . P^1 would read the F_5 entry 4 as 1 and return 2*w1
+    W3 = CommAlgebra.with_degrees("w", (4,), GF(3))
+    W5 = CommAlgebra.with_degrees("w", (4,), GF(5))
+    with pytest.raises(ModeMismatchError, match=r"entry \(1, 1\)"):
+        GeneratorActionTable(W3, "P", 3, {(1, 1): W5.one().scale(4)})
+
+
+def test_action_table_refuses_a_prime_other_than_its_carriers():
+    # a p = 5 table over F_3 would send w1^5 under P^1 to 2*w1^4
+    W3 = CommAlgebra.with_degrees("w", (4,), GF(3))
+    with pytest.raises(ModeMismatchError, match="p = 5"):
+        GeneratorActionTable(W3, "P", 5, {(1, 1): W3.one().scale(-1)})
+
+
 # -- induced action on the free algebra ----------------------------------------------------------
 
 
@@ -414,6 +435,35 @@ def test_hf2_certificate():
     data = cert.to_data()
     assert data["verdict"] == "INFEASIBLE"
     assert data["systems"][1]["dimension"] == 4
+
+
+def test_two_stage_reports_a_feasible_system():
+    # Sq^1 w = 1 forces w = z1; then v = z1^3 commutes with z1 and
+    # Sq^2(z1^3) = 3 z1 = z1, so the one-block system has a solution
+    algebra = FreeAlgebra(REAL, GF(2))
+    candidates, certificate = _two_stage(
+        MilnorOp(2, "Sq", 1), algebra.one(), 3, [(MilnorOp(2, "Sq", 2), lambda w: w)]
+    )
+    assert candidates == [algebra.gen(1)]
+    assert not certificate.infeasible
+    assert certificate.to_data() == {
+        "prime": 2,
+        "candidates": ["z1"],
+        "systems": [
+            {"degree": 1, "dimension": 1, "rank": 1},
+            {"degree": 3, "dimension": 4, "rank": 4},
+        ],
+        "solutions": [{"candidate": "z1", "particular": "z1*z1*z1", "kernel": []}],
+        "verdict": "FEASIBLE",
+        "centralizers": {},
+    }
+    assert str(certificate) == "\n".join([
+        "obstruction certificate at p = 2: FEASIBLE",
+        "  candidate: z1",
+        "  system in degree 1: 1 unknowns, rank 1",
+        "  system in degree 3: 4 unknowns, rank 4",
+        "  solution: {'candidate': 'z1', 'particular': 'z1*z1*z1', 'kernel': []}",
+    ])
 
 
 def test_lucas_refuses_a_composite_modulus():
