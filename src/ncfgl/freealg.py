@@ -99,6 +99,12 @@ COMPLEX = GradingProfile("complex", "Z")
 REAL = GradingProfile("real", "z")
 
 
+def _check_letters(word: Word) -> None:
+    """Refuse a word with a letter below 1, in one pass over the word."""
+    if word and (least := min(word)) < 1:
+        raise ParameterError(f"generator index must be >= 1, got {least}")
+
+
 class FreeElement(LinearCombination):
     """A finite sum of words with nonzero scalar coefficients."""
 
@@ -172,6 +178,21 @@ class FreeAlgebra(SparseAlgebra):
         return word[0], word[1:]
 
     # -- element construction --------------------------------------------------
+
+    def element(self, terms: dict) -> FreeElement:
+        """The element with these coefficients; a word with a letter below 1
+        is refused with ParameterError."""
+        for word in terms:
+            _check_letters(word)
+        return super().element(terms)
+
+    def monomial(self, word, coeff=1) -> FreeElement:
+        """coeff * word, refused like a word of :meth:`element`; built
+        directly, since every column of :func:`matrix_of` starts here."""
+        word = tuple(word)
+        _check_letters(word)
+        value = self.ring.coerce(coeff)
+        return self._wrap({word: value} if value else {})
 
     def gen(self, i: int) -> FreeElement:
         self.profile.degree_of(i)  # validates the index

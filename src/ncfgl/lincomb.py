@@ -11,6 +11,15 @@ once.  Sums reduce each coefficient as it is formed.  Every coefficient that
 enters from outside goes through :meth:`ScalarRing.coerce`, so a scalar of one
 ring never lands in another.
 
+Coefficients are held in the ring's stored form (:mod:`ncfgl.scalars`): over
+Q an integral value is an ``int``, so integral rational work runs the same
+int loops as Z, and reducing a rational sum or product turns an integral
+``Fraction`` back into an ``int``.  :meth:`LinearCombination.coefficient` and
+:meth:`LinearCombination.terms` hand each value out through
+:meth:`ScalarRing.public`, so a caller reads every rational coefficient as a
+``Fraction``; :meth:`LinearCombination.mutable_terms` alone returns stored
+values, as an accumulator for :meth:`SparseAlgebra.from_accumulator`.
+
 All values are immutable after construction and every operation is a pure
 function of its inputs.
 """
@@ -18,6 +27,7 @@ function of its inputs.
 from __future__ import annotations
 
 from .errors import ModeMismatchError, ParameterError, UnsupportedInputError
+from .scalars import stored_rational
 
 
 class SparseAlgebra:
@@ -81,6 +91,8 @@ class SparseAlgebra:
         p = self.ring.prime
         if p:
             terms = {key: r for key, value in acc.items() if (r := value % p)}
+        elif self.ring.mode == "rational":
+            terms = {key: stored_rational(value) for key, value in acc.items() if value}
         else:
             terms = {key: value for key, value in acc.items() if value}
         return self._wrap(terms)
@@ -114,7 +126,7 @@ class LinearCombination:
         return not self._terms
 
     def coefficient(self, key):
-        return self._terms.get(tuple(key), self.algebra.ring.zero)
+        return self.algebra.ring.public(self._terms.get(tuple(key), 0))
 
     def support(self):
         """Keys with nonzero coefficient, in canonical term order."""
@@ -122,13 +134,19 @@ class LinearCombination:
 
     def terms(self):
         """(key, coefficient) pairs in canonical term order."""
-        return [(key, self._terms[key]) for key in self.support()]
+        public = self.algebra.ring.public
+        return [(key, public(self._terms[key])) for key in self.support()]
 
     def __len__(self):
         return len(self._terms)
 
     def mutable_terms(self) -> dict:
-        """A fresh key -> coefficient dict, for use as an accumulator."""
+        """A fresh key -> coefficient dict, for use as an accumulator.
+
+        It holds the stored values, not the ones :meth:`coefficient` reads:
+        an integral rational is an ``int`` here.  Such a dict goes back
+        through :meth:`SparseAlgebra.from_accumulator`.
+        """
         return dict(self._terms)
 
     def homogeneous_components(self) -> dict:
@@ -162,13 +180,17 @@ class LinearCombination:
     def _combine(self, other: "LinearCombination", sign: int):
         """self + sign * other, each coefficient reduced as it is formed."""
         self._check_compatible(other)
-        p = self.algebra.ring.prime
+        ring = self.algebra.ring
+        p = ring.prime
+        rational = ring.mode == "rational"
         out = dict(self._terms)
         get = out.get
         for key, coeff in other._terms.items():
             value = get(key, 0) + sign * coeff
             if p:
                 value %= p
+            elif rational:
+                value = stored_rational(value)
             if value:
                 out[key] = value
             else:

@@ -1,9 +1,16 @@
 """Exact coefficient arithmetic over Z, Q, or a prime field F_p.
 
-Element values are plain ``int`` (integer mode and prime-field residues in
-``[0, p)``) or ``fractions.Fraction`` (rational mode, always in lowest terms
-with positive denominator).  A :class:`ScalarRing` carries the arithmetic so
-that the sparse containers built on top stay lightweight and hashable.
+Values are stored as plain ``int`` in integer mode and as residues in
+``[0, p)`` over F_p.  In rational mode a value is stored as an ``int`` exactly
+when it is an integer and as a ``fractions.Fraction`` (in lowest terms, with
+positive denominator and denominator > 1) otherwise, by :func:`stored_rational`:
+integral work over Q, such as every formal group law table, then runs on int
+arithmetic.  A :class:`ScalarRing` carries the arithmetic so that the sparse
+containers built on top stay lightweight and hashable; its methods take and
+return stored values.  The element readers that hand a coefficient to a caller
+(:meth:`~ncfgl.lincomb.LinearCombination.coefficient` and ``terms``) return it
+through :meth:`ScalarRing.public`, so every rational coefficient a caller reads
+is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -53,6 +60,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def stored_rational(value):
+    """The stored form of an exact rational (an ``int`` or a ``Fraction``):
+    its numerator when it is an integer, else the ``Fraction`` itself."""
+    return value.numerator if value.denominator == 1 else value
+
+
 class ScalarRing:
     """One global coefficient ring per computation: Z, Q, or F_p."""
 
@@ -72,11 +85,7 @@ class ScalarRing:
     # -- value construction -------------------------------------------------
 
     def of_int(self, n: int):
-        if self.mode == "integer":
-            return n
-        if self.mode == "rational":
-            return Fraction(n)
-        return n % self.prime
+        return n % self.prime if self.mode == "fp" else n
 
     def coerce(self, value):
         """Accept an int in every mode, a Fraction in rational mode."""
@@ -85,14 +94,18 @@ class ScalarRing:
         if isinstance(value, int):
             return self.of_int(value)
         if isinstance(value, Fraction) and self.mode == "rational":
-            return value
+            return stored_rational(value)
         raise ModeMismatchError(f"cannot coerce {value!r} into {self!r}")
 
     def parse(self, text: str):
         """Inverse of :meth:`render`, for deserialization."""
         if self.mode == "rational":
-            return Fraction(text)
+            return stored_rational(Fraction(text))
         return self.of_int(int(text))
+
+    def public(self, value):
+        """A stored value as callers read it: a ``Fraction`` in rational mode."""
+        return Fraction(value) if self.mode == "rational" else value
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -104,14 +117,22 @@ class ScalarRing:
     def one(self):
         return self.of_int(1)
 
+    def _reduce(self, value):
+        """The stored form of a sum or product of stored values."""
+        if self.mode == "fp":
+            return value % self.prime
+        if self.mode == "rational":
+            return stored_rational(value)
+        return value
+
     def add(self, a, b):
-        return (a + b) % self.prime if self.mode == "fp" else a + b
+        return self._reduce(a + b)
 
     def neg(self, a):
-        return (-a) % self.prime if self.mode == "fp" else -a
+        return self._reduce(-a)
 
     def mul(self, a, b):
-        return (a * b) % self.prime if self.mode == "fp" else a * b
+        return self._reduce(a * b)
 
     def inv(self, a):
         if self.is_zero(a):
@@ -119,7 +140,7 @@ class ScalarRing:
         if self.mode == "fp":
             return pow(a, self.prime - 2, self.prime)
         if self.mode == "rational":
-            return 1 / Fraction(a)
+            return stored_rational(1 / Fraction(a))
         if a in (1, -1):
             return a
         raise ParameterError(f"{a} is not invertible over the integers")
@@ -142,7 +163,7 @@ class ScalarRing:
         while nonzero and num == 0:
             num = rng.randint(-4, 4)
         if self.mode == "rational":
-            return Fraction(num, rng.randint(1, 4))
+            return stored_rational(Fraction(num, rng.randint(1, 4)))
         return num
 
     def render(self, a) -> str:

@@ -60,6 +60,18 @@ def lucas_binomial(m: int, k: int, p: int) -> int:
     return result % p
 
 
+def _check_kind(prime: int, kind: str) -> None:
+    """Which operations live at which prime: Sq^k at p = 2, P^k at odd p."""
+    if kind == "P":
+        if prime == 2:
+            raise ParameterError("use Sq^k at p = 2")
+    elif kind == "Sq":
+        if prime != 2:
+            raise ParameterError("Sq^k lives at p = 2")
+    else:
+        raise ParameterError(f"unknown operation kind {kind!r}")
+
+
 class MilnorOp(Record):
     """P^k at an odd prime, or Sq^k at p = 2; index 0 is the identity; immutable."""
 
@@ -69,14 +81,7 @@ class MilnorOp(Record):
         super().__init__(prime, kind, index)
         if not is_prime(self.prime):
             raise ParameterError(f"{self.prime} is not prime")
-        if self.kind == "P":
-            if self.prime == 2:
-                raise ParameterError("use Sq^k at p = 2")
-        elif self.kind == "Sq":
-            if self.prime != 2:
-                raise ParameterError("Sq^k lives at p = 2")
-        else:
-            raise ParameterError(f"unknown operation kind {self.kind!r}")
+        _check_kind(self.prime, self.kind)
         if self.index < 0:
             raise ParameterError("operation index must be nonnegative")
 
@@ -358,15 +363,17 @@ class GeneratorActionTable:
     """Images of generators under P^k (or Sq^k) for one algebra.
 
     Entries are keyed by (operation index, generator index); index zero is the
-    identity and is never stored.  A carrier over another ring than F_prime,
-    or an entry over another algebra than the carrier, is refused with
-    ModeMismatchError.  :func:`cartan_extend` raises when a needed entry is
-    missing, naming the generator and the index.
+    identity and is never stored.  A kind that does not live at ``prime``
+    is refused with ParameterError, by the rule of :class:`MilnorOp`; a carrier
+    over another ring than F_prime, or an entry over another algebra than the
+    carrier, is refused with ModeMismatchError.  :func:`cartan_extend` raises
+    when a needed entry is missing, naming the generator and the index.
     """
 
     __slots__ = ("carrier", "kind", "prime", "entries")
 
     def __init__(self, carrier, kind: str, prime: int, entries: dict):
+        _check_kind(prime, kind)
         if carrier.ring.prime != prime:
             raise ModeMismatchError(f"a table for p = {prime} cannot act over {carrier!r}")
         for (k, i), image in entries.items():

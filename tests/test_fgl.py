@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -304,6 +305,23 @@ def test_fgl_table_order_12_digest(ring, digest):
 def test_inverse_table_order_16_digest():
     digest = "9ceca281201023f4270fc5467e30edf52c8f912ba8923b260c9356763f1127ce"
     assert _digest(inverse_table(16)) == digest
+
+
+@pytest.mark.parametrize("order", range(2, 10))
+def test_rational_table_is_the_integer_table_read_as_fractions(order):
+    # QQ stores an integral value as an int; every reader still hands out a
+    # Fraction, and the rendered table is the integer one byte for byte
+    qq = fgl_table(order, FreeAlgebra(COMPLEX, QQ))
+    zz = fgl_table(order, FreeAlgebra(COMPLEX, ZZ))
+    for (i, j), element in zz.items():
+        entry = qq.entry(i, j)
+        terms = entry.terms()
+        assert terms == [(word, Fraction(c)) for word, c in element.terms()]
+        assert all(type(c) is Fraction for _, c in terms)
+        assert all(type(entry.coefficient(word)) is Fraction for word, _ in terms)
+        assert type(entry.coefficient((order + 1,))) is Fraction
+    assert str(qq) == str(zz)
+    assert json.dumps(qq.to_data(), indent=2) == json.dumps(zz.to_data(), indent=2)
 
 
 def test_filtration_run_refuses_zero_samples(A):

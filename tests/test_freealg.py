@@ -14,6 +14,7 @@ from ncfgl import (
     FreeAlgebra,
     GradingProfile,
     ModeMismatchError,
+    ParameterError,
     UnsupportedInputError,
     centralizer_basis,
     commutator,
@@ -219,3 +220,13 @@ def test_homogeneous_components(A):
     for part in parts.values():
         total = total + part
     assert total == element
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda A: A.monomial((0,)), lambda A: A.element({(1, -2): 1})],
+    ids=["monomial (0,)", "element (1, -2)"],
+)
+def test_a_word_with_a_letter_below_one_is_refused_at_construction(build):
+    with pytest.raises(ParameterError, match="generator index must be >= 1"):
+        build(FreeAlgebra())

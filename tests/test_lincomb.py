@@ -130,3 +130,25 @@ def test_coefficients_are_reduced_into_the_ring():
     assert str(FreeAlgebra(COMPLEX, QQ).element({(1,): Fraction(1, 2)})) == "1/2*Z1"
     assert str(FreeAlgebra(COMPLEX, GF(3)).element({(1,): 7, (2,): -1})) == "Z1 + 2*Z2"
     assert FreeAlgebra(COMPLEX, GF(3)).element({(1,): 3}).is_zero()
+
+
+def test_an_integral_rational_is_stored_as_an_int():
+    Q = FreeAlgebra(COMPLEX, QQ)
+    z1 = Q.gen(1)
+    back = z1.scale(Fraction(1, 2)).scale(2)
+    assert back == z1
+    assert hash(back) == hash(z1)
+    assert type(back.mutable_terms()[(1,)]) is int
+    assert type((z1.scale(Fraction(1, 2)) + z1.scale(Fraction(3, 2))).mutable_terms()[(1,)]) is int
+    assert back.terms() == [((1,), Fraction(1))]
+    assert type(back.coefficient((1,))) is Fraction
+
+
+def test_a_rational_coefficient_read_out_is_refused_over_the_integers():
+    Q = FreeAlgebra(COMPLEX, QQ)
+    half = Q.element({(1,): Fraction(1, 2)}).coefficient((1,))
+    assert half == Fraction(1, 2)
+    with pytest.raises(ModeMismatchError):
+        ZZ.coerce(half)
+    with pytest.raises(ModeMismatchError):
+        FreeAlgebra(COMPLEX, ZZ).monomial((1,), half)

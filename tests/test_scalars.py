@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,31 @@ def test_render_parse_round_trip():
     for ring, value in ((ZZ, -12), (QQ, Fraction(3, 7)), (GF(5), 3)):
         v = ring.coerce(value)
         assert ring.parse(ring.render(v)) == v
+
+
+def test_rational_values_are_stored_as_ints_when_integral():
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.inv(Fraction(1, 3))) is int
+    assert type(QQ.of_int(5)) is int
+    assert type(QQ.coerce(Fraction(6, 3))) is int
+    assert type(QQ.parse("-4/2")) is int
+    assert type(QQ.mul(Fraction(2, 3), Fraction(3, 2))) is int
+    assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(QQ.public(3)) is Fraction
+
+
+def test_no_rational_operation_yields_a_float():
+    rng = random.Random(7)
+    values = [QQ.random_value(rng) for _ in range(40)] + [QQ.zero, QQ.one, QQ.parse("3/4")]
+    results = list(values)
+    for a in values:
+        results += [QQ.neg(a), QQ.coerce(a), QQ.parse(QQ.render(a))]
+        if a:
+            results.append(QQ.inv(a))
+        for b in values:
+            results += [QQ.add(a, b), QQ.mul(a, b)]
+    assert {type(v) for v in results} == {int, Fraction}
+    assert all(v.denominator > 1 for v in results if type(v) is Fraction)
 
 
 # psi_12 and psi_13: the least strong pseudoprimes to the prime bases up to

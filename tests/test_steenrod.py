@@ -328,6 +328,14 @@ def test_action_table_refuses_a_prime_other_than_its_carriers():
         GeneratorActionTable(W3, "P", 5, {(1, 1): W3.one().scale(-1)})
 
 
+@pytest.mark.parametrize("kind, prime", [("Sq", 3), ("P", 2)])
+def test_action_table_refuses_a_kind_that_does_not_live_at_its_prime(kind, prime):
+    # MilnorOp's rule: Sq^k lives at p = 2 and P^k at the odd primes
+    W = CommAlgebra.with_degrees("w", (2,), GF(prime))
+    with pytest.raises(ParameterError):
+        GeneratorActionTable(W, kind, prime, {})
+
+
 # -- induced action on the free algebra ----------------------------------------------------------
 
 
