@@ -4,17 +4,18 @@ Free-algebra elements, commutative polynomials and tensors are all finite
 sums of basis keys (words, monomials, pairs of those) with nonzero
 coefficients in a :class:`~ncfgl.scalars.ScalarRing`.  :class:`LinearCombination`
 implements their arithmetic and rendering once; the :class:`SparseAlgebra` an
-element lives in supplies the basis and forms every product: its
-:meth:`~SparseAlgebra.add_product` adds term pairs into an accumulator with
-plain ``+`` and ``*``, which :meth:`~SparseAlgebra.from_accumulator` reduces
-once.  Sums reduce each coefficient as it is formed.  Every coefficient that
+element lives in supplies the basis and forms every sum and product: its
+:meth:`~SparseAlgebra.add_product` adds term pairs, and its
+:meth:`~SparseAlgebra.add_multiple` the terms of one element times a scalar,
+into an accumulator with plain ``+`` and ``*``, which
+:meth:`~SparseAlgebra.from_accumulator` reduces once.  Every coefficient that
 enters from outside goes through :meth:`ScalarRing.coerce`, so a scalar of one
 ring never lands in another.
 
-Coefficients are held in the ring's stored form (:mod:`ncfgl.scalars`): over
-Q an integral value is an ``int``, so integral rational work runs the same
-int loops as Z, and reducing a rational sum or product turns an integral
-``Fraction`` back into an ``int``.  :meth:`LinearCombination.coefficient` and
+Coefficients are held in the ring's stored form, which
+:meth:`ScalarRing.reduced <ncfgl.scalars.ScalarRing.reduced>` alone produces:
+over Q an integral value is an ``int``, so integral rational work runs the
+same int loops as Z.  :meth:`LinearCombination.coefficient` and
 :meth:`LinearCombination.terms` hand each value out through
 :meth:`ScalarRing.public`, so a caller reads every rational coefficient as a
 ``Fraction``; :meth:`LinearCombination.mutable_terms` alone returns stored
@@ -27,7 +28,6 @@ function of its inputs.
 from __future__ import annotations
 
 from .errors import ModeMismatchError, ParameterError, UnsupportedInputError
-from .scalars import stored_rational
 
 
 class SparseAlgebra:
@@ -45,8 +45,9 @@ class SparseAlgebra:
       in the commutative algebras that :func:`~ncfgl.commalg.frobenius` maps
       (any other algebra refuses).
 
-    :meth:`add_product` adds a product into a key -> value accumulator with
-    plain ``+`` and ``*``; :meth:`from_accumulator` turns one into an element.
+    :meth:`add_product` adds a product, and :meth:`add_multiple` a scalar
+    multiple, into a key -> value accumulator with plain ``+`` and ``*``;
+    :meth:`from_accumulator` turns one into an element.
     """
 
     __slots__ = ()
@@ -83,19 +84,19 @@ class SparseAlgebra:
                 key = key_mul(k1, k2)
                 acc[key] = get(key, 0) + c1 * c2
 
+    def add_multiple(self, acc: dict, scalar, element) -> None:
+        """acc[k] += scalar * element[k] for every key k, in place and
+        unreduced, like :meth:`add_product`; ``scalar`` is an int or a stored value."""
+        get = acc.get
+        for key, value in element._terms.items():
+            acc[key] = get(key, 0) + scalar * value
+
     def key_frobenius(self, key, q):
         raise UnsupportedInputError("the Frobenius map needs a commutative algebra")
 
     def from_accumulator(self, acc: dict):
         """The element held by an accumulator of unreduced key -> value sums."""
-        p = self.ring.prime
-        if p:
-            terms = {key: r for key, value in acc.items() if (r := value % p)}
-        elif self.ring.mode == "rational":
-            terms = {key: stored_rational(value) for key, value in acc.items() if value}
-        else:
-            terms = {key: value for key, value in acc.items() if value}
-        return self._wrap(terms)
+        return self._wrap(self.ring.reduced(acc))
 
     def zero(self):
         return self._wrap({})
@@ -178,24 +179,11 @@ class LinearCombination:
             )
 
     def _combine(self, other: "LinearCombination", sign: int):
-        """self + sign * other, each coefficient reduced as it is formed."""
+        """self + sign * other, added into a copy of self's terms and reduced once."""
         self._check_compatible(other)
-        ring = self.algebra.ring
-        p = ring.prime
-        rational = ring.mode == "rational"
-        out = dict(self._terms)
-        get = out.get
-        for key, coeff in other._terms.items():
-            value = get(key, 0) + sign * coeff
-            if p:
-                value %= p
-            elif rational:
-                value = stored_rational(value)
-            if value:
-                out[key] = value
-            else:
-                del out[key]
-        return self.algebra._wrap(out)
+        acc = dict(self._terms)
+        self.algebra.add_multiple(acc, sign, other)
+        return self.algebra.from_accumulator(acc)
 
     def __add__(self, other: "LinearCombination"):
         return self._combine(other, 1)

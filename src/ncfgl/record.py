@@ -4,8 +4,9 @@ A record lists its fields in ``__slots__``, in constructor order, and names a
 zero-argument factory for each trailing field that has a default in
 ``_defaults``.  It gets a constructor taking the fields by position or by
 keyword, field-wise ``==`` between records of one class, a
-``Name(field=value, ...)`` repr and pickling.  Records are unhashable unless a
-subclass defines ``__hash__``.
+``Name(field=value, ...)`` repr and pickling.  A field is set once, by the
+constructor: assigning or deleting one raises AttributeError.  Records are
+unhashable unless a subclass defines ``__hash__``.
 """
 
 
@@ -33,6 +34,11 @@ class Record:
             else:
                 raise TypeError(f"{name} missing required argument {field!r}")
             object.__setattr__(self, field, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def _values(self) -> tuple:
         return tuple(getattr(self, field) for field in self.__slots__)

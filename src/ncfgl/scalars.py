@@ -7,7 +7,11 @@ positive denominator and denominator > 1) otherwise, by :func:`stored_rational`:
 integral work over Q, such as every formal group law table, then runs on int
 arithmetic.  A :class:`ScalarRing` carries the arithmetic so that the sparse
 containers built on top stay lightweight and hashable; its methods take and
-return stored values.  The element readers that hand a coefficient to a caller
+return stored values.  This module alone states the stored form: every sum,
+product and scaling of the sparse elements of :mod:`ncfgl.lincomb` and
+:mod:`ncfgl.series` is added into a key -> value accumulator with plain ``+``
+and ``*``, and :meth:`ScalarRing.reduced` turns the accumulator into stored
+values once.  The element readers that hand a coefficient to a caller
 (:meth:`~ncfgl.lincomb.LinearCombination.coefficient` and ``terms``) return it
 through :meth:`ScalarRing.public`, so every rational coefficient a caller reads
 is a ``Fraction``.
@@ -117,13 +121,20 @@ class ScalarRing:
     def one(self):
         return self.of_int(1)
 
-    def _reduce(self, value):
-        """The stored form of a sum or product of stored values."""
-        if self.mode == "fp":
-            return value % self.prime
+    def reduced(self, acc: dict) -> dict:
+        """The nonzero stored values of a key -> unreduced-sum accumulator, by
+        one dict comprehension per ring, so that Z and integral Q run a plain
+        int loop with no call per term."""
+        p = self.prime
+        if p:
+            return {key: r for key, value in acc.items() if (r := value % p)}
         if self.mode == "rational":
-            return stored_rational(value)
-        return value
+            return {key: stored_rational(value) for key, value in acc.items() if value}
+        return {key: value for key, value in acc.items() if value}
+
+    def _reduce(self, value):
+        """The stored form of one sum or product of stored values."""
+        return self.reduced({0: value}).get(0, 0)
 
     def add(self, a, b):
         return self._reduce(a + b)

@@ -20,8 +20,10 @@ Arithmetic never builds intermediate series.  A product, a scaling, a sum of
 left multiples (:func:`left_combination`, which a substitution is) and each
 step of :func:`left_expand` add every coefficient product into one word ->
 value accumulator per multi-index with ``FreeAlgebra.add_product``, the loop
-that multiplies two free-algebra elements, and reduce each accumulator once
-with ``from_accumulator``.  Results are wrapped by the internal
+that multiplies two free-algebra elements; a sum, a difference and
+:meth:`CentralSeries.specialize` add integer multiples of coefficients into
+the same kind of accumulators with ``add_multiple``.  Each accumulator is
+reduced once with ``from_accumulator``.  Results are wrapped by the internal
 ``CentralSeries._wrap``, which skips the index checks of the public
 ``CentralSeries(...)`` constructor: the module only builds indices of the
 right width within the order.
@@ -205,20 +207,14 @@ class CentralSeries:
             raise ShapeError("series operands disagree in algebra, variables, or order")
 
     def _combine(self, other: "CentralSeries", sign: int) -> "CentralSeries":
-        """self + sign * other; indices in both are combined coefficientwise."""
+        """self + sign * other: each index's words of both added into one
+        accumulator, reduced once."""
         self._check_shape(other)
-        out = dict(self._coeffs)
+        add_multiple = self.algebra.add_multiple
+        accs = {index: element.mutable_terms() for index, element in self._coeffs.items()}
         for index, element in other._coeffs.items():
-            mine = out.get(index)
-            if mine is None:
-                out[index] = element if sign > 0 else -element
-                continue
-            value = mine + element if sign > 0 else mine - element
-            if value.is_zero():
-                del out[index]
-            else:
-                out[index] = value
-        return CentralSeries._wrap(self.algebra, self.varset, self.order, out)
+            add_multiple(accs.setdefault(index, {}), sign, element)
+        return self._from_accumulators(accs)
 
     def __add__(self, other: "CentralSeries") -> "CentralSeries":
         return self._combine(other, 1)
@@ -366,14 +362,12 @@ class CentralSeries:
                 images[index] = found
             return found
 
+        add_multiple = self.algebra.add_multiple
         accs: dict = {}
         for index, element in self._coeffs.items():
-            terms = element.mutable_terms().items()
             for key, c in image(index).items():
                 if c:
-                    acc = accs.setdefault(key, {})
-                    for word, value in terms:
-                        acc[word] = acc.get(word, 0) + c * value
+                    add_multiple(accs.setdefault(key, {}), c, element)
         return self._from_accumulators(accs, target)
 
     # -- presentation ----------------------------------------------------------

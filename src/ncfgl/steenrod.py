@@ -73,7 +73,7 @@ def _check_kind(prime: int, kind: str) -> None:
 
 
 class MilnorOp(Record):
-    """P^k at an odd prime, or Sq^k at p = 2; index 0 is the identity; immutable."""
+    """P^k at an odd prime, or Sq^k at p = 2; index 0 is the identity."""
 
     __slots__ = ("prime", "kind", "index")
 
@@ -84,12 +84,6 @@ class MilnorOp(Record):
         _check_kind(self.prime, self.kind)
         if self.index < 0:
             raise ParameterError("operation index must be nonnegative")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"MilnorOp is immutable; cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"MilnorOp is immutable; cannot delete {name!r}")
 
     def __hash__(self):
         return hash(self._values())
@@ -170,7 +164,8 @@ class TensorAlgebra(SparseAlgebra):
     """The tensor product of two algebras over one ring, on (left, right) keys.
 
     Keys multiply factorwise and sort by the left factor's order, then the
-    right factor's.
+    right factor's.  Factors over different rings are refused with
+    ModeMismatchError.
     """
 
     __slots__ = ("left", "right", "ring")
@@ -178,6 +173,8 @@ class TensorAlgebra(SparseAlgebra):
     unit_key = ((), ())
 
     def __init__(self, left, right):
+        if left.ring != right.ring:
+            raise ModeMismatchError(f"tensor factors over {left.ring!r} and {right.ring!r}")
         self.left = left
         self.right = right
         self.ring = left.ring
@@ -448,9 +445,9 @@ def _generator_image(algebra: FreeAlgebra, op: MilnorOp, k: int, i: int) -> Free
     return algebra.monomial((i - s,) if s < i else (), coeff)
 
 
-def nsym_action(op: MilnorOp, a: FreeElement) -> FreeElement:
-    """Right Steenrod action on free-algebra elements via the Cartan rule."""
-    algebra = a.algebra
+def _induced_table(algebra, op: MilnorOp, words) -> GeneratorActionTable:
+    """The table of ``op``'s kind over a free algebra, for every letter of
+    ``words`` and every index up to ``op.index``, by the index-shift rule."""
     if not isinstance(algebra, FreeAlgebra):
         raise UnsupportedInputError("nsym_action acts on free-algebra elements")
     ring = algebra.ring
@@ -461,14 +458,17 @@ def nsym_action(op: MilnorOp, a: FreeElement) -> FreeElement:
         raise UnsupportedInputError("the real profile carries an action only at p = 2")
     if kind not in ("real", "complex"):
         raise UnsupportedInputError("no derived action for custom profiles")
-    letters = sorted({i for word in a.support() for i in word})
     entries = {
         (k, letter): _generator_image(algebra, op, k, letter)
-        for letter in letters
+        for letter in {i for word in words for i in word}
         for k in range(1, op.index + 1)
     }
-    table = GeneratorActionTable(algebra, op.kind, op.prime, entries)
-    return cartan_extend(table, a, op)
+    return GeneratorActionTable(algebra, op.kind, op.prime, entries)
+
+
+def nsym_action(op: MilnorOp, a: FreeElement) -> FreeElement:
+    """Right Steenrod action on free-algebra elements via the Cartan rule."""
+    return cartan_extend(_induced_table(a.algebra, op, a._terms), a, op)
 
 
 # -- obstruction certificates ----------------------------------------------------------
@@ -517,9 +517,11 @@ class ObstructionCertificate(Record):
         return "\n".join(lines)
 
 
-def _acting(algebra, op):
-    """word -> op applied to the word, as a map for :func:`matrix_of`."""
-    return lambda word: nsym_action(op, algebra.monomial(word))
+def _acting(algebra, op, words):
+    """word -> op applied to the word, as a map for :func:`matrix_of` over
+    ``words``, with one action table for all of them."""
+    table = _induced_table(algebra, op, words)
+    return lambda word: cartan_extend(table, algebra.monomial(word), op)
 
 
 def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
@@ -529,8 +531,8 @@ def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
     lists every solution w over F_p as a candidate.  Stage two, for each
     candidate, solves [v, w] = 0 stacked with one block theta(v) = image(w)
     per (theta, image) in ``blocks`` over the words v of ``high_degree``.
-    Returns the candidates and the certificate, whose systems are recorded in
-    solve order.
+    Returns the candidates and the certificate's fields up to ``centralizers``,
+    in order; the systems are recorded in solve order.
     """
     algebra = c.algebra
     ring = algebra.ring
@@ -550,7 +552,7 @@ def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
     W = algebra.words_of_degree(low_degree)
     targets = algebra.words_of_degree(c.degree())
     particular, kernel = solve(
-        low_degree, W, matrix_of(_acting(algebra, op), W, targets), column(c, targets)
+        low_degree, W, matrix_of(_acting(algebra, op, W), W, targets), column(c, targets)
     )
     candidates = []
     if particular is not None:
@@ -568,7 +570,7 @@ def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
     action_rows = [
         row
         for (theta, _), words in zip(blocks, block_targets)
-        for row in matrix_of(_acting(algebra, theta), V, words)
+        for row in matrix_of(_acting(algebra, theta, V), V, words)
     ]
 
     def written(vec):
@@ -590,10 +592,7 @@ def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
                 "kernel": [written(vec) for vec in kernel],
             })
     verdict = "INFEASIBLE" if not solutions else "FEASIBLE"
-    certificate = ObstructionCertificate(
-        ring.prime, [str(w) for w in candidates], systems, solutions, verdict
-    )
-    return candidates, certificate
+    return candidates, (ring.prime, [str(w) for w in candidates], systems, solutions, verdict)
 
 
 # Largest number of words in the degree-2(p^2 - 1) component, whose 2^(p^2 - 2)
@@ -627,13 +626,13 @@ def bp_obstruction_certificate(p: int) -> ObstructionCertificate:
     algebra = FreeAlgebra(COMPLEX, GF(p))
     op1 = MilnorOp(p, "P", 1)
     zero = algebra.zero()
-    _, certificate = _two_stage(
+    _, fields = _two_stage(
         op1,
         -algebra.one(),
         2 * (p * p - 1),
         [(MilnorOp(p, "P", p), lambda w: zero), (op1, lambda w: -(w ** p))],
     )
-    return certificate
+    return ObstructionCertificate(*fields)
 
 
 def hf2_obstruction_certificate() -> ObstructionCertificate:
@@ -647,10 +646,9 @@ def hf2_obstruction_certificate() -> ObstructionCertificate:
     algebra = FreeAlgebra(REAL, GF(2))
     sq1 = MilnorOp(2, "Sq", 1)
     zero = algebra.zero()
-    candidates, certificate = _two_stage(
+    candidates, fields = _two_stage(
         sq1, algebra.one(), 3, [(MilnorOp(2, "Sq", 2), lambda w: w), (sq1, lambda w: zero)]
     )
-    certificate.centralizers = {
-        str(w): [str(b) for b in centralizer_basis(w, 3)] for w in candidates
-    }
-    return certificate
+    return ObstructionCertificate(
+        *fields, {str(w): [str(b) for b in centralizer_basis(w, 3)] for w in candidates}
+    )

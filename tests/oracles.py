@@ -304,6 +304,55 @@ def plain_specialize(f, forms, width, order, p):
     return _plain_reduced(out, p)
 
 
+# -- the Steenrod action on free-algebra words ------------------------------------
+#
+# A word is a tuple of generator indices and an element a dict {word: residue}.
+# ``profile`` is "real" (z_i in degree i, p = 2) or "complex" (Z_i in degree
+# 2i); Z_0 = 1 is the empty word.
+
+
+def _splits(k, n):
+    """Every n-tuple of nonnegative integers with sum k."""
+    if n == 0:
+        return [()] if k == 0 else []
+    return [(first,) + rest for first in range(k + 1) for rest in _splits(k - first, n - 1)]
+
+
+def _letter_image(i, k, p, profile):
+    """(coefficient mod p, word) of the index-k operation on one letter:
+    P^k Z_i = C(i + 1 - k(p - 1), k) Z_{i - k(p - 1)} at odd p;
+    Sq^2j Z_i = C(i + 1 - j, j) Z_{i - j}, and Sq^k Z_i = 0 for odd k, on the
+    complex profile at p = 2; Sq^k z_i = C(i - k + 1, k) z_{i - k} on the
+    real profile.  An image below Z_0 is zero."""
+    if profile == "complex" and p == 2:
+        if k % 2:
+            return 0, ()
+        shift = choose = k // 2
+    elif profile == "complex":
+        shift, choose = k * (p - 1), k
+    else:
+        shift = choose = k
+    if shift > i:
+        return 0, ()
+    return comb(i - shift + 1, choose) % p, (i - shift,) if shift < i else ()
+
+
+def free_action(word, k, p, profile):
+    """The index-k operation on a word: the sum over every split of k over
+    the letters of the word of the product of the letters' images, in the
+    order of the letters."""
+    out = {}
+    for split in _splits(k, len(word)):
+        coeff, image = 1, ()
+        for i, part in zip(word, split):
+            c, letters = _letter_image(i, part, p, profile)
+            coeff = coeff * c % p
+            image += letters
+        if coeff:
+            out[image] = (out.get(image, 0) + coeff) % p
+    return {w: c for w, c in out.items() if c}
+
+
 # -- dense Gauss-Jordan -----------------------------------------------------------
 #
 # Matrices are lists of equal-length lists.  ``p`` is a prime modulus, or None

@@ -141,7 +141,21 @@ def test_record_equality_and_repr():
         "inverse_ok=True, failures={})"
     )
     with pytest.raises(TypeError):
-        hash(report)  # mutable records are unhashable
+        hash(report)  # records are unhashable unless their class says otherwise
+
+
+def test_record_fields_cannot_be_assigned_or_deleted():
+    report = ncfgl.verify_axioms(3)
+    with pytest.raises(AttributeError):
+        report.unit_ok = False
+    with pytest.raises(AttributeError):
+        del report.unit_ok
+    assert report.unit_ok and report.all_ok
+    certificate = ObstructionCertificate(3, [], [], [], "INFEASIBLE")
+    with pytest.raises(AttributeError):
+        certificate.centralizers = {"w": []}
+    assert certificate.centralizers == {}
+    assert pickle.loads(pickle.dumps(certificate)) == certificate
 
 
 def test_milnor_op_is_hashable_and_immutable():

@@ -13,9 +13,11 @@ from ncfgl import (
     CommAlgebra,
     FreeAlgebra,
     GeneratorActionTable,
+    GradingProfile,
     IncompleteTableError,
     MilnorOp,
     ModeMismatchError,
+    ObstructionCertificate,
     ParameterError,
     UnsupportedInputError,
     antipode,
@@ -35,6 +37,7 @@ from ncfgl import (
 )
 from ncfgl.steenrod import TensorElement, _two_stage
 
+from oracles import free_action
 from props import run_coalgebra_laws, run_lucas_check
 
 
@@ -67,6 +70,14 @@ def test_coproduct_primitive_generator():
     assert psi == TensorElement(
         A, A, {(((1, 1),), ()): 1, ((), ((1, 1),)): 1}
     )
+
+
+def test_tensor_factors_over_different_rings_are_refused():
+    # an F_5 factor would otherwise have its products read mod 3
+    with pytest.raises(ModeMismatchError):
+        TensorElement.tensor(dual_steenrod(3).gen(1), bp_homology(5).gen(1))
+    with pytest.raises(ModeMismatchError):
+        TensorElement.unit(dual_steenrod(3), FreeAlgebra(COMPLEX, GF(5)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -366,6 +377,56 @@ def test_nsym_rejects_bad_combinations():
         nsym_action(MilnorOp(3, "P", 1), FreeAlgebra(COMPLEX, GF(5)).gen(1))
     with pytest.raises(ModeMismatchError):
         nsym_action(MilnorOp(3, "P", 1), FreeAlgebra(COMPLEX).gen(1))
+    with pytest.raises(UnsupportedInputError):
+        nsym_action(MilnorOp(2, "Sq", 1), FreeAlgebra(GradingProfile.custom((1, 3)), GF(2)).gen(1))
+    with pytest.raises(UnsupportedInputError):
+        nsym_action(MilnorOp(3, "P", 1), bp_homology(3).gen(1))
+
+
+@pytest.mark.parametrize(
+    "profile, p",
+    [(REAL, 2), (COMPLEX, 2), (COMPLEX, 3), (COMPLEX, 5)],
+    ids=["real-2", "complex-2", "complex-3", "complex-5"],
+)
+def test_nsym_action_matches_the_closed_form_oracle(profile, p):
+    # every word whose letters sum to at most 7, under the operations of
+    # index 1 to 4
+    algebra = FreeAlgebra(profile, GF(p))
+    words = [
+        word
+        for d in range(7 * profile.variable_degree + 1)
+        for word in algebra.words_of_degree(d)
+    ]
+    nonzero = 0
+    for k in range(1, 5):
+        op = MilnorOp(p, "Sq" if p == 2 else "P", k)
+        for word in words:
+            expected = free_action(word, k, p, profile.kind)
+            assert dict(nsym_action(op, algebra.monomial(word)).terms()) == expected, (word, k)
+            nonzero += bool(expected)
+    assert nonzero > 20
+
+
+def test_certificates_build_one_action_table_per_operation_and_word_list(monkeypatch):
+    # stage one acts with one operation on one word list; stage two with one
+    # operation per block on another
+    import ncfgl.steenrod
+
+    built = []
+
+    class Counted(GeneratorActionTable):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[1:3])
+            super().__init__(*args)
+
+    monkeypatch.setattr(ncfgl.steenrod, "GeneratorActionTable", Counted)
+    bp_obstruction_certificate(3)
+    assert built == [("P", 3)] * 3
+    built.clear()
+    hf2_obstruction_certificate()
+    assert built == [("Sq", 2)] * 3
 
 
 def test_degree_vanishing_on_words():
@@ -449,9 +510,10 @@ def test_two_stage_reports_a_feasible_system():
     # Sq^1 w = 1 forces w = z1; then v = z1^3 commutes with z1 and
     # Sq^2(z1^3) = 3 z1 = z1, so the one-block system has a solution
     algebra = FreeAlgebra(REAL, GF(2))
-    candidates, certificate = _two_stage(
+    candidates, fields = _two_stage(
         MilnorOp(2, "Sq", 1), algebra.one(), 3, [(MilnorOp(2, "Sq", 2), lambda w: w)]
     )
+    certificate = ObstructionCertificate(*fields)
     assert candidates == [algebra.gen(1)]
     assert not certificate.infeasible
     assert certificate.to_data() == {
