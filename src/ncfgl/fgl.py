@@ -57,7 +57,7 @@ def orientation_series(
     return CentralSeries(algebra, varset, order, coeffs)
 
 
-class FGLTable:
+class FGLTable(Record):
     """The coefficients a_{i,j} of the formal group law, i + j <= order.
 
     Checked by :func:`verify_axioms`, not assumed: the unit row and column
@@ -74,13 +74,11 @@ class FGLTable:
     __slots__ = ("algebra", "order", "_entries")
 
     def __init__(self, algebra: FreeAlgebra, order: int, entries: dict):
-        self.algebra = algebra
-        self.order = order
-        self._entries = {
+        super().__init__(algebra, order, {
             (i, j): entries.get((i, j), algebra.zero())
             for i in range(order + 1)
             for j in range(order + 1 - i)
-        }
+        })
 
     def entry(self, i: int, j: int) -> FreeElement:
         if i < 0 or j < 0 or i + j > self.order:
@@ -134,17 +132,15 @@ def fgl_table(order: int, algebra: FreeAlgebra | None = None) -> FGLTable:
     return FGLTable(algebra, order, expansion)
 
 
-class InverseTable:
+class InverseTable(Record):
     """Coefficients of the formal inverse: xbar = -x + sum_k c_k x^(k+1)."""
 
     __slots__ = ("algebra", "order", "_entries")
 
     def __init__(self, algebra: FreeAlgebra, order: int, entries: dict):
-        self.algebra = algebra
-        self.order = order
-        self._entries = {
-            k: entries.get(k, algebra.zero()) for k in range(1, order)
-        }
+        super().__init__(
+            algebra, order, {k: entries.get(k, algebra.zero()) for k in range(1, order)}
+        )
 
     @property
     def leading_sign(self) -> int:
@@ -398,7 +394,8 @@ def filtration_property_run(
 
     Each sample is a random homogeneous u of degree at most ``max_degree`` and
     an exponent 1 <= k <= min(max_k, order - 2); the powers z, ..., z^k are
-    built once per run and shared by the samples.
+    built once per run and shared by the samples.  A run whose algebra has no
+    word of degree 1 to ``max_degree`` is refused with ParameterError.
     """
     if samples < 1:
         raise ParameterError("a filtration run needs at least one sample")
@@ -407,8 +404,13 @@ def filtration_property_run(
         raise ParameterError("a filtration run needs max_k >= 1 and order >= 3")
     if algebra is None:
         algebra = FreeAlgebra()
-    rng = random.Random(seed)
     degrees = [d for d in range(1, max_degree + 1) if algebra.dim(d)]
+    if not degrees:
+        raise ParameterError(
+            f"a filtration run needs a word of degree 1 to max_degree = {max_degree} "
+            f"in {algebra!r}"
+        )
+    rng = random.Random(seed)
     powers = _powers(orientation_series(order, algebra), top)
     results = []
     for _ in range(samples):

@@ -14,6 +14,10 @@ the matrix that the exact elimination of :mod:`ncfgl.linalg` solves: one dict
 ``{column: nonzero value}`` per target word, so that no zero of these
 few-percent-dense systems is ever stored.
 
+The words of one degree depend only on the grading profile, so every algebra
+over a profile reads them from one module-level table keyed by (profile,
+degree), filled on first use and shared across algebras and scalar rings.
+
 All values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no coordination.
 """
@@ -23,12 +27,13 @@ from __future__ import annotations
 from .errors import DegenerateInputError, ParameterError, UnsupportedInputError
 from .lincomb import LinearCombination, SparseAlgebra
 from .linalg import nullspace
+from .record import Record
 from .scalars import ZZ, ScalarRing
 
 Word = tuple  # tuple of positive generator indices; () is the unit monomial
 
 
-class GradingProfile:
+class GradingProfile(Record):
     """Degree rule for the generator family.
 
     The complex profile puts generator i in degree 2i, the real profile in
@@ -46,9 +51,7 @@ class GradingProfile:
             degrees = tuple(degrees)
         elif degrees is not None:
             raise ParameterError(f"{kind} profile takes no degree sequence")
-        self.kind = kind
-        self.letter = letter
-        self.degrees = degrees
+        super().__init__(kind, letter, degrees)
 
     @classmethod
     def custom(cls, degrees, letter: str = "g") -> "GradingProfile":
@@ -81,15 +84,7 @@ class GradingProfile:
             return 1
         raise ParameterError("custom profiles must choose a variable degree explicitly")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradingProfile)
-            and (self.kind, self.letter, self.degrees)
-            == (other.kind, other.letter, other.degrees)
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.letter, self.degrees))
+    __hash__ = Record._hash
 
     def __repr__(self):
         return f"GradingProfile({self.kind!r})"
@@ -97,6 +92,9 @@ class GradingProfile:
 
 COMPLEX = GradingProfile("complex", "Z")
 REAL = GradingProfile("real", "z")
+
+# (profile, degree) -> the words of that degree, see FreeAlgebra.words_of_degree
+_WORDS: dict = {}
 
 
 def _check_letters(word: Word) -> None:
@@ -119,20 +117,18 @@ class FreeElement(LinearCombination):
         ]
 
 
-class FreeAlgebra(SparseAlgebra):
+class FreeAlgebra(SparseAlgebra, Record):
     """Word-basis free associative algebra over one profile and scalar ring.
 
     Words multiply by concatenation; the empty word is the unit.
     """
 
-    __slots__ = ("profile", "ring", "_word_cache")
+    __slots__ = ("profile", "ring")
     element_class = FreeElement
     key_mul = staticmethod(tuple.__add__)
 
     def __init__(self, profile: GradingProfile = COMPLEX, ring: ScalarRing = ZZ):
-        self.profile = profile
-        self.ring = ring
-        self._word_cache = {}
+        super().__init__(profile, ring)
 
     # -- basis ---------------------------------------------------------------
 
@@ -143,10 +139,12 @@ class FreeAlgebra(SparseAlgebra):
     key_degree = word_degree
 
     def words_of_degree(self, d: int) -> tuple:
-        """All words of total degree d, sorted by (length, letters)."""
+        """All words of total degree d, sorted by (length, letters); shared by
+        every algebra over this profile."""
         if d < 0:
             return ()
-        cached = self._word_cache.get(d)
+        key = (self.profile, d)
+        cached = _WORDS.get(key)
         if cached is not None:
             return cached
         if d == 0:
@@ -159,7 +157,7 @@ class FreeAlgebra(SparseAlgebra):
                     out.append((i,) + tail)
             out.sort(key=lambda w: (len(w), w))
             words = tuple(out)
-        self._word_cache[d] = words
+        _WORDS[key] = words
         return words
 
     def dim(self, d: int) -> int:
@@ -201,15 +199,7 @@ class FreeAlgebra(SparseAlgebra):
     def from_data(self, data) -> FreeElement:
         return self.element({tuple(rec["word"]): self.ring.parse(rec["coeff"]) for rec in data})
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeAlgebra)
-            and self.profile == other.profile
-            and self.ring == other.ring
-        )
-
-    def __hash__(self):
-        return hash((self.profile, self.ring))
+    __hash__ = Record._hash
 
     def __repr__(self):
         return f"FreeAlgebra({self.profile!r}, {self.ring!r})"

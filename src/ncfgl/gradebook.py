@@ -15,7 +15,7 @@ from .record import Record
 from .scalars import is_prime
 
 
-class PoincareSeries:
+class PoincareSeries(Record):
     """dims[n] = dimension in total degree n, for 0 <= n <= order."""
 
     __slots__ = ("order", "dims")
@@ -26,8 +26,7 @@ class PoincareSeries:
             raise ParameterError("order must be nonnegative")
         if len(dims) != order + 1:
             raise ParameterError("need exactly order + 1 dimensions")
-        self.order = order
-        self.dims = dims
+        super().__init__(order, dims)
 
     @classmethod
     def one(cls, order: int) -> "PoincareSeries":
@@ -71,24 +70,13 @@ class PoincareSeries:
             raise ParameterError("cannot extend a truncated series")
         return PoincareSeries(order, self.dims[: order + 1])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PoincareSeries)
-            and self.order == other.order
-            and self.dims == other.dims
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.dims))
+    __hash__ = Record._hash
 
     def to_data(self):
         return {"order": self.order, "dims": list(self.dims)}
 
     def __str__(self):
         return "[" + ", ".join(str(d) for d in self.dims) + "]"
-
-    def __repr__(self):
-        return f"PoincareSeries({self.order}, {self.dims})"
 
 
 def _degree_counts(degrees, order: int) -> dict:

@@ -33,8 +33,9 @@ from .errors import ModeMismatchError, ParameterError, UnsupportedInputError
 class SparseAlgebra:
     """The parent of linear combinations over ``self.ring``.
 
-    Subclasses set ``element_class`` and ``ring``, define ``__eq__`` and
-    ``__hash__``, and supply the basis:
+    Subclasses set ``element_class`` and ``ring``, compare and hash by
+    value (the free and tensor algebras are :class:`~ncfgl.record.Record`
+    values), and supply the basis:
 
     * ``key_mul(a, b)`` -- the key of the product of two basis elements;
     * ``term_key(key)`` -- the sort key of the canonical term order;

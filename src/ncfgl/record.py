@@ -1,21 +1,37 @@
-"""A plain base class for the toolkit's result records.
+"""The one base class for the toolkit's values.
 
-A record lists its fields in ``__slots__``, in constructor order, and names a
-zero-argument factory for each trailing field that has a default in
-``_defaults``.  It gets a constructor taking the fields by position or by
-keyword, field-wise ``==`` between records of one class, a
-``Name(field=value, ...)`` repr and pickling.  A field is set once, by the
-constructor: assigning or deleting one raises AttributeError.  Records are
-unhashable unless a subclass defines ``__hash__``.
+Scalar rings, grading profiles, variable sets, Poincaré series, free and
+tensor algebras, the formal group law tables, action tables and every result
+record are records.  A record class lists its fields in ``__slots__``, in
+constructor order, and names a zero-argument factory for each trailing field
+that has a default in ``_defaults``; a subclass with ``__slots__ = ()`` keeps
+its parent's fields, and one that declares slots appends them.  A record gets
+a constructor taking the fields by position or by keyword, field-wise ``==``
+between records of one class, a ``Name(field=value, ...)`` repr and pickling.
+A class that checks or normalizes its arguments defines ``__init__`` and
+passes the normalized fields on to ``Record.__init__``, which must accept its
+own fields again, since unpickling calls the class with them.  A field is set
+once, by the constructor: assigning or deleting one raises AttributeError.
+Records are unhashable; a class opts in with ``__hash__ = Record._hash``.
 """
+
+from operator import attrgetter
 
 
 class Record:
     __slots__ = ()
+    _fields: tuple = ()
     _defaults: dict = {}
+    _values = staticmethod(lambda record: ())  # record -> its field values
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        if cls._fields:
+            cls._values = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs):
-        fields = self.__slots__
+        fields = self._fields
         name = type(self).__name__
         if len(args) > len(fields):
             raise TypeError(f"{name} takes {len(fields)} arguments but {len(args)} were given")
@@ -40,17 +56,20 @@ class Record:
 
     __delattr__ = __setattr__
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, field) for field in self.__slots__)
-
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        values = self._values
+        return values(self) == values(other)
+
+    def _hash(self):
+        return hash(self._values(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, self._values()
+        return self.__class__, tuple(getattr(self, field) for field in self._fields)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ModeMismatchError, ParameterError
+from .record import Record
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to the thirteen bases above (Sorenson
@@ -70,7 +71,7 @@ def stored_rational(value):
     return value.numerator if value.denominator == 1 else value
 
 
-class ScalarRing:
+class ScalarRing(Record):
     """One global coefficient ring per computation: Z, Q, or F_p."""
 
     __slots__ = ("mode", "prime")
@@ -83,8 +84,7 @@ class ScalarRing:
                 raise ParameterError(f"prime-field modulus must be prime, got {prime!r}")
         elif prime is not None:
             raise ParameterError(f"scalar mode {mode!r} takes no modulus")
-        self.mode = mode
-        self.prime = prime
+        super().__init__(mode, prime)
 
     # -- value construction -------------------------------------------------
 
@@ -180,15 +180,7 @@ class ScalarRing:
     def render(self, a) -> str:
         return str(a)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScalarRing)
-            and self.mode == other.mode
-            and self.prime == other.prime
-        )
-
-    def __hash__(self):
-        return hash((self.mode, self.prime))
+    __hash__ = Record._hash
 
     def __repr__(self):
         if self.mode == "fp":

@@ -42,9 +42,10 @@ from .errors import (
     ShapeError,
 )
 from .freealg import FreeAlgebra, FreeElement
+from .record import Record
 
 
-class VarSet:
+class VarSet(Record):
     """An ordered tuple of 1 to 3 central variable names with one degree."""
 
     __slots__ = ("names", "variable_degree")
@@ -57,8 +58,7 @@ class VarSet:
             raise ParameterError("variable names must be distinct")
         if variable_degree < 1:
             raise ParameterError("variable degree must be positive")
-        self.names = names
-        self.variable_degree = variable_degree
+        super().__init__(names, variable_degree)
 
     def index(self, name: str) -> int:
         try:
@@ -72,18 +72,7 @@ class VarSet:
     def __iter__(self):
         return iter(self.names)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, VarSet)
-            and self.names == other.names
-            and self.variable_degree == other.variable_degree
-        )
-
-    def __hash__(self):
-        return hash((self.names, self.variable_degree))
-
-    def __repr__(self):
-        return f"VarSet({self.names!r}, {self.variable_degree})"
+    __hash__ = Record._hash
 
 
 def _graded_lex(index):
@@ -91,7 +80,12 @@ def _graded_lex(index):
 
 
 class CentralSeries:
-    """Truncated series sum_I (coefficient_I) * x^I with central variables."""
+    """Truncated series sum_I (coefficient_I) * x^I with central variables.
+
+    Every coefficient lives over the series' algebra: the constructor refuses
+    one over another algebra, such as another scalar ring, with
+    ModeMismatchError.
+    """
 
     __slots__ = ("algebra", "varset", "order", "_coeffs")
 
@@ -105,6 +99,10 @@ class CentralSeries:
                 raise ShapeError("multi-index width does not match the variable set")
             if any(e < 0 for e in index):
                 raise ParameterError("exponents must be nonnegative")
+            if element.algebra != algebra:
+                raise ModeMismatchError(
+                    f"coefficient at {index} lives over {element.algebra!r}, not {algebra!r}"
+                )
             if sum(index) > order:
                 continue
             if not element.is_zero():
@@ -486,7 +484,8 @@ def left_expand(target: CentralSeries, basis: dict) -> dict:
     with the solved coefficients kept on the left; its solutions are then
     solved along the next variable, and so on.  Exists and is unique for
     unit-linear bases.  Returns only the nonzero A(I), in graded-lexicographic
-    order.
+    order.  A basis series over another algebra than the target is refused
+    with ModeMismatchError.
     """
     varset = target.varset
     order = target.order
@@ -500,6 +499,10 @@ def left_expand(target: CentralSeries, basis: dict) -> dict:
             raise ExpansionError(f"basis series for {name!r} must be univariate in it")
         if b.order != order:
             raise ShapeError("basis and target must share the truncation order")
+        if b.algebra != algebra:
+            raise ModeMismatchError(
+                f"basis series for {name!r} lives over {b.algebra!r}, not {algebra!r}"
+            )
         if not b.constant_term().is_zero() or b.coefficient((1,)) != b.algebra.one():
             raise ExpansionError("basis series must be of unit-linear form")
         tables.append(

@@ -85,8 +85,7 @@ class MilnorOp(Record):
         if self.index < 0:
             raise ParameterError("operation index must be nonnegative")
 
-    def __hash__(self):
-        return hash(self._values())
+    __hash__ = Record._hash
 
     @property
     def degree(self) -> int:
@@ -160,7 +159,7 @@ class TensorElement(LinearCombination):
         )
 
 
-class TensorAlgebra(SparseAlgebra):
+class TensorAlgebra(SparseAlgebra, Record):
     """The tensor product of two algebras over one ring, on (left, right) keys.
 
     Keys multiply factorwise and sort by the left factor's order, then the
@@ -168,16 +167,18 @@ class TensorAlgebra(SparseAlgebra):
     ModeMismatchError.
     """
 
-    __slots__ = ("left", "right", "ring")
+    __slots__ = ("left", "right")
     element_class = TensorElement
     unit_key = ((), ())
 
     def __init__(self, left, right):
         if left.ring != right.ring:
             raise ModeMismatchError(f"tensor factors over {left.ring!r} and {right.ring!r}")
-        self.left = left
-        self.right = right
-        self.ring = left.ring
+        super().__init__(left, right)
+
+    @property
+    def ring(self):
+        return self.left.ring
 
     def key_mul(self, a, b):
         return (self.left.key_mul(a[0], b[0]), self.right.key_mul(a[1], b[1]))
@@ -193,18 +194,7 @@ class TensorAlgebra(SparseAlgebra):
         right = self.right.render_key(key[1]) or "1"
         return f"({left} (x) {right})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorAlgebra)
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return hash((self.left, self.right))
-
-    def __repr__(self):
-        return f"TensorAlgebra({self.left!r}, {self.right!r})"
+    __hash__ = Record._hash
 
 
 def _dual_monomial(op: MilnorOp):
@@ -356,7 +346,7 @@ def right_action(a, op: MilnorOp):
     raise UnsupportedInputError(f"no registered coaction for {type(a).__name__}")
 
 
-class GeneratorActionTable:
+class GeneratorActionTable(Record):
     """Images of generators under P^k (or Sq^k) for one algebra.
 
     Entries are keyed by (operation index, generator index); index zero is the
@@ -376,10 +366,7 @@ class GeneratorActionTable:
         for (k, i), image in entries.items():
             if image.algebra is not carrier and image.algebra != carrier:
                 raise ModeMismatchError(f"entry ({k}, {i}) does not live over {carrier!r}")
-        self.carrier = carrier
-        self.kind = kind
-        self.prime = prime
-        self.entries = dict(entries)
+        super().__init__(carrier, kind, prime, dict(entries))
 
     def image(self, k: int, gen_index: int):
         if k == 0:
@@ -404,6 +391,19 @@ def cartan_extend(table: GeneratorActionTable, a, op: MilnorOp):
     carrier = table.carrier
     if a.algebra != carrier:
         raise ModeMismatchError("element does not live over the table's algebra")
+    act = _cartan(table)
+    acc: dict = {}
+    for key, coeff in a.terms():
+        carrier.add_multiple(acc, coeff, act(key, op.index))
+    return carrier.from_accumulator(acc)
+
+
+def _cartan(table: GeneratorActionTable):
+    """act(key, k): the index-k operation of the table's kind on one basis
+    element, by the Cartan rule on its first generator and the rest.  One
+    memo of (key, k) serves every call of one ``act``, so keys that share a
+    suffix act on it once."""
+    carrier = table.carrier
     zero = carrier.zero()
     memo: dict = {}
 
@@ -424,10 +424,7 @@ def cartan_extend(table: GeneratorActionTable, a, op: MilnorOp):
         total = memo[(key, k)] = carrier.from_accumulator(acc)
         return total
 
-    acc: dict = {}
-    for key, coeff in a.terms():
-        carrier.add_product(acc, carrier.monomial(carrier.unit_key, coeff), act(key, op.index))
-    return carrier.from_accumulator(acc)
+    return act
 
 
 # -- the induced action on the free algebra ------------------------------------------
@@ -519,9 +516,9 @@ class ObstructionCertificate(Record):
 
 def _acting(algebra, op, words):
     """word -> op applied to the word, as a map for :func:`matrix_of` over
-    ``words``, with one action table for all of them."""
-    table = _induced_table(algebra, op, words)
-    return lambda word: cartan_extend(table, algebra.monomial(word), op)
+    ``words``, with one action table and one Cartan memo for all of them."""
+    act = _cartan(_induced_table(algebra, op, words))
+    return lambda word: act(word, op.index)
 
 
 def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:

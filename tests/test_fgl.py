@@ -480,3 +480,18 @@ def test_verify_axioms_refuses_a_foreign_table_before_any_series(monkeypatch):
         verify_axioms(5, FreeAlgebra(COMPLEX, GF(3)), table=small)
     with pytest.raises(ModeMismatchError):
         verify_axioms(5, table=rational)
+
+
+def test_filtration_run_refuses_a_degree_range_without_words(A):
+    # the complex profile has no word of degree 1, and no degree range is empty
+    for max_degree in (1, 0):
+        with pytest.raises(ParameterError):
+            filtration_property_run(order=6, samples=3, max_degree=max_degree, algebra=A)
+
+
+def test_tables_compare_by_value():
+    assert fgl_table(4) == fgl_table(4)
+    assert fgl_table(4) != fgl_table(5)
+    assert fgl_table(4) != fgl_table(4, FreeAlgebra(COMPLEX, GF(3)))
+    assert inverse_table(5) == inverse_table(5)
+    assert inverse_table(5) != inverse_table(6)

@@ -192,3 +192,91 @@ def test_the_package_imports_only_the_standard_library():
                 assert module.split(".")[0] in sys.stdlib_module_names, (source.name, module)
     pyproject = (root.parent.parent / "pyproject.toml").read_text().splitlines()
     assert "dependencies = []" in pyproject
+
+
+# -- values are records ---------------------------------------------------------------
+
+
+def _value_instances():
+    """One instance of each value class, with a field to try to assign."""
+    from ncfgl.steenrod import TensorAlgebra
+
+    gf3 = ncfgl.FreeAlgebra(ncfgl.COMPLEX, ncfgl.GF(3))
+    real = ncfgl.FreeAlgebra(ncfgl.REAL, ncfgl.GF(3))
+    return [
+        (ncfgl.ZZ, "mode"),
+        (ncfgl.QQ, "prime"),
+        (ncfgl.GF(3), "prime"),
+        (ncfgl.COMPLEX, "kind"),
+        (ncfgl.REAL, "letter"),
+        (ncfgl.GradingProfile.custom((1, 3)), "degrees"),
+        (ncfgl.VarSet(("x", "y"), 2), "names"),
+        (PoincareSeries(2, [1, 0, 1]), "dims"),
+        (gf3, "ring"),
+        (TensorAlgebra(gf3, real), "left"),
+        (ncfgl.fgl_table(4), "order"),
+        (ncfgl.inverse_table(4), "order"),
+        (ncfgl.GeneratorActionTable(gf3, "P", 3, {(1, 2): gf3.gen(1)}), "entries"),
+    ]
+
+
+def test_value_fields_cannot_be_assigned():
+    for value, field in _value_instances():
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before, type(value).__name__
+
+
+def test_values_built_separately_are_equal_and_hash_equal():
+    pairs = [
+        (ncfgl.ScalarRing("integer"), ncfgl.ZZ),
+        (ncfgl.ScalarRing("rational"), ncfgl.QQ),
+        (ncfgl.GF(5), ncfgl.ScalarRing("fp", 5)),
+        (ncfgl.GradingProfile("complex", "Z"), ncfgl.COMPLEX),
+        (ncfgl.GradingProfile.custom([1, 3]), ncfgl.GradingProfile.custom((1, 3))),
+        (ncfgl.FreeAlgebra(), ncfgl.FreeAlgebra(ncfgl.COMPLEX, ncfgl.ZZ)),
+        (ncfgl.FreeAlgebra(ncfgl.REAL, ncfgl.GF(2)), ncfgl.FreeAlgebra(ncfgl.REAL, ncfgl.GF(2))),
+        (ncfgl.VarSet(["x", "y"], 2), ncfgl.VarSet(("x", "y"), 2)),
+        (PoincareSeries(2, [1, 0, 1]), PoincareSeries(2, (1, 0, 1))),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b), a
+    assert ncfgl.GF(5) != ncfgl.GF(7) and ncfgl.ZZ != ncfgl.QQ
+    assert ncfgl.FreeAlgebra() != ncfgl.FreeAlgebra(ncfgl.COMPLEX, ncfgl.QQ)
+    assert ncfgl.COMPLEX != ncfgl.GradingProfile("complex", "W")
+    assert ncfgl.VarSet(("x",), 2) != ncfgl.VarSet(("x",), 1)
+
+
+def test_values_pickle_round_trip():
+    from ncfgl.steenrod import TensorAlgebra
+
+    gf3 = ncfgl.FreeAlgebra(ncfgl.COMPLEX, ncfgl.GF(3))
+    values = [
+        ncfgl.FreeAlgebra(),
+        gf3,
+        ncfgl.ZZ,
+        ncfgl.QQ,
+        ncfgl.GF(3),
+        ncfgl.VarSet(("x", "y"), 2),
+        PoincareSeries(3, [1, 0, 2, 0]),
+        ncfgl.fgl_table(5),
+        ncfgl.fgl_table(4, gf3),
+        TensorAlgebra(gf3, ncfgl.FreeAlgebra(ncfgl.REAL, ncfgl.GF(3))),
+    ]
+    for value in values:
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy is not value and copy == value and type(copy) is type(value), value
+    assert repr(pickle.loads(pickle.dumps(gf3))) == repr(gf3)
+
+
+def test_slot_less_record_subclasses_keep_their_parents_fields():
+    class Sub(MilnorOp):
+        __slots__ = ()
+
+    op = Sub(3, "P", 1)
+    assert (op.prime, op.kind, op.index) == (3, "P", 1)
+    assert op == Sub(3, kind="P", index=1) and op != MilnorOp(3, "P", 1)
+    assert repr(op) == "Sub(prime=3, kind='P', index=1)"

@@ -420,3 +420,24 @@ def test_series_coefficients_must_share_the_algebra(A, vs1):
     for operation in (f.scale_left, f.scale_right, f.commutator):
         with pytest.raises(ModeMismatchError):
             operation(other.gen(1))
+
+
+def test_series_constructor_refuses_a_coefficient_of_another_ring(A, vs1):
+    for ring in (GF(3), QQ):
+        other = FreeAlgebra(COMPLEX, ring)
+        with pytest.raises(ModeMismatchError):
+            CentralSeries(A, vs1, 3, {(1,): other.gen(1).scale(2)})
+
+
+def test_left_expand_refuses_a_basis_of_another_ring(A, vs2):
+    target = orientation_series(4, A, vs2)
+    for ring in (GF(3), QQ):
+        other = FreeAlgebra(COMPLEX, ring)
+        basis = {
+            "x": orientation_series(4, A, VarSet(("x",), 2)),
+            "y": orientation_series(4, other, VarSet(("y",), 2)),
+        }
+        with pytest.raises(ModeMismatchError):
+            left_expand(target, basis)
+        with pytest.raises(ModeMismatchError):
+            left_expand(orientation_series(4, A), {"x": orientation_series(4, other)})
