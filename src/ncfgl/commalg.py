@@ -10,6 +10,9 @@ adding exponents and raised to a power by multiplying them.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import getitem
+
 from .errors import ParameterError
 from .lincomb import LinearCombination, SparseAlgebra
 from .scalars import ScalarRing
@@ -53,7 +56,7 @@ class CommElement(LinearCombination):
         ring = self.algebra.ring
         return [
             {"monomial": [list(pair) for pair in mono], "coeff": ring.render(self._terms[mono])}
-            for mono in self.support()
+            for mono in self._sorted_keys()
         ]
 
 
@@ -67,6 +70,11 @@ class CommAlgebra(SparseAlgebra):
     __slots__ = ("key", "family", "ring", "_degree_of", "_num_generators")
     element_class = CommElement
     key_mul = staticmethod(monomial_mul)
+
+    @staticmethod
+    def key_of(mono) -> Monomial:
+        """A monomial in normal form: sorted by index, zero exponents dropped."""
+        return tuple(sorted((i, e) for i, e in mono if e))
 
     def __init__(self, key, family: str, degree_of, ring: ScalarRing, num_generators=None):
         self.key = key
@@ -83,7 +91,7 @@ class CommAlgebra(SparseAlgebra):
         return cls(
             ("explicit", family, degrees, ring),
             family,
-            lambda i: degrees[i - 1],
+            partial(getitem, (0,) + degrees),  # i -> degrees[i - 1], and it pickles
             ring,
             num_generators=len(degrees),
         )
@@ -117,13 +125,6 @@ class CommAlgebra(SparseAlgebra):
         return i, (((i, e - 1),) + rest if e > 1 else rest)
 
     # -- element construction --------------------------------------------------
-
-    def element(self, terms: dict) -> CommElement:
-        """The polynomial with these coefficients; monomials are normalized
-        (sorted by index, zero exponents dropped)."""
-        return super().element(
-            {tuple(sorted((i, e) for i, e in mono if e)): value for mono, value in terms.items()}
-        )
 
     def gen(self, i: int) -> CommElement:
         self.degree_of(i)

@@ -21,6 +21,7 @@ x -> -x of central variables, which is what the axiom checks below exploit.
 from __future__ import annotations
 
 import random
+from types import MappingProxyType
 
 from .errors import (
     DegenerateInputError,
@@ -69,16 +70,17 @@ class FGLTable(Record):
     coefficients: it holds through total degree 4 and first fails at
     a_{2,3} - a_{3,2} = 2 Z1 Z2 Z1 - 2 Z1 Z1 Z2, because in the ordered
     product z(x) z(y) the x-coefficient always precedes the y-coefficient.
+    The entries are held read-only.
     """
 
     __slots__ = ("algebra", "order", "_entries")
 
     def __init__(self, algebra: FreeAlgebra, order: int, entries: dict):
-        super().__init__(algebra, order, {
+        super().__init__(algebra, order, MappingProxyType({
             (i, j): entries.get((i, j), algebra.zero())
             for i in range(order + 1)
             for j in range(order + 1 - i)
-        })
+        }))
 
     def entry(self, i: int, j: int) -> FreeElement:
         if i < 0 or j < 0 or i + j > self.order:
@@ -133,13 +135,16 @@ def fgl_table(order: int, algebra: FreeAlgebra | None = None) -> FGLTable:
 
 
 class InverseTable(Record):
-    """Coefficients of the formal inverse: xbar = -x + sum_k c_k x^(k+1)."""
+    """Coefficients of the formal inverse: xbar = -x + sum_k c_k x^(k+1);
+    the entries are held read-only."""
 
     __slots__ = ("algebra", "order", "_entries")
 
     def __init__(self, algebra: FreeAlgebra, order: int, entries: dict):
         super().__init__(
-            algebra, order, {k: entries.get(k, algebra.zero()) for k in range(1, order)}
+            algebra,
+            order,
+            MappingProxyType({k: entries.get(k, algebra.zero()) for k in range(1, order)}),
         )
 
     @property

@@ -4,19 +4,31 @@ The algebra is the tensor algebra on generators indexed 1, 2, 3, ... with a
 degree rule supplied by a :class:`GradingProfile`.  With the complex profile
 (generator i in degree 2i) this is the algebra of non-symmetric functions:
 its degree-2n component has one basis word per composition of n, hence
-dimension 2^(n-1).  Elements are sparse mappings from words (tuples of
-generator indices, the empty tuple being the unit) to nonzero scalars; their
-arithmetic and rendering are those of :mod:`ncfgl.lincomb`, with words
-multiplied by concatenation: :meth:`FreeAlgebra.add_product` concatenates
-inline, and every word product, of elements or of series coefficients, runs
-that loop.  :func:`matrix_of` writes a linear map between spans of words as
-the matrix that the exact elimination of :mod:`ncfgl.linalg` solves: one dict
+dimension 2^(n-1).  Elements are sparse mappings from words to nonzero
+scalars; their arithmetic and rendering are those of :mod:`ncfgl.lincomb`,
+with words multiplied by concatenation: :meth:`FreeAlgebra.add_product`
+concatenates inline, and every word product, of elements or of series
+coefficients, runs that loop.
+
+A word is public as a tuple of generator indices, the empty tuple being the
+unit, and stored as the ``bytes`` of those indices, so a letter lies in
+1..255.  ``bytes`` iterates, indexes, slices and orders like the tuple of its
+letters, so every rule on letters reads a stored word as it is; unlike a
+tuple it caches its hash and is not tracked by the garbage collector, which
+makes the dict lookups of the word-pair loop cheaper.
+:meth:`FreeAlgebra.key_of` turns a tuple into a stored word and
+:meth:`~FreeAlgebra.public_key` turns it back, at the key boundary of
+:mod:`ncfgl.lincomb`.
+
+:func:`matrix_of` writes a linear map between spans of words as the matrix
+that the exact elimination of :mod:`ncfgl.linalg` solves: one dict
 ``{column: nonzero value}`` per target word, so that no zero of these
 few-percent-dense systems is ever stored.
 
 The words of one degree depend only on the grading profile, so every algebra
-over a profile reads them from one module-level table keyed by (profile,
-degree), filled on first use and shared across algebras and scalar rings.
+over a profile reads them, stored, from one module-level table keyed by
+(profile, degree), filled on first use and shared across algebras and scalar
+rings.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no coordination.
@@ -30,7 +42,8 @@ from .linalg import nullspace
 from .record import Record
 from .scalars import ZZ, ScalarRing
 
-Word = tuple  # tuple of positive generator indices; () is the unit monomial
+Word = tuple  # public word: a tuple of generator indices 1..255; () is the unit
+MAX_LETTER = 255  # the largest letter a stored (bytes) word can hold
 
 
 class GradingProfile(Record):
@@ -46,9 +59,13 @@ class GradingProfile(Record):
         if kind not in ("complex", "real", "custom"):
             raise ParameterError(f"unknown profile kind {kind!r}")
         if kind == "custom":
+            degrees = tuple(degrees or ())
             if not degrees or any(d < 1 for d in degrees):
                 raise ParameterError("custom profile needs positive degrees")
-            degrees = tuple(degrees)
+            if len(degrees) > MAX_LETTER:
+                raise ParameterError(
+                    f"custom profile has {len(degrees)} degrees; a word has letters 1..{MAX_LETTER}"
+                )
         elif degrees is not None:
             raise ParameterError(f"{kind} profile takes no degree sequence")
         super().__init__(kind, letter, degrees)
@@ -93,14 +110,30 @@ class GradingProfile(Record):
 COMPLEX = GradingProfile("complex", "Z")
 REAL = GradingProfile("real", "z")
 
-# (profile, degree) -> the words of that degree, see FreeAlgebra.words_of_degree
+# (profile, degree) -> the stored words of that degree, see FreeAlgebra._keys_of_degree
 _WORDS: dict = {}
 
 
-def _check_letters(word: Word) -> None:
-    """Refuse a word with a letter below 1, in one pass over the word."""
-    if word and (least := min(word)) < 1:
-        raise ParameterError(f"generator index must be >= 1, got {least}")
+def _word_key(word) -> bytes:
+    """The stored form of a word: the bytes of its letters, each in 1..255."""
+    try:
+        key = bytes(word)
+    except (ValueError, TypeError):
+        key = None
+    if key is None or 0 in key:
+        for i in word:
+            if i < 1:
+                raise ParameterError(f"generator index must be >= 1, got {i}")
+            if i > MAX_LETTER:
+                raise ParameterError(f"generator index must be <= {MAX_LETTER}, got {i}")
+        raise ParameterError(f"a word is a sequence of generator indices, got {word!r}")
+    return key
+
+
+def _word_order(word: bytes):
+    """The canonical term order on the complex and real profiles: degree
+    (2 * sum or sum of the letters), then length, then letters."""
+    return (sum(word), len(word), word)
 
 
 class FreeElement(LinearCombination):
@@ -113,19 +146,23 @@ class FreeElement(LinearCombination):
         ring = self.algebra.ring
         return [
             {"word": list(word), "coeff": ring.render(self._terms[word])}
-            for word in self.support()
+            for word in self._sorted_keys()
         ]
 
 
 class FreeAlgebra(SparseAlgebra, Record):
     """Word-basis free associative algebra over one profile and scalar ring.
 
-    Words multiply by concatenation; the empty word is the unit.
+    Words multiply by concatenation; the empty word is the unit.  Words are
+    stored as ``bytes`` and public as tuples (module docstring).
     """
 
     __slots__ = ("profile", "ring")
     element_class = FreeElement
-    key_mul = staticmethod(tuple.__add__)
+    unit_key = b""
+    key_of = staticmethod(_word_key)
+    public_key = staticmethod(tuple)
+    key_mul = staticmethod(bytes.__add__)
 
     def __init__(self, profile: GradingProfile = COMPLEX, ring: ScalarRing = ZZ):
         super().__init__(profile, ring)
@@ -139,8 +176,12 @@ class FreeAlgebra(SparseAlgebra, Record):
     key_degree = word_degree
 
     def words_of_degree(self, d: int) -> tuple:
-        """All words of total degree d, sorted by (length, letters); shared by
-        every algebra over this profile."""
+        """All words of total degree d as tuples, sorted by (length, letters)."""
+        return tuple(map(tuple, self._keys_of_degree(d)))
+
+    def _keys_of_degree(self, d: int) -> tuple:
+        """The stored words of :meth:`words_of_degree`; shared by every
+        algebra over this profile."""
         if d < 0:
             return ()
         key = (self.profile, d)
@@ -148,24 +189,30 @@ class FreeAlgebra(SparseAlgebra, Record):
         if cached is not None:
             return cached
         if d == 0:
-            words = ((),)
+            words = (b"",)
         else:
             out = []
             deg = self.profile.degree_of
             for i in self.profile.generators_of_degree_at_most(d):
-                for tail in self.words_of_degree(d - deg(i)):
-                    out.append((i,) + tail)
+                head = bytes((i,))
+                for tail in self._keys_of_degree(d - deg(i)):
+                    out.append(head + tail)
             out.sort(key=lambda w: (len(w), w))
             words = tuple(out)
         _WORDS[key] = words
         return words
 
     def dim(self, d: int) -> int:
-        return len(self.words_of_degree(d))
+        return len(self._keys_of_degree(d))
 
-    def term_key(self, word: Word):
-        """Canonical term order: by (degree, length, letters)."""
-        return (self.word_degree(word), len(word), word)
+    @property
+    def term_key(self):
+        """Canonical term order: by (degree, length, letters).  On the complex
+        and real profiles the degree is a fixed multiple of the letter sum,
+        so no letter is looked up."""
+        if self.profile.kind == "custom":
+            return lambda word: (self.word_degree(word), len(word), word)
+        return _word_order
 
     def render_key(self, word: Word) -> str:
         letter = self.profile.letter
@@ -177,24 +224,16 @@ class FreeAlgebra(SparseAlgebra, Record):
 
     # -- element construction --------------------------------------------------
 
-    def element(self, terms: dict) -> FreeElement:
-        """The element with these coefficients; a word with a letter below 1
-        is refused with ParameterError."""
-        for word in terms:
-            _check_letters(word)
-        return super().element(terms)
-
     def monomial(self, word, coeff=1) -> FreeElement:
         """coeff * word, refused like a word of :meth:`element`; built
         directly, since every column of :func:`matrix_of` starts here."""
-        word = tuple(word)
-        _check_letters(word)
+        word = _word_key(word)
         value = self.ring.coerce(coeff)
         return self._wrap({word: value} if value else {})
 
     def gen(self, i: int) -> FreeElement:
         self.profile.degree_of(i)  # validates the index
-        return self._wrap({(i,): self.ring.one})
+        return self._wrap({_word_key((i,)): self.ring.one})
 
     def from_data(self, data) -> FreeElement:
         return self.element({tuple(rec["word"]): self.ring.parse(rec["coeff"]) for rec in data})
@@ -238,7 +277,8 @@ def matrix_of(linear_map, source_words, target_words) -> list:
 
     Column j holds the coefficients of ``linear_map(source_words[j])``, an
     element whose words must all lie in ``target_words``; row i belongs to
-    ``target_words[i]`` and maps each column to its nonzero entry.
+    ``target_words[i]`` and maps each column to its nonzero entry.  The
+    target words are stored words (``FreeAlgebra._keys_of_degree``).
     """
     index = {word: r for r, word in enumerate(target_words)}
     rows = [{} for _ in target_words]
@@ -260,17 +300,17 @@ def centralizer_basis(w: FreeElement, degree: int) -> list:
         raise DegenerateInputError("every element commutes with 0")
     if not w.is_homogeneous():
         raise UnsupportedInputError("centralizer solving needs a homogeneous element")
-    words = algebra.words_of_degree(degree)
+    words = algebra._keys_of_degree(degree)
     if not words:
         return []
-    rows = matrix_of(commutator_map(w), words, algebra.words_of_degree(degree + w.degree()))
+    rows = matrix_of(commutator_map(w), words, algebra._keys_of_degree(degree + w.degree()))
     kernel = nullspace(rows, len(words), algebra.ring)
     return [algebra.element({words[j]: x for j, x in vec.items()}) for vec in kernel]
 
 
 def random_homogeneous(algebra: FreeAlgebra, degree: int, rng, max_terms: int = 3) -> FreeElement:
     """Seeded random homogeneous element, used by the property runs."""
-    words = algebra.words_of_degree(degree)
+    words = algebra._keys_of_degree(degree)
     if not words:
         return algebra.zero()
     count = rng.randint(1, min(max_terms, len(words)))

@@ -12,6 +12,15 @@ into an accumulator with plain ``+`` and ``*``, which
 enters from outside goes through :meth:`ScalarRing.coerce`, so a scalar of one
 ring never lands in another.
 
+Keys, like coefficients, have a stored form and a public one.  The algebra's
+:meth:`~SparseAlgebra.key_of` turns a public key into the stored key, and
+:meth:`~SparseAlgebra.public_key` turns it back: :meth:`SparseAlgebra.element`,
+:meth:`~SparseAlgebra.monomial` and :meth:`LinearCombination.coefficient` take
+public keys, and :meth:`LinearCombination.support` and
+:meth:`~LinearCombination.terms` hand them out.  Every other method, the
+accumulators and rendering included, works on stored keys; for the free
+algebra these are ``bytes`` words and the public keys are tuples.
+
 Coefficients are held in the ring's stored form, which
 :meth:`ScalarRing.reduced <ncfgl.scalars.ScalarRing.reduced>` alone produces:
 over Q an integral value is an ``int``, so integral rational work runs the
@@ -37,6 +46,10 @@ class SparseAlgebra:
     value (the free and tensor algebras are :class:`~ncfgl.record.Record`
     values), and supply the basis:
 
+    * ``key_of(key)`` -- the stored key of a public key, refusing a key that
+      names no basis element; ``tuple`` unless overridden;
+    * ``public_key(key)`` -- the public key of a stored key; the identity
+      unless overridden;
     * ``key_mul(a, b)`` -- the key of the product of two basis elements;
     * ``term_key(key)`` -- the sort key of the canonical term order;
     * ``render_key(key)`` -- the text of a key, ``""`` for the unit key;
@@ -46,13 +59,19 @@ class SparseAlgebra:
       in the commutative algebras that :func:`~ncfgl.commalg.frobenius` maps
       (any other algebra refuses).
 
-    :meth:`add_product` adds a product, and :meth:`add_multiple` a scalar
-    multiple, into a key -> value accumulator with plain ``+`` and ``*``;
+    Every hook but ``key_of`` takes stored keys.  :meth:`add_product` adds a
+    product, and :meth:`add_multiple` a scalar multiple, into a stored key ->
+    value accumulator with plain ``+`` and ``*``;
     :meth:`from_accumulator` turns one into an element.
     """
 
     __slots__ = ()
     unit_key = ()
+    key_of = staticmethod(tuple)
+
+    @staticmethod
+    def public_key(key):
+        return key
 
     def _wrap(self, terms: dict):
         """An element over ``terms`` as they are: reduced and nonzero."""
@@ -62,10 +81,13 @@ class SparseAlgebra:
         return element
 
     def element(self, terms: dict):
-        """The element with these coefficients, each coerced into the ring."""
+        """The element with these coefficients, each coerced into the ring,
+        at the stored keys of these keys."""
         coerce = self.ring.coerce
+        key_of = self.key_of
         clean = {}
         for key, value in terms.items():
+            key = key_of(key)
             value = coerce(value)
             if value:
                 clean[key] = value
@@ -106,7 +128,7 @@ class SparseAlgebra:
         return self._wrap({self.unit_key: self.ring.one})
 
     def monomial(self, key, coeff=1):
-        return self.element({tuple(key): coeff})
+        return self.element({key: coeff})
 
 
 class LinearCombination:
@@ -128,25 +150,32 @@ class LinearCombination:
         return not self._terms
 
     def coefficient(self, key):
-        return self.algebra.ring.public(self._terms.get(tuple(key), 0))
+        algebra = self.algebra
+        return algebra.ring.public(self._terms.get(algebra.key_of(key), 0))
 
-    def support(self):
-        """Keys with nonzero coefficient, in canonical term order."""
+    def _sorted_keys(self):
+        """Stored keys with nonzero coefficient, in canonical term order."""
         return sorted(self._terms, key=self.algebra.term_key)
 
+    def support(self):
+        """Public keys with nonzero coefficient, in canonical term order."""
+        return list(map(self.algebra.public_key, self._sorted_keys()))
+
     def terms(self):
-        """(key, coefficient) pairs in canonical term order."""
-        public = self.algebra.ring.public
-        return [(key, public(self._terms[key])) for key in self.support()]
+        """(public key, coefficient) pairs in canonical term order."""
+        algebra = self.algebra
+        public_key, public, terms = algebra.public_key, algebra.ring.public, self._terms
+        return [(public_key(key), public(terms[key])) for key in self._sorted_keys()]
 
     def __len__(self):
         return len(self._terms)
 
     def mutable_terms(self) -> dict:
-        """A fresh key -> coefficient dict, for use as an accumulator.
+        """A fresh stored key -> coefficient dict, for use as an accumulator.
 
-        It holds the stored values, not the ones :meth:`coefficient` reads:
-        an integral rational is an ``int`` here.  Such a dict goes back
+        It holds the stored keys and values, not the ones :meth:`terms` reads:
+        a free-algebra word is ``bytes`` and an integral rational an ``int``
+        here.  Such a dict goes back
         through :meth:`SparseAlgebra.from_accumulator`.
         """
         return dict(self._terms)
@@ -249,7 +278,7 @@ class LinearCombination:
         render_key = self.algebra.render_key
         signed = ring.prime is None
         pieces = []
-        for key in self.support():
+        for key in self._sorted_keys():
             coeff = self._terms[key]
             negative = signed and coeff < 0
             mag = ring.render(-coeff if negative else coeff)

@@ -12,10 +12,14 @@ A class that checks or normalizes its arguments defines ``__init__`` and
 passes the normalized fields on to ``Record.__init__``, which must accept its
 own fields again, since unpickling calls the class with them.  A field is set
 once, by the constructor: assigning or deleting one raises AttributeError.
-Records are unhashable; a class opts in with ``__hash__ = Record._hash``.
+A mapping field that must not change in place is held as a read-only
+``types.MappingProxyType``; pickling hands it back as a plain dict, which the
+constructor wraps again.  Records are unhashable; a class opts in with
+``__hash__ = Record._hash``.
 """
 
 from operator import attrgetter
+from types import MappingProxyType
 
 
 class Record:
@@ -72,4 +76,7 @@ class Record:
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, field) for field in self._fields)
+        values = (getattr(self, field) for field in self._fields)
+        return self.__class__, tuple(
+            dict(value) if isinstance(value, MappingProxyType) else value for value in values
+        )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from itertools import product as _iproduct
 from math import comb
+from types import MappingProxyType
 
 from .commalg import CommAlgebra, CommElement, frobenius
 from .errors import (
@@ -144,7 +145,7 @@ class TensorElement(LinearCombination):
 
     @classmethod
     def tensor(cls, a: CommElement, b) -> "TensorElement":
-        terms = {(lm, rm): lc * rc for lm, lc in a.terms() for rm, rc in b.terms()}
+        terms = {(lm, rm): lc * rc for lm, lc in a._terms.items() for rm, rc in b._terms.items()}
         return cls(a.algebra, b.algebra, terms)
 
     @classmethod
@@ -163,13 +164,13 @@ class TensorAlgebra(SparseAlgebra, Record):
     """The tensor product of two algebras over one ring, on (left, right) keys.
 
     Keys multiply factorwise and sort by the left factor's order, then the
-    right factor's.  Factors over different rings are refused with
+    right factor's; a stored or public key is the pair of the factors' stored
+    or public keys.  Factors over different rings are refused with
     ModeMismatchError.
     """
 
     __slots__ = ("left", "right")
     element_class = TensorElement
-    unit_key = ((), ())
 
     def __init__(self, left, right):
         if left.ring != right.ring:
@@ -179,6 +180,17 @@ class TensorAlgebra(SparseAlgebra, Record):
     @property
     def ring(self):
         return self.left.ring
+
+    @property
+    def unit_key(self):
+        return (self.left.unit_key, self.right.unit_key)
+
+    def key_of(self, key):
+        left, right = key
+        return (self.left.key_of(left), self.right.key_of(right))
+
+    def public_key(self, key):
+        return (self.left.public_key(key[0]), self.right.public_key(key[1]))
 
     def key_mul(self, a, b):
         return (self.left.key_mul(a[0], b[0]), self.right.key_mul(a[1], b[1]))
@@ -228,7 +240,7 @@ def _multiplicative(a: CommElement, target: SparseAlgebra, image) -> LinearCombi
     """
     p = a.algebra.ring.prime
     acc: dict = {}
-    for mono, coeff in a.terms():
+    for mono, coeff in a._terms.items():
         term, last = target.monomial(target.unit_key, coeff), target.one()
         for i, e in mono:
             q = 1
@@ -353,7 +365,8 @@ class GeneratorActionTable(Record):
     identity and is never stored.  A kind that does not live at ``prime``
     is refused with ParameterError, by the rule of :class:`MilnorOp`; a carrier
     over another ring than F_prime, or an entry over another algebra than the
-    carrier, is refused with ModeMismatchError.  :func:`cartan_extend` raises
+    carrier, is refused with ModeMismatchError; ``entries`` is read-only, so no
+    entry escapes these checks.  :func:`cartan_extend` raises
     when a needed entry is missing, naming the generator and the index.
     """
 
@@ -366,7 +379,7 @@ class GeneratorActionTable(Record):
         for (k, i), image in entries.items():
             if image.algebra is not carrier and image.algebra != carrier:
                 raise ModeMismatchError(f"entry ({k}, {i}) does not live over {carrier!r}")
-        super().__init__(carrier, kind, prime, dict(entries))
+        super().__init__(carrier, kind, prime, MappingProxyType(dict(entries)))
 
     def image(self, k: int, gen_index: int):
         if k == 0:
@@ -393,7 +406,7 @@ def cartan_extend(table: GeneratorActionTable, a, op: MilnorOp):
         raise ModeMismatchError("element does not live over the table's algebra")
     act = _cartan(table)
     acc: dict = {}
-    for key, coeff in a.terms():
+    for key, coeff in a._terms.items():
         carrier.add_multiple(acc, coeff, act(key, op.index))
     return carrier.from_accumulator(acc)
 
@@ -546,8 +559,8 @@ def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
         return {index[word]: x for word, x in element._terms.items()}
 
     low_degree = op.degree + c.degree()
-    W = algebra.words_of_degree(low_degree)
-    targets = algebra.words_of_degree(c.degree())
+    W = algebra._keys_of_degree(low_degree)
+    targets = algebra._keys_of_degree(c.degree())
     particular, kernel = solve(
         low_degree, W, matrix_of(_acting(algebra, op, W), W, targets), column(c, targets)
     )
@@ -561,9 +574,9 @@ def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
             for lambdas in _iproduct(range(ring.prime), repeat=len(kernel))
         ]
 
-    V = algebra.words_of_degree(high_degree)
-    comm_targets = algebra.words_of_degree(high_degree + low_degree)
-    block_targets = [algebra.words_of_degree(high_degree - theta.degree) for theta, _ in blocks]
+    V = algebra._keys_of_degree(high_degree)
+    comm_targets = algebra._keys_of_degree(high_degree + low_degree)
+    block_targets = [algebra._keys_of_degree(high_degree - theta.degree) for theta, _ in blocks]
     action_rows = [
         row
         for (theta, _), words in zip(blocks, block_targets)

@@ -518,6 +518,7 @@ def _limit_cases(limits):
         "commutator --k": lambda n: ("commutator", "--k", str(n), "--degree", "24"),
         "verify --samples": lambda n: ("verify", "--degree", "3", "--samples", str(n)),
         "--word letters": lambda n: ("commutator", "--word", _letters(1, n)),
+        "--word letter index": lambda n: ("commutator", "--word", str(n)),
         "--poly entries": lambda n: ("poincare", "--poly", _letters(2, n)),
         "--ext entries": lambda n: ("poincare", "--ext", _letters(2, n)),
         "--gen index": lambda n: ("steenrod", "--prime", "3", "--op", "P1", "--gen", f"t{n}"),
@@ -725,3 +726,47 @@ def test_an_argparse_refusal_loads_no_layer(bare_start):
     assert returncode == 2
     assert {name for name in loaded if name.startswith("ncfgl")} == {"ncfgl", "ncfgl.errors"}
     assert not (loaded - bare_start) & {"json", "dataclasses", "inspect"}
+
+
+def test_a_letter_above_255_is_a_usage_error_naming_its_row(capsys):
+    for argv in (
+        ("commutator", "--word", "256"),
+        ("commutator", "--word", "1,300", "--degree", "6"),
+        ("steenrod", "--prime", "2", "--op", "Sq1", "--word", "1,256", "--profile", "real"),
+    ):
+        err = assert_usage_error(capsys, *argv)
+        assert err.startswith("error: --word letter index ") and err.endswith(
+            " is above the budget of 255\n"
+        ), argv
+    code, out, _ = invoke(capsys, "commutator", "--word", "255", "--k", "1", "--degree", "4")
+    assert code == 0 and out
+
+
+# -- hash seeds ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fgl", "--degree", "9", "--format", "json"),
+        ("inverse", "--degree", "12"),
+        ("certificate", "bp", "--prime", "3", "--format", "json"),
+        ("verify", "--degree", "7", "--seed", "5"),
+    ],
+    ids=" ".join,
+)
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    # free-algebra words are bytes, whose hashes, unlike those of tuples of
+    # ints, change with PYTHONHASHSEED; no output may follow them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "ncfgl.cli", *argv],
+            capture_output=True,
+            env=dict(env, PYTHONHASHSEED=seed),
+        )
+        for seed in ("0", "1")
+    ]
+    assert runs[0].returncode == 0 and runs[0].stdout
+    assert (runs[0].returncode, runs[0].stdout) == (runs[1].returncode, runs[1].stdout)

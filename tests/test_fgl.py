@@ -495,3 +495,17 @@ def test_tables_compare_by_value():
     assert fgl_table(4) != fgl_table(4, FreeAlgebra(COMPLEX, GF(3)))
     assert inverse_table(5) == inverse_table(5)
     assert inverse_table(5) != inverse_table(6)
+
+
+def test_table_entries_are_read_only():
+    import pickle
+
+    for table, key in ((fgl_table(4), (1, 1)), (inverse_table(5), 1)):
+        with pytest.raises(TypeError):
+            table._entries[key] = table.algebra.zero()
+        with pytest.raises(TypeError):
+            del table._entries[key]
+        copy = pickle.loads(pickle.dumps(table))
+        assert copy == table and str(copy) == str(table)
+        assert copy == type(table)(table.algebra, table.order, dict(table._entries))
+    assert verify_axioms(4, table=fgl_table(4)).all_ok

@@ -1,5 +1,7 @@
 """The shared linear-combination core, through its three element types."""
 
+import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -138,8 +140,9 @@ def test_an_integral_rational_is_stored_as_an_int():
     back = z1.scale(Fraction(1, 2)).scale(2)
     assert back == z1
     assert hash(back) == hash(z1)
-    assert type(back.mutable_terms()[(1,)]) is int
-    assert type((z1.scale(Fraction(1, 2)) + z1.scale(Fraction(3, 2))).mutable_terms()[(1,)]) is int
+    stored = Q.key_of((1,))  # mutable_terms() holds stored keys
+    assert type(back.mutable_terms()[stored]) is int
+    assert type((z1.scale(Fraction(1, 2)) + z1.scale(Fraction(3, 2))).mutable_terms()[stored]) is int
     assert back.terms() == [((1,), Fraction(1))]
     assert type(back.coefficient((1,))) is Fraction
 
@@ -152,3 +155,47 @@ def test_a_rational_coefficient_read_out_is_refused_over_the_integers():
         ZZ.coerce(half)
     with pytest.raises(ModeMismatchError):
         FreeAlgebra(COMPLEX, ZZ).monomial((1,), half)
+
+
+def is_public_key(key):
+    """A tuple all the way down to its int entries."""
+    return type(key) is tuple and all(type(x) is int or is_public_key(x) for x in key)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=repr)
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+def test_keys_enter_and_leave_in_their_public_form(kind, ring):
+    draw = FACTORIES[kind](ring)
+    rng = random.Random(f"keys-{kind}-{ring!r}")
+    for _ in range(20):
+        a = draw(rng)
+        terms = a.terms()
+        assert a.support() == [key for key, _ in terms]
+        assert all(is_public_key(key) for key in a.support())
+        for key, value in terms:
+            assert a.coefficient(key) == value
+            assert a.coefficient(list(key)) == value
+        assert a.algebra.element(dict(terms)) == a
+        assert pickle.loads(pickle.dumps(a)) == a
+        if hasattr(a.algebra, "from_data"):
+            assert a.algebra.from_data(json.loads(json.dumps(a.to_data()))) == a
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=repr)
+def test_a_word_holds_the_letters_1_to_255(ring):
+    A = FreeAlgebra(COMPLEX, ring)
+    tensor = TensorElement.unit(CommAlgebra.with_degrees("t", (2,), ring), A).algebra
+    for letter in (0, 256):
+        for build in (
+            lambda: A.element({(1, letter): 1}),
+            lambda: A.monomial((letter, 1)),
+            lambda: A.gen(letter),
+            lambda: tensor.element({((), (letter,)): 1}),
+        ):
+            with pytest.raises(ParameterError, match=f"generator index must be .* got {letter}"):
+                build()
+    top = A.gen(255)
+    assert top == A.monomial((255,)) == A.element({(255,): 1})
+    assert top.support() == [(255,)] and top.to_data() == [{"word": [255], "coeff": "1"}]
+    assert str(top * A.gen(1)) == "Z255*Z1"
+    assert tensor.element({((), (255, 1)): 2}).support() == [((), (255, 1))]

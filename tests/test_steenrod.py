@@ -605,3 +605,22 @@ def test_certificate_digests(build, digest):
     certificate = build()
     data = json.dumps(certificate.to_data(), indent=2) + str(certificate)
     assert hashlib.sha256(data.encode()).hexdigest() == digest
+
+
+def test_action_table_entries_are_read_only():
+    import pickle
+
+    A = FreeAlgebra(COMPLEX, GF(3))
+    B = FreeAlgebra(COMPLEX, GF(5))
+    table = GeneratorActionTable(A, "P", 3, {(1, 2): A.gen(1)})
+    with pytest.raises(TypeError):
+        table.entries[(1, 2)] = B.gen(1).scale(4)
+    with pytest.raises(TypeError):
+        del table.entries[(1, 2)]
+    op = MilnorOp(3, "P", 1)
+    assert cartan_extend(table, A.gen(2), op) == A.gen(1)
+    copy = pickle.loads(pickle.dumps(table))
+    assert copy == table == GeneratorActionTable(A, "P", 3, {(1, 2): A.gen(1)})
+    square = A.gen(2) * A.gen(2)
+    assert cartan_extend(copy, square, op) == cartan_extend(table, square, op)
+    assert table != GeneratorActionTable(A, "P", 3, {(1, 2): A.gen(1).scale(2)})
