@@ -55,9 +55,7 @@ _TERM_RE = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*\*\s*)?([A-Za-z_]\w*)\s*")
 # 16 s and 799 MiB); commutator with 32 letters at --k 8 --degree 24 --mode
 # rat --format json in 8.4 s and 479 MiB; a 20-letter Sq^6 action (177 100
 # splits) in 7.4 s and 490 MiB; poincare with 4096-entry --poly and --ext
-# lists at --degree 4000 in 13.6 s and 45 MiB.  A free-algebra word stores
-# each letter in one byte, so "--word letter index" is a bound of the
-# representation, not of cost.
+# lists at --degree 4000 in 13.6 s and 45 MiB.
 LIMITS = {
     "fgl --degree": 16,
     "inverse --degree": 20,
@@ -74,7 +72,6 @@ LIMITS = {
     "commutator --k": 22,
     "verify --samples": 1000,
     "--word letters": 32,
-    "--word letter index": 255,
     "--poly entries": 4096,
     "--ext entries": 4096,
     "--gen index": 17,
@@ -126,8 +123,6 @@ def _word(text: str) -> tuple:
         raise ParameterError(f"cannot parse word {text!r}") from None
     if not word:
         raise ParameterError("word must list at least one generator index")
-    for letter in word:
-        _limit("--word letter index", letter)
     return word
 
 

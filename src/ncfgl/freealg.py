@@ -115,25 +115,23 @@ _WORDS: dict = {}
 
 
 def _word_key(word) -> bytes:
-    """The stored form of a word: the bytes of its letters, each in 1..255."""
+    """The stored form of a word: the bytes of its letters, each in 1..255.
+
+    An int is refused before ``bytes`` sees it, since ``bytes(n)`` is a run of
+    n zero bytes, not a word.
+    """
+    if isinstance(word, int):
+        raise TypeError(f"a word is a sequence of generator indices, got {word!r}")
     try:
         key = bytes(word)
-    except (ValueError, TypeError):
-        key = None
-    if key is None or 0 in key:
-        for i in word:
-            if i < 1:
-                raise ParameterError(f"generator index must be >= 1, got {i}")
-            if i > MAX_LETTER:
-                raise ParameterError(f"generator index must be <= {MAX_LETTER}, got {i}")
-        raise ParameterError(f"a word is a sequence of generator indices, got {word!r}")
-    return key
-
-
-def _word_order(word: bytes):
-    """The canonical term order on the complex and real profiles: degree
-    (2 * sum or sum of the letters), then length, then letters."""
-    return (sum(word), len(word), word)
+        if 0 not in key:
+            return key
+    except ValueError:  # a letter outside 0..255
+        pass
+    bad = next(i for i in word if not 1 <= i <= MAX_LETTER)
+    if bad < 1:
+        raise ParameterError(f"generator index must be >= 1, got {bad}")
+    raise ParameterError(f"generator index must be <= {MAX_LETTER}, got {bad}")
 
 
 class FreeElement(LinearCombination):
@@ -205,14 +203,9 @@ class FreeAlgebra(SparseAlgebra, Record):
     def dim(self, d: int) -> int:
         return len(self._keys_of_degree(d))
 
-    @property
-    def term_key(self):
-        """Canonical term order: by (degree, length, letters).  On the complex
-        and real profiles the degree is a fixed multiple of the letter sum,
-        so no letter is looked up."""
-        if self.profile.kind == "custom":
-            return lambda word: (self.word_degree(word), len(word), word)
-        return _word_order
+    def term_key(self, word: Word):
+        """Canonical term order: by (degree, length, letters)."""
+        return (self.word_degree(word), len(word), word)
 
     def render_key(self, word: Word) -> str:
         letter = self.profile.letter

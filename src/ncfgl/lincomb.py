@@ -47,7 +47,7 @@ class SparseAlgebra:
     values), and supply the basis:
 
     * ``key_of(key)`` -- the stored key of a public key, refusing a key that
-      names no basis element; ``tuple`` unless overridden;
+      names no basis element with ParameterError;
     * ``public_key(key)`` -- the public key of a stored key; the identity
       unless overridden;
     * ``key_mul(a, b)`` -- the key of the product of two basis elements;
@@ -67,7 +67,6 @@ class SparseAlgebra:
 
     __slots__ = ()
     unit_key = ()
-    key_of = staticmethod(tuple)
 
     @staticmethod
     def public_key(key):
@@ -128,7 +127,7 @@ class SparseAlgebra:
         return self._wrap({self.unit_key: self.ring.one})
 
     def monomial(self, key, coeff=1):
-        return self.element({key: coeff})
+        return self.element({tuple(key): coeff})
 
 
 class LinearCombination:
@@ -150,8 +149,14 @@ class LinearCombination:
         return not self._terms
 
     def coefficient(self, key):
+        """The coefficient at a public key; 0 at a key that no stored key
+        matches, such as a word with a letter above 255."""
         algebra = self.algebra
-        return algebra.ring.public(self._terms.get(algebra.key_of(key), 0))
+        try:
+            key = algebra.key_of(key)
+        except ParameterError:
+            return algebra.ring.public(0)
+        return algebra.ring.public(self._terms.get(key, 0))
 
     def _sorted_keys(self):
         """Stored keys with nonzero coefficient, in canonical term order."""

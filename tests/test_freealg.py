@@ -236,20 +236,3 @@ def test_a_custom_profile_holds_at_most_255_degrees():
     assert GradingProfile.custom([1] * 255).degree_of(255) == 1
     with pytest.raises(ParameterError, match="256 degrees"):
         GradingProfile.custom([1] * 256)
-
-
-@pytest.mark.parametrize("profile", [COMPLEX, REAL], ids=repr)
-def test_the_letter_sum_order_is_the_degree_order(profile):
-    # a custom profile with the same degrees sorts through degree_of, letter
-    # by letter; the complex and real profiles sort by the letter sum
-    scale = profile.variable_degree
-    twin = GradingProfile.custom([scale * i for i in range(1, 9)], profile.letter)
-    rng = random.Random(repr(profile))
-    for _ in range(30):
-        terms = {
-            tuple(rng.randint(1, 8) for _ in range(rng.randint(0, 4))): rng.randint(1, 9)
-            for _ in range(rng.randint(1, 8))
-        }
-        a, b = FreeAlgebra(profile).element(terms), FreeAlgebra(twin).element(terms)
-        assert a.support() == b.support()
-        assert str(a) == str(b) and a.to_data() == b.to_data()

@@ -175,6 +175,7 @@ def test_keys_enter_and_leave_in_their_public_form(kind, ring):
         for key, value in terms:
             assert a.coefficient(key) == value
             assert a.coefficient(list(key)) == value
+            assert a.algebra.monomial(list(key), value) == a.algebra.element({key: value})
         assert a.algebra.element(dict(terms)) == a
         assert pickle.loads(pickle.dumps(a)) == a
         if hasattr(a.algebra, "from_data"):
@@ -194,8 +195,19 @@ def test_a_word_holds_the_letters_1_to_255(ring):
         ):
             with pytest.raises(ParameterError, match=f"generator index must be .* got {letter}"):
                 build()
+        assert A.gen(1).coefficient((1, letter)) == 0  # no stored word matches
     top = A.gen(255)
     assert top == A.monomial((255,)) == A.element({(255,): 1})
     assert top.support() == [(255,)] and top.to_data() == [{"word": [255], "coeff": "1"}]
     assert str(top * A.gen(1)) == "Z255*Z1"
     assert tensor.element({((), (255, 1)): 2}).support() == [((), (255, 1))]
+
+
+@pytest.mark.parametrize("word", [0, 3, False], ids=repr)
+def test_an_int_is_not_a_word(word):
+    # bytes(n) would be n zero bytes, and bytes(0) the unit word
+    A = FreeAlgebra()
+    with pytest.raises(TypeError, match="a word is a sequence"):
+        A.monomial(word)
+    with pytest.raises(TypeError, match="a word is a sequence"):
+        A.element({word: 5})
