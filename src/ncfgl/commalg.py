@@ -6,12 +6,13 @@ symbolic algebras like F_p[w].  Monomials are stored as sorted tuples of
 (generator index, exponent) pairs; the empty tuple is 1.  Elements are the
 linear combinations of :mod:`ncfgl.lincomb`, with monomials multiplied by
 adding exponents and raised to a power by multiplying them.
+
+An algebra's degree rule is data: its ``kind`` names one of the two Milnor
+families over F_p, whose degrees follow from the prime, or an explicit
+finite degree sequence.
 """
 
 from __future__ import annotations
-
-from functools import partial
-from operator import getitem
 
 from .errors import ParameterError
 from .lincomb import LinearCombination, SparseAlgebra
@@ -48,7 +49,7 @@ def frobenius(element: LinearCombination, q: int) -> LinearCombination:
 
 
 class CommElement(LinearCombination):
-    """Sparse commutative polynomial; immutable by convention."""
+    """Sparse commutative polynomial."""
 
     __slots__ = ()
 
@@ -60,14 +61,21 @@ class CommElement(LinearCombination):
         ]
 
 
+# The kinds of commutative algebra; the two Milnor kinds live over F_p.
+MILNOR_KINDS = ("dual-steenrod", "bp-homology")
+
+
 class CommAlgebra(SparseAlgebra):
     """A polynomial algebra with a fixed degree per generator index.
 
-    Identity of the degree rule is tracked by ``key`` so that algebras built
-    by different factories never silently mix.
+    ``kind`` fixes the degree rule, so that algebras of different kinds never
+    silently mix.  Over F_p, generator r of the ``"dual-steenrod"`` kind has
+    degree 2(p^r - 1), or 2^r - 1 at p = 2, and of the ``"bp-homology"`` kind
+    2(p^r - 1); an ``"explicit"`` algebra has the finitely many generators of
+    its ``degrees``.
     """
 
-    __slots__ = ("key", "family", "ring", "_degree_of", "_num_generators")
+    __slots__ = ("kind", "family", "ring", "degrees")
     element_class = CommElement
     key_mul = staticmethod(monomial_mul)
 
@@ -76,30 +84,31 @@ class CommAlgebra(SparseAlgebra):
         """A monomial in normal form: sorted by index, zero exponents dropped."""
         return tuple(sorted((i, e) for i, e in mono if e))
 
-    def __init__(self, key, family: str, degree_of, ring: ScalarRing, num_generators=None):
-        self.key = key
-        self.family = family
-        self.ring = ring
-        self._degree_of = degree_of
-        self._num_generators = num_generators
+    def __init__(self, kind: str, family: str, ring: ScalarRing, degrees=None):
+        if kind == "explicit":
+            degrees = tuple(degrees or ())
+            if not degrees or any(d < 1 for d in degrees):
+                raise ParameterError("generator degrees must be positive")
+        elif kind not in MILNOR_KINDS:
+            raise ParameterError(f"unknown algebra kind {kind!r}")
+        elif not ring.prime:
+            raise ParameterError(f"the {kind} algebra lives over F_p, not {ring!r}")
+        elif degrees is not None:
+            raise ParameterError(f"the {kind} algebra takes no degree sequence")
+        super().__init__(kind, family, ring, degrees)
 
     @classmethod
     def with_degrees(cls, family: str, degrees, ring: ScalarRing) -> "CommAlgebra":
-        degrees = tuple(degrees)
-        if not degrees or any(d < 1 for d in degrees):
-            raise ParameterError("generator degrees must be positive")
-        return cls(
-            ("explicit", family, degrees, ring),
-            family,
-            partial(getitem, (0,) + degrees),  # i -> degrees[i - 1], and it pickles
-            ring,
-            num_generators=len(degrees),
-        )
+        return cls("explicit", family, ring, degrees)
 
     def degree_of(self, i: int) -> int:
-        if i < 1 or (self._num_generators is not None and i > self._num_generators):
+        degrees = self.degrees
+        if i < 1 or (degrees is not None and i > len(degrees)):
             raise ParameterError(f"no generator of index {i} in {self.family}-family")
-        return self._degree_of(i)
+        if degrees is not None:
+            return degrees[i - 1]
+        p = self.ring.prime
+        return (p ** i - 1) * (1 if p == 2 and self.kind == "dual-steenrod" else 2)
 
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(e * self.degree_of(i) for i, e in mono)
@@ -129,12 +138,6 @@ class CommAlgebra(SparseAlgebra):
     def gen(self, i: int) -> CommElement:
         self.degree_of(i)
         return self._wrap({((i, 1),): self.ring.one})
-
-    def __eq__(self, other):
-        return isinstance(other, CommAlgebra) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         return f"CommAlgebra({self.family!r}, {self.ring!r})"

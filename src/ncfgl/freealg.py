@@ -26,15 +26,16 @@ that the exact elimination of :mod:`ncfgl.linalg` solves: one dict
 few-percent-dense systems is ever stored.
 
 The words of one degree depend only on the grading profile, so every algebra
-over a profile reads them, stored, from one module-level table keyed by
-(profile, degree), filled on first use and shared across algebras and scalar
-rings.
+over a profile reads them, stored, from one cache keyed by (profile, degree),
+filled on first use and shared across algebras and scalar rings.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .errors import DegenerateInputError, ParameterError, UnsupportedInputError
 from .lincomb import LinearCombination, SparseAlgebra
@@ -110,10 +111,6 @@ class GradingProfile(Record):
 COMPLEX = GradingProfile("complex", "Z")
 REAL = GradingProfile("real", "z")
 
-# (profile, degree) -> the stored words of that degree, see FreeAlgebra._keys_of_degree
-_WORDS: dict = {}
-
-
 def _word_key(word) -> bytes:
     """The stored form of a word: the bytes of its letters, each in 1..255.
 
@@ -134,6 +131,20 @@ def _word_key(word) -> bytes:
     raise ParameterError(f"generator index must be <= {MAX_LETTER}, got {bad}")
 
 
+@cache
+def _words(profile: GradingProfile, d: int) -> tuple:
+    """The stored words of degree d over ``profile``, sorted by (length, letters)."""
+    if d <= 0:
+        return (b"",) if d == 0 else ()
+    out = []
+    for i in profile.generators_of_degree_at_most(d):
+        head = bytes((i,))
+        for tail in _words(profile, d - profile.degree_of(i)):
+            out.append(head + tail)
+    out.sort(key=lambda w: (len(w), w))
+    return tuple(out)
+
+
 class FreeElement(LinearCombination):
     """A finite sum of words with nonzero scalar coefficients."""
 
@@ -148,7 +159,7 @@ class FreeElement(LinearCombination):
         ]
 
 
-class FreeAlgebra(SparseAlgebra, Record):
+class FreeAlgebra(SparseAlgebra):
     """Word-basis free associative algebra over one profile and scalar ring.
 
     Words multiply by concatenation; the empty word is the unit.  Words are
@@ -180,25 +191,7 @@ class FreeAlgebra(SparseAlgebra, Record):
     def _keys_of_degree(self, d: int) -> tuple:
         """The stored words of :meth:`words_of_degree`; shared by every
         algebra over this profile."""
-        if d < 0:
-            return ()
-        key = (self.profile, d)
-        cached = _WORDS.get(key)
-        if cached is not None:
-            return cached
-        if d == 0:
-            words = (b"",)
-        else:
-            out = []
-            deg = self.profile.degree_of
-            for i in self.profile.generators_of_degree_at_most(d):
-                head = bytes((i,))
-                for tail in self._keys_of_degree(d - deg(i)):
-                    out.append(head + tail)
-            out.sort(key=lambda w: (len(w), w))
-            words = tuple(out)
-        _WORDS[key] = words
-        return words
+        return _words(self.profile, d)
 
     def dim(self, d: int) -> int:
         return len(self._keys_of_degree(d))
@@ -230,8 +223,6 @@ class FreeAlgebra(SparseAlgebra, Record):
 
     def from_data(self, data) -> FreeElement:
         return self.element({tuple(rec["word"]): self.ring.parse(rec["coeff"]) for rec in data})
-
-    __hash__ = Record._hash
 
     def __repr__(self):
         return f"FreeAlgebra({self.profile!r}, {self.ring!r})"

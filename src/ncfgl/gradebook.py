@@ -32,9 +32,6 @@ class PoincareSeries(Record):
     def one(cls, order: int) -> "PoincareSeries":
         return cls(order, (1,) + (0,) * order)
 
-    def coefficient(self, n: int) -> int:
-        return self.dims[n]
-
     def _check(self, other: "PoincareSeries"):
         if self.order != other.order:
             raise ParameterError("series orders disagree")
@@ -42,10 +39,6 @@ class PoincareSeries(Record):
     def __add__(self, other: "PoincareSeries") -> "PoincareSeries":
         self._check(other)
         return PoincareSeries(self.order, [a + b for a, b in zip(self.dims, other.dims)])
-
-    def __sub__(self, other: "PoincareSeries") -> "PoincareSeries":
-        self._check(other)
-        return PoincareSeries(self.order, [a - b for a, b in zip(self.dims, other.dims)])
 
     def __mul__(self, other: "PoincareSeries") -> "PoincareSeries":
         self._check(other)

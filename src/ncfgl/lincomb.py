@@ -30,21 +30,22 @@ same int loops as Z.  :meth:`LinearCombination.coefficient` and
 ``Fraction``; :meth:`LinearCombination.mutable_terms` alone returns stored
 values, as an accumulator for :meth:`SparseAlgebra.from_accumulator`.
 
-All values are immutable after construction and every operation is a pure
-function of its inputs.
+Elements are :class:`~ncfgl.record.Record` values: assigning or deleting an
+attribute raises AttributeError, and every operation is a pure function of
+its inputs.
 """
 
 from __future__ import annotations
 
 from .errors import ModeMismatchError, ParameterError, UnsupportedInputError
+from .record import Record
 
 
-class SparseAlgebra:
-    """The parent of linear combinations over ``self.ring``.
+class SparseAlgebra(Record):
+    """The parent of linear combinations over ``self.ring``: a hashable record.
 
-    Subclasses set ``element_class`` and ``ring``, compare and hash by
-    value (the free and tensor algebras are :class:`~ncfgl.record.Record`
-    values), and supply the basis:
+    Subclasses declare their fields, set ``element_class`` and ``ring`` and
+    supply the basis:
 
     * ``key_of(key)`` -- the stored key of a public key, refusing a key that
       names no basis element with ParameterError;
@@ -66,6 +67,7 @@ class SparseAlgebra:
     """
 
     __slots__ = ()
+    __hash__ = Record._hash
     unit_key = ()
 
     @staticmethod
@@ -73,10 +75,13 @@ class SparseAlgebra:
         return key
 
     def _wrap(self, terms: dict):
-        """An element over ``terms`` as they are: reduced and nonzero."""
-        element = object.__new__(self.element_class)
-        element.algebra = self
-        element._terms = terms
+        """An element over ``terms`` as they are: reduced and nonzero.
+
+        Sets the two fields through their slot descriptors, which skips the
+        argument handling of ``Record.__init__`` on this hot path."""
+        element = _new(self.element_class)
+        _set_algebra(element, self)
+        _set_terms(element, terms)
         return element
 
     def element(self, terms: dict):
@@ -130,18 +135,19 @@ class SparseAlgebra:
         return self.element({tuple(key): coeff})
 
 
-class LinearCombination:
+class LinearCombination(Record):
     """A finite sum of basis keys with nonzero scalar coefficients.
 
-    Instances are immutable by convention: no method mutates ``self`` and the
-    term mapping is never exposed for writing.
+    A record on (algebra, stored terms): equal when both agree, hashable,
+    and refusing assignment.  The term mapping is never exposed for writing.
+    An element pickles as ``algebra._wrap(terms)``, so that a subclass may
+    take other constructor arguments.
     """
 
     __slots__ = ("algebra", "_terms")
 
     def __init__(self, algebra: SparseAlgebra, terms: dict):
-        self.algebra = algebra
-        self._terms = algebra.element(terms)._terms
+        super().__init__(algebra, algebra.element(terms)._terms)
 
     # -- inspection ------------------------------------------------------------
 
@@ -264,15 +270,11 @@ class LinearCombination:
                 base = base * base
         return result
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearCombination)
-            and self.algebra == other.algebra
-            and self._terms == other._terms
-        )
-
     def __hash__(self):
         return hash((self.algebra, frozenset(self._terms.items())))
+
+    def __reduce__(self):
+        return self.algebra._wrap, (self._terms,)
 
     # -- presentation ---------------------------------------------------------
 
@@ -302,3 +304,8 @@ class LinearCombination:
 
     def __repr__(self):
         return f"<{self}>"
+
+
+_new = object.__new__
+_set_algebra = LinearCombination.algebra.__set__
+_set_terms = LinearCombination._terms.__set__

@@ -1,8 +1,9 @@
 """The one base class for the toolkit's values.
 
-Scalar rings, grading profiles, variable sets, Poincaré series, free and
-tensor algebras, the formal group law tables, action tables and every result
-record are records.  A record class lists its fields in ``__slots__``, in
+Every value of the toolkit is a record: scalar rings, grading profiles,
+variable sets, Poincaré series, the free, commutative and tensor algebras,
+their elements, central series, the formal group law tables, action tables
+and every result record.  A record class lists its fields in ``__slots__``, in
 constructor order, and names a zero-argument factory for each trailing field
 that has a default in ``_defaults``; a subclass with ``__slots__ = ()`` keeps
 its parent's fields, and one that declares slots appends them.  A record gets
@@ -10,8 +11,11 @@ a constructor taking the fields by position or by keyword, field-wise ``==``
 between records of one class, a ``Name(field=value, ...)`` repr and pickling.
 A class that checks or normalizes its arguments defines ``__init__`` and
 passes the normalized fields on to ``Record.__init__``, which must accept its
-own fields again, since unpickling calls the class with them.  A field is set
-once, by the constructor: assigning or deleting one raises AttributeError.
+own fields again, since unpickling calls the class with them, unless it
+pickles another way through its own ``__reduce__``.  A field is set once, by
+the constructor: assigning or deleting one raises AttributeError.  Where a
+constructor runs on a hot path, a private builder may set the fields
+through their slot descriptors (``Cls.field.__set__``) instead.
 A mapping field that must not change in place is held as a read-only
 ``types.MappingProxyType``; pickling hands it back as a plain dict, which the
 constructor wraps again.  Records are unhashable; a class opts in with

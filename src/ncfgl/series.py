@@ -26,7 +26,8 @@ the same kind of accumulators with ``add_multiple``.  Each accumulator is
 reduced once with ``from_accumulator``.  Results are wrapped by the internal
 ``CentralSeries._wrap``, which skips the index checks of the public
 ``CentralSeries(...)`` constructor: the module only builds indices of the
-right width within the order.
+right width within the order.  A series is a :class:`~ncfgl.record.Record`:
+it compares field by field, pickles, and refuses assignment.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _graded_lex(index):
     return (sum(index), index)
 
 
-class CentralSeries:
+class CentralSeries(Record):
     """Truncated series sum_I (coefficient_I) * x^I with central variables.
 
     Every coefficient lives over the series' algebra: the constructor refuses
@@ -107,10 +108,7 @@ class CentralSeries:
                 continue
             if not element.is_zero():
                 clean[index] = element
-        self.algebra = algebra
-        self.varset = varset
-        self.order = order
-        self._coeffs = clean
+        super().__init__(algebra, varset, order, clean)
 
     @classmethod
     def _wrap(cls, algebra: FreeAlgebra, varset: VarSet, order: int, coeffs: dict):
@@ -118,13 +116,14 @@ class CentralSeries:
 
         For results this module builds itself: every index is a tuple of the
         width of ``varset`` with total at most ``order``, and every element is
-        nonzero.
+        nonzero.  The fields are set through their slot descriptors, which
+        skips the argument handling of ``Record.__init__``.
         """
-        series = object.__new__(cls)
-        series.algebra = algebra
-        series.varset = varset
-        series.order = order
-        series._coeffs = coeffs
+        series = _new(cls)
+        _set_algebra(series, algebra)
+        _set_varset(series, varset)
+        _set_order(series, order)
+        _set_coeffs(series, coeffs)
         return series
 
     def _from_accumulators(self, accs: dict, varset: VarSet | None = None) -> "CentralSeries":
@@ -308,15 +307,6 @@ class CentralSeries:
             {i: e for i, e in self._coeffs.items() if sum(i) <= order},
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CentralSeries)
-            and self.algebra == other.algebra
-            and self.varset == other.varset
-            and self.order == other.order
-            and self._coeffs == other._coeffs
-        )
-
     # -- substitution of central variables ----------------------------------------------
 
     def specialize(self, assignment: dict, target: VarSet | None = None) -> "CentralSeries":
@@ -404,6 +394,13 @@ class CentralSeries:
 
     def __repr__(self):
         return f"<series {self}>"
+
+
+_new = object.__new__
+_set_algebra = CentralSeries.algebra.__set__
+_set_varset = CentralSeries.varset.__set__
+_set_order = CentralSeries.order.__set__
+_set_coeffs = CentralSeries._coeffs.__set__
 
 
 def left_substitute(f: CentralSeries, g: CentralSeries) -> CentralSeries:

@@ -19,6 +19,7 @@ exterior generators at odd primes are never needed by the computations here.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product as _iproduct
 from math import comb
 from types import MappingProxyType
@@ -105,18 +106,14 @@ def dual_steenrod(p: int) -> CommAlgebra:
     """F_p[xi_1, xi_2, ...] with deg xi_r = 2(p^r - 1), or 2^r - 1 at p = 2."""
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
-    if p == 2:
-        degree = lambda r: 2 ** r - 1
-    else:
-        degree = lambda r: 2 * (p ** r - 1)
-    return CommAlgebra(("dual-steenrod", p), "xi", degree, GF(p))
+    return CommAlgebra("dual-steenrod", "xi", GF(p))
 
 
 def bp_homology(p: int) -> CommAlgebra:
     """F_p[t_1, t_2, ...] with deg t_r = 2p^r - 2."""
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
-    return CommAlgebra(("bp-homology", p), "t", lambda r: 2 * p ** r - 2, GF(p))
+    return CommAlgebra("bp-homology", "t", GF(p))
 
 
 # -- tensor square ------------------------------------------------------------
@@ -160,7 +157,7 @@ class TensorElement(LinearCombination):
         )
 
 
-class TensorAlgebra(SparseAlgebra, Record):
+class TensorAlgebra(SparseAlgebra):
     """The tensor product of two algebras over one ring, on (left, right) keys.
 
     Keys multiply factorwise and sort by the left factor's order, then the
@@ -206,8 +203,6 @@ class TensorAlgebra(SparseAlgebra, Record):
         right = self.right.render_key(key[1]) or "1"
         return f"({left} (x) {right})"
 
-    __hash__ = Record._hash
-
 
 def _dual_monomial(op: MilnorOp):
     """xi_1^k: <P^k, xi_1^k> = 1 (likewise Sq^k at p = 2), and the pairing
@@ -218,15 +213,12 @@ def _dual_monomial(op: MilnorOp):
 def milnor_pair(op: MilnorOp, a: CommElement):
     """Linear extension of the dual-basis pairing; returns a scalar."""
     algebra = a.algebra
-    if algebra.key != ("dual-steenrod", op.prime):
+    if algebra.kind != "dual-steenrod" or algebra.ring.prime != op.prime:
         raise UnsupportedInputError("pairing is defined on dual Steenrod elements")
     return a.coefficient(_dual_monomial(op))
 
 
 # -- coproduct, counit, antipode ------------------------------------------------
-
-_PSI_CACHE: dict = {}
-_CHI_CACHE: dict = {}
 
 
 def _multiplicative(a: CommElement, target: SparseAlgebra, image) -> LinearCombination:
@@ -252,25 +244,21 @@ def _multiplicative(a: CommElement, target: SparseAlgebra, image) -> LinearCombi
     return target.from_accumulator(acc)
 
 
+@cache
 def _xi_coproduct(p: int, n: int) -> TensorElement:
-    cached = _PSI_CACHE.get((p, n))
-    if cached is not None:
-        return cached
     algebra = dual_steenrod(p)
     terms = {}
     for i in range(n + 1):
         left = () if i == n else ((n - i, p ** i),)
         right = () if i == 0 else ((i, 1),)
         terms[(left, right)] = 1
-    psi = TensorAlgebra(algebra, algebra).element(terms)
-    _PSI_CACHE[(p, n)] = psi
-    return psi
+    return TensorAlgebra(algebra, algebra).element(terms)
 
 
 def coproduct(a: CommElement) -> TensorElement:
     """psi(xi_n) = sum_{i} xi_{n-i}^{p^i} (x) xi_i, extended multiplicatively."""
     algebra = a.algebra
-    if algebra.key[0] != "dual-steenrod":
+    if algebra.kind != "dual-steenrod":
         raise UnsupportedInputError("coproduct is defined on dual Steenrod elements")
     p = algebra.ring.prime
     return _multiplicative(a, TensorAlgebra(algebra, algebra), lambda i: _xi_coproduct(p, i))
@@ -284,31 +272,24 @@ def counit(a: CommElement):
 def antipode(a: CommElement) -> CommElement:
     """Hopf antipode chi, from chi(xi_n) = -sum_{i>=1} chi(xi_{n-i})^{p^i} xi_i."""
     algebra = a.algebra
-    if algebra.key[0] != "dual-steenrod":
+    if algebra.kind != "dual-steenrod":
         raise UnsupportedInputError("antipode is defined on dual Steenrod elements")
     p = algebra.ring.prime
-    return _multiplicative(a, algebra, lambda i: _chi_generator(p, i))
+    return _multiplicative(a, algebra, lambda i: conjugate_generator(p, i))
 
 
-def _chi_generator(p: int, n: int) -> CommElement:
-    cached = _CHI_CACHE.get((p, n))
-    if cached is not None:
-        return cached
-    algebra = dual_steenrod(p)
-    if n == 0:
-        value = algebra.one()
-    else:
-        acc: dict = {}
-        for i in range(1, n + 1):
-            algebra.add_product(acc, frobenius(_chi_generator(p, n - i), p ** i), -algebra.gen(i))
-        value = algebra.from_accumulator(acc)
-    _CHI_CACHE[(p, n)] = value
-    return value
-
-
+@cache
 def conjugate_generator(p: int, r: int) -> CommElement:
-    """zeta_r = chi(xi_r)."""
-    return _chi_generator(p, r) if r else dual_steenrod(p).one()
+    """zeta_r = chi(xi_r), with zeta_0 = 1; a negative r is refused."""
+    if r < 0:
+        raise ParameterError(f"conjugate generator index must be >= 0, got {r}")
+    algebra = dual_steenrod(p)
+    if r == 0:
+        return algebra.one()
+    acc: dict = {}
+    for i in range(1, r + 1):
+        algebra.add_product(acc, frobenius(conjugate_generator(p, r - i), p ** i), -algebra.gen(i))
+    return algebra.from_accumulator(acc)
 
 
 # -- coaction on F_p[t_1, t_2, ...] ----------------------------------------------
@@ -317,7 +298,7 @@ def conjugate_generator(p: int, r: int) -> CommElement:
 def bp_coaction(a: CommElement) -> TensorElement:
     """psi(t_n) = sum_{k=0}^{n} zeta_k (x) t_{n-k}^{p^k}, extended multiplicatively."""
     algebra = a.algebra
-    if algebra.key[0] != "bp-homology":
+    if algebra.kind != "bp-homology":
         raise UnsupportedInputError("this coaction acts on t-polynomials")
     p = algebra.ring.prime
     if p == 2:
@@ -347,10 +328,10 @@ def right_action(a, op: MilnorOp):
     if isinstance(a, FreeElement):
         return nsym_action(op, a)
     if isinstance(a, CommElement):
-        tag = a.algebra.key[0]
-        if tag == "bp-homology":
+        kind = a.algebra.kind
+        if kind == "bp-homology":
             return bp_coaction(a).pair_left(op)
-        if tag == "dual-steenrod":
+        if kind == "dual-steenrod":
             return coproduct(a).pair_left(op)
         raise UnsupportedInputError(
             f"no registered coaction for the {a.algebra.family!r} family"

@@ -272,6 +272,65 @@ def test_values_pickle_round_trip():
     assert repr(pickle.loads(pickle.dumps(gf3))) == repr(gf3)
 
 
+def _elements_series_and_commutative_algebras():
+    """One instance of each element class, of a series and of each kind of
+    commutative algebra, with a field to try to assign."""
+    from ncfgl.steenrod import TensorElement
+
+    xi = ncfgl.dual_steenrod(3)
+    return [
+        (ncfgl.FreeAlgebra().gen(1), "algebra"),
+        (ncfgl.FreeAlgebra().gen(1), "_terms"),
+        (ncfgl.bp_homology(3).gen(1), "algebra"),
+        (TensorElement.tensor(xi.gen(1), xi.gen(1)), "_terms"),
+        (ncfgl.orientation_series(6), "order"),
+        (ncfgl.orientation_series(6), "_coeffs"),
+        (xi, "ring"),
+        (ncfgl.bp_homology(3), "kind"),
+        (ncfgl.CommAlgebra.with_degrees("w", (4,), ncfgl.GF(3)), "degrees"),
+    ]
+
+
+def test_elements_series_and_commutative_algebras_refuse_assignment():
+    for value, field in _elements_series_and_commutative_algebras():
+        before = getattr(value, field)
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, field, ncfgl.FreeAlgebra(ncfgl.COMPLEX, ncfgl.GF(3)))
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(value, field)
+        assert getattr(value, field) is before, type(value).__name__
+
+
+def test_every_class_of_the_package_is_a_record_an_error_or_a_parser_action():
+    import argparse
+    import inspect
+
+    from ncfgl.record import Record
+
+    for name in SUBMODULES + ["cli", "record"]:
+        module = importlib.import_module(f"ncfgl.{name}")
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                assert issubclass(cls, (Record, Exception, argparse.Action)), cls
+
+
+def test_steenrod_algebras_elements_and_series_pickle_round_trip():
+    values = [ncfgl.orientation_series(5), ncfgl.CentralSeries.zero(
+        ncfgl.FreeAlgebra(), ncfgl.VarSet(("x", "y"), 2), 3)]
+    for p in (2, 3, 5):
+        xi, t = ncfgl.dual_steenrod(p), ncfgl.bp_homology(p)
+        values += [xi, t, xi.gen(2) * xi.gen(1) ** 2 - xi.one(), t.gen(1) ** p + t.gen(3)]
+        values.append(ncfgl.coproduct(xi.gen(2) * xi.gen(1)))
+        if p != 2:
+            values.append(ncfgl.bp_coaction(t.gen(2)))
+    for value in values:
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy is not value and copy == value and type(copy) is type(value), value
+        assert str(copy) == str(value)
+        if not isinstance(value, ncfgl.CentralSeries):
+            assert hash(copy) == hash(value)
+
+
 def test_slot_less_record_subclasses_keep_their_parents_fields():
     class Sub(MilnorOp):
         __slots__ = ()

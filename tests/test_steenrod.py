@@ -115,6 +115,21 @@ def test_coalgebra_laws_through_bound(p):
 # -- antipode ---------------------------------------------------------------------
 
 
+def test_conjugate_generator_refuses_a_negative_index():
+    assert conjugate_generator(3, 0) == dual_steenrod(3).one()
+    for r in (-1, -2):
+        with pytest.raises(ParameterError, match=f"must be >= 0, got {r}"):
+            conjugate_generator(3, r)
+
+
+def test_milnor_pair_refuses_a_dual_steenrod_element_at_another_prime():
+    with pytest.raises(UnsupportedInputError):
+        milnor_pair(MilnorOp(5, "P", 1), dual_steenrod(3).gen(1))
+    with pytest.raises(UnsupportedInputError):
+        milnor_pair(MilnorOp(3, "P", 1), bp_homology(3).gen(1))
+    assert milnor_pair(MilnorOp(3, "P", 1), dual_steenrod(3).gen(1)) == 1
+
+
 def test_antipode_unit():
     A = dual_steenrod(3)
     assert antipode(A.one()) == A.one()
