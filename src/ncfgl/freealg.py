@@ -134,8 +134,10 @@ def _word_key(word) -> bytes:
 @cache
 def _words(profile: GradingProfile, d: int) -> tuple:
     """The stored words of degree d over ``profile``, sorted by (length, letters)."""
-    if d <= 0:
-        return (b"",) if d == 0 else ()
+    if d < 0:
+        return ()
+    if d == 0:
+        return (b"",)
     out = []
     for i in profile.generators_of_degree_at_most(d):
         head = bytes((i,))
