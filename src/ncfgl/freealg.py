@@ -214,7 +214,7 @@ class FreeAlgebra(SparseAlgebra):
 
     def monomial(self, word, coeff=1) -> FreeElement:
         """coeff * word, refused like a word of :meth:`element`; built
-        directly, since every column of :func:`matrix_of` starts here."""
+        directly, since the Cartan rule forms one per word it acts on."""
         word = _word_key(word)
         value = self.ring.coerce(coeff)
         return self._wrap({word: value} if value else {})
@@ -243,19 +243,43 @@ class FreeAlgebra(SparseAlgebra):
                 acc[word] = get(word, 0) + c1 * c2
 
 
+def _add_commutator(acc: dict, left, right) -> None:
+    """acc[w] += [left, right][w] for every stored word w, in place and
+    unreduced: each pair of terms (u, c1), (v, c2) of the two term views adds
+    c1*c2 at u+v and subtracts it at v+u, so that no negated copy of either
+    side is formed."""
+    get = acc.get
+    for u, c1 in left:
+        for v, c2 in right:
+            c = c1 * c2
+            word = u + v
+            acc[word] = get(word, 0) + c
+            word = v + u
+            acc[word] = get(word, 0) - c
+
+
 def commutator(a: FreeElement, b: FreeElement) -> FreeElement:
-    """ab - ba, both products added into one accumulator."""
+    """ab - ba, by one loop over the pairs of terms of ``a`` and ``b``."""
     a._check_compatible(b)
     acc: dict = {}
-    a.algebra.add_product(acc, a, b)
-    a.algebra.add_product(acc, -b, a)
+    _add_commutator(acc, a._terms.items(), b._terms.items())
     return a.algebra.from_accumulator(acc)
 
 
 def commutator_map(w: FreeElement):
-    """word -> [word, w], the linear map whose kernel is the centralizer of ``w``."""
-    monomial = w.algebra.monomial
-    return lambda word: commutator(monomial(word), w)
+    """word -> [word, w], the linear map whose kernel is the centralizer of
+    ``w``: the loop of :func:`commutator` on the one term of the word, which
+    is refused like a word of :meth:`FreeAlgebra.element`."""
+    algebra = w.algebra
+    one = algebra.ring.one
+    terms = w._terms.items()
+
+    def bracket(word):
+        acc: dict = {}
+        _add_commutator(acc, ((_word_key(word), one),), terms)
+        return algebra.from_accumulator(acc)
+
+    return bracket
 
 
 def matrix_of(linear_map, source_words, target_words) -> list:

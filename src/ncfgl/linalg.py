@@ -5,12 +5,15 @@ of the ambient :class:`~ncfgl.scalars.ScalarRing`; a matrix is a list of such
 rows, and a column absent from a row holds zero.  The systems solved here are
 a few percent dense at most, so no zero is ever stored or scanned.
 
-One elimination, :func:`rref`, serves every ring: F_p in residues, Z and Q in
-Fractions.  It picks each pivot as the shortest row holding the column, to
-limit fill-in.  The reduced row echelon form of a matrix is unique, so that
-choice cannot change any result: kernels are presented in reduced echelon
-form with respect to the given column order, and integer-mode kernels are
-primitive integer vectors with positive leading entry.
+One elimination, :func:`rref`, serves every ring: F_p in residues, and Z and Q
+in the stored form of :func:`~ncfgl.scalars.stored_rational`, an ``int`` while
+an entry is integral and a ``Fraction`` otherwise, so that the +-1 entries of
+the commutator systems run on int arithmetic.  It picks each pivot as the
+shortest row holding the column, to limit fill-in.  The reduced row echelon
+form of a matrix is unique, so that choice cannot change any result: kernels
+are presented in reduced echelon form with respect to the given column
+order, and integer-mode kernels are primitive integer vectors with positive
+leading entry.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import UnsupportedInputError
-from .scalars import ScalarRing
+from .scalars import ScalarRing, stored_rational
 
 
 def rref(rows, ncols: int, ring: ScalarRing):
@@ -29,12 +32,15 @@ def rref(rows, ncols: int, ring: ScalarRing):
     columns in increasing order, and the list of pivot columns.  The input
     rows are not modified.  A column -> rows index lets each step touch only
     the rows that hold the pivot column; cancelled entries are dropped.
+    Over F_p the entries are residues; over Z and Q they are rationals in
+    stored form (module docstring), in the input and the output alike.
     """
     p = ring.prime
     if p:
         rows = [{c: x % p for c, x in row.items() if x % p} for row in rows]
     else:
-        rows = [{c: Fraction(x) for c, x in row.items() if x} for row in rows]
+        rows = [{c: x if x.__class__ is int else stored_rational(x) for c, x in row.items() if x}
+                for row in rows]
     holding = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -42,15 +48,15 @@ def rref(rows, ncols: int, ring: ScalarRing):
     pivots, order, chosen = [], [], set()
     for c in range(ncols):
         holders = holding.get(c, set())
-        r = min((i for i in holders if i not in chosen), key=lambda i: (len(rows[i]), i),
-                default=None)
-        if r is None:
+        shortest = min(((len(rows[i]), i) for i in holders if i not in chosen), default=None)
+        if shortest is None:
             continue
+        r = shortest[1]
         lead = rows[r]
         if lead[c] != 1:
-            inv = pow(lead[c], -1, p) if p else 1 / lead[c]
+            inv = pow(lead[c], -1, p) if p else 1 / Fraction(lead[c])
             for j, x in lead.items():
-                lead[j] = x * inv % p if p else x * inv
+                lead[j] = x * inv % p if p else stored_rational(x * inv)
         for i in holders - {r}:
             row = rows[i]
             f = row[c]
@@ -58,6 +64,8 @@ def rref(rows, ncols: int, ring: ScalarRing):
                 v = row.get(j, 0) - f * x
                 if p:
                     v %= p
+                elif v.__class__ is not int:
+                    v = stored_rational(v)
                 if v:
                     if j not in row:
                         holding.setdefault(j, set()).add(i)

@@ -221,27 +221,47 @@ def milnor_pair(op: MilnorOp, a: CommElement):
 # -- coproduct, counit, antipode ------------------------------------------------
 
 
-def _multiplicative(a: CommElement, target: SparseAlgebra, image) -> LinearCombination:
+def _multiplicative(a: CommElement, target: SparseAlgebra, image, keep=None) -> LinearCombination:
     """The algebra map into ``target`` sending generator i to image(i), at ``a``.
 
-    Both algebras are commutative over F_p, so for e = p^j r the power
-    image(i)^e is image(i)^r followed by the Frobenius p^j on its keys.  The
-    image of each monomial is its coefficient times the product of these
-    powers; the last product goes straight into one accumulator for all of
-    ``a``.
+    Both algebras are commutative over F_p, so for e = sum_j d_j p^j in base
+    p the power image(i)^e is the product over j of image(i)^(d_j) followed
+    by the Frobenius p^j on its keys.  The image of each monomial is its
+    coefficient times the product of these powers; the last product goes
+    straight into one accumulator for all of ``a``.
+
+    With ``keep``, a predicate on the keys of ``target``, every term it
+    refuses is dropped from each factor and each product as soon as that is
+    formed, and the result holds only the terms it keeps.  This is exact when
+    ``keep`` refuses every multiple of a key it refuses: a product key is a
+    multiple of each of its factors, and a Frobenius key of its own, so a
+    dropped term could only ever have reached refused keys.
+    :func:`right_action` keeps the tensor keys whose left monomial divides
+    xi_1^k, and a multiple of a left monomial that does not divide xi_1^k
+    does not divide it either.
     """
     p = a.algebra.ring.prime
+
+    def cut(element):
+        if keep is None:
+            return element
+        return target._wrap({key: c for key, c in element._terms.items() if keep(key)})
+
     acc: dict = {}
     for mono, coeff in a._terms.items():
         term, last = target.monomial(target.unit_key, coeff), target.one()
         for i, e in mono:
-            q = 1
-            while e % p == 0:
-                e //= p
+            gen, q = cut(image(i)), 1
+            while e:
+                e, digit = divmod(e, p)
+                if digit:
+                    power = gen
+                    for _ in range(digit - 1):
+                        power = cut(power * gen)
+                    term, last = cut(term * last), cut(frobenius(power, q))
                 q *= p
-            term, last = term * last, frobenius(image(i) ** e, q)
         target.add_product(acc, term, last)
-    return target.from_accumulator(acc)
+    return cut(target.from_accumulator(acc))
 
 
 @cache
@@ -257,11 +277,9 @@ def _xi_coproduct(p: int, n: int) -> TensorElement:
 
 def coproduct(a: CommElement) -> TensorElement:
     """psi(xi_n) = sum_{i} xi_{n-i}^{p^i} (x) xi_i, extended multiplicatively."""
-    algebra = a.algebra
-    if algebra.kind != "dual-steenrod":
+    if a.algebra.kind != "dual-steenrod":
         raise UnsupportedInputError("coproduct is defined on dual Steenrod elements")
-    p = algebra.ring.prime
-    return _multiplicative(a, TensorAlgebra(algebra, algebra), lambda i: _xi_coproduct(p, i))
+    return _coaction(a)
 
 
 def counit(a: CommElement):
@@ -297,15 +315,28 @@ def conjugate_generator(p: int, r: int) -> CommElement:
 
 def bp_coaction(a: CommElement) -> TensorElement:
     """psi(t_n) = sum_{k=0}^{n} zeta_k (x) t_{n-k}^{p^k}, extended multiplicatively."""
-    algebra = a.algebra
-    if algebra.kind != "bp-homology":
+    if a.algebra.kind != "bp-homology":
         raise UnsupportedInputError("this coaction acts on t-polynomials")
+    return _coaction(a)
+
+
+def _coaction(a: CommElement, keep=None) -> TensorElement:
+    """The registered coaction of ``a``: the coproduct of a dual Steenrod
+    element, the coaction on a t-polynomial at an odd prime; with ``keep``,
+    only the terms that :func:`_multiplicative` keeps."""
+    algebra = a.algebra
     p = algebra.ring.prime
+    if algebra.kind == "dual-steenrod":
+        return _multiplicative(
+            a, TensorAlgebra(algebra, algebra), lambda i: _xi_coproduct(p, i), keep
+        )
+    if algebra.kind != "bp-homology":
+        raise UnsupportedInputError(f"no registered coaction for the {algebra.family!r} family")
     if p == 2:
         raise UnsupportedInputError("the displayed coaction is the odd-prime form")
     steenrod = dual_steenrod(p)
     return _multiplicative(
-        a, TensorAlgebra(steenrod, algebra), lambda n: _t_coaction(p, n, steenrod, algebra)
+        a, TensorAlgebra(steenrod, algebra), lambda n: _t_coaction(p, n, steenrod, algebra), keep
     )
 
 
@@ -324,18 +355,24 @@ def _t_coaction(p, n, steenrod, algebra) -> TensorElement:
 
 
 def right_action(a, op: MilnorOp):
-    """a . theta = sum <theta, a'> a'' over the registered coaction of ``a``."""
+    """a . theta = sum <theta, a'> a'' over the registered coaction of ``a``.
+
+    The pairing reads only the terms whose left factor a' is xi_1^k, so on a
+    commutative element the coaction is formed pruned: a term is dropped as
+    soon as its left monomial no longer divides xi_1^k.  Monomials only grow
+    under product, power and Frobenius, so such a term can never come back
+    to xi_1^k, and the result is that of the full coaction.
+    """
     if isinstance(a, FreeElement):
         return nsym_action(op, a)
     if isinstance(a, CommElement):
-        kind = a.algebra.kind
-        if kind == "bp-homology":
-            return bp_coaction(a).pair_left(op)
-        if kind == "dual-steenrod":
-            return coproduct(a).pair_left(op)
-        raise UnsupportedInputError(
-            f"no registered coaction for the {a.algebra.family!r} family"
-        )
+        k = op.index
+
+        def divides(key):
+            left = key[0]
+            return not left or (len(left) == 1 and left[0][0] == 1 and left[0][1] <= k)
+
+        return _coaction(a, divides).pair_left(op)
     raise UnsupportedInputError(f"no registered coaction for {type(a).__name__}")
 
 

@@ -21,6 +21,8 @@ from ncfgl import (
     random_homogeneous,
 )
 
+from ncfgl.freealg import commutator_map
+
 from props import random_element
 
 
@@ -79,6 +81,31 @@ def test_associativity_on_random_triples(profile, ring):
         b = random_element(algebra, rng, max_degree=4)
         c = random_element(algebra, rng, max_degree=4)
         assert (a * b) * c == a * (b * c)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=repr)
+def test_commutator_and_commutator_map_match_the_two_products(ring):
+    algebra = FreeAlgebra(COMPLEX, ring)
+    rng = random.Random(17)
+    # Z1 and Z1Z1, Z1Z2 and Z1Z2Z1Z2 are powers of one word, so u+v == v+u
+    # for their pairs and those terms cancel inside the loop; the words of
+    # the two sides also overlap
+    repeated = algebra.element({(1,): 2, (1, 1): 1, (1, 2): 1, (1, 2, 1, 2): -1})
+    overlapping = algebra.element({(1, 1, 1): 1, (1, 2): 3, (2, 1): 1})
+    pairs = [(repeated, overlapping), (overlapping, repeated), (repeated, repeated)]
+    pairs += [(random_element(algebra, rng), random_element(algebra, rng)) for _ in range(30)]
+    for a, b in pairs:
+        assert commutator(a, b) == a * b - b * a
+    for w in (repeated, overlapping, random_element(algebra, rng)):
+        bracket = commutator_map(w)
+        for word in ((1,), (1, 2), (1, 2, 1, 2), (3, 1)) + algebra.words_of_degree(6)[:8]:
+            assert bracket(word) == algebra.monomial(word) * w - w * algebra.monomial(word)
+
+
+@pytest.mark.parametrize("word, message", [((1, 0), ">= 1"), ((256,), "<= 255")])
+def test_commutator_map_refuses_a_word_outside_the_letters(A, word, message):
+    with pytest.raises(ParameterError, match=message):
+        commutator_map(A.gen(1))(word)
 
 
 def test_grading_of_products(A):

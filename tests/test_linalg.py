@@ -162,3 +162,61 @@ def test_sparse_elimination_matches_the_dense_oracle(ring, p, integer):
         consistent += particular is not None
     if not integer:
         assert inconsistent and consistent
+
+
+# -- the stored form over Z and Q ------------------------------------------------
+
+# (matrix, right-hand side): each has a pivot of 2, so some entries leave the
+# integers; in the third, column 3 of the first row turns integral again
+# (3) only after elimination; the last two systems are inconsistent
+_STORED_CASES = [
+    ([[2, 1, 0], [0, 3, 1], [1, 0, 1]], [1, 0, 2]),
+    ([[2, 4, 1, 0], [1, 2, 0, 1], [0, 0, 2, 2]], [1, 1, 0]),
+    ([[2, 0, 3, 0], [2, 0, 2, 2], [0, 3, 0, 3]], [1, 1, 0]),
+    ([[2, -1, 0, 0], [0, 1, -1, 0], [-2, 0, 1, 0]], [0, 0, 1]),
+    ([[2, 1], [4, 2]], [1, 3]),
+]
+
+
+def _is_stored(value):
+    """An int, or a Fraction that is not an integer."""
+    return type(value) is int or (type(value) is Fraction and value.denominator > 1)
+
+
+@pytest.mark.parametrize("ring, integer", [(ZZ, True), (QQ, False)], ids=repr)
+def test_int_and_fraction_rows_give_the_same_stored_results(ring, integer):
+    inconsistent = non_integral = 0
+    for matrix, rhs in _STORED_CASES:
+        ncols = len(matrix[0])
+        as_ints = _sparse(matrix)
+        forms = [(as_ints, {i: b for i, b in enumerate(rhs) if b})]
+        forms.append(([{c: Fraction(x) for c, x in row.items()} for row in as_ints],
+                      {i: Fraction(b) for i, b in forms[0][1].items()}))
+        results = []
+        for rows, sparse_rhs in forms:
+            reduced, pivots = rref(rows, ncols, ring)
+            assert (_dense(reduced, ncols), pivots) == dense_rref(matrix, ncols)
+            kernel = nullspace(rows, ncols, ring)
+            assert _dense(kernel, ncols) == dense_nullspace(matrix, ncols, None, integer)
+            span = reduced_basis(rows, ncols, ring)
+            assert _dense(span, ncols) == dense_span(matrix, ncols, None, integer)
+            vectors = reduced + kernel + span
+            if integer:
+                with pytest.raises(ToolkitError):
+                    affine_solve(rows, sparse_rhs, ncols, ring)
+            else:
+                particular, affine_kernel, rank = affine_solve(rows, sparse_rhs, ncols, ring)
+                expected = dense_affine_solve(matrix, rhs, ncols)
+                got = (None if particular is None else _dense([particular], ncols)[0],
+                       _dense(affine_kernel, ncols), rank)
+                assert got == expected
+                inconsistent += particular is None
+                vectors += affine_kernel + ([] if particular is None else [particular])
+            values = [x for vec in vectors for x in vec.values()]
+            assert all(_is_stored(x) for x in values)
+            non_integral += any(type(x) is Fraction for x in values)
+            results.append([sorted((c, type(x), x) for c, x in vec.items()) for vec in vectors])
+        assert results[0] == results[1]  # the same values, of the same types
+    assert non_integral
+    if not integer:
+        assert inconsistent == 4  # two systems, each in both forms

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import time
 
 import pytest
@@ -300,6 +301,59 @@ def test_right_action_consistent_with_cartan(p):
         element = B.monomial(mono)
         op = MilnorOp(p, "P", rng.randint(1, max_index))
         assert cartan_extend(table, element, op) == right_action(element, op)
+
+
+def _digit_sum(e, p):
+    return e if e < p else e % p + _digit_sum(e // p, p)
+
+
+# The full coaction of a monomial grows with the base-p digits of its
+# exponents, most steeply on the higher generators: at p = 5, t_3^24 alone
+# has 62 188 terms.  Monomials above this weight (the sum over generators of
+# index times the digit sum of the exponent) are drawn again, so that the
+# full tensors of the oracle stay below about 20 000 terms.
+_ORACLE_WEIGHT = 18
+
+
+def _draw_monomial(rng, p):
+    """A monomial in up to 3 generators with exponents up to p^2, of weight
+    at most _ORACLE_WEIGHT."""
+    while True:
+        gens = rng.sample((1, 2, 3), rng.randint(1, 3))
+        mono = tuple(sorted((i, rng.randint(1, p * p)) for i in gens))
+        if sum(i * _digit_sum(e, p) for i, e in mono) <= _ORACLE_WEIGHT:
+            return mono
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_right_action_is_the_pairing_of_the_full_coaction(p, monkeypatch):
+    # right_action forms the coaction pruned to left monomials dividing
+    # xi_1^k; pairing the full tensor must give the same element
+    paired = []
+    pair_left = TensorElement.pair_left
+
+    def recording(tensor, op):
+        paired.append(tensor)
+        return pair_left(tensor, op)
+
+    monkeypatch.setattr(TensorElement, "pair_left", recording)
+    rng = random.Random(40 + p)
+    kind = "Sq" if p == 2 else "P"
+    families = [(dual_steenrod(p), coproduct)]
+    if p != 2:
+        families.append((bp_homology(p), bp_coaction))
+    for algebra, coaction in families:
+        for _ in range(12):
+            mono = _draw_monomial(rng, p)
+            element = algebra.monomial(mono, rng.randint(1, p - 1) if p > 2 else 1)
+            full = coaction(element)
+            for k in range(5):
+                op = MilnorOp(p, kind, k)
+                paired.clear()
+                action = right_action(element, op)
+                divisors = {()} | {((1, j),) for j in range(1, k + 1)}
+                assert {left for left, _ in paired[0].support()} <= divisors, (mono, k)
+                assert action == full.pair_left(op), (mono, k)
 
 
 # -- Cartan rule -----------------------------------------------------------------------------
@@ -620,6 +674,36 @@ def test_certificate_digests(build, digest):
     certificate = build()
     data = json.dumps(certificate.to_data(), indent=2) + str(certificate)
     assert hashlib.sha256(data.encode()).hexdigest() == digest
+
+
+# One row per refusal of the Steenrod layer: (call, error type, message fragment).
+_REFUSALS = [
+    (lambda: dual_steenrod(4), ParameterError, "4 is not prime"),
+    (lambda: bp_homology(6), ParameterError, "6 is not prime"),
+    (lambda: milnor_pair(MilnorOp(3, "P", 1), bp_homology(3).gen(1)), UnsupportedInputError,
+     "pairing is defined on dual Steenrod elements"),
+    (lambda: coproduct(bp_homology(3).gen(1)), UnsupportedInputError,
+     "coproduct is defined on dual Steenrod elements"),
+    (lambda: antipode(bp_homology(3).gen(1)), UnsupportedInputError,
+     "antipode is defined on dual Steenrod elements"),
+    (lambda: bp_coaction(dual_steenrod(3).gen(1)), UnsupportedInputError,
+     "this coaction acts on t-polynomials"),
+    (lambda: right_action(bp_homology(2).gen(1), MilnorOp(2, "Sq", 1)), UnsupportedInputError,
+     "the displayed coaction is the odd-prime form"),
+    (lambda: right_action(CommAlgebra.with_degrees("u", (4,), GF(3)).gen(1), MilnorOp(3, "P", 1)),
+     UnsupportedInputError, "no registered coaction for the 'u' family"),
+    (lambda: right_action(3, MilnorOp(3, "P", 1)), UnsupportedInputError,
+     "no registered coaction for int"),
+    (lambda: cartan_extend(
+        GeneratorActionTable(bp_homology(3), "P", 3, {}), dual_steenrod(3).gen(1), MilnorOp(3, "P", 1)
+    ), ModeMismatchError, "element does not live over the table's algebra"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", _REFUSALS, ids=[r[2] for r in _REFUSALS])
+def test_steenrod_refusals(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
 
 
 def test_action_table_entries_are_read_only():
