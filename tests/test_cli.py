@@ -582,6 +582,60 @@ def test_every_limit_accepts_its_value_and_refuses_the_next(monkeypatch, capsys)
         ), (row, err)
 
 
+class _Negative(_Stub):
+    """A stubbed computation that reaches a negative verdict on every reading."""
+
+    ok = match = infeasible = unit_ok = commutativity_ok = associativity_ok = inverse_ok = False
+    verdict = "INCONCLUSIVE"
+
+
+def test_a_negative_verdict_exits_1_with_its_output_written(monkeypatch, capsys, tmp_path):
+    import ncfgl.fgl
+    import ncfgl.gradebook
+    import ncfgl.steenrod
+
+    for module, name in (
+        (ncfgl.fgl, "commutator_filtration"),
+        (ncfgl.fgl, "verify_axioms"),
+        (ncfgl.steenrod, "bp_obstruction_certificate"),
+        (ncfgl.steenrod, "hf2_obstruction_certificate"),
+        (ncfgl.gradebook, "parity_check_ku"),
+        (ncfgl.gradebook, "rational_mu_series_check"),
+    ):
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: _Negative())
+    monkeypatch.setattr(ncfgl.fgl, "filtration_property_run", lambda **kwargs: (True, []))
+
+    for argv in (
+        ("commutator",),
+        ("certificate", "bp", "--prime", "3"),
+        ("certificate", "hf2"),
+        ("parity", "--prime", "2"),
+        ("rational",),
+        ("verify", "--degree", "3"),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (1, ""), argv
+        assert out.endswith("\n") and out.strip(), argv
+        code, out, err = invoke(capsys, *argv, "--format", "json")
+        assert (code, err) == (1, ""), argv
+        assert isinstance(json.loads(out), dict), argv
+        target = tmp_path / "out.txt"
+        code, out, err = invoke(capsys, *argv, "--out", str(target))
+        assert (code, out, err) == (1, "", ""), argv
+        assert target.read_text(encoding="utf-8").strip(), argv
+        target.unlink()
+
+    code, out, _ = invoke(capsys, "verify", "--degree", "3")
+    assert out.splitlines()[1:] == [
+        "          unit: FAIL",
+        " commutativity: FAIL",
+        " associativity: FAIL",
+        "       inverse: FAIL",
+        "    filtration: PASS",
+        "filtration samples: 0",
+    ]
+
+
 def test_primes_beyond_the_exact_range_are_usage_errors(capsys):
     for prime in ("318665857834031151167461", "3317044064679887385961981", "1" + "0" * 3999 + "7"):
         assert_usage_error(capsys, "fgl", "--mode", "fp", "--prime", prime, "--degree", "3")

@@ -37,6 +37,7 @@ README = [
     ["poincare", "--poly", "2,6", "--degree", "6"],
     ["split", "--prime", "2", "--degree", "12"],
     ["parity", "--prime", "2", "--degree", "20"],
+    ["parity", "--prime", "2", "--degree", "8"],
     ["rational", "--degree", "40"],
     ["verify", "--degree", "6", "--seed", "0"],
 ]
@@ -66,6 +67,11 @@ CLI_SEEDED = [
     ("2", "2", "1,1,3", "44"),
     ("3,2", "2", "1,1,3", "6"),
     ("2", "2", "3,1,1", "473"),
+]
+# Runs that reach a negative verdict: INCONCLUSIVE parity checks, exit 1.
+NEGATIVE = [
+    ["parity", "--prime", "2", "--degree", "8"],
+    ["parity", "--prime", "3", "--degree", "18"],
 ]
 CLI_REFUSED = [
     ["fgl", "--degree", "0"],
@@ -129,6 +135,8 @@ def corpus_argvs() -> list:
         argvs += _formats(["commutator", "--word", word, "--k", k, "--degree", "8"])
         argvs += _formats(["steenrod", "--prime", "2", "--op", "Sq1", "--word", sq_word, "--profile", "real"])
         argvs += _formats(["verify", "--degree", "6", "--seed", seed])
+    for argv in NEGATIVE:
+        argvs += _formats(argv)
     argvs += CLI_REFUSED + DEFAULTS
     for command in ("fgl", "inverse"):
         for order in range(2, 11):
