@@ -238,17 +238,20 @@ def _algebra(args):
     return FreeAlgebra(_profile(args), ring)
 
 
-def _emit(args, data, text) -> None:
-    """Write ``data()`` as JSON or ``text()``, whichever --format selects.
+def _emit(args, result, title=None) -> int:
+    """Write ``result`` in the form --format selects; return the exit code.
 
-    Both are zero-argument callables, and only the selected one is called.
+    JSON is ``result.to_data()``; text is ``str(result)``, below a ``title``
+    line when one is given.  Only the selected form is built.  This is the
+    one place where a verdict becomes an exit code: 1 when ``result.ok`` is
+    false, else 0, also for a result that carries no verdict.
     """
     if args.format == "json":
         import json
 
-        body = json.dumps(data(), indent=2) + "\n"
+        body = json.dumps(result.to_data(), indent=2) + "\n"
     else:
-        body = text() + "\n"
+        body = (f"{title}\n{result}" if title else str(result)) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -257,35 +260,30 @@ def _emit(args, data, text) -> None:
             raise ParameterError(f"cannot write {args.out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(body)
+    return 0 if getattr(result, "ok", True) else 1
 
 
 def cmd_fgl(args) -> int:
     from .fgl import fgl_table
 
-    table = fgl_table(args.degree, _algebra(args))
-    _emit(args, table.to_data, table.__str__)
-    return 0
+    return _emit(args, fgl_table(args.degree, _algebra(args)))
 
 
 def cmd_inverse(args) -> int:
     from .fgl import inverse_table
 
-    table = inverse_table(args.degree, _algebra(args))
-    _emit(args, table.to_data, table.__str__)
-    return 0
+    return _emit(args, inverse_table(args.degree, _algebra(args)))
 
 
 def cmd_commutator(args) -> int:
     from .fgl import commutator_filtration
 
     u = _algebra(args).monomial(args.word)
-    result = commutator_filtration(u, args.k, args.degree)
-    _emit(args, result.to_data, result.__str__)
-    return 0 if result.ok else 1
+    return _emit(args, commutator_filtration(u, args.k, args.degree))
 
 
 def cmd_expand(args) -> int:
-    from .fgl import orientation_series
+    from .fgl import Expansion, orientation_series
     from .series import VarSet, left_expand
 
     algebra = _algebra(args)
@@ -299,30 +297,15 @@ def cmd_expand(args) -> int:
         name: orientation_series(args.degree, algebra, VarSet((name,), vardeg))
         for name in target.names
     }
-    expansion = left_expand(specialized, basis)
-
-    def data():
-        return {
-            "assignment": {source: form},
-            "order": args.degree,
-            "terms": [
-                {"exponents": list(index), "element": element.to_data()}
-                for index, element in expansion.items()
-            ],
-        }
-
-    def text():
-        lines = [f"expansion of the substituted series, order {args.degree}"]
-        for index, element in expansion.items():
-            lines.append(f"A{list(index)} = {element}")
-        return "\n".join(lines)
-
-    _emit(args, data, text)
-    return 0
+    terms = [
+        {"exponents": list(index), "element": element}
+        for index, element in left_expand(specialized, basis).items()
+    ]
+    return _emit(args, Expansion({source: form}, args.degree, terms))
 
 
 def cmd_steenrod(args) -> int:
-    from .steenrod import MilnorOp, bp_homology, dual_steenrod, right_action
+    from .steenrod import Action, MilnorOp, bp_homology, dual_steenrod, right_action
 
     prime = args.prime if args.prime is not None else 2
     op = MilnorOp(prime, *args.op)
@@ -338,18 +321,7 @@ def cmd_steenrod(args) -> int:
         word = args.word
         _limit("action terms", comb(op.index + len(word) - 1, len(word) - 1))
         element = FreeAlgebra(_profile(args), GF(prime)).monomial(word)
-    result = right_action(element, op)
-
-    def data():
-        return {
-            "prime": prime,
-            "op": str(op),
-            "input": str(element),
-            "result": result.to_data(),
-        }
-
-    _emit(args, data, lambda: f"{op} . ({element}) = {result}")
-    return 0
+    return _emit(args, Action(prime, str(op), str(element), right_action(element, op)))
 
 
 def cmd_certificate(args) -> int:
@@ -358,14 +330,11 @@ def cmd_certificate(args) -> int:
             raise ParameterError("certificate bp needs --prime")
         from .steenrod import bp_obstruction_certificate
 
-        certificate = bp_obstruction_certificate(args.prime)
-    else:
-        _refuse(args, "prime", "certificate hf2")
-        from .steenrod import hf2_obstruction_certificate
+        return _emit(args, bp_obstruction_certificate(args.prime))
+    _refuse(args, "prime", "certificate hf2")
+    from .steenrod import hf2_obstruction_certificate
 
-        certificate = hf2_obstruction_certificate()
-    _emit(args, certificate.to_data, certificate.__str__)
-    return 0 if certificate.infeasible else 1
+    return _emit(args, hf2_obstruction_certificate())
 
 
 def cmd_poincare(args) -> int:
@@ -379,8 +348,7 @@ def cmd_poincare(args) -> int:
     else:
         series = series_free_assoc(profile_degrees(_profile(args), args.degree), args.degree)
         label = f"free associative series on the {_profile(args).kind} profile"
-    _emit(args, series.to_data, lambda: f"{label}, order {args.degree}\n{series}")
-    return 0
+    return _emit(args, series, f"{label}, order {args.degree}")
 
 
 def cmd_split(args) -> int:
@@ -393,8 +361,7 @@ def cmd_split(args) -> int:
     except ConsistencyError as exc:
         print(f"splitting inconsistency: {exc}", file=sys.stderr)
         return 1
-    _emit(args, series.to_data, lambda: f"splitting multiplicities at p = {args.prime}\n{series}")
-    return 0
+    return _emit(args, series, f"splitting multiplicities at p = {args.prime}")
 
 
 def cmd_parity(args) -> int:
@@ -402,21 +369,17 @@ def cmd_parity(args) -> int:
         raise ParameterError("parity needs --prime")
     from .gradebook import parity_check_ku
 
-    report = parity_check_ku(args.prime, args.degree)
-    _emit(args, report.to_data, report.__str__)
-    return 0 if report.verdict == "NOT-ISOMORPHIC" else 1
+    return _emit(args, parity_check_ku(args.prime, args.degree))
 
 
 def cmd_rational(args) -> int:
     from .gradebook import rational_mu_series_check
 
-    report = rational_mu_series_check(args.degree)
-    _emit(args, report.to_data, report.__str__)
-    return 0 if report.match else 1
+    return _emit(args, rational_mu_series_check(args.degree))
 
 
 def cmd_verify(args) -> int:
-    from .fgl import check_results, filtration_property_run, verify_axioms
+    from .fgl import Verification, check_results, filtration_property_run, verify_axioms
 
     algebra = _algebra(args)
     report = verify_axioms(args.degree, algebra)
@@ -424,25 +387,7 @@ def cmd_verify(args) -> int:
         order=max(args.degree, 4), samples=args.samples, seed=args.seed, algebra=algebra
     )
     checks = check_results(report) + [("filtration", filtration_ok)]
-
-    def data():
-        return {
-            "order": args.degree,
-            "seed": args.seed,
-            "checks": {name: ok for name, ok in checks},
-            "axioms": report.to_data(),
-            "filtration_samples": len(results),
-        }
-
-    def text():
-        lines = [f"verification at order {args.degree} (seed {args.seed})"]
-        for name, ok in checks:
-            lines.append(f"{name:>14}: {'PASS' if ok else 'FAIL'}")
-        lines.append(f"filtration samples: {len(results)}")
-        return "\n".join(lines)
-
-    _emit(args, data, text)
-    return 0 if all(ok for _, ok in checks) else 1
+    return _emit(args, Verification(args.degree, args.seed, checks, report, len(results)))
 
 
 def build_parser() -> argparse.ArgumentParser:

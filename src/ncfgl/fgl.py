@@ -193,6 +193,21 @@ def inverse_table(order: int, algebra: FreeAlgebra | None = None) -> InverseTabl
     )
 
 
+class Expansion(Record):
+    """A series after the substitution ``assignment`` (source -> linear
+    form), expanded in left powers of the orientation series of each target
+    variable: ``terms`` lists ``{"exponents": [...], "element": e}``."""
+
+    __slots__ = ("assignment", "order", "terms")
+    to_data = Record._data
+
+    def __str__(self):
+        lines = [f"expansion of the substituted series, order {self.order}"]
+        for term in self.terms:
+            lines.append(f"A{term['exponents']} = {term['element']}")
+        return "\n".join(lines)
+
+
 # The checks of :func:`verify_axioms`, in report order; an :class:`AxiomReport`
 # holds one ``<name>_ok`` field per check.
 AXIOM_CHECKS = ("unit", "commutativity", "associativity", "inverse")
@@ -426,3 +441,26 @@ def filtration_property_run(
             continue
         results.append(_filtration_result(u, k, powers[k]))
     return all(r.ok for r in results), results
+
+
+class Verification(Record):
+    """The axiom checks and a seeded filtration run at one order: ``checks``
+    maps each check name to whether it passed (read-only), and ``ok`` when
+    all of them did."""
+
+    __slots__ = ("order", "seed", "checks", "axioms", "filtration_samples")
+    to_data = Record._data
+
+    def __init__(self, order, seed, checks, axioms, filtration_samples):
+        super().__init__(order, seed, MappingProxyType(dict(checks)), axioms, filtration_samples)
+
+    @property
+    def ok(self) -> bool:
+        return all(self.checks.values())
+
+    def __str__(self):
+        lines = [f"verification at order {self.order} (seed {self.seed})"]
+        for name, ok in self.checks.items():
+            lines.append(f"{name:>14}: {'PASS' if ok else 'FAIL'}")
+        lines.append(f"filtration samples: {self.filtration_samples}")
+        return "\n".join(lines)

@@ -64,9 +64,7 @@ class PoincareSeries(Record):
         return PoincareSeries(order, self.dims[: order + 1])
 
     __hash__ = Record._hash
-
-    def to_data(self):
-        return {"order": self.order, "dims": list(self.dims)}
+    to_data = Record._data
 
     def __str__(self):
         return "[" + ", ".join(str(d) for d in self.dims) + "]"
@@ -198,22 +196,17 @@ def _ku_series(p: int, order: int) -> PoincareSeries:
 
 
 class ParityReport(Record):
-    """Comparison of the shifted K-homology series against the even model."""
+    """Comparison of the shifted K-homology series against the even model;
+    ``ok`` when the verdict is NOT-ISOMORPHIC."""
 
     __slots__ = (
         "prime", "order", "ku_dims", "cp_dims", "least_odd_degree", "cp_even_only", "verdict"
     )
+    to_data = Record._data
 
-    def to_data(self):
-        return {
-            "prime": self.prime,
-            "order": self.order,
-            "ku_dims": self.ku_dims.to_data(),
-            "cp_dims": self.cp_dims.to_data(),
-            "least_odd_degree": self.least_odd_degree,
-            "cp_even_only": self.cp_even_only,
-            "verdict": self.verdict,
-        }
+    @property
+    def ok(self) -> bool:
+        return self.verdict == "NOT-ISOMORPHIC"
 
     def __str__(self):
         odd = self.least_odd_degree
@@ -269,17 +262,15 @@ def _partition_counts(order: int):
 
 
 class RationalComparisonReport(Record):
-    """Polynomial algebra on degrees 2, 4, 6, ... versus partition counts."""
+    """Polynomial algebra on degrees 2, 4, 6, ... versus partition counts;
+    ``ok`` when they match."""
 
     __slots__ = ("order", "constructed", "partition_model", "match")
+    to_data = Record._data
 
-    def to_data(self):
-        return {
-            "order": self.order,
-            "constructed": self.constructed.to_data(),
-            "partition_model": self.partition_model.to_data(),
-            "match": self.match,
-        }
+    @property
+    def ok(self) -> bool:
+        return self.match
 
     def __str__(self):
         return "\n".join(

@@ -19,11 +19,27 @@ through their slot descriptors (``Cls.field.__set__``) instead.
 A mapping field that must not change in place is held as a read-only
 ``types.MappingProxyType``; pickling hands it back as a plain dict, which the
 constructor wraps again.  Records are unhashable; a class opts in with
-``__hash__ = Record._hash``.
+``__hash__ = Record._hash``.  A record whose JSON form is its fields, in
+order, opts in with ``to_data = Record._data``, which maps each field through
+:func:`plain`.
 """
 
 from operator import attrgetter
 from types import MappingProxyType
+
+
+def plain(value):
+    """``value`` in JSON form: ``to_data()`` of anything that has one, a list
+    for a list or tuple and a dict for a dict or read-only mapping, item by
+    item, and any other value as it is."""
+    to_data = getattr(value, "to_data", None)
+    if to_data is not None:
+        return to_data()
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    if isinstance(value, (dict, MappingProxyType)):
+        return {key: plain(item) for key, item in value.items()}
+    return value
 
 
 class Record:
@@ -74,6 +90,9 @@ class Record:
 
     def _hash(self):
         return hash(self._values(self))
+
+    def _data(self):
+        return {field: plain(getattr(self, field)) for field in self._fields}
 
     def __repr__(self):
         fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)

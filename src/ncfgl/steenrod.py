@@ -376,6 +376,17 @@ def right_action(a, op: MilnorOp):
     raise UnsupportedInputError(f"no registered coaction for {type(a).__name__}")
 
 
+class Action(Record):
+    """``op`` applied on the right to ``input``; both are held as their
+    strings, ``result`` as the element."""
+
+    __slots__ = ("prime", "op", "input", "result")
+    to_data = Record._data
+
+    def __str__(self):
+        return f"{self.op} . ({self.input}) = {self.result}"
+
+
 class GeneratorActionTable(Record):
     """Images of generators under P^k (or Sq^k) for one algebra.
 
@@ -507,25 +518,18 @@ class ObstructionCertificate(Record):
 
     ``verdict`` is INFEASIBLE exactly when ``solutions`` is empty; each entry
     of ``systems`` records one affine solve (degree of the unknowns, number of
-    unknowns, rank of the constraint matrix).
+    unknowns, rank of the constraint matrix).  ``ok`` is ``infeasible``.
     """
 
     __slots__ = ("prime", "candidates", "systems", "solutions", "verdict", "centralizers")
     _defaults = {"centralizers": dict}
+    to_data = Record._data
 
     @property
     def infeasible(self) -> bool:
         return self.verdict == "INFEASIBLE"
 
-    def to_data(self):
-        return {
-            "prime": self.prime,
-            "candidates": list(self.candidates),
-            "systems": [dict(s) for s in self.systems],
-            "solutions": list(self.solutions),
-            "verdict": self.verdict,
-            "centralizers": {k: list(v) for k, v in self.centralizers.items()},
-        }
+    ok = infeasible
 
     def __str__(self):
         lines = [f"obstruction certificate at p = {self.prime}: {self.verdict}"]
