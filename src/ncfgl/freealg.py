@@ -224,7 +224,21 @@ class FreeAlgebra(SparseAlgebra):
         return self._wrap({_word_key((i,)): self.ring.one})
 
     def from_data(self, data) -> FreeElement:
-        return self.element({tuple(rec["word"]): self.ring.parse(rec["coeff"]) for rec in data})
+        """The element whose ``to_data()`` is ``data``; a record without a
+        word or with a coefficient outside the ring, and a repeated word,
+        are refused with ParameterError naming the record."""
+        terms = {}
+        for record in data:
+            try:
+                word, coeff = tuple(record["word"]), self.ring.parse(record["coeff"])
+            except KeyError as exc:
+                raise ParameterError(f"the term record {record!r} has no {exc}") from None
+            except (TypeError, ParameterError) as exc:
+                raise ParameterError(f"cannot read the term record {record!r}: {exc}") from None
+            if word in terms:
+                raise ParameterError(f"the term record {record!r} repeats its word")
+            terms[word] = coeff
+        return self.element(terms)
 
     def __repr__(self):
         return f"FreeAlgebra({self.profile!r}, {self.ring!r})"

@@ -102,10 +102,16 @@ class ScalarRing(Record):
         raise ModeMismatchError(f"cannot coerce {value!r} into {self!r}")
 
     def parse(self, text: str):
-        """Inverse of :meth:`render`, for deserialization."""
-        if self.mode == "rational":
-            return stored_rational(Fraction(text))
-        return self.of_int(int(text))
+        """Inverse of :meth:`render`, for deserialization; anything but the
+        text of a value of this ring is refused with ParameterError."""
+        if isinstance(text, str):
+            try:
+                if self.mode == "rational":
+                    return stored_rational(Fraction(text))
+                return self.of_int(int(text))
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise ParameterError(f"cannot parse {text!r} as a scalar of {self!r}")
 
     def public(self, value):
         """A stored value as callers read it: a ``Fraction`` in rational mode."""

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -263,3 +264,46 @@ def test_a_custom_profile_holds_at_most_255_degrees():
     assert GradingProfile.custom([1] * 255).degree_of(255) == 1
     with pytest.raises(ParameterError, match="256 degrees"):
         GradingProfile.custom([1] * 256)
+
+
+_CUSTOM = GradingProfile.custom((2, 4))
+_Z = FreeAlgebra()
+_Q = FreeAlgebra(COMPLEX, QQ)
+
+# One row per refusal of the free-algebra layer: (callable, args, error type, message fragment).
+_REFUSALS = [
+    (GradingProfile, ("weird", "g"), ParameterError, "unknown profile kind 'weird'"),
+    (GradingProfile.custom, ((2, 0),), ParameterError, "custom profile needs positive degrees"),
+    (GradingProfile.custom, ((),), ParameterError, "custom profile needs positive degrees"),
+    (GradingProfile, ("complex", "Z", (2,)), ParameterError,
+     "complex profile takes no degree sequence"),
+    (_CUSTOM.degree_of, (3,), ParameterError, "custom profile has 2 generators"),
+    (getattr, (_CUSTOM, "variable_degree"), ParameterError,
+     "custom profiles must choose a variable degree explicitly"),
+    (_Z.from_data, ([{"word": [1], "coeff": "x"}],), ParameterError,
+     "cannot read the term record {'word': [1], 'coeff': 'x'}: cannot parse 'x'"),
+    (_Z.from_data, ([{"word": [1], "coeff": "1/2"}],), ParameterError,
+     "cannot read the term record {'word': [1], 'coeff': '1/2'}: cannot parse '1/2'"),
+    (_Q.from_data, ([{"word": [1], "coeff": "1/0"}],), ParameterError,
+     "cannot read the term record {'word': [1], 'coeff': '1/0'}: cannot parse '1/0'"),
+    (_Z.from_data, ([{"coeff": "1"}],), ParameterError,
+     "the term record {'coeff': '1'} has no 'word'"),
+    (_Z.from_data, ([{"word": [1]}],), ParameterError,
+     "the term record {'word': [1]} has no 'coeff'"),
+    (_Z.from_data, ([{"word": 1, "coeff": "1"}],), ParameterError,
+     "cannot read the term record {'word': 1, 'coeff': '1'}"),
+    (_Z.from_data, ([{"word": [1], "coeff": "1"}, {"word": [1], "coeff": "2"}],), ParameterError,
+     "the term record {'word': [1], 'coeff': '2'} repeats its word"),
+]
+
+
+@pytest.mark.parametrize("call, args, error, fragment", _REFUSALS, ids=[r[3] for r in _REFUSALS])
+def test_free_algebra_refusals(call, args, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(*args)
+
+
+def test_from_data_keeps_a_word_given_once_and_drops_zeros(A):
+    data = [{"word": [1], "coeff": "0"}, {"word": [1, 1], "coeff": "-3"}]
+    assert A.from_data(data) == A.monomial((1, 1)).scale(-3)
+    assert A.from_data([]) == A.zero()

@@ -1,9 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from ncfgl import GF, QQ, ZZ, ModeMismatchError, ParameterError, is_prime
+from ncfgl import GF, QQ, ZZ, ModeMismatchError, ParameterError, ScalarRing, is_prime
 
 
 def test_integer_mode_is_exact():
@@ -110,3 +111,25 @@ def test_is_prime_refuses_beyond_its_proven_range_at_once():
         with pytest.raises(ParameterError, match=str(PSI_13)):
             is_prime(n)
         assert time.perf_counter() - begin < 0.1
+
+
+# One row per refusal of the scalar layer: (callable, args, error type, message fragment).
+_REFUSALS = [
+    (ScalarRing, ("complex",), ParameterError, "unknown scalar mode 'complex'"),
+    (ScalarRing, ("integer", 3), ParameterError, "scalar mode 'integer' takes no modulus"),
+    (ScalarRing, ("rational", 5), ParameterError, "scalar mode 'rational' takes no modulus"),
+    (ZZ.inv, (2,), ParameterError, "2 is not invertible over the integers"),
+    (ZZ.parse, ("x",), ParameterError, "cannot parse 'x' as a scalar of ZZ"),
+    (ZZ.parse, ("1/2",), ParameterError, "cannot parse '1/2' as a scalar of ZZ"),
+    (GF(3).parse, ("",), ParameterError, "cannot parse '' as a scalar of GF(3)"),
+    (QQ.parse, ("1/0",), ParameterError, "cannot parse '1/0' as a scalar of QQ"),
+    (QQ.parse, ("one half",), ParameterError, "cannot parse 'one half' as a scalar of QQ"),
+    (ZZ.parse, (1.5,), ParameterError, "cannot parse 1.5 as a scalar of ZZ"),
+    (QQ.parse, (None,), ParameterError, "cannot parse None as a scalar of QQ"),
+]
+
+
+@pytest.mark.parametrize("call, args, error, fragment", _REFUSALS, ids=[r[3] for r in _REFUSALS])
+def test_scalar_refusals(call, args, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(*args)
