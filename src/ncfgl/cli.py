@@ -170,8 +170,6 @@ def _assignment(text: str) -> tuple:
         coeff = _limit("--assign coefficient", magnitude) if magnitude else 1
         form[name] = form.get(name, 0) + (-coeff if sign == "-" else coeff)
         pos = match.end()
-    if not form:
-        raise ParameterError(f"empty linear form {expr!r}")
     for coeff in form.values():
         _limit("--assign coefficient", abs(coeff))
     return source, form
@@ -221,20 +219,22 @@ def _refuse(args, option: str, reader: str) -> None:
         raise ParameterError(f"--{option} is not read by {reader}")
 
 
+def _prime(args, reader: str) -> int:
+    """The --prime that ``reader`` needs; a ParameterError without one."""
+    if args.prime is None:
+        raise ParameterError(f"{reader} needs --prime")
+    return args.prime
+
+
 def _algebra(args):
     from .freealg import FreeAlgebra
     from .scalars import GF, QQ, ZZ
 
-    if args.mode != "fp":
-        _refuse(args, "prime", f"{args.command} without --mode fp")
-    if args.mode == "int":
-        ring = ZZ
-    elif args.mode == "rat":
-        ring = QQ
+    if args.mode == "fp":
+        ring = GF(_prime(args, "--mode fp"))
     else:
-        if args.prime is None:
-            raise ParameterError("--mode fp needs --prime")
-        ring = GF(args.prime)
+        _refuse(args, "prime", f"{args.command} without --mode fp")
+        ring = ZZ if args.mode == "int" else QQ
     return FreeAlgebra(_profile(args), ring)
 
 
@@ -325,15 +325,11 @@ def cmd_steenrod(args) -> int:
 
 
 def cmd_certificate(args) -> int:
+    from .steenrod import bp_obstruction_certificate, hf2_obstruction_certificate
+
     if args.which == "bp":
-        if args.prime is None:
-            raise ParameterError("certificate bp needs --prime")
-        from .steenrod import bp_obstruction_certificate
-
-        return _emit(args, bp_obstruction_certificate(args.prime))
+        return _emit(args, bp_obstruction_certificate(_prime(args, "certificate bp")))
     _refuse(args, "prime", "certificate hf2")
-    from .steenrod import hf2_obstruction_certificate
-
     return _emit(args, hf2_obstruction_certificate())
 
 
@@ -352,24 +348,22 @@ def cmd_poincare(args) -> int:
 
 
 def cmd_split(args) -> int:
-    if args.prime is None:
-        raise ParameterError("split needs --prime")
+    prime = _prime(args, "split")
     from .gradebook import splitting_multiplicities
 
     try:
-        series = splitting_multiplicities(args.prime, args.degree)
+        series = splitting_multiplicities(prime, args.degree)
     except ConsistencyError as exc:
         print(f"splitting inconsistency: {exc}", file=sys.stderr)
         return 1
-    return _emit(args, series, f"splitting multiplicities at p = {args.prime}")
+    return _emit(args, series, f"splitting multiplicities at p = {prime}")
 
 
 def cmd_parity(args) -> int:
-    if args.prime is None:
-        raise ParameterError("parity needs --prime")
+    prime = _prime(args, "parity")
     from .gradebook import parity_check_ku
 
-    return _emit(args, parity_check_ku(args.prime, args.degree))
+    return _emit(args, parity_check_ku(prime, args.degree))
 
 
 def cmd_rational(args) -> int:

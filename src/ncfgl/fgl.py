@@ -110,9 +110,7 @@ class FGLTable(Record):
 
     def __str__(self):
         lines = [f"formal group law table, order {self.order}"]
-        for (i, j), element in self.items():
-            if not element.is_zero():
-                lines.append(f"a[{i},{j}] = {element}")
+        lines += (f"a[{i},{j}] = {e}" for (i, j), e in self.items() if not e.is_zero())
         return "\n".join(lines)
 
 
@@ -171,8 +169,7 @@ class InverseTable(Record):
 
     def __str__(self):
         lines = [f"inverse series table, order {self.order}", "gamma[1] = -1"]
-        for k, element in self.items():
-            lines.append(f"c[{k}] = {element}")
+        lines += (f"c[{k}] = {element}" for k, element in self.items())
         return "\n".join(lines)
 
 
@@ -203,8 +200,7 @@ class Expansion(Record):
 
     def __str__(self):
         lines = [f"expansion of the substituted series, order {self.order}"]
-        for term in self.terms:
-            lines.append(f"A{term['exponents']} = {term['element']}")
+        lines += (f"A{term['exponents']} = {term['element']}" for term in self.terms)
         return "\n".join(lines)
 
 
@@ -412,8 +408,9 @@ def filtration_property_run(
 ):
     """Seeded batch of filtration checks; returns (all_ok, list of results).
 
-    Each sample is a random homogeneous u of degree at most ``max_degree`` and
-    an exponent 1 <= k <= min(max_k, order - 2); the powers z, ..., z^k are
+    Each sample is a random nonzero homogeneous u of a degree at most
+    ``max_degree`` that has words, and an exponent 1 <= k <= min(max_k,
+    order - 2), so every sample gives one result; the powers z, ..., z^k are
     built once per run and shared by the samples.  A run whose algebra has no
     word of degree 1 to ``max_degree`` is refused with ParameterError.
     """
@@ -437,8 +434,6 @@ def filtration_property_run(
         degree = rng.choice(degrees)
         k = rng.randint(1, top)
         u = random_homogeneous(algebra, degree, rng)
-        if u.is_zero():
-            continue
         results.append(_filtration_result(u, k, powers[k]))
     return all(r.ok for r in results), results
 
@@ -460,7 +455,6 @@ class Verification(Record):
 
     def __str__(self):
         lines = [f"verification at order {self.order} (seed {self.seed})"]
-        for name, ok in self.checks.items():
-            lines.append(f"{name:>14}: {'PASS' if ok else 'FAIL'}")
+        lines += (f"{name:>14}: {'PASS' if ok else 'FAIL'}" for name, ok in self.checks.items())
         lines.append(f"filtration samples: {self.filtration_samples}")
         return "\n".join(lines)

@@ -32,9 +32,8 @@ def plain(value):
     """``value`` in JSON form: ``to_data()`` of anything that has one, a list
     for a list or tuple and a dict for a dict or read-only mapping, item by
     item, and any other value as it is."""
-    to_data = getattr(value, "to_data", None)
-    if to_data is not None:
-        return to_data()
+    if hasattr(value, "to_data"):
+        return value.to_data()
     if isinstance(value, (list, tuple)):
         return [plain(item) for item in value]
     if isinstance(value, (dict, MappingProxyType)):

@@ -377,8 +377,7 @@ def right_action(a, op: MilnorOp):
 
 
 class Action(Record):
-    """``op`` applied on the right to ``input``; both are held as their
-    strings, ``result`` as the element."""
+    """``op`` applied on the right to ``input``, both held as strings."""
 
     __slots__ = ("prime", "op", "input", "result")
     to_data = Record._data
@@ -533,19 +532,13 @@ class ObstructionCertificate(Record):
 
     def __str__(self):
         lines = [f"obstruction certificate at p = {self.prime}: {self.verdict}"]
-        for c in self.candidates:
-            lines.append(f"  candidate: {c}")
-        for s in self.systems:
-            lines.append(
-                f"  system in degree {s['degree']}: {s['dimension']} unknowns, rank {s['rank']}"
-            )
-        for key, basis in self.centralizers.items():
-            lines.append(f"  centralizer of {key}: {{{', '.join(basis)}}}")
-        if self.solutions:
-            for s in self.solutions:
-                lines.append(f"  solution: {s}")
-        else:
-            lines.append("  no solutions")
+        lines += (f"  candidate: {c}" for c in self.candidates)
+        lines += (
+            f"  system in degree {s['degree']}: {s['dimension']} unknowns, rank {s['rank']}"
+            for s in self.systems
+        )
+        lines += (f"  centralizer of {w}: {{{', '.join(b)}}}" for w, b in self.centralizers.items())
+        lines += [f"  solution: {s}" for s in self.solutions] or ["  no solutions"]
         return "\n".join(lines)
 
 

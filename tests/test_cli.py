@@ -822,3 +822,22 @@ def test_output_does_not_depend_on_the_hash_seed(argv):
     ]
     assert runs[0].returncode == 0 and runs[0].stdout
     assert (runs[0].returncode, runs[0].stdout) == (runs[1].returncode, runs[1].stdout)
+
+
+# One row per parse refusal of the command line: (argv, message fragment); each exits 2.
+_REFUSALS = [
+    (("commutator", "--word", "1,x"), "cannot parse word '1,x'"),
+    (("commutator", "--word", ","), "word must list at least one generator index"),
+    (("steenrod", "--op", "Q1", "--gen", "t2"), "cannot parse operation 'Q1' (use e.g. P1 or Sq2)"),
+    (("steenrod", "--op", "P1", "--gen", "u2"), "cannot parse generator 'u2' (use e.g. t2, xi1)"),
+    (("expand", "--assign", "x"), "--assign must look like 'x=x+y'"),
+    (("expand", "--assign", "=x"), "--assign must look like 'x=x+y'"),
+    (("expand", "--assign", "x=x+"), "cannot parse linear form 'x+'"),
+    (("expand", "--assign", "x=2*"), "cannot parse linear form '2*'"),
+    (("fgl", "--mode", "fp"), "--mode fp needs --prime"),
+]
+
+
+@pytest.mark.parametrize("argv, fragment", _REFUSALS, ids=[r[1] for r in _REFUSALS])
+def test_cli_refusals(capsys, argv, fragment):
+    assert f"error: {fragment}" in assert_usage_error(capsys, *argv)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from ncfgl import (
     GF,
     QQ,
+    REAL,
     ZZ,
     COMPLEX,
     CentralSeries,
@@ -509,3 +511,34 @@ def test_table_entries_are_read_only():
         assert copy == table and str(copy) == str(table)
         assert copy == type(table)(table.algebra, table.order, dict(table._entries))
     assert verify_axioms(4, table=fgl_table(4)).all_ok
+
+
+# One row per refusal of the formal-group-law layer: (callable, args, error type, message fragment).
+_REFUSALS = [
+    (fgl_table(3).entry, (4, 0), ParameterError, "entry (4,0) is outside order 3"),
+    (fgl_table(3).entry, (-1, 1), ParameterError, "entry (-1,1) is outside order 3"),
+    (inverse_table(3).entry, (3,), ParameterError, "c_3 is outside order 3"),
+    (inverse_table(3).entry, (0,), ParameterError, "c_0 is outside order 3"),
+    (inverse_table, (1,), ParameterError, "inverse table needs order >= 2"),
+    (verify_axioms, (1,), ParameterError, "axiom verification needs order >= 2"),
+]
+
+
+@pytest.mark.parametrize("call, args, error, fragment", _REFUSALS, ids=[r[3] for r in _REFUSALS])
+def test_fgl_refusals(call, args, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(*args)
+
+
+@pytest.mark.parametrize("algebra", [
+    FreeAlgebra(COMPLEX, ZZ),
+    FreeAlgebra(COMPLEX, QQ),
+    FreeAlgebra(COMPLEX, GF(2)),
+    FreeAlgebra(COMPLEX, GF(3)),
+    FreeAlgebra(REAL, GF(2)),
+], ids=repr)
+def test_filtration_run_gives_one_result_per_sample(algebra):
+    # every drawn u is nonzero, so no sample is skipped
+    for seed in range(3):
+        _, results = filtration_property_run(order=6, samples=40, seed=seed, algebra=algebra)
+        assert len(results) == 40

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -151,3 +152,24 @@ def test_series_arithmetic_shapes():
     s = PoincareSeries(4, (1, 2, 3, 4, 5))
     assert s.shift(2).dims == (0, 0, 1, 2, 3)
     assert s.truncate(2).dims == (1, 2, 3)
+
+
+_ONE = PoincareSeries.one(3)
+
+# One row per refusal of the Poincaré-series layer: (callable, args, error type, message fragment).
+_REFUSALS = [
+    (PoincareSeries, (-1, ()), ParameterError, "order must be nonnegative"),
+    (PoincareSeries, (2, (1, 0)), ParameterError, "need exactly order + 1 dimensions"),
+    (_ONE.shift, (-1,), ParameterError, "shift must be nonnegative"),
+    (_ONE.truncate, (4,), ParameterError, "cannot extend a truncated series"),
+    (series_divide, (_ONE, PoincareSeries.one(5), 4), ParameterError,
+     "order exceeds the operands' truncation"),
+    (parity_check_ku, (2, 1), ParameterError, "order must be at least 2"),
+    (rational_mu_series_check, (1,), ParameterError, "order must be at least 2"),
+]
+
+
+@pytest.mark.parametrize("call, args, error, fragment", _REFUSALS, ids=[r[3] for r in _REFUSALS])
+def test_gradebook_refusals(call, args, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(*args)

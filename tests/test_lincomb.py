@@ -3,6 +3,7 @@
 import json
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from ncfgl import (
     ModeMismatchError,
     ParameterError,
     TensorElement,
+    UnsupportedInputError,
 )
 
 
@@ -211,3 +213,20 @@ def test_an_int_is_not_a_word(word):
         A.monomial(word)
     with pytest.raises(TypeError, match="a word is a sequence"):
         A.element({word: 5})
+
+
+_MIXED = FreeAlgebra().gen(1) + FreeAlgebra().gen(2)
+
+# One row per refusal of the shared core: (callable, args, error type, message fragment).
+_REFUSALS = [
+    (_MIXED.degree, (), UnsupportedInputError, "element is not homogeneous"),
+    (pow, (FreeAlgebra().gen(1), -1), ParameterError, "negative powers are not defined"),
+    (pow, (CommAlgebra.with_degrees("u", (2,), ZZ).gen(1), -2), ParameterError,
+     "negative powers are not defined"),
+]
+
+
+@pytest.mark.parametrize("call, args, error, fragment", _REFUSALS, ids=[r[3] for r in _REFUSALS])
+def test_linear_combination_refusals(call, args, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(*args)

@@ -339,3 +339,70 @@ def test_slot_less_record_subclasses_keep_their_parents_fields():
     assert (op.prime, op.kind, op.index) == (3, "P", 1)
     assert op == Sub(3, kind="P", index=1) and op != MilnorOp(3, "P", 1)
     assert repr(op) == "Sub(prime=3, kind='P', index=1)"
+
+
+def test_plain_gives_the_json_form_of_nested_values():
+    from types import MappingProxyType
+
+    from ncfgl.record import plain
+
+    element = ncfgl.FreeAlgebra().gen(1).scale(2)
+    value = {"a": (1, [element]), "b": MappingProxyType({"c": PoincareSeries.one(1)}), "d": None}
+    assert plain(value) == {
+        "a": [1, [[{"word": [1], "coeff": "2"}]]],
+        "b": {"c": {"order": 1, "dims": [1, 0]}},
+        "d": None,
+    }
+    assert plain("text") == "text" and plain(3) == 3
+
+
+def test_records_that_opt_in_serialize_their_fields_in_order():
+    from ncfgl.fgl import Expansion, Verification
+    from ncfgl.record import Record
+    from ncfgl.steenrod import Action
+
+    series = PoincareSeries(2, [1, 0, 1])
+    report = ncfgl.rational_mu_series_check(4)
+    for value in (
+        series,
+        ParityReport(2, 2, series, series, None, True, "INCONCLUSIVE"),
+        report,
+        ObstructionCertificate(3, ("w",), [{"degree": 4}], [], "INFEASIBLE", {"w": ("v",)}),
+        Expansion({"x": {"x": -1}}, 3, ({"exponents": [1], "element": ncfgl.FreeAlgebra().one()},)),
+        Verification(3, 0, [("unit", True)], AxiomReport(3, True, True, True, True), 5),
+        Action(2, "Sq1", "z1", ncfgl.FreeAlgebra(ncfgl.REAL, ncfgl.GF(2)).one()),
+    ):
+        assert type(value).to_data is Record._data
+        data = value.to_data()
+        assert list(data) == list(type(value)._fields), value
+    assert report.to_data()["constructed"] == report.constructed.to_data()
+
+
+def test_negative_verdicts_read_as_ok_false():
+    series = PoincareSeries(2, [1, 0, 1])
+    assert ncfgl.hf2_obstruction_certificate().ok is True
+    assert ObstructionCertificate(3, [], [], [{}], "FEASIBLE").ok is False
+    assert ncfgl.parity_check_ku(2, 20).ok is True
+    assert ncfgl.parity_check_ku(2, 8).ok is False
+    assert ParityReport(2, 2, series, series, None, True, "INCONCLUSIVE").ok is False
+    assert ncfgl.rational_mu_series_check(10).ok is True
+    assert ncfgl.RationalComparisonReport(2, series, PoincareSeries.one(2), False).ok is False
+
+
+def test_verification_checks_are_read_only_and_decide_ok():
+    from ncfgl.fgl import Verification
+
+    axioms = AxiomReport(3, True, True, True, True)
+    passing = Verification(3, 0, [("unit", True), ("filtration", True)], axioms, 2)
+    failing = Verification(3, 0, [("unit", True), ("filtration", False)], axioms, 2)
+    assert passing.ok and not failing.ok
+    with pytest.raises(TypeError):
+        passing.checks["unit"] = False
+    copy = pickle.loads(pickle.dumps(failing))
+    assert copy == failing and str(copy) == str(failing) and not copy.ok
+    assert str(failing).splitlines() == [
+        "verification at order 3 (seed 0)",
+        "          unit: PASS",
+        "    filtration: FAIL",
+        "filtration samples: 2",
+    ]

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -441,3 +442,36 @@ def test_left_expand_refuses_a_basis_of_another_ring(A, vs2):
             left_expand(target, basis)
         with pytest.raises(ModeMismatchError):
             left_expand(orientation_series(4, A), {"x": orientation_series(4, other)})
+
+
+_A = FreeAlgebra()
+_XY = VarSet(("x", "y"), 2)
+_Z3 = orientation_series(3)
+_BIVARIATE = CentralSeries.variable(_A, _XY, 3, "x")
+
+# One row per refusal of the series layer: (callable, args, error type, message fragment).
+_REFUSALS = [
+    (VarSet, (("x",), 0), ParameterError, "variable degree must be positive"),
+    (_XY.index, ("w",), ParameterError, "unknown variable 'w'"),
+    (CentralSeries, (_A, VarSet(("x",), 2), 3, {(1, 0): _A.one()}), ShapeError,
+     "multi-index width does not match the variable set"),
+    (lambda a, b: a + b, (_Z3, orientation_series(4)), ShapeError,
+     "series operands disagree in algebra, variables, or order"),
+    (pow, (_Z3, -1), ParameterError, "negative powers are not defined"),
+    (_Z3.truncate, (4,), ParameterError, "cannot extend a truncated series"),
+    (left_substitute, (_BIVARIATE, _BIVARIATE), ShapeError,
+     "left substitution needs a univariate series"),
+    (left_substitute, (_Z3, orientation_series(4)), ShapeError, "truncation orders must agree"),
+    (revert, (_BIVARIATE,), ShapeError, "reversion needs a univariate series"),
+    (left_expand, (_Z3, {}), ExpansionError, "no basis series for variable 'x'"),
+    (left_expand, (_Z3, {"x": _BIVARIATE}), ExpansionError,
+     "basis series for 'x' must be univariate in it"),
+    (left_expand, (_Z3, {"x": _Z3 * _Z3}), ExpansionError,
+     "basis series must be of unit-linear form"),
+]
+
+
+@pytest.mark.parametrize("call, args, error, fragment", _REFUSALS, ids=[r[3] for r in _REFUSALS])
+def test_series_refusals(call, args, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(*args)
