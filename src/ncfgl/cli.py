@@ -251,7 +251,7 @@ def _emit(args, result, title=None) -> int:
 
         body = json.dumps(result.to_data(), indent=2) + "\n"
     else:
-        body = (f"{title}\n{result}" if title else str(result)) + "\n"
+        body = (str(result) if title is None else f"{title}\n{result}") + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
