@@ -1,10 +1,10 @@
 """Deterministic command line surface for every computation in the package.
 
-Exit codes: 0 on success, 1 when a computation reaches a negative verdict
-(an axiom check fails, a certificate finds solutions, a parity check is
-inconclusive), 2 on usage errors.  Output is byte-identical across runs for
-fixed arguments; randomized property runs take --seed and default to a fixed
-seed.
+Exit codes: 0 on success, 1 on a negative verdict (the result record's ``ok``
+is false, by the one rule of :func:`_emit`, or ``split`` finds its splitting
+inconsistent), 2 on usage errors.
+Output is byte-identical across runs for fixed arguments; randomized property
+runs take --seed and default to a fixed seed.
 
 Every raw argument is parsed where argparse declares it, by a ``type=``
 function, and inputs whose cost is known to outgrow the machine are usage

@@ -408,11 +408,12 @@ def filtration_property_run(
 ):
     """Seeded batch of filtration checks; returns (all_ok, list of results).
 
-    Each sample is a random nonzero homogeneous u of a degree at most
-    ``max_degree`` that has words, and an exponent 1 <= k <= min(max_k,
-    order - 2), so every sample gives one result; the powers z, ..., z^k are
-    built once per run and shared by the samples.  A run whose algebra has no
-    word of degree 1 to ``max_degree`` is refused with ParameterError.
+    Each sample is a random nonzero homogeneous u, of a degree from 1 to
+    ``max_degree`` in which the algebra has words, and an exponent
+    1 <= k <= min(max_k, order - 2), so every sample gives one result; the
+    powers z, ..., z^k are built once per run and shared by the samples.  A
+    run whose algebra has no word of degree 1 to ``max_degree`` is refused
+    with ParameterError.
     """
     if samples < 1:
         raise ParameterError("a filtration run needs at least one sample")

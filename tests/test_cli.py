@@ -835,6 +835,9 @@ _REFUSALS = [
     (("expand", "--assign", "x=x+"), "cannot parse linear form 'x+'"),
     (("expand", "--assign", "x=2*"), "cannot parse linear form '2*'"),
     (("fgl", "--mode", "fp"), "--mode fp needs --prime"),
+    (("certificate", "bp"), "certificate bp needs --prime"),
+    (("split",), "split needs --prime"),
+    (("parity",), "parity needs --prime"),
 ]
 
 
