@@ -212,13 +212,6 @@ class FreeAlgebra(SparseAlgebra):
 
     # -- element construction --------------------------------------------------
 
-    def monomial(self, word, coeff=1) -> FreeElement:
-        """coeff * word, refused like a word of :meth:`element`; built
-        directly, since the Cartan rule forms one per word it acts on."""
-        word = _word_key(word)
-        value = self.ring.coerce(coeff)
-        return self._wrap({word: value} if value else {})
-
     def gen(self, i: int) -> FreeElement:
         self.profile.degree_of(i)  # validates the index
         return self._wrap({_word_key((i,)): self.ring.one})
@@ -329,7 +322,7 @@ def centralizer_basis(w: FreeElement, degree: int) -> list:
         return []
     rows = matrix_of(commutator_map(w), words, algebra._keys_of_degree(degree + w.degree()))
     kernel = nullspace(rows, len(words), algebra.ring)
-    return [algebra.element({words[j]: x for j, x in vec.items()}) for vec in kernel]
+    return [algebra._wrap({words[j]: x for j, x in vec.items()}) for vec in kernel]
 
 
 def random_homogeneous(algebra: FreeAlgebra, degree: int, rng, max_terms: int = 3) -> FreeElement:
@@ -339,6 +332,4 @@ def random_homogeneous(algebra: FreeAlgebra, degree: int, rng, max_terms: int = 
         return algebra.zero()
     count = rng.randint(1, min(max_terms, len(words)))
     chosen = rng.sample(list(words), count)
-    return algebra.element(
-        {w: algebra.ring.random_value(rng, nonzero=True) for w in chosen}
-    )
+    return algebra._wrap({w: algebra.ring.random_value(rng, nonzero=True) for w in chosen})

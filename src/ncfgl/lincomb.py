@@ -19,7 +19,11 @@ Keys, like coefficients, have a stored form and a public one.  The algebra's
 public keys, and :meth:`LinearCombination.support` and
 :meth:`~LinearCombination.terms` hand them out.  Every other method, the
 accumulators and rendering included, works on stored keys; for the free
-algebra these are ``bytes`` words and the public keys are tuples.
+algebra these are ``bytes`` words and the public keys are tuples.  Only
+outside input crosses into the stored form: code that holds stored keys and
+nonzero stored values wraps them with :meth:`~SparseAlgebra._wrap` (or
+:meth:`~SparseAlgebra.from_accumulator`, to reduce them) and never re-enters
+``key_of``.
 
 Coefficients are held in the ring's stored form, which
 :meth:`ScalarRing.reduced <ncfgl.scalars.ScalarRing.reduced>` alone produces:
@@ -132,7 +136,11 @@ class SparseAlgebra(Record):
         return self._wrap({self.unit_key: self.ring.one})
 
     def monomial(self, key, coeff=1):
-        return self.element({tuple(key): coeff})
+        """coeff * key for a public key: :meth:`element` for one term, in
+        every algebra, with the same refusals and no dict of public keys."""
+        key = self.key_of(key)
+        value = self.ring.coerce(coeff)
+        return self._wrap({key: value} if value else {})
 
 
 class LinearCombination(Record):

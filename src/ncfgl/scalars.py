@@ -5,20 +5,22 @@ Values are stored as plain ``int`` in integer mode and as residues in
 when it is an integer and as a ``fractions.Fraction`` (in lowest terms, with
 positive denominator and denominator > 1) otherwise, by :func:`stored_rational`:
 integral work over Q, such as every formal group law table, then runs on int
-arithmetic.  A :class:`ScalarRing` carries the arithmetic so that the sparse
-containers built on top stay lightweight and hashable; its methods take and
-return stored values.  This module alone states the stored form: every sum,
-product and scaling of the sparse elements of :mod:`ncfgl.lincomb` and
-:mod:`ncfgl.series` is added into a key -> value accumulator with plain ``+``
-and ``*``, and :meth:`ScalarRing.reduced` turns the accumulator into stored
-values once.  The element readers that hand a coefficient to a caller
-(:meth:`~ncfgl.lincomb.LinearCombination.coefficient` and ``terms``) return it
-through :meth:`ScalarRing.public`, so every rational coefficient a caller reads
-is a ``Fraction``.
+arithmetic.  A :class:`ScalarRing` names the ring, so that the sparse
+containers built on top stay lightweight and hashable, and states the stored
+form by one protocol, in this module alone.  :meth:`ScalarRing.of_int`,
+:meth:`ScalarRing.coerce` and :meth:`ScalarRing.parse` turn outside input
+into stored values.  Every sum, product and scaling of the sparse elements of
+:mod:`ncfgl.lincomb` and :mod:`ncfgl.series` is added into a key -> value
+accumulator with plain ``+`` and ``*``, and :meth:`ScalarRing.reduced` turns
+the accumulator into stored values once.  The element readers that hand a
+coefficient to a caller (:meth:`~ncfgl.lincomb.LinearCombination.coefficient`
+and ``terms``) return it through :meth:`ScalarRing.public`, so every rational
+coefficient a caller reads is a ``Fraction``.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ModeMismatchError, ParameterError
@@ -29,6 +31,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
 # 2017); it is 1287836182261 * 2575672364521.
 PRIMALITY_BOUND = 3317044064679887385961981
+# The text of a value as render writes it: an int, or a fraction over Q.
+_SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def is_prime(n: int) -> bool:
@@ -103,8 +107,10 @@ class ScalarRing(Record):
 
     def parse(self, text: str):
         """Inverse of :meth:`render`, for deserialization; anything but the
-        text of a value of this ring is refused with ParameterError."""
-        if isinstance(text, str):
+        text of a value of this ring is refused with ParameterError, also
+        text that ``int`` or ``Fraction`` would read, such as ``1_000``,
+        ``" 7"``, ``1.5`` or ``1e3``."""
+        if isinstance(text, str) and _SCALAR_TEXT.fullmatch(text):
             try:
                 if self.mode == "rational":
                     return stored_rational(Fraction(text))
@@ -117,11 +123,7 @@ class ScalarRing(Record):
         """A stored value as callers read it: a ``Fraction`` in rational mode."""
         return Fraction(value) if self.mode == "rational" else value
 
-    # -- arithmetic ----------------------------------------------------------
-
-    @property
-    def zero(self):
-        return self.of_int(0)
+    # -- the stored form -----------------------------------------------------
 
     @property
     def one(self):
@@ -137,33 +139,6 @@ class ScalarRing(Record):
         if self.mode == "rational":
             return {key: stored_rational(value) for key, value in acc.items() if value}
         return {key: value for key, value in acc.items() if value}
-
-    def _reduce(self, value):
-        """The stored form of one sum or product of stored values."""
-        return self.reduced({0: value}).get(0, 0)
-
-    def add(self, a, b):
-        return self._reduce(a + b)
-
-    def neg(self, a):
-        return self._reduce(-a)
-
-    def mul(self, a, b):
-        return self._reduce(a * b)
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("scalar 0 is not invertible")
-        if self.mode == "fp":
-            return pow(a, self.prime - 2, self.prime)
-        if self.mode == "rational":
-            return stored_rational(1 / Fraction(a))
-        if a in (1, -1):
-            return a
-        raise ParameterError(f"{a} is not invertible over the integers")
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     @property
     def is_field(self) -> bool:

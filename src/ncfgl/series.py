@@ -42,7 +42,7 @@ from .errors import (
     ReversionError,
     ShapeError,
 )
-from .freealg import FreeAlgebra, FreeElement
+from .freealg import FreeAlgebra, FreeElement, _add_commutator
 from .record import Record
 
 
@@ -255,13 +255,15 @@ class CentralSeries(Record):
         return self._from_accumulators(accs)
 
     def commutator(self, value: FreeElement) -> "CentralSeries":
-        """value * self - self * value, coefficientwise.
-
-        Both products of each coefficient go into one accumulator per index.
-        """
+        """value * self - self * value, coefficientwise: the one pair loop of
+        :func:`~ncfgl.freealg.commutator` per index, so that no negated copy
+        of ``value`` is formed."""
+        if value.algebra != self.algebra:
+            raise ModeMismatchError("coefficient and series live in different algebras")
+        terms = value._terms.items()
         accs: dict = {}
-        self._add_products(accs, value, True)
-        self._add_products(accs, -value, False)
+        for index, element in self._coeffs.items():
+            _add_commutator(accs.setdefault(index, {}), terms, element._terms.items())
         return self._from_accumulators(accs)
 
     def __mul__(self, other: "CentralSeries") -> "CentralSeries":
@@ -292,10 +294,7 @@ class CentralSeries(Record):
     def __pow__(self, n: int) -> "CentralSeries":
         if n < 0:
             raise ParameterError("negative powers are not defined")
-        result = CentralSeries.unit(self.algebra, self.varset, self.order)
-        for _ in range(n):
-            result = result * self
-        return result
+        return _powers(self, n)[n]
 
     def truncate(self, order: int) -> "CentralSeries":
         if order > self.order:

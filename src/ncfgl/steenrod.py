@@ -142,8 +142,8 @@ class TensorElement(LinearCombination):
 
     @classmethod
     def tensor(cls, a: CommElement, b) -> "TensorElement":
-        terms = {(lm, rm): lc * rc for lm, lc in a._terms.items() for rm, rc in b._terms.items()}
-        return cls(a.algebra, b.algebra, terms)
+        acc = {(lm, rm): lc * rc for lm, lc in a._terms.items() for rm, rc in b._terms.items()}
+        return TensorAlgebra(a.algebra, b.algebra).from_accumulator(acc)
 
     @classmethod
     def unit(cls, left_algebra, right_carrier) -> "TensorElement":
@@ -249,7 +249,7 @@ def _multiplicative(a: CommElement, target: SparseAlgebra, image, keep=None) -> 
 
     acc: dict = {}
     for mono, coeff in a._terms.items():
-        term, last = target.monomial(target.unit_key, coeff), target.one()
+        term, last = target._wrap({target.unit_key: coeff}), target.one()
         for i, e in mono:
             gen, q = cut(image(i)), 1
             while e:
@@ -450,7 +450,7 @@ def _cartan(table: GeneratorActionTable):
 
     def act(key, k):
         if k == 0:
-            return carrier.monomial(key)
+            return carrier._wrap({key: carrier.ring.one})
         if not key:
             return zero
         cached = memo.get((key, k))
@@ -582,7 +582,7 @@ def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
     candidates = []
     if particular is not None:
         base, *directions = (
-            algebra.element({W[j]: x for j, x in vec.items()}) for vec in [particular] + kernel
+            algebra._wrap({W[j]: x for j, x in vec.items()}) for vec in [particular] + kernel
         )
         candidates = [
             sum((d.scale(lam) for lam, d in zip(lambdas, directions)), base)
@@ -599,7 +599,7 @@ def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
     ]
 
     def written(vec):
-        return str(algebra.element({V[j]: x for j, x in vec.items()}))
+        return str(algebra._wrap({V[j]: x for j, x in vec.items()}))
 
     solutions = []
     for w in candidates:

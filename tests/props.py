@@ -129,33 +129,25 @@ def run_revert_two_sided(seed=0, count=20, order=6):
 
 
 def _triple_left(t):
-    ring = t.left_algebra.ring
+    p = t.left_algebra.ring.prime
     out = {}
     for (lm, rm), c in t.terms():
         inner = coproduct(t.left_algebra.monomial(lm))
         for (l1, l2), c2 in inner.terms():
             key = (l1, l2, rm)
-            value = ring.add(out.get(key, ring.zero), ring.mul(c, c2))
-            if ring.is_zero(value):
-                out.pop(key, None)
-            else:
-                out[key] = value
-    return out
+            out[key] = (out.get(key, 0) + c * c2) % p
+    return {key: value for key, value in out.items() if value}
 
 
 def _triple_right(t):
-    ring = t.left_algebra.ring
+    p = t.left_algebra.ring.prime
     out = {}
     for (lm, rm), c in t.terms():
         inner = coproduct(t.right_carrier.monomial(rm))
         for (r1, r2), c2 in inner.terms():
             key = (lm, r1, r2)
-            value = ring.add(out.get(key, ring.zero), ring.mul(c, c2))
-            if ring.is_zero(value):
-                out.pop(key, None)
-            else:
-                out[key] = value
-    return out
+            out[key] = (out.get(key, 0) + c * c2) % p
+    return {key: value for key, value in out.items() if value}
 
 
 def _monomials_up_to(algebra, max_degree, max_index):

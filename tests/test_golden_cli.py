@@ -20,27 +20,34 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import sys
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "cli.json")
 
-README = [
-    ["fgl", "--degree", "3", "--format", "json"],
-    ["inverse", "--degree", "6"],
-    ["commutator", "--word", "1", "--k", "1", "--degree", "6"],
-    ["expand", "--assign", "x=-x", "--degree", "5"],
-    ["steenrod", "--prime", "3", "--op", "P1", "--gen", "t2"],
-    ["steenrod", "--prime", "2", "--op", "Sq1", "--word", "1,1,1", "--profile", "real"],
-    ["certificate", "bp", "--prime", "3"],
-    ["certificate", "hf2"],
-    ["poincare", "--profile", "complex", "--degree", "8"],
-    ["poincare", "--poly", "2,6", "--degree", "6"],
-    ["split", "--prime", "2", "--degree", "12"],
-    ["parity", "--prime", "2", "--degree", "20"],
-    ["parity", "--prime", "2", "--degree", "8"],
-    ["rational", "--degree", "40"],
-    ["verify", "--degree", "6", "--seed", "0"],
-]
+README_MD = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_commands() -> list:
+    """(argv, documented exit code) of each ``ncfgl`` line of README's
+    "Command line" block, in order: the words after ``ncfgl`` by
+    ``shlex.split(line, comments=True)``, and the N of an ``exit N`` in the
+    line's comment, 0 without one."""
+    with open(README_MD, encoding="utf-8") as handle:
+        block = handle.read().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("ncfgl "):
+            documented = re.search(r"#.*\bexit (\d+)", line)
+            commands.append(
+                (shlex.split(line, comments=True)[1:], int(documented.group(1)) if documented else 0)
+            )
+    return commands
+
+
+README = [argv for argv, _ in readme_commands()]
 
 # The commands of the benchmark's ``cli`` workload: the fixed ones, and per
 # seed 1..10 its (commutator --word, --k, Sq1 word, verify --seed).
@@ -189,6 +196,13 @@ def _load() -> dict:
 
 def test_corpus_lists_every_argv_in_order():
     assert [run["argv"] for run in _load()["runs"]] == corpus_argvs()
+
+
+def test_readme_commands_exit_as_documented():
+    exits = {tuple(run["argv"]): run["exit"] for run in _load()["runs"]}
+    commands = readme_commands()
+    assert commands, "no ncfgl command in README's Command line block"
+    assert [(argv, exits[tuple(argv)]) for argv, _ in commands] == commands
 
 
 def test_every_limit_row_has_an_argv_above_it():

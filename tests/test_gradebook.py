@@ -162,6 +162,7 @@ _REFUSALS = [
     (PoincareSeries, (2, (1, 0)), ParameterError, "need exactly order + 1 dimensions"),
     (_ONE.shift, (-1,), ParameterError, "shift must be nonnegative"),
     (_ONE.truncate, (4,), ParameterError, "cannot extend a truncated series"),
+    (lambda a, b: a + b, (PoincareSeries.one(2), _ONE), ParameterError, "series orders disagree"),
     (series_divide, (_ONE, PoincareSeries.one(5), 4), ParameterError,
      "order exceeds the operands' truncation"),
     (parity_check_ku, (2, 1), ParameterError, "order must be at least 2"),

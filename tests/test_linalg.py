@@ -10,13 +10,9 @@ from oracles import dense_affine_solve, dense_nullspace, dense_rref, dense_span
 
 
 def _matvec(rows, vec, ring):
-    out = []
-    for row in rows:
-        acc = ring.zero
-        for c, a in row.items():
-            acc = ring.add(acc, ring.mul(a, vec.get(c, ring.zero)))
-        out.append(acc)
-    return out
+    """rows * vec in plain int or Fraction arithmetic, taken mod p over F_p."""
+    out = [sum(a * vec.get(c, 0) for c, a in row.items()) for row in rows]
+    return [x % ring.prime for x in out] if ring.prime else out
 
 
 def test_rref_hand_example_fp():

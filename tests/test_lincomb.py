@@ -76,9 +76,11 @@ def test_core_laws_on_random_elements(kind, ring):
             power = power * a
         total = zero
         for n in range(5):
-            assert a.scale(n) == total == n * a
+            assert a.scale(n) == total == n * a == a * n
             assert a.scale(-n) == -total
             total = total + a
+    with pytest.raises(TypeError):
+        0.5 * a  # a scalar factor is an int or goes through scale
 
 
 @pytest.mark.parametrize("kind", sorted(FACTORIES))

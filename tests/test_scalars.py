@@ -4,28 +4,36 @@ from fractions import Fraction
 
 import pytest
 
-from ncfgl import GF, QQ, ZZ, ModeMismatchError, ParameterError, ScalarRing, is_prime
+from ncfgl import (
+    COMPLEX,
+    GF,
+    QQ,
+    ZZ,
+    FreeAlgebra,
+    ModeMismatchError,
+    ParameterError,
+    ScalarRing,
+    is_prime,
+)
 
 
 def test_integer_mode_is_exact():
     big = 10 ** 40
-    assert ZZ.mul(big, big) == 10 ** 80
-    assert ZZ.add(big, ZZ.neg(big)) == 0
+    assert ZZ.reduced({"square": big * big, "difference": big - big}) == {"square": 10 ** 80}
 
 
 def test_rational_values_are_normalized():
     v = QQ.coerce(Fraction(4, -6))
     assert v == Fraction(-2, 3)
     assert v.denominator == 3
-    assert QQ.mul(Fraction(1, 3), Fraction(3, 1)) == 1
+    assert QQ.reduced({"product": Fraction(1, 3) * Fraction(3, 1)}) == {"product": 1}
 
 
 def test_prime_field_residues():
     F = GF(7)
     assert F.of_int(-1) == 6
-    assert F.mul(3, 5) == 1
-    assert F.inv(3) == 5
-    assert F.add(6, 1) == 0
+    assert F.coerce(-8) == F.parse("-8") == 6
+    assert F.reduced({"product": 3 * 5, "sum": 6 + 1, "negative": -1}) == {"product": 1, "negative": 6}
 
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, 15, 341, 561])
@@ -60,26 +68,29 @@ def test_render_parse_round_trip():
 
 
 def test_rational_values_are_stored_as_ints_when_integral():
-    assert QQ.inv(2) == Fraction(1, 2)
-    assert type(QQ.inv(Fraction(1, 3))) is int
     assert type(QQ.of_int(5)) is int
     assert type(QQ.coerce(Fraction(6, 3))) is int
-    assert type(QQ.parse("-4/2")) is int
-    assert type(QQ.mul(Fraction(2, 3), Fraction(3, 2))) is int
-    assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(QQ.parse("-4/2")) is int and QQ.parse("-4/2") == -2
+    stored = QQ.reduced({
+        "product": Fraction(2, 3) * Fraction(3, 2),
+        "sum": Fraction(1, 2) + Fraction(1, 2),
+        "half": Fraction(1, 2),
+    })
+    assert {key: type(v) for key, v in stored.items()} == {"product": int, "sum": int, "half": Fraction}
     assert type(QQ.public(3)) is Fraction
 
 
 def test_no_rational_operation_yields_a_float():
     rng = random.Random(7)
-    values = [QQ.random_value(rng) for _ in range(40)] + [QQ.zero, QQ.one, QQ.parse("3/4")]
+    values = [QQ.random_value(rng) for _ in range(40)] + [QQ.of_int(0), QQ.one, QQ.parse("3/4")]
     results = list(values)
     for a in values:
-        results += [QQ.neg(a), QQ.coerce(a), QQ.parse(QQ.render(a))]
-        if a:
-            results.append(QQ.inv(a))
-        for b in values:
-            results += [QQ.add(a, b), QQ.mul(a, b)]
+        results += [QQ.coerce(a), QQ.parse(QQ.render(a))]
+        acc = {"negative": -a, "inverse": 1 / Fraction(a) if a else 0}
+        for i, b in enumerate(values):
+            acc["sum", i] = a + b
+            acc["product", i] = a * b
+        results += QQ.reduced(acc).values()
     assert {type(v) for v in results} == {int, Fraction}
     assert all(v.denominator > 1 for v in results if type(v) is Fraction)
 
@@ -118,7 +129,6 @@ _REFUSALS = [
     (ScalarRing, ("complex",), ParameterError, "unknown scalar mode 'complex'"),
     (ScalarRing, ("integer", 3), ParameterError, "scalar mode 'integer' takes no modulus"),
     (ScalarRing, ("rational", 5), ParameterError, "scalar mode 'rational' takes no modulus"),
-    (ZZ.inv, (2,), ParameterError, "2 is not invertible over the integers"),
     (ZZ.parse, ("x",), ParameterError, "cannot parse 'x' as a scalar of ZZ"),
     (ZZ.parse, ("1/2",), ParameterError, "cannot parse '1/2' as a scalar of ZZ"),
     (GF(3).parse, ("",), ParameterError, "cannot parse '' as a scalar of GF(3)"),
@@ -126,6 +136,18 @@ _REFUSALS = [
     (QQ.parse, ("one half",), ParameterError, "cannot parse 'one half' as a scalar of QQ"),
     (ZZ.parse, (1.5,), ParameterError, "cannot parse 1.5 as a scalar of ZZ"),
     (QQ.parse, (None,), ParameterError, "cannot parse None as a scalar of QQ"),
+    (ZZ.parse, ("1_000",), ParameterError, "cannot parse '1_000' as a scalar of ZZ"),
+    (ZZ.parse, (" +7 ",), ParameterError, "cannot parse ' +7 ' as a scalar of ZZ"),
+    (ZZ.parse, ("\u0663",), ParameterError, "cannot parse '\u0663' as a scalar of ZZ"),
+    (QQ.parse, ("1.5",), ParameterError, "cannot parse '1.5' as a scalar of QQ"),
+    (QQ.parse, ("1e3",), ParameterError, "cannot parse '1e3' as a scalar of QQ"),
+    (QQ.parse, ("4/2 ",), ParameterError, "cannot parse '4/2 ' as a scalar of QQ"),
+    (
+        FreeAlgebra(COMPLEX, GF(5)).from_data,
+        ([{"word": [1], "coeff": "+7"}],),
+        ParameterError,
+        "cannot parse '+7' as a scalar of GF(5)",
+    ),
 ]
 
 

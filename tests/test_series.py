@@ -342,6 +342,7 @@ def test_serialization(A, vs2):
 
 
 def test_varset_validation():
+    assert list(VarSet(("x", "y"), 2)) == ["x", "y"]
     with pytest.raises(Exception):
         VarSet(("x", "x"), 2)
     with pytest.raises(Exception):
@@ -468,6 +469,10 @@ _REFUSALS = [
      "basis series for 'x' must be univariate in it"),
     (left_expand, (_Z3, {"x": _Z3 * _Z3}), ExpansionError,
      "basis series must be of unit-linear form"),
+    (left_expand, (_Z3, {"x": orientation_series(4)}), ShapeError,
+     "basis and target must share the truncation order"),
+    (_Z3.specialize, ({"x": {"x": 1.5}},), ParameterError,
+     "substitutions must have integer coefficients"),
 ]
 
 

@@ -678,6 +678,7 @@ def test_certificate_digests(build, digest):
 
 # One row per refusal of the Steenrod layer: (call, error type, message fragment).
 _REFUSALS = [
+    (lambda: MilnorOp(3, "Q", 1), ParameterError, "unknown operation kind 'Q'"),
     (lambda: dual_steenrod(4), ParameterError, "4 is not prime"),
     (lambda: bp_homology(6), ParameterError, "6 is not prime"),
     (lambda: milnor_pair(MilnorOp(3, "P", 1), bp_homology(3).gen(1)), UnsupportedInputError,
