@@ -1,5 +1,7 @@
 """Golden CLI corpus: every argv below, with its exit code and the sha256 of
-its stdout and of its stderr, is pinned in ``tests/golden/cli.json``.
+its stdout and of its stderr, is pinned in ``tests/golden/cli.json``.  The
+first argvs are the ``ncfgl`` lines of README's "Command line" block, read by
+:func:`readme_commands`, which CI also uses.
 
 The corpus is replayed in-process through :func:`ncfgl.cli.run`, so a change
 that alters any byte of output, any error message or any exit code of these
