@@ -79,10 +79,17 @@ class CommAlgebra(SparseAlgebra):
     element_class = CommElement
     key_mul = staticmethod(monomial_mul)
 
-    @staticmethod
-    def key_of(mono) -> Monomial:
-        """A monomial in normal form: sorted by index, zero exponents dropped."""
-        return tuple(sorted((i, e) for i, e in mono if e))
+    def key_of(self, mono) -> Monomial:
+        """A monomial in normal form: the exponents of a repeated index
+        added, sorted by index, zero exponents dropped.  Refuses a negative
+        exponent and an index that :meth:`degree_of` refuses."""
+        exps: dict = {}
+        for i, e in mono:
+            self.degree_of(i)
+            if e < 0:
+                raise ParameterError(f"negative exponent {e} of {self.family}{i}")
+            exps[i] = exps.get(i, 0) + e
+        return tuple(sorted((i, e) for i, e in exps.items() if e))
 
     def __init__(self, kind: str, family: str, ring: ScalarRing, degrees=None):
         if kind == "explicit":

@@ -5,15 +5,21 @@ of the ambient :class:`~ncfgl.scalars.ScalarRing`; a matrix is a list of such
 rows, and a column absent from a row holds zero.  The systems solved here are
 a few percent dense at most, so no zero is ever stored or scanned.
 
-One elimination, :func:`rref`, serves every ring: F_p in residues, and Z and Q
-in the stored form of :func:`~ncfgl.scalars.stored_rational`, an ``int`` while
-an entry is integral and a ``Fraction`` otherwise, so that the +-1 entries of
-the commutator systems run on int arithmetic.  It picks each pivot as the
-shortest row holding the column, to limit fill-in.  The reduced row echelon
-form of a matrix is unique, so that choice cannot change any result: kernels
-are presented in reduced echelon form with respect to the given column
-order, and integer-mode kernels are primitive integer vectors with positive
-leading entry.
+One forward elimination, :func:`_echelon`, serves every ring: F_p in
+residues, and Z and Q in the stored form of
+:func:`~ncfgl.scalars.stored_rational`, an ``int`` while an entry is integral
+and a ``Fraction`` otherwise, so that the +-1 entries of the commutator
+systems run on int arithmetic.  It drops empty rows, picks each pivot as the
+shortest remaining row holding the column, to limit fill-in, and clears the
+pivot column only from the rows not yet chosen, so a chosen row is never read
+again.  :func:`nullspace` and :func:`affine_solve` read their solutions off
+the echelon rows by back-substitution, last pivot first; :func:`rref` adds
+one upward pass that clears each pivot column from the rows above.  The
+reduced row echelon form of a matrix is unique, and so is the solution that
+fixes every free variable, so the pivot choice cannot change any result:
+kernels are presented in reduced echelon form with respect to the given
+column order, and integer-mode kernels are primitive integer vectors with
+positive leading entry.
 """
 
 from __future__ import annotations
@@ -25,41 +31,47 @@ from .errors import UnsupportedInputError
 from .scalars import ScalarRing, stored_rational
 
 
-def rref(rows, ncols: int, ring: ScalarRing):
-    """Reduced row echelon form of dict rows in columns ``0 .. ncols - 1``.
+def _echelon(rows, ncols: int, ring: ScalarRing):
+    """Forward elimination of dict rows in columns ``0 .. ncols - 1``.
 
-    Returns the nonzero reduced rows, in pivot order and each with its
-    columns in increasing order, and the list of pivot columns.  The input
-    rows are not modified.  A column -> rows index lets each step touch only
-    the rows that hold the pivot column; cancelled entries are dropped.
-    Over F_p the entries are residues; over Z and Q they are rationals in
-    stored form (module docstring), in the input and the output alike.
+    Returns one ``(pivot column, tail)`` pair per pivot, in increasing
+    column order: the echelon row is 1 at its pivot column, ``tail`` right
+    of it, and zero left of it.  The input rows are not modified.  A column
+    -> rows index over the rows not yet chosen lets each step touch only the
+    rows that hold the pivot column; cancelled entries are dropped.
     """
     p = ring.prime
-    if p:
-        rows = [{c: x % p for c, x in row.items() if x % p} for row in rows]
-    else:
-        rows = [{c: x if x.__class__ is int else stored_rational(x) for c, x in row.items() if x}
-                for row in rows]
+    work = []
+    for row in rows:
+        if not row:
+            continue
+        if p:
+            row = {c: x % p for c, x in row.items() if x % p}
+        else:
+            row = {c: x if x.__class__ is int else stored_rational(x) for c, x in row.items() if x}
+        if row:
+            work.append(row)
     holding = {}
-    for i, row in enumerate(rows):
+    for i, row in enumerate(work):
         for c in row:
             holding.setdefault(c, set()).add(i)
-    pivots, order, chosen = [], [], set()
+    echelon = []
     for c in range(ncols):
-        holders = holding.get(c, set())
-        shortest = min(((len(rows[i]), i) for i in holders if i not in chosen), default=None)
-        if shortest is None:
+        holders = holding.pop(c, None)
+        if not holders:
             continue
-        r = shortest[1]
-        lead = rows[r]
-        if lead[c] != 1:
-            inv = pow(lead[c], -1, p) if p else 1 / Fraction(lead[c])
-            for j, x in lead.items():
-                lead[j] = x * inv % p if p else stored_rational(x * inv)
-        for i in holders - {r}:
-            row = rows[i]
-            f = row[c]
+        r = min((len(work[i]), i) for i in holders)[1]
+        holders.discard(r)
+        lead = work[r]
+        pivot = lead.pop(c)
+        for j in lead:
+            holding[j].discard(r)
+        if pivot != 1:
+            inv = pow(pivot, -1, p) if p else 1 / Fraction(pivot)
+            lead = {j: x * inv % p if p else stored_rational(x * inv) for j, x in lead.items()}
+        for i in holders:
+            row = work[i]
+            f = row.pop(c)
             for j, x in lead.items():
                 v = row.get(j, 0) - f * x
                 if p:
@@ -73,10 +85,64 @@ def rref(rows, ncols: int, ring: ScalarRing):
                 else:
                     del row[j]
                     holding[j].discard(i)
-        pivots.append(c)
-        order.append(r)
-        chosen.add(r)
-    return [dict(sorted(rows[r].items())) for r in order], pivots
+        echelon.append((c, lead))
+    return echelon
+
+
+def _back_substitute(echelon, values: dict, p) -> dict:
+    """Complete ``values``, which fixes every free variable that is not
+    zero, to the solution of the echelon rows ``x_c + tail . x = 0``,
+    solving the pivot variables last pivot first."""
+    for c, tail in reversed(echelon):
+        v = -sum(x * values[j] for j, x in tail.items() if j in values)
+        if p:
+            v %= p
+        elif v.__class__ is not int:
+            v = stored_rational(v)
+        if v:
+            values[c] = v
+    return values
+
+
+def _kernel_basis(echelon, ncols: int, ring: ScalarRing):
+    """Canonical kernel basis of echelon rows: one vector per free column
+    below ``ncols``, that variable 1 and the other free ones 0."""
+    pivots = {c for c, _ in echelon}
+    basis = [_back_substitute(echelon, {f: 1}, ring.prime) for f in range(ncols) if f not in pivots]
+    return reduced_basis(basis, ncols, ring)
+
+
+def rref(rows, ncols: int, ring: ScalarRing):
+    """Reduced row echelon form of dict rows in columns ``0 .. ncols - 1``.
+
+    Returns the nonzero reduced rows, in pivot order and each with its
+    columns in increasing order, and the list of pivot columns.  The input
+    rows are not modified.  Over F_p the entries are residues; over Z and Q
+    they are rationals in stored form (module docstring), in the input and
+    the output alike.  The upward pass takes the echelon rows last pivot
+    first and clears from each the later pivot columns it holds, with the
+    rows below it already reduced.
+    """
+    p = ring.prime
+    echelon = _echelon(rows, ncols, ring)
+    reduced = {}  # pivot column -> its reduced row, without the pivot's 1
+    for c, tail in reversed(echelon):
+        row = dict(tail)
+        for k in [k for k in tail if k in reduced]:
+            f = row.pop(k)
+            for j, x in reduced[k].items():
+                v = row.get(j, 0) - f * x
+                if p:
+                    v %= p
+                elif v.__class__ is not int:
+                    v = stored_rational(v)
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        reduced[c] = row
+    pivots = [c for c, _ in echelon]
+    return [dict(sorted({c: 1, **reduced[c]}.items())) for c in pivots], pivots
 
 
 def _primitive(vec):
@@ -91,24 +157,6 @@ def _primitive(vec):
     return {c: x // g for c, x in ints.items()}
 
 
-def _kernel(reduced, pivots, ncols, ring):
-    """Canonical kernel basis of a reduced row echelon form in ``ncols``
-    columns, from one vector per free column."""
-    entries = {}  # free column -> [(pivot column, -entry)], pivots increasing
-    for row, c in zip(reduced, pivots):
-        for j, x in row.items():
-            if j != c and j < ncols:  # column ncols is affine_solve's right-hand side
-                entries.setdefault(j, []).append((c, -x))
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f not in pivot_set:
-            vec = dict(entries.get(f, ()))
-            vec[f] = 1
-            basis.append(vec)
-    return reduced_basis(basis, ncols, ring)
-
-
 def nullspace(rows, ncols: int, ring: ScalarRing):
     """Kernel basis of the linear map given by ``rows`` acting on column vectors.
 
@@ -116,7 +164,7 @@ def nullspace(rows, ncols: int, ring: ScalarRing):
     order (so it is canonical).  In integer mode the kernel is computed over Q
     and each vector is returned primitive.
     """
-    return _kernel(*rref(rows, ncols, ring), ncols, ring)
+    return _kernel_basis(_echelon(rows, ncols, ring), ncols, ring)
 
 
 def reduced_basis(vectors, ncols: int, ring: ScalarRing):
@@ -134,18 +182,18 @@ def affine_solve(rows, rhs, ncols: int, ring: ScalarRing):
 
     Returns ``(particular, kernel_basis, rank)`` where ``particular`` is None
     when the system is inconsistent.  The particular solution sets every free
-    variable to zero.  Over Z a solution may not exist where one over Q does,
-    so the integers are refused.
+    variable to zero: it is the kernel vector of the augmented matrix that is
+    -1 in the right-hand side's column ``ncols``.  Over Z a solution may not
+    exist where one over Q does, so the integers are refused.
     """
     if not ring.is_field:
         raise UnsupportedInputError(f"affine_solve needs a field, got {ring!r}")
     augmented = [{**row, ncols: rhs[i]} if i in rhs else row for i, row in enumerate(rows)]
-    reduced, pivots = rref(augmented, ncols + 1, ring)
-    consistent = not pivots or pivots[-1] != ncols
-    if not consistent:
-        pivots = pivots[:-1]
-    kernel = _kernel(reduced, pivots, ncols, ring)  # the rhs column is never free
-    if not consistent:
-        return None, kernel, len(pivots)
-    particular = {c: row[ncols] for row, c in zip(reduced, pivots) if ncols in row}
-    return particular, kernel, len(pivots)
+    echelon = _echelon(augmented, ncols + 1, ring)
+    particular = None
+    if echelon and echelon[-1][0] == ncols:  # a row reading 0 = 1
+        echelon.pop()
+    else:
+        solution = _back_substitute(echelon, {ncols: -1}, ring.prime)
+        particular = {c: x for c, x in sorted(solution.items()) if c != ncols}
+    return particular, _kernel_basis(echelon, ncols, ring), len(echelon)

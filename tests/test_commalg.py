@@ -84,18 +84,42 @@ def test_algebras_of_different_kinds_differ_where_their_degrees_agree():
     assert CommAlgebra("explicit", "t", GF(3), [4, 16]) == explicit
 
 
-def test_the_constructor_refuses_what_no_kind_describes():
-    from ncfgl import QQ, ZZ
+def test_repeated_indices_merge_into_one_exponent():
+    from ncfgl import dual_steenrod
+    from ncfgl.steenrod import TensorAlgebra
 
+    A = dual_steenrod(3)
+    xi1, xi2 = A.gen(1), A.gen(2)
+    assert A.element({((1, 1), (1, 1)): 1}) == xi1 ** 2
+    assert A.monomial(((2, 1), (1, 1), (2, 0), (1, 2))) == xi1 ** 3 * xi2
+    assert A.monomial(((1, 0),)) == A.one()
+    assert (xi1 ** 2).coefficient(((1, 1), (1, 1))) == 1
+    T = TensorAlgebra(A, A)
+    assert T.monomial((((1, 1), (1, 1)), ())) == T.monomial((((1, 2),), ()))
+
+
+def test_the_constructor_refuses_what_no_kind_describes():
+    from ncfgl import QQ, ZZ, dual_steenrod
+    from ncfgl.steenrod import TensorAlgebra
+
+    xi = dual_steenrod(3)
+    t = CommAlgebra.with_degrees("t", (2, 6, 14), GF(3))
     refused = [
-        (("milnor", "xi", GF(3)), "unknown algebra kind 'milnor'"),
-        (("dual-steenrod", "xi", ZZ), "lives over F_p"),
-        (("bp-homology", "t", QQ), "lives over F_p"),
-        (("bp-homology", "t", GF(3), (4, 16)), "takes no degree sequence"),
-        (("dual-steenrod", "xi", GF(2), ()), "takes no degree sequence"),
-        (("explicit", "t", GF(3)), "generator degrees must be positive"),
-        (("explicit", "t", GF(3), (2, 0)), "generator degrees must be positive"),
+        (lambda: CommAlgebra("milnor", "xi", GF(3)), "unknown algebra kind 'milnor'"),
+        (lambda: CommAlgebra("dual-steenrod", "xi", ZZ), "lives over F_p"),
+        (lambda: CommAlgebra("bp-homology", "t", QQ), "lives over F_p"),
+        (lambda: CommAlgebra("bp-homology", "t", GF(3), (4, 16)), "takes no degree sequence"),
+        (lambda: CommAlgebra("dual-steenrod", "xi", GF(2), ()), "takes no degree sequence"),
+        (lambda: CommAlgebra("explicit", "t", GF(3)), "generator degrees must be positive"),
+        (lambda: CommAlgebra("explicit", "t", GF(3), (2, 0)), "generator degrees must be positive"),
+        # monomials: every key goes through CommAlgebra.key_of
+        (lambda: xi.monomial(((1, -1),)), "negative exponent -1 of xi1"),
+        (lambda: xi.element({((1, 2), (1, -2)): 1}), "negative exponent -2 of xi1"),
+        (lambda: xi.monomial(((0, 2),)), "no generator of index 0 in xi-family"),
+        (lambda: xi.element({((2, 1), (0, 0)): 1}), "no generator of index 0 in xi-family"),
+        (lambda: t.monomial(((4, 1),)), "no generator of index 4 in t-family"),
+        (lambda: TensorAlgebra(xi, xi).monomial(((), ((1, -1),))), "negative exponent -1 of xi1"),
     ]
-    for args, message in refused:
+    for call, message in refused:
         with pytest.raises(ParameterError, match=message):
-            CommAlgebra(*args)
+            call()

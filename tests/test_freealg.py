@@ -230,6 +230,20 @@ def test_centralizer_rejects_bad_inputs(A):
         centralizer_basis(A.gen(1) + A.one(), 4)
 
 
+def test_a_degree_without_words_gives_empty_answers():
+    # every letter of the complex profile has even degree, so odd degrees hold no words
+    for ring in (ZZ, QQ, GF(3)):
+        algebra = FreeAlgebra(COMPLEX, ring)
+        for d in (1, 3, 7):
+            assert algebra.dim(d) == 0
+            assert centralizer_basis(algebra.gen(1), d) == []
+            assert centralizer_basis(algebra.gen(2) - algebra.gen(1) ** 2, d) == []
+            rng = random.Random(d)
+            state = rng.getstate()
+            assert random_homogeneous(algebra, d, rng) == algebra.zero()
+            assert rng.getstate() == state  # no draw is spent on an empty degree
+
+
 def test_canonical_term_order_and_serialization(A):
     element = A.monomial((1, 1, 1)) + A.gen(3).scale(2) + A.monomial((1, 2)).scale(-1)
     data = element.to_data()

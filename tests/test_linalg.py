@@ -131,7 +131,7 @@ def _cases(ring, rng):
 
 @pytest.mark.parametrize("ring, p, integer", _RINGS, ids=repr)
 def test_sparse_elimination_matches_the_dense_oracle(ring, p, integer):
-    rng = random.Random(20 + (p or 0) + integer)
+    rng = random.Random(40 + (p or 0) + integer)
     inconsistent = consistent = 0
     for matrix, ncols, rhs in _cases(ring, rng):
         rows = _sparse(matrix)
@@ -216,3 +216,64 @@ def test_int_and_fraction_rows_give_the_same_stored_results(ring, integer):
     assert non_integral
     if not integer:
         assert inconsistent == 4  # two systems, each in both forms
+
+
+# -- back-substitution at size: commutator-shaped systems ---------------------------
+
+# Like the matrix of [v, w] = 0: two +-1 entries per column, and most rows
+# empty (each system draws its entries from a random minority of its rows).
+_SIZED_RINGS = [(GF(3), 3, False), (QQ, None, False), (ZZ, None, True)]
+
+
+def _commutator_shaped(rng, share):
+    """A random system whose entries lie in ``share * ncols`` of its
+    ``4 * ncols`` rows; the fewer such rows, the larger the kernel."""
+    ncols = rng.randint(32, 64)
+    nrows = 4 * ncols
+    live = rng.sample(range(nrows), int(share * ncols))
+    matrix = [[0] * ncols for _ in range(nrows)]
+    for c in range(ncols):
+        for r in rng.sample(live, 2):
+            matrix[r][c] = rng.choice((1, -1))
+    return matrix, ncols, [r for r in range(nrows) if r not in live]
+
+
+@pytest.mark.parametrize("ring, p, integer", _SIZED_RINGS, ids=repr)
+def test_back_substitution_at_size_matches_the_dense_oracle(ring, p, integer):
+    rng = random.Random(40 + (p or 0) + integer)
+    kernel_dims, consistent, inconsistent = set(), 0, 0
+    for share in (0.5, 1, 2):
+        matrix, ncols, empty = _commutator_shaped(rng, share)
+        rows = _sparse(matrix)
+        solvable = _matvec(rows, {c: rng.randint(-2, 2) for c in range(ncols)}, ring)
+        unsolvable = list(solvable)
+        unsolvable[rng.choice(empty)] = 1  # a row reading 0 = 1
+        reduced, pivots = rref(rows, ncols, ring)
+        assert (_dense(reduced, ncols), pivots) == dense_rref(matrix, ncols, p)
+        kernel = _dense(nullspace(rows, ncols, ring), ncols)
+        kernel_dims.add(len(kernel))
+        for rhs in (solvable, unsolvable):
+            sparse_rhs = {i: b for i, b in enumerate(rhs) if b}
+            if integer:  # over Z, the kernel of the augmented matrix instead
+                with pytest.raises(ToolkitError):
+                    affine_solve(rows, sparse_rhs, ncols, ring)
+                augmented = [row + [b] for row, b in zip(matrix, rhs)]
+                sparse_augmented = _sparse(augmented)
+                assert _dense(nullspace(sparse_augmented, ncols + 1, ring), ncols + 1) == \
+                    dense_nullspace(augmented, ncols + 1, p, integer)
+                assert sparse_augmented == _sparse(augmented)
+                continue
+            particular, affine_kernel, rank = affine_solve(rows, sparse_rhs, ncols, ring)
+            got = (None if particular is None else _dense([particular], ncols)[0],
+                   _dense(affine_kernel, ncols), rank)
+            expected = dense_affine_solve(matrix, rhs, ncols, p)
+            assert got == expected and kernel == expected[1]
+            assert (particular is None) == (rhs is unsolvable)
+            consistent += particular is not None
+            inconsistent += particular is None
+        if integer:
+            assert kernel == dense_nullspace(matrix, ncols, p, integer)
+        assert rows == _sparse(matrix)  # the inputs are left as they were
+    assert len(kernel_dims) > 1 and min(kernel_dims) <= 1
+    if not integer:
+        assert consistent == inconsistent == 3
