@@ -60,12 +60,17 @@ def _echelon(rows, ncols: int, ring: ScalarRing):
     """
     p = ring.prime
     work = []
+    # The entry rule of _stored and the update of _subtract are written out
+    # in this function, as calls cost a certificate round's linear algebra
+    # 5-15 %; and most rows of a commutator system are empty, so skipping
+    # them before building a dict saves another ~13 %.
     for row in rows:
-        # Most rows of a commutator system are empty: skipping them before
-        # building a dict makes a certificate round's linear algebra ~13 % faster.
         if not row:
             continue
-        row = {c: v for c, x in row.items() if (v := _stored(x, p))}
+        if p:
+            row = {c: x % p for c, x in row.items() if x % p}
+        else:
+            row = {c: x if x.__class__ is int else stored_rational(x) for c, x in row.items() if x}
         if row:
             work.append(row)
     holding = {}
@@ -86,10 +91,7 @@ def _echelon(rows, ncols: int, ring: ScalarRing):
         if pivot != 1:
             inv = pow(pivot, -1, p) if p else 1 / Fraction(pivot)
             lead = {j: _stored(x * inv, p) for j, x in lead.items()}
-        for i in holders:
-            # _subtract(row, f, lead, p) written out, with the index kept
-            # beside it: calling it here made a certificate round's linear
-            # algebra about 15 % slower
+        for i in holders:  # _subtract, with the index kept beside it
             row = work[i]
             f = row.pop(c)
             for j, x in lead.items():
