@@ -5,8 +5,14 @@ first argvs are the ``ncfgl`` lines of README's "Command line" block, read by
 
 The corpus is replayed in-process through :func:`ncfgl.cli.run`, so a change
 that alters any byte of output, any error message or any exit code of these
-commands fails here.  Regenerating the file is a reviewed act of changing
-the CLI's output:
+commands fails here.  The heavier ``fgl`` and ``inverse`` orders of
+:func:`heavy_argvs` are pinned the same way in ``tests/golden/cli_heavy.json``;
+they take about 2 s, so the tests here check only that the file lists them,
+and CI replays them with
+
+    PYTHONPATH=src python tests/test_golden_cli.py --check-heavy
+
+Regenerating both files is a reviewed act of changing the CLI's output:
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 
@@ -26,7 +32,9 @@ import re
 import shlex
 import sys
 
-CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "cli.json")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+CORPUS = os.path.join(GOLDEN, "cli.json")
+HEAVY_CORPUS = os.path.join(GOLDEN, "cli_heavy.json")
 
 README_MD = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -105,6 +113,12 @@ DEFAULTS = [
 
 MODES = [[], ["--mode", "rat"], ["--mode", "fp", "--prime", "3"]]
 
+# The tables of the benchmark's ``table`` workload over the two other rings.
+TABLE_RINGS = [
+    ["fgl", "--degree", "14", "--mode", "fp", "--prime", "3"],
+    ["fgl", "--degree", "11", "--mode", "rat"],
+]
+
 # One argv just above each row of ``ncfgl.cli.LIMITS``.
 ABOVE_LIMITS = {
     "fgl --degree": ["fgl", "--degree", "17"],
@@ -152,11 +166,23 @@ def corpus_argvs() -> list:
             for mode in MODES:
                 argvs += _formats([command, "--degree", str(order), *mode])
     argvs += ABOVE_LIMITS.values()
+    for argv in TABLE_RINGS:
+        argvs += _formats(argv)
     unique = []
     for argv in argvs:
         if argv not in unique:
             unique.append(argv)
     return unique
+
+
+def heavy_argvs() -> list:
+    """The argvs of the heavy corpus: ``fgl`` at orders 11-14 and
+    ``inverse`` at 13-16 over ZZ, in both formats."""
+    argvs = []
+    for command, orders in (("fgl", range(11, 15)), ("inverse", range(13, 17))):
+        for order in orders:
+            argvs += _formats([command, "--degree", str(order)])
+    return argvs
 
 
 def _run(argv) -> tuple:
@@ -191,9 +217,21 @@ def _python() -> str:
     return "{}.{}".format(*sys.version_info[:2])
 
 
-def _load() -> dict:
-    with open(CORPUS, encoding="utf-8") as handle:
+def _load(path=CORPUS) -> dict:
+    with open(path, encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def _differing(corpus) -> list:
+    """The argvs whose replay differs from ``corpus`` in exit code, stdout
+    digest or, under the Python version that wrote it, stderr digest."""
+    keys = ("exit", "stdout", "stderr") if corpus["python"] == _python() else ("exit", "stdout")
+    differ = []
+    for expected in corpus["runs"]:
+        got = _record(expected["argv"])
+        if any(got[key] != expected[key] for key in keys):
+            differ.append(" ".join(expected["argv"])[:120])
+    return differ
 
 
 def test_corpus_lists_every_argv_in_order():
@@ -217,28 +255,34 @@ def test_every_limit_row_has_an_argv_above_it():
         assert err.startswith(f"error: {row} ") and "above the budget" in err, err
 
 
+def test_heavy_corpus_lists_every_argv_in_order():
+    heavy = _load(HEAVY_CORPUS)
+    assert heavy["python"] == _load()["python"]
+    assert [run["argv"] for run in heavy["runs"]] == heavy_argvs()
+    assert all(run["exit"] == 0 for run in heavy["runs"])
+
+
 def test_cli_output_matches_the_corpus():
-    corpus = _load()
-    same_python = corpus["python"] == _python()
-    differ = []
-    for expected in corpus["runs"]:
-        got = _record(expected["argv"])
-        keys = ("exit", "stdout", "stderr") if same_python else ("exit", "stdout")
-        if any(got[key] != expected[key] for key in keys):
-            differ.append(" ".join(expected["argv"])[:120])
+    differ = _differing(_load())
     assert not differ, f"{len(differ)} argvs differ from the corpus: {differ}"
 
 
-def write_corpus() -> None:
-    """Replay every argv and write the corpus, one run per line."""
-    runs = [json.dumps(_record(argv)) for argv in corpus_argvs()]
-    os.makedirs(os.path.dirname(CORPUS), exist_ok=True)
-    with open(CORPUS, "w", encoding="utf-8") as handle:
+def write_corpus(path, argvs) -> None:
+    """Replay every argv and write a corpus, one run per line."""
+    runs = [json.dumps(_record(argv)) for argv in argvs]
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(f'{{"python": "{_python()}", "runs": [\n' + ",\n".join(runs) + "\n]}\n")
-    print(f"wrote {len(runs)} runs to {CORPUS}")
+    print(f"wrote {len(runs)} runs to {path}")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(f"usage: {sys.argv[0]} --write")
-    write_corpus()
+    if sys.argv[1:] == ["--write"]:
+        write_corpus(CORPUS, corpus_argvs())
+        write_corpus(HEAVY_CORPUS, heavy_argvs())
+    elif sys.argv[1:] == ["--check-heavy"]:
+        differ = _differing(_load(HEAVY_CORPUS))
+        print(f"{len(differ)} of {len(heavy_argvs())} heavy argvs differ from the corpus")
+        sys.exit("\n".join(differ) if differ else 0)
+    else:
+        sys.exit(f"usage: {sys.argv[0]} --write | --check-heavy")
