@@ -420,9 +420,12 @@ def left_substitute(f: CentralSeries, g: CentralSeries) -> CentralSeries:
     return left_combination(((f.coefficient((k,)), gk) for k, gk in enumerate(powers)), g)
 
 
-def _powers(series: CentralSeries, count: int) -> list:
-    """[series^0, series^1, ..., series^count], each one product from the last."""
-    out = [CentralSeries.unit(series.algebra, series.varset, series.order)]
+def _powers(series: CentralSeries, count: int, first: CentralSeries | None = None) -> list:
+    """[first, first * series, ..., first * series^count], each one product
+    from the last; ``first`` is the unit series unless given."""
+    if first is None:
+        first = CentralSeries.unit(series.algebra, series.varset, series.order)
+    out = [first]
     for _ in range(count):
         out.append(out[-1] * series)
     return out
@@ -478,7 +481,11 @@ def left_expand(target: CentralSeries, basis: dict) -> dict:
     target along the last variable is a univariate triangular system in the
     powers of b_m (P[k][k] = 1 and P[k][a] = 0 for a < k), solved in place
     with the solved coefficients kept on the left; its solutions are then
-    solved along the next variable, and so on.  Exists and is unique for
+    solved along the next variable, and so on.  The solves read the rows
+    -P[k], built once per distinct list of basis coefficients as the powers
+    of b starting from the series -1, so they come out negated; bases with
+    equal coefficients in different variables, such as the z(x) and z(y) of
+    an FGL table, share one table.  Exists and is unique for
     unit-linear bases.  Returns only the nonzero A(I), in graded-lexicographic
     order.  A basis series over another algebra than the target is refused
     with ModeMismatchError.
@@ -487,6 +494,7 @@ def left_expand(target: CentralSeries, basis: dict) -> dict:
     order = target.order
     algebra = target.algebra
     tables = []
+    shared: dict = {}
     for name in varset.names:
         b = basis.get(name)
         if b is None:
@@ -501,9 +509,15 @@ def left_expand(target: CentralSeries, basis: dict) -> dict:
             )
         if not b.constant_term().is_zero() or b.coefficient((1,)) != b.algebra.one():
             raise ExpansionError("basis series must be of unit-linear form")
-        tables.append(
-            [[-power.coefficient((a,)) for a in range(order + 1)] for power in _powers(b, order)]
-        )
+        key = frozenset(b._coeffs.items())
+        table = shared.get(key)
+        if table is None:
+            minus_one = -CentralSeries.unit(algebra, b.varset, order)
+            table = shared[key] = [
+                [power.coefficient((a,)) for a in range(order + 1)]
+                for power in _powers(b, order, minus_one)
+            ]
+        tables.append(table)
 
     layer = target._coeffs
     for v in reversed(range(len(varset))):
