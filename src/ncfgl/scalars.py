@@ -20,7 +20,6 @@ coefficient a caller reads is a ``Fraction``.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .errors import ModeMismatchError, ParameterError
@@ -31,8 +30,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
 # 2017); it is 1287836182261 * 2575672364521.
 PRIMALITY_BOUND = 3317044064679887385961981
-# The text of a value as render writes it: an int, or a fraction over Q.
-_SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def is_prime(n: int) -> bool:
@@ -106,17 +103,21 @@ class ScalarRing(Record):
         raise ModeMismatchError(f"cannot coerce {value!r} into {self!r}")
 
     def parse(self, text: str):
-        """Inverse of :meth:`render`, for deserialization; anything but the
-        text of a value of this ring is refused with ParameterError, also
-        text that ``int`` or ``Fraction`` would read, such as ``1_000``,
-        ``" 7"``, ``1.5`` or ``1e3``."""
-        if isinstance(text, str) and _SCALAR_TEXT.fullmatch(text):
-            try:
-                if self.mode == "rational":
-                    return stored_rational(Fraction(text))
-                return self.of_int(int(text))
-            except (ValueError, ZeroDivisionError):
-                pass
+        """Inverse of :meth:`render`, for deserialization: only the text that
+        :meth:`render` writes for a value is read, and anything else is
+        refused with ParameterError.  That refuses text which ``int`` or
+        ``Fraction`` would read, such as ``1_000``, ``" 7"``, ``1.5`` or
+        ``1e3``, and text of a value written otherwise, such as ``"7"`` over
+        GF(5), ``"2/4"`` over Q, ``"007"`` or ``"-0"``."""
+        try:
+            if self.mode == "rational":
+                value = stored_rational(Fraction(text))
+            else:
+                value = self.of_int(int(text))
+            if self.render(value) == text:
+                return value
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
         raise ParameterError(f"cannot parse {text!r} as a scalar of {self!r}")
 
     def public(self, value):

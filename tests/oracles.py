@@ -4,6 +4,7 @@ plain dictionaries mapping exponent tuples to free-algebra elements; products
 and expansions are written out directly."""
 
 from fractions import Fraction
+from itertools import product
 from math import comb, gcd, lcm
 
 from ncfgl import FreeAlgebra
@@ -256,6 +257,16 @@ def plain_add(f, g, p, sign=1):
     return _plain_reduced(out, p)
 
 
+def plain_product(e1, e2, p):
+    """The product of two {word: scalar} dicts: every pair of terms, words
+    concatenated, summed per word and reduced once."""
+    acc = {}
+    for w1, c1 in e1.items():
+        for w2, c2 in e2.items():
+            acc[w1 + w2] = acc.get(w1 + w2, 0) + c1 * c2
+    return {w: r for w, c in acc.items() if (r := c % p if p else c)}
+
+
 def plain_mul(f, g, order, p):
     out = {}
     for i1, e1 in f.items():
@@ -280,6 +291,37 @@ def plain_scale(f, element, p, on_left):
                 word = w2 + w1 if on_left else w1 + w2
                 acc[word] = acc.get(word, 0) + c1 * c2
     return _plain_reduced(out, p)
+
+
+def plain_expand(target, bases, order, p):
+    """The A(I) with sum_I A(I) b_1^i1 ... b_m^im = target, for plain
+    univariate bases {(k,): {word: scalar}} of the form x_v + (higher terms),
+    solved level by level in total degree: the basis power of I adds exactly
+    A(I) at x^I and otherwise only at higher total degree, so each residual
+    at a multi-index of total n is its A(I)."""
+    width = len(bases)
+    unit = {(0,) * width: {(): 1}}
+    powers = []
+    for v, basis in enumerate(bases):
+        embedded = {(0,) * v + index + (0,) * (width - v - 1): e for index, e in basis.items()}
+        row = [unit]
+        for _ in range(order):
+            row.append(plain_mul(row[-1], embedded, order, p))
+        powers.append(row)
+    solved, reached = {}, {}
+    for n in range(order + 1):
+        level = [index for index in product(range(n + 1), repeat=width) if sum(index) == n]
+        for index in level:
+            residual = plain_add({0: target.get(index, {})}, {0: reached.get(index, {})}, p, -1)
+            if residual:
+                solved[index] = residual[0]
+        for index in level:
+            if index in solved:
+                power = unit
+                for v, e in enumerate(index):
+                    power = plain_mul(power, powers[v][e], order, p)
+                reached = plain_add(reached, plain_scale(power, solved[index], p, True), p)
+    return solved
 
 
 def plain_specialize(f, forms, width, order, p):

@@ -134,6 +134,12 @@ def test_poincare_explicit_degrees(capsys):
     )
     assert code == 0
     assert json.loads(out)["dims"] == [1, 0, 1, 0, 1, 0, 2]
+    # empty --poly text is no polynomial generator: an exterior one in degree 2
+    code, out, _ = invoke(
+        capsys, "poincare", "--poly", "", "--ext", "2", "--degree", "4", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["dims"] == [1, 0, 1, 0, 0]
 
 
 def test_split_subcommand(capsys):

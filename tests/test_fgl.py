@@ -232,7 +232,15 @@ def test_unit_is_central(A):
     result = commutator_filtration(A.one(), 2, 6)
     assert result.series.is_zero()
     assert result.valuation is None
+    assert result.first_term() is None
     assert result.ok
+
+
+def test_filtration_run_defaults_to_the_integral_complex_algebra():
+    kwargs = dict(order=6, samples=5, seed=2)
+    assert filtration_property_run(**kwargs) == filtration_property_run(
+        **kwargs, algebra=FreeAlgebra(COMPLEX, ZZ)
+    )
 
 
 def test_first_nontrivial_commutator_term(A):

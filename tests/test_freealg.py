@@ -24,6 +24,7 @@ from ncfgl import (
 
 from ncfgl.freealg import commutator_map
 
+from oracles import plain_add, plain_product
 from props import random_element
 
 
@@ -109,6 +110,40 @@ def test_commutator_map_refuses_a_word_outside_the_letters(A, word, message):
         commutator_map(A.gen(1))(word)
 
 
+@pytest.mark.parametrize("ring", [ZZ, GF(3), QQ], ids=repr)
+def test_add_product_matches_plain_dict_products(ring):
+    # add_product runs the operand with more terms innermost, so the shapes
+    # cover a shorter, a longer and an equally long left side, a one-term
+    # side and a zero side; (Z1 + Z1*Z1)(Z2 + Z1*Z2) forms Z1*Z1*Z2 twice,
+    # once in each order of the two loops, and with -Z1*Z1 the two cancel
+    algebra = FreeAlgebra(COMPLEX, ring)
+    p = ring.prime
+    rng = random.Random(29)
+    words = [w for d in range(7) for w in algebra.words_of_degree(d)]
+
+    def drawn(count):
+        return algebra.element(
+            {w: ring.random_value(rng, nonzero=True) for w in rng.sample(words, count)}
+        )
+
+    twice, cancelled = algebra.element({(1,): 1, (1, 1): 1}), algebra.element({(1,): 1, (1, 1): -1})
+    tail = algebra.element({(2,): 1, (1, 2): 1})
+    longer = twice + algebra.gen(3)
+    pairs = [(twice, tail), (cancelled, tail), (longer, tail), (tail, longer)]
+    pairs += [(drawn(m), drawn(n)) for m, n in ((1, 5), (5, 1), (2, 6), (6, 2), (4, 4), (1, 1))]
+    pairs += [(algebra.zero(), drawn(3)), (drawn(3), algebra.zero())]
+    for a, b in pairs:
+        start = drawn(rng.randint(0, 3))
+        acc = start.mutable_terms()
+        algebra.add_product(acc, a, b)
+        pa, pb = dict(a.terms()), dict(b.terms())
+        expected = plain_add({0: dict(start.terms())}, {0: plain_product(pa, pb, p)}, p)
+        assert dict(algebra.from_accumulator(acc).terms()) == expected.get(0, {})
+        assert dict((a * b).terms()) == plain_product(pa, pb, p)
+    assert (twice * tail).coefficient((1, 1, 2)) == ring.of_int(2)
+    assert (cancelled * tail).coefficient((1, 1, 2)) == 0
+
+
 def test_grading_of_products(A):
     rng = random.Random(3)
     for _ in range(20):
@@ -119,6 +154,7 @@ def test_grading_of_products(A):
         prod = a * b
         if not prod.is_zero():
             assert prod.degree() == da + db
+    assert A.zero().degree() is None
 
 
 def test_dimension_law_complex(A):
@@ -234,7 +270,7 @@ def test_a_degree_without_words_gives_empty_answers():
     # every letter of the complex profile has even degree, so odd degrees hold no words
     for ring in (ZZ, QQ, GF(3)):
         algebra = FreeAlgebra(COMPLEX, ring)
-        for d in (1, 3, 7):
+        for d in (1, 3, 7, -2):
             assert algebra.dim(d) == 0
             assert centralizer_basis(algebra.gen(1), d) == []
             assert centralizer_basis(algebra.gen(2) - algebra.gen(1) ** 2, d) == []

@@ -71,6 +71,13 @@ def test_unknown_names_are_refused():
         exec("from ncfgl import no_such_name", {})
 
 
+def test_each_submodule_is_an_attribute_of_the_package():
+    # the module's __getattr__ runs for a submodule not yet bound as an
+    # attribute; call it directly, since earlier tests may have bound them all
+    for name in ("commalg", "gradebook", "linalg", "scalars"):
+        assert ncfgl.__getattr__(name) is importlib.import_module(f"ncfgl.{name}")
+
+
 def test_import_loads_submodules_on_first_use():
     script = (
         "import sys, ncfgl\n"

@@ -32,7 +32,7 @@ def test_rational_values_are_normalized():
 def test_prime_field_residues():
     F = GF(7)
     assert F.of_int(-1) == 6
-    assert F.coerce(-8) == F.parse("-8") == 6
+    assert F.coerce(-8) == F.parse("6") == 6
     assert F.reduced({"product": 3 * 5, "sum": 6 + 1, "negative": -1}) == {"product": 1, "negative": 6}
 
 
@@ -67,10 +67,25 @@ def test_render_parse_round_trip():
         assert ring.parse(ring.render(v)) == v
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=repr)
+def test_from_data_reads_back_what_to_data_writes(ring):
+    algebra = FreeAlgebra(COMPLEX, ring)
+    rng = random.Random(37)
+    for _ in range(20):
+        terms = {
+            tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3))): ring.random_value(rng)
+            for _ in range(rng.randint(0, 4))
+        }
+        element = algebra.element(terms)
+        data = element.to_data()
+        assert algebra.from_data(data) == element
+        assert algebra.from_data(data).to_data() == data
+
+
 def test_rational_values_are_stored_as_ints_when_integral():
     assert type(QQ.of_int(5)) is int
     assert type(QQ.coerce(Fraction(6, 3))) is int
-    assert type(QQ.parse("-4/2")) is int and QQ.parse("-4/2") == -2
+    assert type(QQ.parse("-2")) is int and QQ.parse("-2") == -2
     stored = QQ.reduced({
         "product": Fraction(2, 3) * Fraction(3, 2),
         "sum": Fraction(1, 2) + Fraction(1, 2),
@@ -147,6 +162,20 @@ _REFUSALS = [
         ([{"word": [1], "coeff": "+7"}],),
         ParameterError,
         "cannot parse '+7' as a scalar of GF(5)",
+    ),
+    # text that parses to a value whose render is other text
+    (GF(5).parse, ("7",), ParameterError, "cannot parse '7' as a scalar of GF(5)"),
+    (GF(7).parse, ("-8",), ParameterError, "cannot parse '-8' as a scalar of GF(7)"),
+    (QQ.parse, ("2/4",), ParameterError, "cannot parse '2/4' as a scalar of QQ"),
+    (QQ.parse, ("-4/2",), ParameterError, "cannot parse '-4/2' as a scalar of QQ"),
+    (QQ.parse, ("3/1",), ParameterError, "cannot parse '3/1' as a scalar of QQ"),
+    (ZZ.parse, ("007",), ParameterError, "cannot parse '007' as a scalar of ZZ"),
+    (ZZ.parse, ("-0",), ParameterError, "cannot parse '-0' as a scalar of ZZ"),
+    (
+        FreeAlgebra(COMPLEX, GF(5)).from_data,
+        ([{"word": [1], "coeff": "7"}],),
+        ParameterError,
+        "cannot parse '7' as a scalar of GF(5)",
     ),
 ]
 

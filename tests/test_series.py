@@ -26,6 +26,7 @@ from ncfgl.series import left_combination
 
 from oracles import (
     plain_add,
+    plain_expand,
     plain_mul,
     plain_scale,
     plain_series,
@@ -282,6 +283,32 @@ def test_expand_round_trip():
     assert failures == []
 
 
+@pytest.mark.parametrize("ring", [ZZ, GF(3), QQ], ids=repr)
+def test_expand_with_different_bases_matches_plain_dict_solve(ring):
+    # left_expand builds one power table per distinct list of basis
+    # coefficients, so bases that differ must each get their own table;
+    # the last draws give x and y equal coefficients and w its own
+    algebra = FreeAlgebra(COMPLEX, ring)
+    rng = random.Random(31)
+    names = ("x", "y", "w")
+    for trial in range(12):
+        width, order = 2 + trial % 2, rng.randint(3, 5)
+        varset = VarSet(names[:width], 2)
+        # f(x + y + ...) touches every index, so every table row is read
+        f = random_unit_linear(algebra, order, rng)
+        target = f.specialize({"x": dict.fromkeys(varset.names, 1)}, varset)
+        target = target + random_series(algebra, varset, order, rng)
+        bases = [random_unit_linear(algebra, order, rng, name) for name in varset.names]
+        if trial >= 8:
+            bases[1] = CentralSeries(algebra, VarSet(("y",), 2), order, bases[0]._coeffs)
+        expansion = left_expand(target, dict(zip(varset.names, bases)))
+        plain_bases = [plain_series(b) for b in bases]
+        assert {index: dict(e.terms()) for index, e in expansion.items()} == plain_expand(
+            plain_series(target), plain_bases, order, ring.prime
+        )
+        assert trial >= 8 or plain_bases[0] != plain_bases[1]
+
+
 def test_expand_homogeneity(A, vs2):
     z = orientation_series(5, A)
     target = z.specialize({"x": {"x": 1, "y": 1}}, vs2)
@@ -332,6 +359,17 @@ def test_valuation_and_support(A, vs2):
     assert s.valuation() == 3
     assert s.support() == [(0, 3), (2, 1), (4, 0)]
     assert CentralSeries.zero(A, vs2, 6).valuation() is None
+
+
+def test_zero_constant_and_inhomogeneous_series(A, vs2):
+    zero = CentralSeries.zero(A, vs2, 4)
+    assert zero.cohomological_degree() is None
+    assert (str(zero), repr(zero)) == ("0", "<series 0>")
+    x = x_series(A, vs2, 4, "x")
+    assert str(CentralSeries.unit(A, vs2, 4) - x) == "1 + (-1)*x"
+    assert repr(x.scale_left(A.gen(1))) == "<series Z1*x>"
+    mixed = CentralSeries(A, vs2, 4, {(1, 0): A.gen(1) + A.one()})
+    assert mixed.cohomological_degree() is None
 
 
 def test_serialization(A, vs2):
