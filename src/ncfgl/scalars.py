@@ -109,15 +109,17 @@ class ScalarRing(Record):
         ``Fraction`` would read, such as ``1_000``, ``" 7"``, ``1.5`` or
         ``1e3``, and text of a value written otherwise, such as ``"7"`` over
         GF(5), ``"2/4"`` over Q, ``"007"`` or ``"-0"``."""
-        try:
-            if self.mode == "rational":
-                value = stored_rational(Fraction(text))
+        if isinstance(text, str):
+            try:
+                if self.mode == "rational":
+                    value = stored_rational(Fraction(text))
+                else:
+                    value = self.of_int(int(text))
+            except (ValueError, ZeroDivisionError):
+                pass
             else:
-                value = self.of_int(int(text))
-            if self.render(value) == text:
-                return value
-        except (TypeError, ValueError, ZeroDivisionError):
-            pass
+                if self.render(value) == text:
+                    return value
         raise ParameterError(f"cannot parse {text!r} as a scalar of {self!r}")
 
     def public(self, value):

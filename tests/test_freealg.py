@@ -114,8 +114,8 @@ def test_commutator_map_refuses_a_word_outside_the_letters(A, word, message):
 def test_add_product_matches_plain_dict_products(ring):
     # add_product runs the operand with more terms innermost, so the shapes
     # cover a shorter, a longer and an equally long left side, a one-term
-    # side and a zero side; (Z1 + Z1*Z1)(Z2 + Z1*Z2) forms Z1*Z1*Z2 twice,
-    # once in each order of the two loops, and with -Z1*Z1 the two cancel
+    # side and a zero side; (Z1 + Z1*Z1)(Z2 + Z1*Z2) forms Z1*Z1*Z2 from two
+    # pairs of terms, and with -Z1*Z1 the two cancel
     algebra = FreeAlgebra(COMPLEX, ring)
     p = ring.prime
     rng = random.Random(29)
@@ -126,7 +126,8 @@ def test_add_product_matches_plain_dict_products(ring):
             {w: ring.random_value(rng, nonzero=True) for w in rng.sample(words, count)}
         )
 
-    twice, cancelled = algebra.element({(1,): 1, (1, 1): 1}), algebra.element({(1,): 1, (1, 1): -1})
+    twice = algebra.element({(1,): 1, (1, 1): 1})
+    cancelled = algebra.element({(1,): 1, (1, 1): -1})
     tail = algebra.element({(2,): 1, (1, 2): 1})
     longer = twice + algebra.gen(3)
     pairs = [(twice, tail), (cancelled, tail), (longer, tail), (tail, longer)]

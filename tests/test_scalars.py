@@ -151,6 +151,7 @@ _REFUSALS = [
     (QQ.parse, ("one half",), ParameterError, "cannot parse 'one half' as a scalar of QQ"),
     (ZZ.parse, (1.5,), ParameterError, "cannot parse 1.5 as a scalar of ZZ"),
     (QQ.parse, (None,), ParameterError, "cannot parse None as a scalar of QQ"),
+    (ZZ.parse, (7,), ParameterError, "cannot parse 7 as a scalar of ZZ"),
     (ZZ.parse, ("1_000",), ParameterError, "cannot parse '1_000' as a scalar of ZZ"),
     (ZZ.parse, (" +7 ",), ParameterError, "cannot parse ' +7 ' as a scalar of ZZ"),
     (ZZ.parse, ("\u0663",), ParameterError, "cannot parse '\u0663' as a scalar of ZZ"),
