@@ -26,7 +26,9 @@ makes the dict lookups of the word-pair loop cheaper.
 :func:`matrix_of` writes a linear map between spans of words as the matrix
 that the exact elimination of :mod:`ncfgl.linalg` solves: one dict
 ``{column: nonzero value}`` per target word, so that no zero of these
-few-percent-dense systems is ever stored.
+few-percent-dense systems is ever stored.  It reads the map as stored terms,
+a stored word in and a ``{stored word: coefficient}`` dict out, so building
+a row re-keys no word and wraps no element.
 
 The words of one degree depend only on the grading profile, so every algebra
 over a profile reads them, stored, from one cache keyed by (profile, degree),
@@ -288,34 +290,47 @@ def commutator(a: FreeElement, b: FreeElement) -> FreeElement:
     return a.algebra.from_accumulator(acc)
 
 
-def commutator_map(w: FreeElement):
-    """word -> [word, w], the linear map whose kernel is the centralizer of
-    ``w``: the loop of :func:`commutator` on the one term of the word, which
-    is refused like a word of :meth:`FreeAlgebra.element`."""
-    algebra = w.algebra
-    one = algebra.ring.one
+def _bracket_terms(w: FreeElement):
+    """stored word -> the stored terms ``{word: coefficient}`` of [word, w]:
+    the loop of :func:`commutator` on the one term of the word, reduced in
+    the ring and handed to :func:`matrix_of` with no element around it."""
+    ring = w.algebra.ring
+    one = ring.one
     terms = w._terms.items()
 
     def bracket(word):
         acc: dict = {}
-        _add_commutator(acc, ((_word_key(word), one),), terms)
-        return algebra.from_accumulator(acc)
+        _add_commutator(acc, ((word, one),), terms)
+        return ring.reduced(acc)
 
     return bracket
 
 
-def matrix_of(linear_map, source_words, target_words) -> list:
+def commutator_map(w: FreeElement):
+    """word -> [word, w], the linear map whose kernel is the centralizer of
+    ``w``, on public words: a word is refused like a word of
+    :meth:`FreeAlgebra.element`, and the stored terms of
+    :func:`_bracket_terms` are wrapped as an element."""
+    algebra = w.algebra
+    bracket = _bracket_terms(w)
+    return lambda word: algebra._wrap(bracket(_word_key(word)))
+
+
+def matrix_of(term_map, source_words, target_words) -> list:
     """Dict rows of the matrix of a linear map between spans of words.
 
-    Column j holds the coefficients of ``linear_map(source_words[j])``, an
-    element whose words must all lie in ``target_words``; row i belongs to
-    ``target_words[i]`` and maps each column to its nonzero entry.  The
-    target words are stored words (``FreeAlgebra._keys_of_degree``).
+    ``term_map`` takes a stored word and returns the stored terms
+    ``{stored word: nonzero coefficient}`` of its image, whose words must
+    all lie in ``target_words``; column j holds the terms of
+    ``term_map(source_words[j])``, and row i belongs to ``target_words[i]``
+    and maps each column to its nonzero entry.  Both word lists hold stored
+    words (``FreeAlgebra._keys_of_degree``), so no word is re-keyed and no
+    element is built per column.
     """
     index = {word: r for r, word in enumerate(target_words)}
     rows = [{} for _ in target_words]
     for col, word in enumerate(source_words):
-        for target, coeff in linear_map(word)._terms.items():
+        for target, coeff in term_map(word).items():
             rows[index[target]][col] = coeff
     return rows
 
@@ -335,7 +350,7 @@ def centralizer_basis(w: FreeElement, degree: int) -> list:
     words = algebra._keys_of_degree(degree)
     if not words:
         return []
-    rows = matrix_of(commutator_map(w), words, algebra._keys_of_degree(degree + w.degree()))
+    rows = matrix_of(_bracket_terms(w), words, algebra._keys_of_degree(degree + w.degree()))
     kernel = nullspace(rows, len(words), algebra.ring)
     return [algebra._wrap({words[j]: x for j, x in vec.items()}) for vec in kernel]
 

@@ -36,8 +36,8 @@ from .freealg import (
     REAL,
     FreeAlgebra,
     FreeElement,
+    _bracket_terms,
     centralizer_basis,
-    commutator_map,
     matrix_of,
 )
 from .lincomb import LinearCombination, SparseAlgebra
@@ -443,10 +443,12 @@ def _cartan(table: GeneratorActionTable):
     """act(key, k): the index-k operation of the table's kind on one basis
     element, by the Cartan rule on its first generator and the rest.  One
     memo of (key, k) serves every call of one ``act``, so keys that share a
-    suffix act on it once."""
+    suffix act on it once, and each (index, generator) image is read from
+    the table once, so the identity image of a generator is built once."""
     carrier = table.carrier
     zero = carrier.zero()
     memo: dict = {}
+    images: dict = {}
 
     def act(key, k):
         if k == 0:
@@ -459,8 +461,10 @@ def _cartan(table: GeneratorActionTable):
         first, rest = carrier.split_key(key)
         acc: dict = {}
         for i in range(k + 1):
-            img = table.image(i, first)
-            if not img.is_zero():
+            img = images.get((i, first))
+            if img is None:
+                img = images[(i, first)] = table.image(i, first)
+            if img._terms:
                 carrier.add_product(acc, img, act(rest, k - i))
         total = memo[(key, k)] = carrier.from_accumulator(acc)
         return total
@@ -543,10 +547,11 @@ class ObstructionCertificate(Record):
 
 
 def _acting(algebra, op, words):
-    """word -> op applied to the word, as a map for :func:`matrix_of` over
-    ``words``, with one action table and one Cartan memo for all of them."""
+    """stored word -> the stored terms of op applied to the word, as a map
+    for :func:`matrix_of` over ``words``, with one action table and one
+    Cartan memo for all of them."""
     act = _cartan(_induced_table(algebra, op, words))
-    return lambda word: act(word, op.index)
+    return lambda word: act(word, op.index)._terms
 
 
 def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
@@ -603,7 +608,7 @@ def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
 
     solutions = []
     for w in candidates:
-        rows = matrix_of(commutator_map(w), V, comm_targets) + action_rows
+        rows = matrix_of(_bracket_terms(w), V, comm_targets) + action_rows
         rhs = {}
         offset = len(comm_targets)
         for (_, image), words in zip(blocks, block_targets):

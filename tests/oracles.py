@@ -267,6 +267,22 @@ def plain_product(e1, e2, p):
     return {w: r for w, c in acc.items() if (r := c % p if p else c)}
 
 
+def plain_bracket(word, w, p):
+    """[word, w] = word*w - w*word for a word and a {word: scalar} dict, by
+    two plain products, reduced once."""
+    out = plain_product({word: 1}, w, p)
+    for u, c in plain_product(w, {word: 1}, p).items():
+        out[u] = out.get(u, 0) - c
+    return {u: r for u, c in out.items() if (r := c % p if p else c)}
+
+
+def plain_matrix(images, target_words):
+    """The nonzero entries {(row, column): value} of the matrix whose column
+    j holds the {word: scalar} dict images[j], row i being target_words[i]."""
+    position = {word: i for i, word in enumerate(target_words)}
+    return {(position[w], j): c for j, image in enumerate(images) for w, c in image.items()}
+
+
 def plain_mul(f, g, order, p):
     out = {}
     for i1, e1 in f.items():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -22,9 +23,9 @@ from ncfgl import (
     random_homogeneous,
 )
 
-from ncfgl.freealg import commutator_map
+from ncfgl.freealg import _bracket_terms, commutator_map, matrix_of
 
-from oracles import plain_add, plain_product
+from oracles import plain_add, plain_bracket, plain_matrix, plain_product
 from props import random_element
 
 
@@ -102,6 +103,43 @@ def test_commutator_and_commutator_map_match_the_two_products(ring):
         bracket = commutator_map(w)
         for word in ((1,), (1, 2), (1, 2, 1, 2), (3, 1)) + algebra.words_of_degree(6)[:8]:
             assert bracket(word) == algebra.monomial(word) * w - w * algebra.monomial(word)
+
+
+def matrix_entries(rows) -> dict:
+    """{(row, column): value} of every entry stored in dict rows."""
+    return {(i, j): c for i, row in enumerate(rows) for j, c in row.items()}
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3), QQ], ids=repr)
+def test_commutator_rows_match_plain_dict_brackets(ring):
+    # matrix_of reads [word, w] as stored terms; every column must be the
+    # plain-dict bracket.  [Z1, Z1], [Z1*Z1, Z1] and [1, w] cancel, so their
+    # columns hold no entry at all, not a stored 0; the source words repeat
+    # letters and include the empty word
+    algebra = FreeAlgebra(COMPLEX, ring)
+    p = ring.prime
+    half = ring.coerce(Fraction(1, 2)) if ring is QQ else ring.of_int(2)
+    sources = [(), (1,), (1, 1), (2,), (1, 2), (2, 1), (1, 2, 1), (2, 1, 1), (1, 1, 1, 1), (3, 3)]
+    targets = [word for d in range(19) for word in algebra._keys_of_degree(d)]
+    rng = random.Random(41)
+    ws = [
+        algebra.gen(1),
+        algebra.element({(1, 1): 1, (2,): half}),
+        algebra.element({(1, 2): 1, (2, 1): -1, (1, 1, 1): half}),
+        random_homogeneous(algebra, 4, rng, max_terms=4),
+    ]
+    for w in ws:
+        rows = matrix_of(_bracket_terms(w), [bytes(v) for v in sources], targets)
+        plain_w = dict(w.terms())
+        images = [plain_bracket(v, plain_w, p) for v in sources]
+        got = matrix_entries(rows)
+        assert got == plain_matrix(images, [tuple(t) for t in targets]), w
+        assert all(c for c in got.values())
+        if ring is QQ:
+            assert all(c.__class__ is int or c.denominator > 1 for c in got.values())
+        assert not any(0 in row for row in rows)  # [1, w] = 0
+    z1_rows = matrix_of(_bracket_terms(algebra.gen(1)), [b"\x01", b"\x01\x01", b"\x02"], targets)
+    assert {j for row in z1_rows for j in row} == {2}  # only [Z2, Z1] is nonzero
 
 
 @pytest.mark.parametrize("word, message", [((1, 0), ">= 1"), ((256,), "<= 255")])

@@ -36,9 +36,10 @@ from ncfgl import (
     nsym_action,
     right_action,
 )
-from ncfgl.steenrod import TensorElement, _two_stage
+from ncfgl.freealg import matrix_of
+from ncfgl.steenrod import TensorElement, _acting, _cartan, _two_stage
 
-from oracles import free_action
+from oracles import free_action, plain_matrix
 from props import run_coalgebra_laws, run_lucas_check
 
 
@@ -384,6 +385,65 @@ def test_cartan_missing_entry_names_generator_and_index():
     table = GeneratorActionTable(W, "P", 3, {(1, 1): W.one().scale(-1)})
     with pytest.raises(IncompleteTableError, match="generator 1 under index 2"):
         cartan_extend(table, W.gen(1) ** 2, MilnorOp(3, "P", 2))
+
+
+def test_cartan_reads_each_table_s_own_images():
+    # two tables over one carrier, acted with in turn: each act reads its own
+    # images, P^1 Z1 = 1 in one and -1 in the other; P^2 Z1 is 0 in both
+    algebra = FreeAlgebra(COMPLEX, GF(3))
+    one = algebra.one()
+    plus = GeneratorActionTable(algebra, "P", 3, {(1, 1): one, (2, 1): algebra.zero()})
+    minus = GeneratorActionTable(algebra, "P", 3, {(1, 1): -one, (2, 1): algebra.zero()})
+    act_plus, act_minus = _cartan(plus), _cartan(minus)
+    z1z1 = b"\x01\x01"
+    for _ in range(2):
+        assert act_plus(z1z1, 1) == algebra.gen(1).scale(2)
+        assert act_minus(z1z1, 1) == algebra.gen(1)
+        # P^2(Z1 Z1 Z1) is P^1 on two of the three letters: 3 Z1 = 0; and
+        # P^2(Z1 Z1) = (P^1 Z1)^2 = 1 in both
+        assert act_plus(z1z1 + b"\x01", 2).is_zero()
+        assert act_plus(z1z1, 2) == act_minus(z1z1, 2) == one
+    assert cartan_extend(minus, algebra.gen(1) ** 2, MilnorOp(3, "P", 1)) == algebra.gen(1)
+
+
+def test_cartan_missing_entry_is_refused_after_other_images_are_read():
+    # the index-1 image is read and kept; the index-2 one is missing, and
+    # every act that needs it is refused, naming the generator and the index
+    algebra = FreeAlgebra(COMPLEX, GF(3))
+    table = GeneratorActionTable(algebra, "P", 3, {(1, 1): algebra.one()})
+    act = _cartan(table)
+    assert act(b"\x01\x01", 1) == algebra.gen(1).scale(2)
+    for _ in range(2):
+        with pytest.raises(IncompleteTableError, match="generator 1 under index 2"):
+            act(b"\x01\x01", 2)
+    with pytest.raises(IncompleteTableError, match="generator 2 under index 1"):
+        act(b"\x02", 1)
+
+
+@pytest.mark.parametrize(
+    "profile, p",
+    [(REAL, 2), (COMPLEX, 2), (COMPLEX, 3), (COMPLEX, 5)],
+    ids=["real-2", "complex-2", "complex-3", "complex-5"],
+)
+def test_action_rows_match_the_closed_form_oracle(profile, p):
+    # the certificate systems read op(word) as stored terms: every column
+    # must be the closed-form action of tests/oracles.py, with no stored 0
+    # where an action cancels or vanishes; the source words hold repeated
+    # letters and the empty word
+    algebra = FreeAlgebra(profile, GF(p))
+    top = 8 * profile.variable_degree
+    sources = [word for d in range(top + 1) for word in algebra._keys_of_degree(d)]
+    assert sources[0] == b""
+    entries = 0
+    for k in range(1, 4):
+        op = MilnorOp(p, "Sq" if p == 2 else "P", k)
+        rows = matrix_of(_acting(algebra, op, sources), sources, sources)
+        images = [free_action(tuple(word), k, p, profile.kind) for word in sources]
+        got = {(i, j): c for i, row in enumerate(rows) for j, c in row.items()}
+        assert got == plain_matrix(images, [tuple(word) for word in sources]), k
+        assert all(got.values())
+        entries += len(got)
+    assert entries > 50
 
 
 def test_cartan_table_mismatch():
