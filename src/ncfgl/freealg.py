@@ -46,7 +46,7 @@ from .errors import DegenerateInputError, ParameterError, UnsupportedInputError
 from .lincomb import LinearCombination, SparseAlgebra
 from .linalg import nullspace
 from .record import Record
-from .scalars import ZZ, ScalarRing
+from .scalars import ZZ, ScalarRing, value_repr
 
 Word = tuple  # public word: a tuple of generator indices 1..255; () is the unit
 MAX_LETTER = 255  # the largest letter a stored (bytes) word can hold
@@ -230,11 +230,13 @@ class FreeAlgebra(SparseAlgebra):
             try:
                 word, coeff = tuple(record["word"]), self.ring.parse(record["coeff"])
             except KeyError as exc:
-                raise ParameterError(f"the term record {record!r} has no {exc}") from None
+                raise ParameterError(f"the term record {value_repr(record)} has no {exc}") from None
             except (TypeError, ParameterError) as exc:
-                raise ParameterError(f"cannot read the term record {record!r}: {exc}") from None
+                raise ParameterError(
+                    f"cannot read the term record {value_repr(record)}: {exc}"
+                ) from None
             if word in terms:
-                raise ParameterError(f"the term record {record!r} repeats its word")
+                raise ParameterError(f"the term record {value_repr(record)} repeats its word")
             terms[word] = coeff
         return self.element(terms)
 

@@ -66,6 +66,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def value_repr(value) -> str:
+    """``repr(value)`` for a refusal message, or the value's type where the
+    repr cannot be built: Python refuses to write an int past its limit on
+    int-to-text conversion (4 300 digits by default) with ValueError."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def stored_rational(value):
     """The stored form of an exact rational (an ``int`` or a ``Fraction``):
     its numerator when it is an integer, else the ``Fraction`` itself."""
@@ -100,7 +110,7 @@ class ScalarRing(Record):
             return self.of_int(value)
         if isinstance(value, Fraction) and self.mode == "rational":
             return stored_rational(value)
-        raise ModeMismatchError(f"cannot coerce {value!r} into {self!r}")
+        raise ModeMismatchError(f"cannot coerce {value_repr(value)} into {self!r}")
 
     def parse(self, text: str):
         """Inverse of :meth:`render`, for deserialization: only the text that
@@ -120,7 +130,7 @@ class ScalarRing(Record):
             else:
                 if self.render(value) == text:
                     return value
-        raise ParameterError(f"cannot parse {text!r} as a scalar of {self!r}")
+        raise ParameterError(f"cannot parse {value_repr(text)} as a scalar of {self!r}")
 
     def public(self, value):
         """A stored value as callers read it: a ``Fraction`` in rational mode."""

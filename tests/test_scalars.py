@@ -178,6 +178,15 @@ _REFUSALS = [
         ParameterError,
         "cannot parse '7' as a scalar of GF(5)",
     ),
+    # an int whose repr Python refuses to build (past 4 300 digits) is named by its type
+    (ZZ.parse, (10**5000,), ParameterError, "cannot parse <int too long to print> as a scalar of ZZ"),
+    (
+        FreeAlgebra().from_data,
+        ([{"word": [1], "coeff": 10**5000}],),
+        ParameterError,
+        "cannot read the term record <dict too long to print>: "
+        "cannot parse <int too long to print> as a scalar of ZZ",
+    ),
 ]
 
 
