@@ -336,7 +336,7 @@ def cmd_certificate(args) -> int:
 def cmd_poincare(args) -> int:
     from .gradebook import profile_degrees, series_free_assoc, series_graded_algebra
 
-    if args.poly or args.ext:
+    if args.poly is not None or args.ext is not None:  # empty text: no generators
         _refuse(args, "profile", "poincare --poly or --ext")
         poly, ext = args.poly or [], args.ext or []
         series = series_graded_algebra(poly, ext, args.degree)

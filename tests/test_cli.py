@@ -140,6 +140,14 @@ def test_poincare_explicit_degrees(capsys):
     )
     assert code == 0
     assert json.loads(out)["dims"] == [1, 0, 1, 0, 0]
+    # empty --poly text alone is the algebra on no generators, not the
+    # profile's free series, so it reads no --profile either
+    code, out, _ = invoke(capsys, "poincare", "--poly", "", "--degree", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["dims"] == [1, 0, 0, 0, 0]
+    code, out, err = invoke(capsys, "poincare", "--poly", "", "--profile", "complex")
+    assert (code, out) == (2, "")
+    assert "--profile is not read by poincare --poly or --ext" in err
 
 
 def test_split_subcommand(capsys):

@@ -119,6 +119,9 @@ TABLE_RINGS = [
     ["fgl", "--degree", "11", "--mode", "rat"],
 ]
 
+# Empty --poly text: the series of the algebra on no generators.
+EMPTY_POLY = [["poincare", "--poly", "", "--degree", "4", "--format", "json"]]
+
 # One argv just above each row of ``ncfgl.cli.LIMITS``.
 ABOVE_LIMITS = {
     "fgl --degree": ["fgl", "--degree", "17"],
@@ -168,6 +171,7 @@ def corpus_argvs() -> list:
     argvs += ABOVE_LIMITS.values()
     for argv in TABLE_RINGS:
         argvs += _formats(argv)
+    argvs += EMPTY_POLY
     unique = []
     for argv in argvs:
         if argv not in unique:
