@@ -443,27 +443,32 @@ def _cartan(table: GeneratorActionTable):
     """act(key, k): the index-k operation of the table's kind on one basis
     element, by the Cartan rule on its first generator and the rest.  One
     memo of (key, k) serves every call of one ``act``, so keys that share a
-    suffix act on it once, and each (index, generator) image is read from
-    the table once, so the identity image of a generator is built once."""
+    suffix act on it once.  The identity image of each generator, the one
+    image the table builds on every read, is read once per ``act`` and kept
+    in a local dict; the other images are stored entries, read as they are,
+    and the empty ones are skipped."""
     carrier = table.carrier
     zero = carrier.zero()
+    one = carrier.ring.one
     memo: dict = {}
-    images: dict = {}
+    identities: dict = {}
 
     def act(key, k):
         if k == 0:
-            return carrier._wrap({key: carrier.ring.one})
+            return carrier._wrap({key: one})
         if not key:
             return zero
         cached = memo.get((key, k))
         if cached is not None:
             return cached
         first, rest = carrier.split_key(key)
+        img = identities.get(first)
+        if img is None:
+            img = identities[first] = table.image(0, first)
         acc: dict = {}
-        for i in range(k + 1):
-            img = images.get((i, first))
-            if img is None:
-                img = images[(i, first)] = table.image(i, first)
+        carrier.add_product(acc, img, act(rest, k))
+        for i in range(1, k + 1):
+            img = table.image(i, first)
             if img._terms:
                 carrier.add_product(acc, img, act(rest, k - i))
         total = memo[(key, k)] = carrier.from_accumulator(acc)
@@ -484,7 +489,10 @@ def _generator_image(algebra: FreeAlgebra, op: MilnorOp, k: int, i: int) -> Free
     if rest or s > i:
         return algebra.zero()
     coeff = lucas_binomial(i - s + 1, s // (op.prime - 1), op.prime)
-    return algebra.monomial((i - s,) if s < i else (), coeff)
+    if not coeff:
+        return algebra.zero()
+    # the stored word of Z_{i-s}, a letter of 1..i, or the unit; coeff is a residue mod p
+    return algebra._wrap({bytes((i - s,)) if s < i else algebra.unit_key: coeff})
 
 
 def _induced_table(algebra, op: MilnorOp, words) -> GeneratorActionTable:
