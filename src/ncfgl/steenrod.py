@@ -491,8 +491,8 @@ def _generator_image(algebra: FreeAlgebra, op: MilnorOp, k: int, i: int) -> Free
     coeff = lucas_binomial(i - s + 1, s // (op.prime - 1), op.prime)
     if not coeff:
         return algebra.zero()
-    # the stored word of Z_{i-s}, a letter of 1..i, or the unit; coeff is a residue mod p
-    return algebra._wrap({bytes((i - s,)) if s < i else algebra.unit_key: coeff})
+    # coeff is a residue mod p, so only the word needs its stored form
+    return algebra._wrap({algebra.key_of((i - s,)) if s < i else algebra.unit_key: coeff})
 
 
 def _induced_table(algebra, op: MilnorOp, words) -> GeneratorActionTable:
