@@ -105,11 +105,6 @@ def test_commutator_and_commutator_map_match_the_two_products(ring):
             assert bracket(word) == algebra.monomial(word) * w - w * algebra.monomial(word)
 
 
-def matrix_entries(rows) -> dict:
-    """{(row, column): value} of every entry stored in dict rows."""
-    return {(i, j): c for i, row in enumerate(rows) for j, c in row.items()}
-
-
 @pytest.mark.parametrize("ring", [ZZ, GF(3), QQ], ids=repr)
 def test_commutator_rows_match_plain_dict_brackets(ring):
     # matrix_of reads [word, w] as stored terms; every column must be the
@@ -118,21 +113,21 @@ def test_commutator_rows_match_plain_dict_brackets(ring):
     # letters and include the empty word
     algebra = FreeAlgebra(COMPLEX, ring)
     p = ring.prime
-    half = ring.coerce(Fraction(1, 2)) if ring is QQ else ring.of_int(2)
+    scalar = ring.coerce(Fraction(1, 2)) if ring is QQ else ring.of_int(2)  # 1/2 or 2
     sources = [(), (1,), (1, 1), (2,), (1, 2), (2, 1), (1, 2, 1), (2, 1, 1), (1, 1, 1, 1), (3, 3)]
     targets = [word for d in range(19) for word in algebra._keys_of_degree(d)]
     rng = random.Random(41)
     ws = [
         algebra.gen(1),
-        algebra.element({(1, 1): 1, (2,): half}),
-        algebra.element({(1, 2): 1, (2, 1): -1, (1, 1, 1): half}),
+        algebra.element({(1, 1): 1, (2,): scalar}),
+        algebra.element({(1, 2): 1, (2, 1): -1, (1, 1, 1): scalar}),
         random_homogeneous(algebra, 4, rng, max_terms=4),
     ]
     for w in ws:
         rows = matrix_of(_bracket_terms(w), [bytes(v) for v in sources], targets)
         plain_w = dict(w.terms())
         images = [plain_bracket(v, plain_w, p) for v in sources]
-        got = matrix_entries(rows)
+        got = {(i, j): c for i, row in enumerate(rows) for j, c in row.items()}
         assert got == plain_matrix(images, [tuple(t) for t in targets]), w
         assert all(c for c in got.values())
         if ring is QQ:

@@ -387,7 +387,7 @@ def test_cartan_missing_entry_names_generator_and_index():
         cartan_extend(table, W.gen(1) ** 2, MilnorOp(3, "P", 2))
 
 
-def test_cartan_reads_each_table_s_own_images():
+def test_cartan_reads_the_images_of_its_own_table():
     # two tables over one carrier, acted with in turn: each act reads its own
     # images, P^1 Z1 = 1 in one and -1 in the other; P^2 Z1 is 0 in both
     algebra = FreeAlgebra(COMPLEX, GF(3))
