@@ -7,7 +7,7 @@ The corpus is replayed in-process through :func:`ncfgl.cli.run`, so a change
 that alters any byte of output, any error message or any exit code of these
 commands fails here.  The heavier ``fgl`` and ``inverse`` orders of
 :func:`heavy_argvs` are pinned the same way in ``tests/golden/cli_heavy.json``;
-they take about 2 s, so the tests here check only that the file lists them,
+they take about 4 s, so the tests here check only that the file lists them,
 and CI replays them with
 
     PYTHONPATH=src python tests/test_golden_cli.py --check-heavy
@@ -122,6 +122,19 @@ TABLE_RINGS = [
 # Empty --poly text: the series of the algebra on no generators.
 EMPTY_POLY = [["poincare", "--poly", "", "--degree", "4", "--format", "json"]]
 
+# The axiom checks and a commutator series over Q.
+RATIONAL = [
+    ["verify", "--degree", "6", "--mode", "rat"],
+    ["commutator", "--word", "1,2", "--k", "2", "--degree", "8", "--mode", "rat"],
+]
+
+# The heavy tables over the two other rings: a table over Q and an inverse
+# over F_3.
+HEAVY_RINGS = [
+    ["fgl", "--degree", "13", "--mode", "rat"],
+    ["inverse", "--degree", "16", "--mode", "fp", "--prime", "3"],
+]
+
 # One argv just above each row of ``ncfgl.cli.LIMITS``.
 ABOVE_LIMITS = {
     "fgl --degree": ["fgl", "--degree", "17"],
@@ -172,6 +185,8 @@ def corpus_argvs() -> list:
     for argv in TABLE_RINGS:
         argvs += _formats(argv)
     argvs += EMPTY_POLY
+    for argv in RATIONAL:
+        argvs += _formats(argv)
     unique = []
     for argv in argvs:
         if argv not in unique:
@@ -180,12 +195,15 @@ def corpus_argvs() -> list:
 
 
 def heavy_argvs() -> list:
-    """The argvs of the heavy corpus: ``fgl`` at orders 11-14 and
-    ``inverse`` at 13-16 over ZZ, in both formats."""
+    """The argvs of the heavy corpus, in both formats: ``fgl`` at orders
+    11-14 and ``inverse`` at 13-16 over ZZ, then ``fgl`` at order 13 over QQ
+    and ``inverse`` at order 16 over GF(3)."""
     argvs = []
     for command, orders in (("fgl", range(11, 15)), ("inverse", range(13, 17))):
         for order in orders:
             argvs += _formats([command, "--degree", str(order)])
+    for argv in HEAVY_RINGS:
+        argvs += _formats(argv)
     return argvs
 
 
