@@ -12,6 +12,13 @@ into an accumulator with plain ``+`` and ``*``, which
 enters from outside goes through :meth:`ScalarRing.coerce`, so a scalar of one
 ring never lands in another.
 
+:meth:`~SparseAlgebra.from_accumulator` takes ownership of its accumulator:
+over Z, and over Q when every value is an ``int``, an accumulator that holds
+no zero becomes the element's terms as it is, with no copy.  So every caller
+passes a dict it built itself, never an element's own terms, and never reads
+it again; :meth:`LinearCombination.mutable_terms` returns a copy for that
+reason.
+
 Keys, like coefficients, have a stored form and a public one.  The algebra's
 :meth:`~SparseAlgebra.key_of` turns a public key into the stored key, and
 :meth:`~SparseAlgebra.public_key` turns it back: :meth:`SparseAlgebra.element`,
@@ -126,7 +133,11 @@ class SparseAlgebra(Record):
         raise UnsupportedInputError("the Frobenius map needs a commutative algebra")
 
     def from_accumulator(self, acc: dict):
-        """The element held by an accumulator of unreduced key -> value sums."""
+        """The element held by an accumulator of unreduced key -> value sums.
+
+        Takes ownership of ``acc``: the element may keep it as its terms (see
+        :meth:`ScalarRing.reduced <ncfgl.scalars.ScalarRing.reduced>`), so
+        the caller passes a dict it built itself and never reads it again."""
         return self._wrap(self.ring.reduced(acc))
 
     def zero(self):

@@ -143,14 +143,24 @@ class ScalarRing(Record):
         return self.of_int(1)
 
     def reduced(self, acc: dict) -> dict:
-        """The nonzero stored values of a key -> unreduced-sum accumulator, by
-        one dict comprehension per ring, so that Z and integral Q run a plain
-        int loop with no call per term."""
+        """The nonzero stored values of a key -> unreduced-sum accumulator.
+
+        Takes ownership of ``acc``: over Z, and over Q when every value is an
+        ``int``, an accumulator that holds no zero is already in stored form
+        and is returned itself, found by scans that run in C.  Otherwise one
+        dict comprehension per ring builds the stored values, so that Z and
+        integral Q run a plain int loop with no call per term.  The caller
+        must not read or write ``acc`` afterwards."""
         p = self.prime
         if p:
             return {key: r for key, value in acc.items() if (r := value % p)}
+        values = acc.values()
         if self.mode == "rational":
+            if 0 not in values and set(map(type, values)) == {int}:
+                return acc
             return {key: stored_rational(value) for key, value in acc.items() if value}
+        if 0 not in values:
+            return acc
         return {key: value for key, value in acc.items() if value}
 
     @property

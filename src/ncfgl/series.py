@@ -271,19 +271,23 @@ class CentralSeries(Record):
 
         The central variables pass through the coefficients; the coefficients
         keep their order.  Every product ab is added into the accumulator of
-        its index I + J, and each accumulator is reduced once.
+        its index I + J, and each accumulator is reduced once.  The right
+        terms are sorted by total degree once, so each left index stops at
+        the first right index past the truncation order.
         """
         self._check_shape(other)
         order = self.order
         add_product = self.algebra.add_product
         accs: dict = {}
         get = accs.get
-        right = [(index, sum(index), element) for index, element in other._coeffs.items()]
+        # (total, index, element): the indices are distinct, so the sort
+        # never compares two elements.
+        right = sorted((sum(index), index, element) for index, element in other._coeffs.items())
         for i1, a in self._coeffs.items():
-            t1 = sum(i1)
-            for i2, t2, b in right:
-                if t1 + t2 > order:
-                    continue
+            room = order - sum(i1)
+            for t2, i2, b in right:
+                if t2 > room:
+                    break
                 index = tuple(map(add, i1, i2))
                 acc = get(index)
                 if acc is None:

@@ -110,6 +110,31 @@ def test_no_rational_operation_yields_a_float():
     assert all(v.denominator > 1 for v in results if type(v) is Fraction)
 
 
+# One row per case of ``reduced``: (ring, accumulator, stored values, whether
+# the accumulator itself comes back).  An accumulator already in stored form
+# is handed over; any other is rebuilt.
+_REDUCED = [
+    (ZZ, {"a": 3, "b": -(10 ** 30)}, {"a": 3, "b": -(10 ** 30)}, True),
+    (ZZ, {}, {}, True),
+    (ZZ, {"a": 3, "zero": 5 - 5, "b": -1}, {"a": 3, "b": -1}, False),
+    (QQ, {"a": 2, "b": -7}, {"a": 2, "b": -7}, True),
+    (QQ, {"a": 2, "zero": 0}, {"a": 2}, False),
+    (QQ, {"two": Fraction(6, 3), "half": Fraction(1, 2)}, {"two": 2, "half": Fraction(1, 2)}, False),
+    (QQ, {"a": 2, "cancelled": Fraction(1, 2) - Fraction(1, 2)}, {"a": 2}, False),
+    (GF(3), {"seven": 7, "minus": -1, "three": 3}, {"seven": 1, "minus": 2}, False),
+]
+
+
+@pytest.mark.parametrize(
+    "ring, acc, stored, handed_over", _REDUCED, ids=[f"{row[0]!r}-{','.join(row[1])}" for row in _REDUCED]
+)
+def test_reduced_hands_over_an_accumulator_in_stored_form(ring, acc, stored, handed_over):
+    out = ring.reduced(acc)
+    assert (out is acc) == handed_over
+    assert out == stored
+    assert [type(v) for v in out.values()] == [type(v) for v in stored.values()]
+
+
 # psi_12 and psi_13: the least strong pseudoprimes to the prime bases up to
 # 37 and up to 41 (Sorenson and Webster 2017)
 PSI_12 = 318665857834031151167461

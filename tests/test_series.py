@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import product
 
 import pytest
 
@@ -17,6 +18,7 @@ from ncfgl import (
     ReversionError,
     ShapeError,
     VarSet,
+    commutator,
     left_expand,
     left_substitute,
     orientation_series,
@@ -28,6 +30,7 @@ from oracles import (
     plain_add,
     plain_expand,
     plain_mul,
+    plain_product,
     plain_scale,
     plain_series,
     plain_specialize,
@@ -442,6 +445,117 @@ def test_series_arithmetic_against_plain_dict_oracle(ring):
             checked += bool(pf) and bool(pg)
     assert checked > 30  # most draws are nonzero, so the comparisons bite
     assert substituted > 10  # and most univariate substitutions are nonzero
+
+
+def _term_dicts(value):
+    """The stored term dicts of an element, a series, or a dict of elements."""
+    if isinstance(value, CentralSeries):
+        value = value._coeffs
+    if isinstance(value, dict):
+        return [element._terms for element in value.values()]
+    return [value._terms]
+
+
+def _snapshot(value):
+    if isinstance(value, CentralSeries):
+        value = value._coeffs
+    if isinstance(value, dict):
+        return {index: dict(element._terms) for index, element in value.items()}
+    return dict(value._terms)
+
+
+def _plain_element_sum(e1, e2, p, sign=1):
+    return plain_add({0: e1}, {0: e2}, p, sign).get(0, {})
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=repr)
+def test_results_own_their_terms_and_leave_operands_alone(ring):
+    # An accumulator in stored form becomes its element's terms as it is, so
+    # no result may share a term dict with an operand or another result, and
+    # no operation may write into an operand's terms.
+    rng = random.Random(23)
+    algebra = FreeAlgebra(COMPLEX, ring)
+    p = ring.prime
+    varset = VarSet(("x", "y"), 2)
+    cancelled = 0
+    for _ in range(12):
+        order = rng.randint(2, 5)
+        a, b = random_element(algebra, rng, 4, 3), random_element(algebra, rng, 4, 3)
+        n = rng.randint(-3, 3)
+        f, g = random_series(algebra, varset, order, rng), random_series(algebra, varset, order, rng)
+        bases = {name: random_unit_linear(algebra, order, rng, name) for name in varset.names}
+        operands = [a, b, f, g, *bases.values()]
+        before = [_snapshot(value) for value in operands]
+        pa, pb = dict(a.terms()), dict(b.terms())
+        pf, pg = plain_series(f), plain_series(g)
+        ab, ba = plain_product(pa, pb, p), plain_product(pb, pa, p)
+        elements = [
+            (a + b, _plain_element_sum(pa, pb, p)),
+            (a - b, _plain_element_sum(pa, pb, p, -1)),
+            (a - a, {}),
+            (-a, _plain_element_sum({}, pa, p, -1)),
+            (a.scale(n), plain_scale({0: pa}, {(): n}, p, True).get(0, {})),
+            (a * b, ab),
+            (commutator(a, b), _plain_element_sum(ab, ba, p, -1)),
+            (commutator(a, a), {}),
+        ]
+        series = [
+            (f * g, plain_mul(pf, pg, order, p)),
+            (f + g, plain_add(pf, pg, p)),
+            (f - f, {}),
+            (f.commutator(a), plain_add(plain_scale(pf, pa, p, True), plain_scale(pf, pa, p, False), p, -1)),
+            (
+                f.specialize({"x": {"x": 1, "y": 1}, "y": {"y": -1}}),
+                plain_specialize(pf, [(1, 1), (0, -1)], 2, order, p),
+            ),
+        ]
+        expansion = left_expand(f, bases)
+        for result, expected in elements:
+            assert dict(result.terms()) == expected
+        for result, expected in series:
+            assert plain_series(result) == expected
+        assert {index: dict(e.terms()) for index, e in expansion.items()} == plain_expand(
+            pf, [plain_series(bases[name]) for name in varset.names], order, p
+        )
+        assert [_snapshot(value) for value in operands] == before
+        owned = [id(terms) for value in operands for terms in _term_dicts(value)]
+        results = [result for result, _ in elements + series] + [expansion]
+        made = [id(terms) for value in results for terms in _term_dicts(value)]
+        assert len(set(made)) == len(made) and not set(made) & set(owned)
+        cancelled += bool(pa)
+    assert cancelled > 6  # a - a and [a, a] cancel a nonzero a: their accumulators hold zeros
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3)], ids=repr)
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_series_product_stops_exactly_at_the_truncation_order(width, ring):
+    # Supports skip total degrees and always reach the order itself, so pairs
+    # land below, at and past the order in every product.
+    rng = random.Random(width)
+    algebra = FreeAlgebra(COMPLEX, ring)
+    varset = VarSet(("x", "y", "w")[:width], 2)
+    at_order = 0
+    for order in range(1, 7):
+        by_total = {}
+        for index in product(range(order + 1), repeat=width):
+            by_total.setdefault(sum(index), []).append(index)
+
+        def operand():
+            totals = {order} | set(rng.sample(range(order), rng.randint(0, max(order - 1, 1))))
+            coeffs = {}
+            for t in totals:
+                for index in rng.sample(by_total[t], rng.randint(1, len(by_total[t]))):
+                    coeffs[index] = random_element(algebra, rng, 4, 2)
+            return CentralSeries(algebra, varset, order, coeffs)
+
+        for _ in range(4):
+            f, g = operand(), operand()
+            pf, pg = plain_series(f), plain_series(g)
+            for left, right, pl, pr in ((f, g, pf, pg), (g, f, pg, pf)):
+                expected = plain_mul(pl, pr, order, ring.prime)
+                assert plain_series(left * right) == expected
+                at_order += any(sum(index) == order for index in expected)
+    assert at_order > 20
 
 
 def test_public_constructor_still_validates(A, vs1, vs2):
