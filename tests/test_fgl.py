@@ -362,9 +362,8 @@ def test_abelianized_table_is_the_commutative_law(ring):
 # -- the failure path of the axiom checks ---------------------------------------
 
 
-def _corrupted(order):
+def _corrupted(order, algebra):
     # a[2,3] := a[3,2]: the two differ by 2 Z1 Z2 Z1 - 2 Z1 Z1 Z2 (see FGLTable)
-    algebra = FreeAlgebra(COMPLEX, ZZ)
     table = fgl_table(order, algebra)
     entries = dict(table.items())
     entries[(2, 3)] = entries[(3, 2)]
@@ -382,14 +381,30 @@ def test_a_wrong_unit_column_entry_fails_the_unit_check():
     assert "          unit: FAIL (a[0,3] = Z2)" in str(report).splitlines()
 
 
-@pytest.mark.parametrize("order", [7, 9])
-def test_corrupted_table_fails_three_checks_exactly(order):
-    report = _corrupted(order)
+# (profile, ring, id suffix, the difference 2 Z1 Z1 Z2 - 2 Z1 Z2 Z1 as printed);
+# the integral complex case keeps the bare order as its id.
+_CORRUPTION_RINGS = [
+    (COMPLEX, ZZ, "", "2*Z1*Z1*Z2 - 2*Z1*Z2*Z1", "-2*Z1*Z1*Z2 + 2*Z1*Z2*Z1"),
+    (COMPLEX, GF(3), "-GF3", "2*Z1*Z1*Z2 + Z1*Z2*Z1", "Z1*Z1*Z2 + 2*Z1*Z2*Z1"),
+    (COMPLEX, QQ, "-QQ", "2*Z1*Z1*Z2 - 2*Z1*Z2*Z1", "-2*Z1*Z1*Z2 + 2*Z1*Z2*Z1"),
+    (REAL, ZZ, "-real", "2*z1*z1*z2 - 2*z1*z2*z1", "-2*z1*z1*z2 + 2*z1*z2*z1"),
+]
+
+
+@pytest.mark.parametrize(
+    "order, profile, ring, difference, negated",
+    [
+        pytest.param(order, profile, ring, difference, negated, id=f"{order}{suffix}")
+        for profile, ring, suffix, difference, negated in _CORRUPTION_RINGS
+        for order in (7, 9)
+    ],
+)
+def test_corrupted_table_fails_three_checks_exactly(order, profile, ring, difference, negated):
+    report = _corrupted(order, FreeAlgebra(profile, ring))
     failures = {
-        "commutativity": "F(x, y): first offending monomial (2, 3): 2*Z1*Z1*Z2 - 2*Z1*Z2*Z1",
-        "associativity": "grouping (x+y)+w: first offending monomial (0, 2, 3): "
-        "2*Z1*Z1*Z2 - 2*Z1*Z2*Z1",
-        "inverse": "F(x, xbar): first offending monomial (5,): -2*Z1*Z1*Z2 + 2*Z1*Z2*Z1",
+        "commutativity": f"F(x, y): first offending monomial (2, 3): {difference}",
+        "associativity": f"grouping (x+y)+w: first offending monomial (0, 2, 3): {difference}",
+        "inverse": f"F(x, xbar): first offending monomial (5,): {negated}",
     }
     assert json.dumps(report.to_data()) == json.dumps(
         {

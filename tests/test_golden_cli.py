@@ -5,10 +5,10 @@ first argvs are the ``ncfgl`` lines of README's "Command line" block, read by
 
 The corpus is replayed in-process through :func:`ncfgl.cli.run`, so a change
 that alters any byte of output, any error message or any exit code of these
-commands fails here.  The heavier ``fgl`` and ``inverse`` orders of
-:func:`heavy_argvs` are pinned the same way in ``tests/golden/cli_heavy.json``;
-they take about 4 s, so the tests here check only that the file lists them,
-and CI replays them with
+commands fails here.  The heavier ``fgl``, ``inverse`` and ``verify`` orders
+of :func:`heavy_argvs` are pinned the same way in
+``tests/golden/cli_heavy.json``; they take about 6 s, so the tests here check
+only that the file lists them, and CI replays them with
 
     PYTHONPATH=src python tests/test_golden_cli.py --check-heavy
 
@@ -135,6 +135,14 @@ HEAVY_RINGS = [
     ["inverse", "--degree", "16", "--mode", "fp", "--prime", "3"],
 ]
 
+# The axiom checks at their degree budget, over ZZ and F_3 and on the real
+# profile.
+HEAVY_VERIFY = [
+    ["verify", "--degree", "12"],
+    ["verify", "--degree", "12", "--mode", "fp", "--prime", "3"],
+    ["verify", "--degree", "12", "--profile", "real"],
+]
+
 # One argv just above each row of ``ncfgl.cli.LIMITS``.
 ABOVE_LIMITS = {
     "fgl --degree": ["fgl", "--degree", "17"],
@@ -197,12 +205,13 @@ def corpus_argvs() -> list:
 def heavy_argvs() -> list:
     """The argvs of the heavy corpus, in both formats: ``fgl`` at orders
     11-14 and ``inverse`` at 13-16 over ZZ, then ``fgl`` at order 13 over QQ
-    and ``inverse`` at order 16 over GF(3)."""
+    and ``inverse`` at order 16 over GF(3), then ``verify`` at order 12 over
+    ZZ, over GF(3) and on the real profile."""
     argvs = []
     for command, orders in (("fgl", range(11, 15)), ("inverse", range(13, 17))):
         for order in orders:
             argvs += _formats([command, "--degree", str(order)])
-    for argv in HEAVY_RINGS:
+    for argv in HEAVY_RINGS + HEAVY_VERIFY:
         argvs += _formats(argv)
     return argvs
 
