@@ -239,10 +239,9 @@ class AxiomReport(Record):
         return "\n".join(lines)
 
 
-def _first_difference(left: CentralSeries, right: CentralSeries):
+def _first_difference(left: CentralSeries, right: CentralSeries) -> str:
+    """The first monomial of ``left - right``, for two unequal series."""
     diff = left - right
-    if diff.is_zero():
-        return None
     index = diff.support()[0]
     return f"first offending monomial {index}: {diff.coefficient(index)}"
 
@@ -303,8 +302,14 @@ def verify_axioms(
     substitutions x -> x + y and y -> y + w; the inverse identity is checked
     with the negated orientation series in both orders.  These three checks
     are the rows of ``_AXIOM_ROWS``; every series in them is z(x) after one
-    central substitution, and each power list is built once per row.
-    Failures are reported with the first offending monomial, never raised.
+    central substitution.  The powers z(x)^0, ..., z(x)^order are built once
+    per call, by univariate products, and each row's power lists z(L)^k and
+    expected series z(L) are derived from them by ``specialize``.  That is
+    exact: substituting a linear form for the central variable is a ring
+    homomorphism that keeps the total exponent, so z(L)^k is the image of
+    z(x)^k and no term crosses the truncation order.  Each grouping's sum
+    is still formed by its own products.  Failures are reported with the
+    first offending monomial, never raised.
     A given ``table`` of another order is refused with ParameterError, one
     over another algebra with ModeMismatchError, before any series is built.
     """
@@ -328,20 +333,21 @@ def verify_axioms(
                 failures.setdefault("unit", f"a[{key[0]},{key[1]}] = {table.entry(*key)}")
 
     vardeg = algebra.profile.variable_degree
+    base = _powers(orientation_series(order, algebra), order)
     for name, variables, expected_form, groupings in _AXIOM_ROWS:
-        z = orientation_series(order, algebra, VarSet(variables, vardeg))
-        expected = z.specialize({"x": expected_form})
+        varset = VarSet(variables, vardeg)
+        expected = base[1].specialize({"x": expected_form}, varset)
         powers = {}
         for label, forms in groupings:
             pair = []
             for form in forms:
                 key = tuple(form.items())
                 if key not in powers:
-                    powers[key] = _powers(z.specialize({"x": form}), order)
+                    powers[key] = [zk.specialize({"x": form}, varset) for zk in base]
                 pair.append(powers[key])
-            detail = _first_difference(_fgl_sum(table, *pair), expected)
-            if detail is not None:
-                failures.setdefault(name, f"{label}: {detail}")
+            got = _fgl_sum(table, *pair)
+            if got != expected:
+                failures.setdefault(name, f"{label}: {_first_difference(got, expected)}")
 
     return AxiomReport(order, *(name not in failures for name in AXIOM_CHECKS), failures)
 

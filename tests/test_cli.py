@@ -650,6 +650,24 @@ def test_a_negative_verdict_exits_1_with_its_output_written(monkeypatch, capsys,
     ]
 
 
+def test_a_splitting_inconsistency_exits_1_on_stderr(monkeypatch, capsys, tmp_path):
+    # Only a stubbed division reaches the negative multiplicity; the run
+    # then writes no output, to stdout or to --out.
+    import ncfgl.gradebook
+    from ncfgl import PoincareSeries
+
+    monkeypatch.setattr(
+        ncfgl.gradebook, "series_divide",
+        lambda num, den, order: PoincareSeries(order, (1, 0, -1) + (0,) * (order - 2)),
+    )
+    target = tmp_path / "out.txt"
+    for fmt in ((), ("--format", "json"), ("--out", str(target))):
+        code, out, err = invoke(capsys, "split", "--prime", "2", "--degree", "4", *fmt)
+        assert (code, out) == (1, ""), fmt
+        assert err == "splitting inconsistency: negative multiplicity -1 in degree 2\n", fmt
+    assert not target.exists()
+
+
 def test_primes_beyond_the_exact_range_are_usage_errors(capsys):
     for prime in ("318665857834031151167461", "3317044064679887385961981", "1" + "0" * 3999 + "7"):
         assert_usage_error(capsys, "fgl", "--mode", "fp", "--prime", prime, "--degree", "3")

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -30,7 +31,15 @@ from ncfgl import (
     verify_axioms,
 )
 
-from oracles import abelianize, brute_force_fgl_table, commutative_fgl, commutator_with_z_power
+from oracles import (
+    abelianize,
+    brute_force_fgl_table,
+    commutative_fgl,
+    commutator_with_z_power,
+    plain_mul,
+    plain_series,
+    plain_specialize,
+)
 
 
 @pytest.fixture
@@ -167,6 +176,31 @@ def test_inverse_low_coefficients(A):
     table = inverse_table(4, A)
     assert table.entry(1) == A.gen(1).scale(2)
     assert table.entry(2) == A.monomial((1, 1)).scale(-4)
+
+
+def test_inverse_table_refuses_an_expansion_without_its_leading_minus_one(monkeypatch, A):
+    # z(-x) = -x + ... forces the coefficient of z(x) to be -1, so only a
+    # stubbed expansion reaches the guard that states it.
+    import ncfgl.fgl
+    from ncfgl import DegenerateInputError
+
+    expand = ncfgl.fgl.left_expand
+
+    def flipped(expansion):
+        expansion[(1,)] = -expansion[(1,)]
+
+    def dropped(expansion):
+        del expansion[(1,)]
+
+    for damage in (flipped, dropped):
+        def damaged(target, basis):
+            expansion = dict(expand(target, basis))
+            damage(expansion)
+            return expansion
+
+        monkeypatch.setattr(ncfgl.fgl, "left_expand", damaged)
+        with pytest.raises(DegenerateInputError, match="inverse expansion lost its leading -1"):
+            inverse_table(4, A)
 
 
 def test_inverse_series_resums_to_negated_orientation(A):
@@ -427,6 +461,71 @@ def test_corrupted_table_fails_three_checks_exactly(order, profile, ring, differ
             f"       inverse: FAIL ({failures['inverse']})",
         ]
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_powers(form, variables, order, p):
+    """[z(L)^0, ..., z(L)^order] as plain dicts, for the linear form L given
+    as (name, coefficient) pairs: z(x) written out, L substituted by
+    plain_specialize, and each power one plain_mul from the last."""
+    width = len(variables)
+    z = {(i + 1,): {(i,) if i else (): 1} for i in range(order)}
+    coefficients = dict(form)
+    line = [coefficients.get(name, 0) for name in variables]
+    z_of_form = plain_specialize(z, [line], width, order, p)
+    powers = [{(0,) * width: {(): 1}}]
+    for _ in range(order):
+        powers.append(plain_mul(powers[-1], z_of_form, order, p))
+    return powers
+
+
+def _truncated(plain, order):
+    return {index: element for index, element in plain.items() if sum(index) <= order}
+
+
+@pytest.mark.parametrize("profile", [COMPLEX, REAL], ids=["complex", "real"])
+@pytest.mark.parametrize("ring", [ZZ, GF(3), QQ], ids=["ZZ", "GF3", "QQ"])
+def test_axiom_rows_read_the_powers_of_the_plain_oracle(monkeypatch, profile, ring):
+    # Each grouping's two power lists reach _fgl_sum, which is replaced here:
+    # it records them and returns the plain oracle's z(L) for the row's
+    # expected form, so a row passes exactly when verify_axioms' expected
+    # series equals the oracle's.  The oracle substitutes first and then
+    # multiplies; it is built at the top order and truncated, since
+    # truncation commutes with both steps.
+    import ncfgl.fgl
+    from ncfgl.fgl import _AXIOM_ROWS
+
+    algebra = FreeAlgebra(profile, ring)
+    p, top = ring.prime, 9
+    expected_forms = {variables: form for _, variables, form, _ in _AXIOM_ROWS}
+
+    def oracle(form, variables, order):
+        full = _plain_powers(tuple(form.items()), variables, top, p)
+        return [_truncated(power, order) for power in full[:order + 1]]
+
+    for order in range(2, top + 1):
+        calls = []
+
+        def expected_sum(table, zs1, zs2):
+            calls.append((zs1, zs2))
+            varset = zs1[0].varset
+            z_of_form = oracle(expected_forms[varset.names], varset.names, order)[1]
+            coeffs = {index: algebra.element(terms) for index, terms in z_of_form.items()}
+            return CentralSeries(algebra, varset, order, coeffs)
+
+        monkeypatch.setattr(ncfgl.fgl, "_fgl_sum", expected_sum)
+        report = verify_axioms(order, algebra, table=fgl_table(order, algebra))
+        assert report.all_ok, (order, report.failures)
+        groupings = [
+            (variables, forms) for _, variables, _, rows in _AXIOM_ROWS for _, forms in rows
+        ]
+        assert len(calls) == len(groupings)
+        for (variables, forms), lists in zip(groupings, calls):
+            for form, powers in zip(forms, lists):
+                assert {(s.varset.names, s.order) for s in powers} == {(variables, order)}
+                assert [plain_series(s) for s in powers] == oracle(form, variables, order), (
+                    order, variables, form
+                )
 
 
 @pytest.mark.parametrize("ring", [ZZ, GF(3), QQ])

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from ncfgl import (
+    ConsistencyError,
     DivisionError,
     ParameterError,
     PoincareSeries,
@@ -103,6 +104,19 @@ def test_splitting_multiplicities_p2():
 def test_splitting_nonnegative_through_80(p):
     series = splitting_multiplicities(p, 80)
     assert all(isinstance(c, int) and c >= 0 for c in series.dims)
+
+
+def test_splitting_refuses_a_negative_multiplicity(monkeypatch):
+    # The quotient is nonnegative at every prime (the test above), so only a
+    # stubbed division reaches the guard.
+    import ncfgl.gradebook
+
+    monkeypatch.setattr(
+        ncfgl.gradebook, "series_divide",
+        lambda num, den, order: PoincareSeries(order, (1, 0, 0, 0, -3) + (0,) * (order - 4)),
+    )
+    with pytest.raises(ConsistencyError, match=re.escape("negative multiplicity -3 in degree 4")):
+        splitting_multiplicities(2, 6)
 
 
 def test_splitting_rejects_composite():
