@@ -107,7 +107,7 @@ def test_splitting_nonnegative_through_80(p):
 
 
 def test_splitting_refuses_a_negative_multiplicity(monkeypatch):
-    # The quotient is nonnegative at every prime (the test above), so only a
+    # The quotient is nonnegative wherever the test above looks, so only a
     # stubbed division reaches the guard.
     import ncfgl.gradebook
 
