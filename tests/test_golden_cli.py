@@ -7,7 +7,7 @@ The corpus is replayed in-process through :func:`ncfgl.cli.run`, so a change
 that alters any byte of output, any error message or any exit code of these
 commands fails here.  The heavier ``fgl``, ``inverse`` and ``verify`` orders
 of :func:`heavy_argvs` are pinned the same way in
-``tests/golden/cli_heavy.json``; they take about 6 s, so the tests here check
+``tests/golden/cli_heavy.json``; they take about 23 s, so the tests here check
 only that the file lists them, and CI replays them with
 
     PYTHONPATH=src python tests/test_golden_cli.py --check-heavy
@@ -16,9 +16,10 @@ Regenerating both files is a reviewed act of changing the CLI's output:
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 
-argparse words its own usage errors differently across Python versions, so
-stderr digests are compared only under the Python version that wrote the
-corpus; exit codes and stdout digests are compared under every version.
+argparse words its own usage errors and help texts differently across Python
+versions, so stderr digests, and the stdout digests of ``--help`` runs, are
+compared only under the Python version that wrote the corpus; exit codes and
+the other stdout digests are compared under every version.
 """
 
 from __future__ import annotations
@@ -143,6 +144,29 @@ HEAVY_VERIFY = [
     ["verify", "--degree", "12", "--profile", "real"],
 ]
 
+# What argparse itself writes: the help of the top level and of every
+# subcommand, and the refusals of a missing or unknown command, of an option
+# before the command, of an unknown option and of an extra argument.
+ARGPARSE = [
+    ["--help"],
+    *([command, "--help"] for command in (
+        "fgl", "inverse", "commutator", "expand", "steenrod", "certificate", "poincare",
+        "split", "parity", "rational", "verify",
+    )),
+    [],
+    ["nosuch"],
+    ["--format", "json", "fgl"],
+    ["fgl", "--bogus"],
+    ["fgl", "--degree", "3", "extra"],
+]
+
+# The JSON tables at their degree budgets, the largest outputs the CLI
+# accepts to write.
+HEAVY_LIMITS = [
+    ["fgl", "--degree", "16", "--format", "json"],
+    ["inverse", "--degree", "20", "--format", "json"],
+]
+
 # One argv just above each row of ``ncfgl.cli.LIMITS``.
 ABOVE_LIMITS = {
     "fgl --degree": ["fgl", "--degree", "17"],
@@ -195,6 +219,7 @@ def corpus_argvs() -> list:
     argvs += EMPTY_POLY
     for argv in RATIONAL:
         argvs += _formats(argv)
+    argvs += ARGPARSE
     unique = []
     for argv in argvs:
         if argv not in unique:
@@ -206,14 +231,15 @@ def heavy_argvs() -> list:
     """The argvs of the heavy corpus, in both formats: ``fgl`` at orders
     11-14 and ``inverse`` at 13-16 over ZZ, then ``fgl`` at order 13 over QQ
     and ``inverse`` at order 16 over GF(3), then ``verify`` at order 12 over
-    ZZ, over GF(3) and on the real profile."""
+    ZZ, over GF(3) and on the real profile; last, in JSON only, ``fgl`` at
+    order 16 and ``inverse`` at order 20 over ZZ, their ``LIMITS`` values."""
     argvs = []
     for command, orders in (("fgl", range(11, 15)), ("inverse", range(13, 17))):
         for order in orders:
             argvs += _formats([command, "--degree", str(order)])
     for argv in HEAVY_RINGS + HEAVY_VERIFY:
         argvs += _formats(argv)
-    return argvs
+    return argvs + HEAVY_LIMITS
 
 
 def _run(argv) -> tuple:
@@ -255,10 +281,15 @@ def _load(path=CORPUS) -> dict:
 
 def _differing(corpus) -> list:
     """The argvs whose replay differs from ``corpus`` in exit code, stdout
-    digest or, under the Python version that wrote it, stderr digest."""
-    keys = ("exit", "stdout", "stderr") if corpus["python"] == _python() else ("exit", "stdout")
+    digest or, under the Python version that wrote it, stderr digest; the
+    stdout of a ``--help`` run, which argparse words, counts as stderr."""
+    writer = corpus["python"] == _python()
     differ = []
     for expected in corpus["runs"]:
+        if writer:
+            keys = ("exit", "stdout", "stderr")
+        else:
+            keys = ("exit",) if "--help" in expected["argv"] else ("exit", "stdout")
         got = _record(expected["argv"])
         if any(got[key] != expected[key] for key in keys):
             differ.append(" ".join(expected["argv"])[:120])

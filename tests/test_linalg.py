@@ -218,6 +218,34 @@ def test_int_and_fraction_rows_give_the_same_stored_results(ring, integer):
         assert inconsistent == 4  # two systems, each in both forms
 
 
+# -- pivots of -1 over Z and Q ----------------------------------------------------
+
+# Systems whose every pivot is -1, as in most of the commutator systems: a
+# cycle with the kernel (1, 1, 1, 1), a row that stays -1 after another row
+# is subtracted from it, a leading empty column, and non-integral entries
+# beside a -1 pivot.
+_MINUS_ONE_PIVOTS = [
+    [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [1, 0, 0, -1]],
+    [[-1, 2, 0], [0, -1, 3], [1, 0, -1]],
+    [[-1, -1, 2], [-1, 0, 1]],
+    [[0, -1, 1, 1], [0, 0, -1, 2], [0, 1, 0, -1]],
+    [[-1, Fraction(1, 2), 0], [0, -1, Fraction(-3, 2)], [Fraction(1, 3), 0, -1]],
+]
+
+
+@pytest.mark.parametrize("ring, integer", [(ZZ, True), (QQ, False)], ids=repr)
+def test_minus_one_pivots_match_the_dense_oracle(ring, integer):
+    for matrix in _MINUS_ONE_PIVOTS:
+        ncols = len(matrix[0])
+        rows = _sparse(matrix)
+        reduced, pivots = rref(rows, ncols, ring)
+        assert (_dense(reduced, ncols), pivots) == dense_rref(matrix, ncols)
+        kernel = nullspace(rows, ncols, ring)
+        assert _dense(kernel, ncols) == dense_nullspace(matrix, ncols, None, integer)
+        assert all(_is_stored(x) for vec in reduced + kernel for x in vec.values())
+        assert rows == _sparse(matrix)
+
+
 # -- back-substitution at size: commutator-shaped systems ---------------------------
 
 # Like the matrix of [v, w] = 0: two +-1 entries per column, and most rows
