@@ -25,7 +25,13 @@ hf2``, and ``--profile`` on ``steenrod --gen`` or ``poincare
 
 Only :mod:`ncfgl.errors` is imported with this module; each handler imports
 its own layer, so that a call loads only what its subcommand needs, and an
-argument refused by argparse loads no layer at all.
+argument refused by argparse loads no layer at all.  A call pays for no more
+than it uses in three other ways too: :func:`build_parser` declares the
+options of the invoked subcommand only; :mod:`fractions` (with
+:mod:`decimal`) is imported only where a rational value is built or tested
+(:func:`ncfgl.scalars.fraction_type`); and ``--format json`` is written by
+:func:`_json`, byte for byte ``json.dumps(to_data(), indent=2)``, without the
+pure-Python encoder that an indent selects and without :mod:`json` itself.
 """
 
 from __future__ import annotations
@@ -43,19 +49,20 @@ _TERM_RE = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*\*\s*)?([A-Za-z_]\w*)\s*")
 
 # The largest accepted value of each measured input.  At these limits every
 # mode and format finished in under 30 s and 800 MiB on a 2-core machine with
-# Python 3.11 (the slowest: inverse --degree 20 --mode rat --format json, and
-# verify --degree 12 --mode rat --samples 1000 in 26 s); one more order
-# roughly doubles both, and commutator, costliest near k = degree / 3, grows
-# ~1.6-fold per degree.  steenrod --gen tN costs ~2^N terms through the
-# conjugate chi(xi_N).  On a word of L letters, P^k (or Sq^k) gives at most
-# one term per split of k over the letters, so the action is refused when the
-# C(k + L - 1, L - 1) splits number more than "action terms".  The slowest
-# accepted inputs of the length and index rows, at primes below 3.3e24:
-# steenrod --gen t17 at the prime 3e24 + 7 in 6.9 s and 388 MiB (t18 took
-# 16 s and 799 MiB); commutator with 32 letters at --k 8 --degree 24 --mode
-# rat --format json in 8.4 s and 479 MiB; a 20-letter Sq^6 action (177 100
-# splits) in 7.4 s and 490 MiB; poincare with 4096-entry --poly and --ext
-# lists at --degree 4000 in 13.6 s and 45 MiB.
+# Python 3.11 (the slowest: verify --degree 12 --mode rat --samples 1000 in
+# 26 s; the slowest JSON, inverse --degree 20 --mode rat --format json, in
+# 6-8 s and 499 MiB, and fgl --degree 16 --format json in 5-6 s and 386 MiB);
+# one more order roughly doubles both, and commutator, costliest near k =
+# degree / 3, grows ~1.6-fold per degree.  steenrod --gen tN costs ~2^N terms
+# through the conjugate chi(xi_N).  On a word of L letters, P^k (or Sq^k)
+# gives at most one term per split of k over the letters, so the action is
+# refused when the C(k + L - 1, L - 1) splits number more than "action
+# terms".  The slowest accepted inputs of the length and index rows, at primes
+# below 3.3e24: steenrod --gen t17 at the prime 3e24 + 7 in 6.9 s and 388 MiB
+# (t18 took 16 s and 799 MiB); commutator with 32 letters at --k 8 --degree 24
+# --mode rat --format json in 2.6-2.9 s and 318 MiB; a 20-letter Sq^6 action
+# (177 100 splits) in 7.4 s and 490 MiB; poincare with 4096-entry --poly and
+# --ext lists at --degree 4000 in 13.6 s and 45 MiB.
 LIMITS = {
     "fgl --degree": 16,
     "inverse --degree": 20,
@@ -238,18 +245,72 @@ def _algebra(args):
     return FreeAlgebra(_profile(args), ring)
 
 
+def _json_string(text: str) -> str:
+    """``text`` as a JSON string literal, with every character outside
+    printable ASCII escaped, as :mod:`json` writes it by default; a dict key
+    that is not a str is refused by ``str.isascii`` with TypeError."""
+    if str.isascii(text) and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
+
+
+def _json_value(value, newline: str) -> str:
+    """``value`` in the JSON text of :func:`_json`, its first line starting
+    after an indented key or item and its later lines after ``newline``."""
+    cls = value.__class__
+    if cls is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [_json_string(key) + ": " + _json_value(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if cls is list or cls is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:  # a word, in one join
+            items = map(int.__repr__, value)
+        else:
+            items = [_json_value(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if cls is str:
+        return _json_string(value)
+    if cls is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if cls is bool:
+        return "true" if value else "false"
+    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+
+
+def _json(data) -> str:
+    """``json.dumps(data, indent=2)``, byte for byte, for the values that
+    ``to_data`` returns: dict with str keys, list, tuple, str, int, bool and
+    None.  Any other value or key raises TypeError.
+
+    With an indent, :mod:`json` runs its pure-Python encoder, chunk by
+    chunk; this writer joins each list and dict once, writes a list of ints,
+    which every word is, in one join, and quotes a printable-ASCII string
+    without ``"`` or ``\\`` as it is, so that no record needs ``import
+    json``.
+    """
+    return _json_value(data, "\n")
+
+
 def _emit(args, result, title=None) -> int:
     """Write ``result`` in the form --format selects; return the exit code.
 
-    JSON is ``result.to_data()``; text is ``str(result)``, below a ``title``
-    line when one is given.  Only the selected form is built.  This is the
-    one place where a verdict becomes an exit code: 1 when ``result.ok`` is
-    false, else 0, also for a result that carries no verdict.
+    JSON is ``result.to_data()``, written by :func:`_json`; text is
+    ``str(result)``, below a ``title`` line when one is given.  Only the
+    selected form is built.  This is the one place where a verdict becomes
+    an exit code: 1 when ``result.ok`` is false, else 0, also for a result
+    that carries no verdict.
     """
     if args.format == "json":
-        import json
-
-        body = json.dumps(result.to_data(), indent=2) + "\n"
+        body = _json(result.to_data()) + "\n"
     else:
         body = (str(result) if title is None else f"{title}\n{result}") + "\n"
     if args.out:
@@ -384,33 +445,17 @@ def cmd_verify(args) -> int:
     return _emit(args, Verification(args.degree, args.seed, checks, report, len(results)))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ncfgl",
-        description="Exact computations with a noncommutative formal group law, "
-        "dual Steenrod actions, and graded dimension series.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, summary, reads=SHARED, degree_default=6):
-        p = sub.add_parser(name, help=summary)
-        _add_common(p, name, reads, degree_default)
-        p.set_defaults(handler=handler)
-        return p
-
-    command("fgl", cmd_fgl, "formal group law coefficient table")
-    command("inverse", cmd_inverse, "formal inverse series coefficients")
-
-    p = command("commutator", cmd_commutator, "commutator with a power of the orientation series")
+def _commutator_options(p):
     p.add_argument("--word", type=_word, default="1", help="comma separated generator indices")
     p.add_argument("--k", type=_at_most("commutator --k"), default=1)
 
-    p = command("expand", cmd_expand, "left-basis expansion of a substituted orientation series")
+
+def _expand_options(p):
     p.add_argument("--assign", type=_assignment, default="x=x+y",
                    help="substitution, e.g. 'x=-x' or 'x=x+y'")
 
-    p = command("steenrod", cmd_steenrod, "right Steenrod action on a generator or word",
-                reads=("profile", "prime"))
+
+def _steenrod_options(p):
     p.add_argument("--op", type=_indexed(_OP_RE, "--op", "operation", "P1 or Sq2"),
                    required=True, help="operation, e.g. P1 or Sq2")
     source = p.add_mutually_exclusive_group(required=True)
@@ -418,32 +463,73 @@ def build_parser() -> argparse.ArgumentParser:
                         help="polynomial generator, e.g. t2 or xi1")
     source.add_argument("--word", type=_word, help="free-algebra word, e.g. 1,1")
 
-    p = command("certificate", cmd_certificate, "finite obstruction certificates",
-                reads=("prime",))
+
+def _certificate_options(p):
     p.add_argument("which", choices=("bp", "hf2"))
 
-    p = command("poincare", cmd_poincare, "graded dimension series",
-                reads=("degree", "profile"), degree_default=12)
+
+def _poincare_options(p):
     p.add_argument("--poly", type=_degrees("--poly"), default=None,
                    help="polynomial generator degrees, e.g. 2,6,14")
     p.add_argument("--ext", type=_degrees("--ext"), default=None, help="exterior generator degrees")
 
-    command("split", cmd_split, "wedge splitting multiplicities at a prime",
-            reads=("degree", "prime"), degree_default=12)
-    command("parity", cmd_parity, "even/odd comparison against K-homology degrees",
-            reads=("degree", "prime"), degree_default=20)
-    command("rational", cmd_rational, "polynomial algebra versus partition counts",
-            reads=("degree",), degree_default=40)
 
-    p = command("verify", cmd_verify, "aggregate axiom and filtration checks")
+def _verify_options(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_samples, default=50)
 
+
+# Every subcommand, in help order: (name, handler, help line, the shared
+# options its handler reads, the default --degree, and the function that
+# declares its own options, after the shared ones).
+COMMANDS = (
+    ("fgl", cmd_fgl, "formal group law coefficient table", SHARED, 6, None),
+    ("inverse", cmd_inverse, "formal inverse series coefficients", SHARED, 6, None),
+    ("commutator", cmd_commutator, "commutator with a power of the orientation series",
+     SHARED, 6, _commutator_options),
+    ("expand", cmd_expand, "left-basis expansion of a substituted orientation series",
+     SHARED, 6, _expand_options),
+    ("steenrod", cmd_steenrod, "right Steenrod action on a generator or word",
+     ("profile", "prime"), 6, _steenrod_options),
+    ("certificate", cmd_certificate, "finite obstruction certificates", ("prime",), 6,
+     _certificate_options),
+    ("poincare", cmd_poincare, "graded dimension series", ("degree", "profile"), 12,
+     _poincare_options),
+    ("split", cmd_split, "wedge splitting multiplicities at a prime", ("degree", "prime"), 12,
+     None),
+    ("parity", cmd_parity, "even/odd comparison against K-homology degrees",
+     ("degree", "prime"), 20, None),
+    ("rational", cmd_rational, "polynomial algebra versus partition counts", ("degree",), 40,
+     None),
+    ("verify", cmd_verify, "aggregate axiom and filtration checks", SHARED, 6, _verify_options),
+)
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of ``argv``.  Every subcommand is registered with its help
+    line, so that the top-level help, the choices and every usage line keep
+    their bytes; only the one that ``argv`` names declares its options.  The
+    top level has no option that takes a value, so that one is named by the
+    first argument that does not start with ``-``."""
+    parser = argparse.ArgumentParser(
+        prog="ncfgl",
+        description="Exact computations with a noncommutative formal group law, "
+        "dual Steenrod actions, and graded dimension series.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, handler, summary, reads, degree_default, options in COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        if name == named:
+            _add_common(p, name, reads, degree_default)
+            if options is not None:
+                options(p)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if args.unread:

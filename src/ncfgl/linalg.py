@@ -9,7 +9,8 @@ One forward elimination, :func:`_echelon`, serves every ring: F_p in
 residues, and Z and Q in the stored form of
 :func:`~ncfgl.scalars.stored_rational`, an ``int`` while an entry is integral
 and a ``Fraction`` otherwise, so that the +-1 entries of the commutator
-systems run on int arithmetic.  It drops empty rows, picks each pivot as the
+systems run on int arithmetic; a pivot of -1 is inverted as the int -1, and
+only a pivot other than +-1 needs :mod:`fractions`.  It drops empty rows, picks each pivot as the
 shortest remaining row holding the column, to limit fill-in, and clears the
 pivot column only from the rows not yet chosen, so a chosen row is never read
 again.  :func:`nullspace` and :func:`affine_solve` read their solutions off
@@ -24,11 +25,10 @@ positive leading entry.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import UnsupportedInputError
-from .scalars import ScalarRing, stored_rational
+from .scalars import ScalarRing, fraction_type, stored_rational
 
 
 def _stored(value, p):
@@ -89,7 +89,12 @@ def _echelon(rows, ncols: int, ring: ScalarRing):
         for j in lead:
             holding[j].discard(r)
         if pivot != 1:
-            inv = pow(pivot, -1, p) if p else 1 / Fraction(pivot)
+            # a -1 pivot, as most of a commutator system's are, is its own
+            # int inverse over Z and Q
+            if p:
+                inv = pow(pivot, -1, p)
+            else:
+                inv = -1 if pivot == -1 else 1 / fraction_type()(pivot)
             lead = {j: _stored(x * inv, p) for j, x in lead.items()}
         for i in holders:  # _subtract, with the index kept beside it
             row = work[i]

@@ -16,14 +16,29 @@ the accumulator into stored values once.  The element readers that hand a
 coefficient to a caller (:meth:`~ncfgl.lincomb.LinearCombination.coefficient`
 and ``terms``) return it through :meth:`ScalarRing.public`, so every rational
 coefficient a caller reads is a ``Fraction``.
+
+:mod:`fractions`, which also loads :mod:`decimal` and :mod:`numbers`, is
+imported by :func:`fraction_type` on first use, where a rational value is
+built or tested, so that integral and modular work never loads it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ModeMismatchError, ParameterError
 from .record import Record
+
+_FRACTION = None  # fractions.Fraction once fraction_type() has imported it
+
+
+def fraction_type():
+    """``fractions.Fraction``, imported on the first call only: the one
+    place where the toolkit imports it."""
+    global _FRACTION
+    if _FRACTION is None:
+        from fractions import Fraction
+
+        _FRACTION = Fraction
+    return _FRACTION
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to the thirteen bases above (Sorenson
@@ -108,7 +123,7 @@ class ScalarRing(Record):
             raise ParameterError("bool is not a scalar")
         if isinstance(value, int):
             return self.of_int(value)
-        if isinstance(value, Fraction) and self.mode == "rational":
+        if self.mode == "rational" and isinstance(value, fraction_type()):
             return stored_rational(value)
         raise ModeMismatchError(f"cannot coerce {value_repr(value)} into {self!r}")
 
@@ -122,7 +137,7 @@ class ScalarRing(Record):
         if isinstance(text, str):
             try:
                 if self.mode == "rational":
-                    value = stored_rational(Fraction(text))
+                    value = stored_rational(fraction_type()(text))
                 else:
                     value = self.of_int(int(text))
             except (ValueError, ZeroDivisionError):
@@ -134,7 +149,7 @@ class ScalarRing(Record):
 
     def public(self, value):
         """A stored value as callers read it: a ``Fraction`` in rational mode."""
-        return Fraction(value) if self.mode == "rational" else value
+        return fraction_type()(value) if self.mode == "rational" else value
 
     # -- the stored form -----------------------------------------------------
 
@@ -178,7 +193,7 @@ class ScalarRing(Record):
         while nonzero and num == 0:
             num = rng.randint(-4, 4)
         if self.mode == "rational":
-            return stored_rational(Fraction(num, rng.randint(1, 4)))
+            return stored_rational(fraction_type()(num, rng.randint(1, 4)))
         return num
 
     def render(self, a) -> str:

@@ -206,6 +206,84 @@ def test_json_round_trips_through_schema(capsys):
     assert rebuilt == {key: element for key, element in table.items()}
 
 
+# -- the JSON writer --------------------------------------------------------------
+
+# One JSON run per record class that a subcommand emits, over every ring, with
+# a negative verdict (parity) among them.
+_EMITTING = [
+    ("fgl", "--degree", "5", "--mode", "rat"),
+    ("inverse", "--degree", "6", "--mode", "fp", "--prime", "3"),
+    ("commutator", "--word", "1,2", "--k", "2", "--degree", "6"),
+    ("expand", "--assign", "x=x+y", "--degree", "4"),
+    ("steenrod", "--prime", "3", "--op", "P1", "--gen", "t2"),
+    ("steenrod", "--op", "Sq1", "--word", "1,1", "--profile", "real"),
+    ("certificate", "bp", "--prime", "3"),
+    ("certificate", "hf2"),
+    ("poincare", "--poly", "2,6", "--ext", "3", "--degree", "10"),
+    ("split", "--prime", "2", "--degree", "12"),
+    ("parity", "--prime", "3", "--degree", "18"),
+    ("rational", "--degree", "20"),
+    ("verify", "--degree", "4", "--mode", "rat", "--samples", "3"),
+]
+
+
+def test_the_json_writer_matches_json_dumps_on_every_record(capsys, monkeypatch):
+    from ncfgl import cli
+
+    emit, emitted = cli._emit, []
+
+    def recording(args, result, title=None):
+        emitted.append((type(result).__name__, result.to_data()))
+        return emit(args, result, title)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    for argv in _EMITTING:
+        code, out, _ = invoke(capsys, *argv, "--format", "json")
+        assert code in (0, 1) and out == json.dumps(emitted[-1][1], indent=2) + "\n", argv
+    assert {name for name, _ in emitted} == {
+        "FGLTable", "InverseTable", "FiltrationResult", "Expansion", "Action",
+        "ObstructionCertificate", "PoincareSeries", "ParityReport",
+        "RationalComparisonReport", "Verification",
+    }
+
+
+_HAND_MADE = [
+    {}, [], (), {"a": {}}, {"a": [], "b": ()}, [[]], [{}], [(), ()], ((1, 2), [3]),
+    True, False, None, [True, False, None], {"t": True, "f": False, "n": None},
+    [1, True], [0, False], [None, 1],
+    -1, 0, 2**64 + 1, -(2**70), [1, -2, 2**65],
+    "", 'say "hi"', "back\\slash", "tab\tnl\ncr\r", "\x00\x1f\x7f", "Poincaré", "\u2028",
+    "\U0001f600", "/", {'key "quoted"': 1, "é": [1, "ü"], "\\": "\x01"},
+    {"entries": [{"i": 1, "j": 0, "element": [{"word": [1, 2], "coeff": "-3/2"}]}]},
+]
+
+
+@pytest.mark.parametrize("data", _HAND_MADE)
+def test_the_json_writer_matches_json_dumps_by_hand(data):
+    from ncfgl.cli import _json
+
+    assert _json(data) == json.dumps(data, indent=2)
+
+
+@pytest.mark.parametrize("data", [{1, 2}, [frozenset()], {"a": {1}}, {(1, 2): 0}, object()])
+def test_the_json_writer_refuses_what_json_refuses(data):
+    from ncfgl.cli import _json
+
+    with pytest.raises(TypeError):
+        json.dumps(data, indent=2)
+    with pytest.raises(TypeError):
+        _json(data)
+
+
+@pytest.mark.parametrize("key", [2, False, None])
+def test_the_json_writer_takes_str_keys_only(key):
+    # json writes these keys as strings; no record has one
+    from ncfgl.cli import _json
+
+    with pytest.raises(TypeError):
+        _json({"a": {key: 1}})
+
+
 def assert_usage_error(capsys, *argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
@@ -763,6 +841,9 @@ _SRC = os.path.dirname(os.path.dirname(os.path.abspath(ncfgl.__file__)))
 _GRADEBOOK_ONLY = {"ncfgl.fgl", "ncfgl.series", "ncfgl.steenrod", "ncfgl.commalg"}
 _STEENROD_ONLY = {"ncfgl.fgl", "ncfgl.series", "ncfgl.gradebook"}
 _FGL_ONLY = {"ncfgl.steenrod", "ncfgl.gradebook", "ncfgl.commalg"}
+# fractions, which loads decimal, is imported for rational values only, and
+# the CLI writes JSON without the json package.
+_NO_RATIONALS = {"fractions", "decimal"}
 
 
 def _imports(*args):
@@ -790,13 +871,18 @@ def bare_start():
     "argv, code, needed, forbidden",
     [
         (("parity", "--prime", "2"), 0, "ncfgl.gradebook",
-         _GRADEBOOK_ONLY | {"json", "ncfgl.freealg", "ncfgl.lincomb", "ncfgl.linalg"}),
-        (("poincare", "--format", "json"), 0, "ncfgl.gradebook", _GRADEBOOK_ONLY),
+         _GRADEBOOK_ONLY | _NO_RATIONALS | {"json", "ncfgl.freealg", "ncfgl.lincomb",
+                                            "ncfgl.linalg"}),
+        (("poincare", "--format", "json"), 0, "ncfgl.gradebook",
+         _GRADEBOOK_ONLY | _NO_RATIONALS | {"json"}),
         (("steenrod", "--prime", "3", "--op", "P1", "--gen", "t2"), 0, "ncfgl.steenrod",
-         _STEENROD_ONLY | {"json"}),
-        (("certificate", "hf2"), 0, "ncfgl.steenrod", _STEENROD_ONLY | {"json"}),
-        (("fgl", "--degree", "3"), 0, "ncfgl.fgl", _FGL_ONLY | {"json"}),
-        (("verify", "--degree", "3", "--format", "json"), 0, "ncfgl.fgl", _FGL_ONLY),
+         _STEENROD_ONLY | _NO_RATIONALS | {"json"}),
+        (("certificate", "hf2"), 0, "ncfgl.steenrod", _STEENROD_ONLY | _NO_RATIONALS | {"json"}),
+        (("fgl", "--degree", "3"), 0, "ncfgl.fgl", _FGL_ONLY | _NO_RATIONALS | {"json"}),
+        (("verify", "--degree", "3", "--format", "json"), 0, "ncfgl.fgl",
+         _FGL_ONLY | _NO_RATIONALS | {"json"}),
+        # the filtration run draws rational samples
+        (("verify", "--degree", "3", "--mode", "rat"), 0, "fractions", _FGL_ONLY | {"json"}),
     ],
 )
 def test_each_command_loads_only_its_layer(bare_start, argv, code, needed, forbidden):
