@@ -10,17 +10,17 @@ residues, and Z and Q in the stored form of
 :func:`~ncfgl.scalars.stored_rational`, an ``int`` while an entry is integral
 and a ``Fraction`` otherwise, so that the +-1 entries of the commutator
 systems run on int arithmetic; a pivot of -1 is inverted as the int -1, and
-only a pivot other than +-1 needs :mod:`fractions`.  It drops empty rows, picks each pivot as the
-shortest remaining row holding the column, to limit fill-in, and clears the
-pivot column only from the rows not yet chosen, so a chosen row is never read
-again.  :func:`nullspace` and :func:`affine_solve` read their solutions off
-the echelon rows by back-substitution, last pivot first; :func:`rref` adds
-one upward pass that clears each pivot column from the rows above.  The
-reduced row echelon form of a matrix is unique, and so is the solution that
-fixes every free variable, so the pivot choice cannot change any result:
-kernels are presented in reduced echelon form with respect to the given
-column order, and integer-mode kernels are primitive integer vectors with
-positive leading entry.
+only a pivot other than +-1 needs :mod:`fractions`.  It drops empty rows,
+picks each pivot as the shortest remaining row holding the column, to limit
+fill-in, and clears the pivot column only from the rows not yet chosen, so a
+chosen row is never read again.  :func:`nullspace` and :func:`affine_solve`
+read their solutions off the echelon rows by back-substitution, last pivot
+first; :func:`rref` adds one upward pass that clears each pivot column from
+the rows above.  The reduced row echelon form of a matrix is unique, and so
+is the solution that fixes every free variable, so the pivot choice cannot
+change any result: kernels are presented in reduced echelon form with
+respect to the given column order, and integer-mode kernels are primitive
+integer vectors with positive leading entry.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ def _echelon(rows, ncols: int, ring: ScalarRing):
         for j in lead:
             holding[j].discard(r)
         if pivot != 1:
-            # a -1 pivot, as most of a commutator system's are, is its own
-            # int inverse over Z and Q
+            # a -1 pivot, common in the commutator systems, is its own int
+            # inverse over Z and Q
             if p:
                 inv = pow(pivot, -1, p)
             else:

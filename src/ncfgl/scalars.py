@@ -40,6 +40,7 @@ def fraction_type():
         _FRACTION = Fraction
     return _FRACTION
 
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to the thirteen bases above (Sorenson
 # and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,

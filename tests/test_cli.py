@@ -841,8 +841,7 @@ _SRC = os.path.dirname(os.path.dirname(os.path.abspath(ncfgl.__file__)))
 _GRADEBOOK_ONLY = {"ncfgl.fgl", "ncfgl.series", "ncfgl.steenrod", "ncfgl.commalg"}
 _STEENROD_ONLY = {"ncfgl.fgl", "ncfgl.series", "ncfgl.gradebook"}
 _FGL_ONLY = {"ncfgl.steenrod", "ncfgl.gradebook", "ncfgl.commalg"}
-# fractions, which loads decimal, is imported for rational values only, and
-# the CLI writes JSON without the json package.
+# fractions, which loads decimal, is imported for rational values only.
 _NO_RATIONALS = {"fractions", "decimal"}
 
 

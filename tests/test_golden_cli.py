@@ -7,7 +7,7 @@ The corpus is replayed in-process through :func:`ncfgl.cli.run`, so a change
 that alters any byte of output, any error message or any exit code of these
 commands fails here.  The heavier ``fgl``, ``inverse`` and ``verify`` orders
 of :func:`heavy_argvs` are pinned the same way in
-``tests/golden/cli_heavy.json``; they take about 23 s, so the tests here check
+``tests/golden/cli_heavy.json``; they take about 15 s, so the tests here check
 only that the file lists them, and CI replays them with
 
     PYTHONPATH=src python tests/test_golden_cli.py --check-heavy
