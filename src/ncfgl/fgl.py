@@ -158,17 +158,22 @@ class InverseTable(Record):
     def items(self):
         return sorted(self._entries.items())
 
+    def _gamma1(self) -> str:
+        """The fixed linear coefficient -1, as the ring writes it."""
+        ring = self.algebra.ring
+        return ring.render(ring.of_int(-1))
+
     def to_data(self):
         return {
             "order": self.order,
-            "gamma1": "-1",
+            "gamma1": self._gamma1(),
             "entries": [
                 {"k": k, "element": element.to_data()} for k, element in self.items()
             ],
         }
 
     def __str__(self):
-        lines = [f"inverse series table, order {self.order}", "gamma[1] = -1"]
+        lines = [f"inverse series table, order {self.order}", f"gamma[1] = {self._gamma1()}"]
         lines += (f"c[{k}] = {element}" for k, element in self.items())
         return "\n".join(lines)
 

@@ -172,6 +172,18 @@ def test_inverse_fixed_leading_sign(A):
     assert inverse_table(4, A).leading_sign == -1
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3), GF(5)], ids=repr)
+def test_gamma1_is_written_as_its_ring_writes_minus_one(ring):
+    # the record reads back through its own ring: "-1" over ZZ and QQ, the
+    # residue "2" over GF(3) and "4" over GF(5), which ScalarRing.parse
+    # would refuse as "-1"
+    table = inverse_table(4, FreeAlgebra(COMPLEX, ring))
+    gamma1 = table.to_data()["gamma1"]
+    assert ring.parse(gamma1) == ring.of_int(-1)
+    assert str(table).splitlines()[1] == f"gamma[1] = {gamma1}"
+    assert gamma1 == ("-1" if ring.prime is None else str(ring.prime - 1))
+
+
 def test_inverse_low_coefficients(A):
     table = inverse_table(4, A)
     assert table.entry(1) == A.gen(1).scale(2)
