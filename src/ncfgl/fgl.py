@@ -93,12 +93,6 @@ class FGLTable(Record):
             for (i, j) in sorted(self._entries, key=lambda ij: (ij[0] + ij[1], ij[0]))
         ]
 
-    def is_symmetric(self) -> bool:
-        """Entrywise symmetry; true only up to total degree 4 in general."""
-        return all(
-            element == self._entries[(j, i)] for (i, j), element in self._entries.items()
-        )
-
     def to_data(self):
         return {
             "order": self.order,
@@ -144,11 +138,6 @@ class InverseTable(Record):
             order,
             MappingProxyType({k: entries.get(k, algebra.zero()) for k in range(1, order)}),
         )
-
-    @property
-    def leading_sign(self) -> int:
-        """The fixed linear coefficient of the inverse series."""
-        return -1
 
     def entry(self, k: int) -> FreeElement:
         if k < 1 or k >= self.order:
@@ -224,10 +213,6 @@ class AxiomReport(Record):
 
     __slots__ = ("order", *(f"{name}_ok" for name in AXIOM_CHECKS), "failures")
     _defaults = {"failures": dict}
-
-    @property
-    def all_ok(self) -> bool:
-        return all(ok for _, ok in check_results(self))
 
     def to_data(self):
         return {
@@ -366,12 +351,6 @@ class FiltrationResult(Record):
     def ok(self) -> bool:
         """Valuation at least k + 1 (filtration 2k + 2 in topological degree)."""
         return self.valuation is None or self.valuation >= self.required
-
-    def first_term(self):
-        if self.series.is_zero():
-            return None
-        index = self.series.support()[0]
-        return index, self.series.coefficient(index)
 
     def to_data(self):
         return {

@@ -308,16 +308,6 @@ def _bracket_terms(w: FreeElement):
     return bracket
 
 
-def commutator_map(w: FreeElement):
-    """word -> [word, w], the linear map whose kernel is the centralizer of
-    ``w``, on public words: a word is refused like a word of
-    :meth:`FreeAlgebra.element`, and the stored terms of
-    :func:`_bracket_terms` are wrapped as an element."""
-    algebra = w.algebra
-    bracket = _bracket_terms(w)
-    return lambda word: algebra._wrap(bracket(_word_key(word)))
-
-
 def matrix_of(term_map, source_words, target_words) -> list:
     """Dict rows of the matrix of a linear map between spans of words.
 

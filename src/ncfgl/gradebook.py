@@ -58,11 +58,6 @@ class PoincareSeries(Record):
             raise ParameterError("shift must be nonnegative")
         return PoincareSeries(self.order, ((0,) * k + self.dims)[: self.order + 1])
 
-    def truncate(self, order: int) -> "PoincareSeries":
-        if order > self.order:
-            raise ParameterError("cannot extend a truncated series")
-        return PoincareSeries(order, self.dims[: order + 1])
-
     __hash__ = Record._hash
     to_data = Record._data
 

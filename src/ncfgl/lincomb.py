@@ -210,13 +210,6 @@ class LinearCombination(Record):
         """
         return dict(self._terms)
 
-    def homogeneous_components(self) -> dict:
-        """The parts of each degree, by increasing degree."""
-        comps = {}
-        for key, coeff in self._terms.items():
-            comps.setdefault(self.algebra.key_degree(key), {})[key] = coeff
-        return {d: self.algebra._wrap(part) for d, part in sorted(comps.items())}
-
     def is_homogeneous(self) -> bool:
         return len({self.algebra.key_degree(key) for key in self._terms}) <= 1
 

@@ -16,8 +16,8 @@ term satisfies
 matching the convention that coefficient degrees count negatively against the
 variable grading.
 
-Arithmetic never builds intermediate series.  A product, a scaling, a sum of
-left multiples (:func:`left_combination`, which a substitution is) and each
+Arithmetic never builds intermediate series.  A product, a sum of left
+multiples (:func:`left_combination`, which a substitution is) and each
 step of :func:`left_expand` add every coefficient product into one word ->
 value accumulator per multi-index with ``FreeAlgebra.add_product``, the loop
 that multiplies two free-algebra elements; a sum, a difference and
@@ -177,22 +177,6 @@ class CentralSeries(Record):
     def constant_term(self) -> FreeElement:
         return self.coefficient((0,) * len(self.varset))
 
-    def cohomological_degree(self):
-        """The degree D making the series graded, or None if it is not."""
-        if not self._coeffs:
-            return None
-        vardeg = self.varset.variable_degree
-        found = None
-        for index, element in self._coeffs.items():
-            if not element.is_homogeneous():
-                return None
-            d = vardeg * sum(index) - element.degree()
-            if found is None:
-                found = d
-            elif found != d:
-                return None
-        return found
-
     # -- arithmetic -----------------------------------------------------------------
 
     def _check_shape(self, other: "CentralSeries"):
@@ -222,37 +206,6 @@ class CentralSeries(Record):
     def __neg__(self) -> "CentralSeries":
         negated = {index: -element for index, element in self._coeffs.items()}
         return CentralSeries._wrap(self.algebra, self.varset, self.order, negated)
-
-    def _add_products(self, accs: dict, value: FreeElement, on_left: bool) -> None:
-        """accs[I] += value * c_I (``on_left``) or c_I * value, for each stored I."""
-        if value.algebra != self.algebra:
-            raise ModeMismatchError("coefficient and series live in different algebras")
-        add_product = self.algebra.add_product
-        get = accs.get
-        for index, element in self._coeffs.items():
-            acc = get(index)
-            if acc is None:
-                acc = accs[index] = {}
-            if on_left:
-                add_product(acc, value, element)
-            else:
-                add_product(acc, element, value)
-
-    def scale_left(self, value) -> "CentralSeries":
-        """Multiply every coefficient by ``value`` on the left."""
-        return self._scaled(value, True)
-
-    def scale_right(self, value) -> "CentralSeries":
-        """Multiply every coefficient by ``value`` on the right."""
-        return self._scaled(value, False)
-
-    def _scaled(self, value, on_left: bool) -> "CentralSeries":
-        """The products with ``value``, an element or an int read as a scalar."""
-        if isinstance(value, int):
-            value = self.algebra.one().scale(value)
-        accs: dict = {}
-        self._add_products(accs, value, on_left)
-        return self._from_accumulators(accs)
 
     def commutator(self, value: FreeElement) -> "CentralSeries":
         """value * self - self * value, coefficientwise: the one pair loop of
@@ -443,10 +396,19 @@ def left_combination(pairs, like: CentralSeries) -> CentralSeries:
     intermediate series is built; ``pairs`` may be a generator that forms each
     s_k as it is needed.
     """
+    algebra = like.algebra
+    add_product = algebra.add_product
     accs: dict = {}
+    get = accs.get
     for value, series in pairs:
         like._check_shape(series)
-        series._add_products(accs, value, True)
+        if value.algebra != algebra:
+            raise ModeMismatchError("coefficient and series live in different algebras")
+        for index, element in series._coeffs.items():
+            acc = get(index)
+            if acc is None:
+                acc = accs[index] = {}
+            add_product(acc, value, element)
     return like._from_accumulators(accs)
 
 

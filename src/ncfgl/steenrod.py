@@ -129,25 +129,10 @@ class TensorElement(LinearCombination):
 
     __slots__ = ()
 
-    def __init__(self, left_algebra, right_carrier, terms: dict):
-        super().__init__(TensorAlgebra(left_algebra, right_carrier), terms)
-
-    @property
-    def left_algebra(self):
-        return self.algebra.left
-
-    @property
-    def right_carrier(self):
-        return self.algebra.right
-
     @classmethod
     def tensor(cls, a: CommElement, b) -> "TensorElement":
         acc = {(lm, rm): lc * rc for lm, lc in a._terms.items() for rm, rc in b._terms.items()}
         return TensorAlgebra(a.algebra, b.algebra).from_accumulator(acc)
-
-    @classmethod
-    def unit(cls, left_algebra, right_carrier) -> "TensorElement":
-        return TensorAlgebra(left_algebra, right_carrier).one()
 
     def pair_left(self, op: MilnorOp):
         """Contract the left factor against a Milnor operation."""

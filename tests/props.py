@@ -22,6 +22,7 @@ from ncfgl import (
     orientation_series,
     revert,
 )
+from ncfgl.series import left_combination
 
 
 def random_element(algebra, rng, max_degree=6, max_terms=3):
@@ -99,13 +100,14 @@ def run_left_expand_roundtrip(seed=0, trials=40, order=5):
         }
         expansion = left_expand(target, basis)
         embedded = {name: b.specialize({}, varset) for name, b in basis.items()}
-        total = CentralSeries.zero(algebra, varset, order)
+        pairs = []
         for index, coeff in expansion.items():
             power = CentralSeries.unit(algebra, varset, order)
             for name, e in zip(varset.names, index):
                 for _ in range(e):
                     power = power * embedded[name]
-            total = total + power.scale_left(coeff)
+            pairs.append((coeff, power))
+        total = left_combination(pairs, target)
         if total != target:
             failures.append(f"trial {trial} ({algebra.ring!r}, width {width}): round trip drifted")
     return failures
@@ -129,10 +131,10 @@ def run_revert_two_sided(seed=0, count=20, order=6):
 
 
 def _triple_left(t):
-    p = t.left_algebra.ring.prime
+    p = t.algebra.ring.prime
     out = {}
     for (lm, rm), c in t.terms():
-        inner = coproduct(t.left_algebra.monomial(lm))
+        inner = coproduct(t.algebra.left.monomial(lm))
         for (l1, l2), c2 in inner.terms():
             key = (l1, l2, rm)
             out[key] = (out.get(key, 0) + c * c2) % p
@@ -140,10 +142,10 @@ def _triple_left(t):
 
 
 def _triple_right(t):
-    p = t.left_algebra.ring.prime
+    p = t.algebra.ring.prime
     out = {}
     for (lm, rm), c in t.terms():
-        inner = coproduct(t.right_carrier.monomial(rm))
+        inner = coproduct(t.algebra.right.monomial(rm))
         for (r1, r2), c2 in inner.terms():
             key = (lm, r1, r2)
             out[key] = (out.get(key, 0) + c * c2) % p

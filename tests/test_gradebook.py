@@ -165,7 +165,6 @@ def test_series_arithmetic_shapes():
         PoincareSeries(3, (1, 0))
     s = PoincareSeries(4, (1, 2, 3, 4, 5))
     assert s.shift(2).dims == (0, 0, 1, 2, 3)
-    assert s.truncate(2).dims == (1, 2, 3)
 
 
 _ONE = PoincareSeries.one(3)
@@ -175,7 +174,6 @@ _REFUSALS = [
     (PoincareSeries, (-1, ()), ParameterError, "order must be nonnegative"),
     (PoincareSeries, (2, (1, 0)), ParameterError, "need exactly order + 1 dimensions"),
     (_ONE.shift, (-1,), ParameterError, "shift must be nonnegative"),
-    (_ONE.truncate, (4,), ParameterError, "cannot extend a truncated series"),
     (lambda a, b: a + b, (PoincareSeries.one(2), _ONE), ParameterError, "series orders disagree"),
     (series_divide, (_ONE, PoincareSeries.one(5), 4), ParameterError,
      "order exceeds the operands' truncation"),

@@ -18,9 +18,9 @@ from ncfgl import (
     FreeElement,
     ModeMismatchError,
     ParameterError,
-    TensorElement,
     UnsupportedInputError,
 )
+from ncfgl.steenrod import TensorAlgebra
 
 
 def random_word(rng):
@@ -52,7 +52,7 @@ def tensor_factory(ring):
     # a commutative left factor and a noncommutative right one
     left = CommAlgebra.with_degrees("t", (2, 6), ring)
     right = FreeAlgebra(COMPLEX, ring)
-    algebra = TensorElement.unit(left, right).algebra
+    algebra = TensorAlgebra(left, right)
     return lambda rng: random_element(algebra, rng, lambda r: (random_mono(r), random_word(r)))
 
 
@@ -111,7 +111,7 @@ def test_fraction_scale_is_refused_over_a_prime_field():
         FreeAlgebra(COMPLEX, GF(3)).gen(1).scale(Fraction(1, 2))
     F = CommAlgebra.with_degrees("t", (2,), GF(3))
     with pytest.raises(ModeMismatchError):
-        TensorElement(F, F, {((), ()): Fraction(1, 2)})
+        TensorAlgebra(F, F).element({((), ()): Fraction(1, 2)})
 
 
 def test_element_constructors_coerce_into_the_ring():
@@ -189,7 +189,7 @@ def test_keys_enter_and_leave_in_their_public_form(kind, ring):
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=repr)
 def test_a_word_holds_the_letters_1_to_255(ring):
     A = FreeAlgebra(COMPLEX, ring)
-    tensor = TensorElement.unit(CommAlgebra.with_degrees("t", (2,), ring), A).algebra
+    tensor = TensorAlgebra(CommAlgebra.with_degrees("t", (2,), ring), A)
     for letter in (0, 256):
         for build in (
             lambda: A.element({(1, letter): 1}),

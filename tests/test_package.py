@@ -1,8 +1,11 @@
+import ast
 import importlib
 import os
 import pickle
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,7 +111,7 @@ def test_records_take_positional_and_keyword_arguments():
         failures={"associativity": "x"},
     )
     assert by_position == by_keyword
-    assert by_position.associativity_ok is False and not by_position.all_ok
+    assert by_position.associativity_ok is False and by_position.unit_ok is True
     mixed = MilnorOp(3, "P", index=2)
     assert (mixed.prime, mixed.kind, mixed.index) == (3, "P", 2)
 
@@ -157,7 +160,7 @@ def test_record_fields_cannot_be_assigned_or_deleted():
         report.unit_ok = False
     with pytest.raises(AttributeError):
         del report.unit_ok
-    assert report.unit_ok and report.all_ok
+    assert report.unit_ok and report.failures == {}
     certificate = ObstructionCertificate(3, [], [], [], "INFEASIBLE")
     with pytest.raises(AttributeError):
         certificate.centralizers = {"w": []}
@@ -181,9 +184,6 @@ def test_milnor_op_is_hashable_and_immutable():
 
 
 def test_the_package_imports_only_the_standard_library():
-    import ast
-    from pathlib import Path
-
     root = Path(ncfgl.__file__).parent
     sources = sorted(root.glob("*.py"))
     assert len(sources) > len(SUBMODULES)  # the walk reaches every submodule
@@ -199,6 +199,81 @@ def test_the_package_imports_only_the_standard_library():
                 assert module.split(".")[0] in sys.stdlib_module_names, (source.name, module)
     pyproject = (root.parent.parent / "pyproject.toml").read_text().splitlines()
     assert "dependencies = []" in pyproject
+
+
+# -- one documented public surface ------------------------------------------------
+
+
+def _readme_code_names() -> set:
+    """Every identifier inside an inline code span of README, outside the
+    fenced blocks."""
+    readme = (Path(ncfgl.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    return {name for span in re.findall(r"`([^`]+)`", prose) for name in re.findall(r"\w+", span)}
+
+
+def _public_definitions(tree) -> list:
+    """(qualified name, name, definition) of each public module-level
+    function and class and each public method or property of such a class."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        found.append((node.name, node.name, node))
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (f"{node.name}.{item.name}", item.name, item)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            ]
+    return found
+
+
+def _reached_names(tree) -> list:
+    """(name, line) of each name the module reaches: an ``ast.Name``, the
+    attribute of an ``ast.Attribute`` and the string of a ``getattr(x, "...")``."""
+    reached = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            reached.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            reached.append((node.attr, node.lineno))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            reached.append((node.args[1].value, node.lineno))
+    return reached
+
+
+def test_every_public_name_is_documented_or_reached_from_src():
+    # a public function, class, method or property of src/ncfgl that README
+    # names in no code span and that no module reaches outside its own
+    # definition serves only the tests: document it or delete it
+    named = _readme_code_names()
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(
+        Path(ncfgl.__file__).parent.glob("*.py")
+    )}
+    reached = [
+        (module, name, line) for module, tree in trees.items() for name, line in _reached_names(tree)
+    ]
+    unreached = []
+    for module, tree in trees.items():
+        for qualified, name, node in _public_definitions(tree):
+            if name in named or any(
+                other == name and not (where == module and node.lineno <= line <= node.end_lineno)
+                for where, other, line in reached
+            ):
+                continue
+            unreached.append(f"{module}:{node.lineno} {qualified}")
+    assert len(trees) > len(SUBMODULES) and named
+    assert unreached == [], "public but neither in README nor reached from src: " + ", ".join(
+        unreached
+    )
 
 
 # -- values are records ---------------------------------------------------------------

@@ -37,7 +37,7 @@ from ncfgl import (
     right_action,
 )
 from ncfgl.freealg import matrix_of
-from ncfgl.steenrod import TensorElement, _acting, _cartan, _two_stage
+from ncfgl.steenrod import TensorAlgebra, TensorElement, _acting, _cartan, _two_stage
 
 from oracles import free_action, plain_matrix
 from props import run_coalgebra_laws, run_lucas_check
@@ -69,9 +69,7 @@ def test_op_validation():
 def test_coproduct_primitive_generator():
     A = dual_steenrod(3)
     psi = coproduct(A.gen(1))
-    assert psi == TensorElement(
-        A, A, {(((1, 1),), ()): 1, ((), ((1, 1),)): 1}
-    )
+    assert psi == TensorAlgebra(A, A).element({(((1, 1),), ()): 1, ((), ((1, 1),)): 1})
 
 
 def test_tensor_factors_over_different_rings_are_refused():
@@ -79,21 +77,19 @@ def test_tensor_factors_over_different_rings_are_refused():
     with pytest.raises(ModeMismatchError):
         TensorElement.tensor(dual_steenrod(3).gen(1), bp_homology(5).gen(1))
     with pytest.raises(ModeMismatchError):
-        TensorElement.unit(dual_steenrod(3), FreeAlgebra(COMPLEX, GF(5)))
+        TensorAlgebra(dual_steenrod(3), FreeAlgebra(COMPLEX, GF(5)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_coproduct_second_generator(p):
     A = dual_steenrod(p)
     psi = coproduct(A.gen(2))
-    expected = TensorElement(
-        A,
-        A,
+    expected = TensorAlgebra(A, A).element(
         {
             (((2, 1),), ()): 1,
             (((1, p),), ((1, 1),)): 1,
             ((), ((2, 1),)): 1,
-        },
+        }
     )
     assert psi == expected
 
@@ -194,7 +190,7 @@ def test_bp_coaction_of_a_p_power_is_the_closed_form(j):
     # psi(t3)^(3^j) = sum_k zeta_k^(3^j) (x) t_(3-k)^(3^(j+k))
     p = 3
     B = bp_homology(p)
-    expected = TensorElement.unit(dual_steenrod(p), B).scale(0)
+    expected = TensorAlgebra(dual_steenrod(p), B).zero()
     for k in range(4):
         zeta = _cube_repeatedly(conjugate_generator(p, k), j)
         t_part = B.monomial(((3 - k, p ** (j + k)),)) if k < 3 else B.one()
