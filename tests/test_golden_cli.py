@@ -6,9 +6,10 @@ first argvs are the ``ncfgl`` lines of README's "Command line" block, read by
 The corpus is replayed in-process through :func:`ncfgl.cli.run`, so a change
 that alters any byte of output, any error message or any exit code of these
 commands fails here.  The heavier ``fgl``, ``inverse`` and ``verify`` orders
-of :func:`heavy_argvs` are pinned the same way in
-``tests/golden/cli_heavy.json``; they take about 15 s, so the tests here check
-only that the file lists them, and CI replays them with
+and the slower ``LIMITS`` values of :func:`heavy_argvs` are pinned the same
+way in ``tests/golden/cli_heavy.json``; their 34 argvs take about 25 s and a
+peak RSS of about 520 MiB, so the tests here check only that the file lists
+them, and CI replays them with
 
     PYTHONPATH=src python tests/test_golden_cli.py --check-heavy
 
@@ -192,6 +193,35 @@ ABOVE_LIMITS = {
     "action terms": ["steenrod", "--op", "Sq5", "--word", ",".join(["1"] * 28), "--profile", "real"],
 }
 
+# One argv at the value of each row of ``ncfgl.cli.LIMITS`` that the lists
+# above do not reach; each sits just before its row's argv of ABOVE_LIMITS.
+# The rows whose argv takes over 0.5 s in-process are in HEAVY_AT_LIMITS, and
+# the fgl, inverse and verify degrees in HEAVY_LIMITS and HEAVY_VERIFY.
+AT_LIMITS = {
+    "commutator --degree": ["commutator", "--degree", "24"],
+    "parity --degree": ["parity", "--prime", "2", "--degree", "4000"],
+    "rational --degree": ["rational", "--degree", "4000"],
+    "--assign coefficient": ["expand", "--assign", "x=9*x"],
+    # --k 22 needs order k + 2 to see the bound
+    "commutator --k": ["commutator", "--k", "22", "--degree", "24"],
+    "verify --samples": ["verify", "--samples", "1000"],
+    "--word letters": ["commutator", "--word", ",".join(["1"] * 32)],
+    "--poly entries": ["poincare", "--poly", ",".join(["2"] * 4096), "--degree", "4"],
+    "--ext entries": ["poincare", "--ext", ",".join(["2"] * 4096), "--degree", "4"],
+    "--op index": ["steenrod", "--prime", "3", "--op", "P4096", "--gen", "t1"],
+    # C(104 + 4 - 1, 4 - 1) = 198 485, the greatest count that a word of at
+    # most 32 letters reaches within 200 000
+    "action terms": ["steenrod", "--prime", "3", "--op", "P104", "--word", "200,200,200,200"],
+}
+HEAVY_AT_LIMITS = {
+    "poincare --degree": ["poincare", "--degree", "4000"],
+    "split --degree": ["split", "--prime", "2", "--degree", "4000"],
+    "expand in 1 variable --degree": ["expand", "--assign", "x=-x", "--degree", "18"],
+    "expand in 2 variables --degree": ["expand", "--assign", "x=x+y", "--degree", "16"],
+    "expand in 3 variables --degree": ["expand", "--assign", "x=x+y+z", "--degree", "14"],
+    "--gen index": ["steenrod", "--prime", "3", "--op", "P1", "--gen", "t17"],
+}
+
 
 def _formats(argv):
     return [argv + ["--format", "json"], argv]
@@ -213,7 +243,10 @@ def corpus_argvs() -> list:
         for order in range(2, 11):
             for mode in MODES:
                 argvs += _formats([command, "--degree", str(order), *mode])
-    argvs += ABOVE_LIMITS.values()
+    for row, argv in ABOVE_LIMITS.items():
+        if row in AT_LIMITS:
+            argvs.append(AT_LIMITS[row])
+        argvs.append(argv)
     for argv in TABLE_RINGS:
         argvs += _formats(argv)
     argvs += EMPTY_POLY
@@ -231,15 +264,16 @@ def heavy_argvs() -> list:
     """The argvs of the heavy corpus, in both formats: ``fgl`` at orders
     11-14 and ``inverse`` at 13-16 over ZZ, then ``fgl`` at order 13 over QQ
     and ``inverse`` at order 16 over GF(3), then ``verify`` at order 12 over
-    ZZ, over GF(3) and on the real profile; last, in JSON only, ``fgl`` at
-    order 16 and ``inverse`` at order 20 over ZZ, their ``LIMITS`` values."""
+    ZZ, over GF(3) and on the real profile; then, in JSON only, ``fgl`` at
+    order 16 and ``inverse`` at order 20 over ZZ, their ``LIMITS`` values;
+    last, as text, the argvs of HEAVY_AT_LIMITS."""
     argvs = []
     for command, orders in (("fgl", range(11, 15)), ("inverse", range(13, 17))):
         for order in orders:
             argvs += _formats([command, "--degree", str(order)])
     for argv in HEAVY_RINGS + HEAVY_VERIFY:
         argvs += _formats(argv)
-    return argvs + HEAVY_LIMITS
+    return argvs + HEAVY_LIMITS + list(HEAVY_AT_LIMITS.values())
 
 
 def _run(argv) -> tuple:
@@ -315,6 +349,22 @@ def test_every_limit_row_has_an_argv_above_it():
         code, out, err = _run(argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"error: {row} ") and "above the budget" in err, err
+
+
+def test_every_limit_row_has_an_argv_at_its_value():
+    from ncfgl.cli import LIMITS
+
+    elsewhere = {
+        "fgl --degree": HEAVY_LIMITS[0],
+        "inverse --degree": HEAVY_LIMITS[1],
+        "verify --degree": HEAVY_VERIFY[0],
+    }
+    rows = [*AT_LIMITS, *HEAVY_AT_LIMITS, *elsewhere]
+    assert sorted(rows) == sorted(LIMITS)
+    assert all(argv in heavy_argvs() for argv in elsewhere.values())
+    exits = {tuple(run["argv"]): run["exit"] for run in _load()["runs"]}
+    assert all(exits[tuple(argv)] == 0 for argv in AT_LIMITS.values())
+    assert not set(map(tuple, HEAVY_AT_LIMITS.values())) & set(exits)
 
 
 def test_heavy_corpus_lists_every_argv_in_order():
