@@ -209,8 +209,9 @@ AT_LIMITS = {
     "--poly entries": ["poincare", "--poly", ",".join(["2"] * 4096), "--degree", "4"],
     "--ext entries": ["poincare", "--ext", ",".join(["2"] * 4096), "--degree", "4"],
     "--op index": ["steenrod", "--prime", "3", "--op", "P4096", "--gen", "t1"],
-    # C(104 + 4 - 1, 4 - 1) = 198 485, the greatest count that a word of at
-    # most 32 letters reaches within 200 000
+    # C(104 + 4 - 1, 4 - 1) = 198 485 possible terms, and about 8 300 formed;
+    # the greatest count within the limit, C(632, 2) = 199 396 for P630 on 3
+    # letters, is an action that sends every word to 0
     "action terms": ["steenrod", "--prime", "3", "--op", "P104", "--word", "200,200,200,200"],
 }
 HEAVY_AT_LIMITS = {
