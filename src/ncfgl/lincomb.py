@@ -159,8 +159,8 @@ class LinearCombination(Record):
 
     A record on (algebra, stored terms): equal when both agree, hashable,
     and refusing assignment.  The term mapping is never exposed for writing.
-    An element pickles as ``algebra._wrap(terms)``, so that a subclass may
-    take other constructor arguments.
+    An element pickles as ``algebra._wrap(terms)``, so that its stored terms
+    come back as they are, without re-entering ``key_of``.
     """
 
     __slots__ = ("algebra", "_terms")
