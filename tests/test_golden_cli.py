@@ -7,9 +7,9 @@ The corpus is replayed in-process through :func:`ncfgl.cli.run`, so a change
 that alters any byte of output, any error message or any exit code of these
 commands fails here.  The heavier ``fgl``, ``inverse`` and ``verify`` orders
 and the slower ``LIMITS`` values of :func:`heavy_argvs` are pinned the same
-way in ``tests/golden/cli_heavy.json``; their 34 argvs take about 25 s and a
-peak RSS of about 520 MiB, so the tests here check only that the file lists
-them, and CI replays them with
+way in ``tests/golden/cli_heavy.json``; their 35 argvs take about 20 s and a
+peak RSS of about 520 MiB on a 2-core machine with Python 3.11, so the tests
+here check only that the file lists them, and CI replays them with
 
     PYTHONPATH=src python tests/test_golden_cli.py --check-heavy
 
@@ -130,6 +130,11 @@ RATIONAL = [
     ["commutator", "--word", "1,2", "--k", "2", "--degree", "8", "--mode", "rat"],
 ]
 
+# The real profile where no list above reaches it: a series whose
+# generators pass letter 255, and the refusal of an odd prime.
+REAL_PROFILE = [["poincare", "--profile", "real", "--degree", "600"]]
+REAL_REFUSED = [["steenrod", "--prime", "3", "--op", "P1", "--word", "1", "--profile", "real"]]
+
 # The heavy tables over the two other rings: a table over Q and an inverse
 # over F_3.
 HEAVY_RINGS = [
@@ -144,6 +149,9 @@ HEAVY_VERIFY = [
     ["verify", "--degree", "12", "--mode", "fp", "--prime", "3"],
     ["verify", "--degree", "12", "--profile", "real"],
 ]
+
+# The real profile's series at its degree budget.
+HEAVY_REAL = [["poincare", "--profile", "real", "--degree", "4000"]]
 
 # What argparse itself writes: the help of the top level and of every
 # subcommand, and the refusals of a missing or unknown command, of an option
@@ -251,9 +259,9 @@ def corpus_argvs() -> list:
     for argv in TABLE_RINGS:
         argvs += _formats(argv)
     argvs += EMPTY_POLY
-    for argv in RATIONAL:
+    for argv in RATIONAL + REAL_PROFILE:
         argvs += _formats(argv)
-    argvs += ARGPARSE
+    argvs += REAL_REFUSED + ARGPARSE
     unique = []
     for argv in argvs:
         if argv not in unique:
@@ -267,14 +275,15 @@ def heavy_argvs() -> list:
     and ``inverse`` at order 16 over GF(3), then ``verify`` at order 12 over
     ZZ, over GF(3) and on the real profile; then, in JSON only, ``fgl`` at
     order 16 and ``inverse`` at order 20 over ZZ, their ``LIMITS`` values;
-    last, as text, the argvs of HEAVY_AT_LIMITS."""
+    then, as text, the argvs of HEAVY_AT_LIMITS; last, as text, the real
+    profile's ``poincare`` at its degree budget."""
     argvs = []
     for command, orders in (("fgl", range(11, 15)), ("inverse", range(13, 17))):
         for order in orders:
             argvs += _formats([command, "--degree", str(order)])
     for argv in HEAVY_RINGS + HEAVY_VERIFY:
         argvs += _formats(argv)
-    return argvs + HEAVY_LIMITS + list(HEAVY_AT_LIMITS.values())
+    return argvs + HEAVY_LIMITS + list(HEAVY_AT_LIMITS.values()) + HEAVY_REAL
 
 
 def _run(argv) -> tuple:
