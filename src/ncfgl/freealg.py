@@ -19,9 +19,9 @@ unit, and stored as the ``bytes`` of those indices, so a letter lies in
 letters, so every rule on letters reads a stored word as it is; unlike a
 tuple it caches its hash and is not tracked by the garbage collector, which
 makes the dict lookups of the word-pair loop cheaper.
-:meth:`FreeAlgebra.key_of` turns a tuple into a stored word and
-:meth:`~FreeAlgebra.public_key` turns it back, at the key boundary of
-:mod:`ncfgl.lincomb`.
+:meth:`FreeAlgebra.key_of` turns a tuple into a stored word, refusing a
+letter that the profile lacks, and :meth:`~FreeAlgebra.public_key` turns it
+back, at the key boundary of :mod:`ncfgl.lincomb`.
 
 :func:`matrix_of` writes a linear map between spans of words as the matrix
 that the exact elimination of :mod:`ncfgl.linalg` solves: one dict
@@ -52,18 +52,20 @@ Word = tuple  # public word: a tuple of generator indices 1..255; () is the unit
 MAX_LETTER = 255  # the largest letter a stored (bytes) word can hold
 
 
+_GENERATOR_1_DEGREE = {"complex": 2, "real": 1}  # the one number of a built-in profile
+
+
 class GradingProfile(Record):
     """Degree rule for the generator family.
 
-    The complex profile puts generator i in degree 2i, the real profile in
-    degree i.  A custom profile carries an explicit finite degree sequence.
+    A built-in profile is the degree of generator 1 (``_GENERATOR_1_DEGREE``);
+    generator i has i times that degree, and a series variable has it once.
+    A custom profile carries an explicit finite degree sequence.
     """
 
     __slots__ = ("kind", "letter", "degrees")
 
     def __init__(self, kind: str, letter: str, degrees: tuple | None = None):
-        if kind not in ("complex", "real", "custom"):
-            raise ParameterError(f"unknown profile kind {kind!r}")
         if kind == "custom":
             degrees = tuple(degrees or ())
             if not degrees or any(d < 1 for d in degrees):
@@ -72,6 +74,8 @@ class GradingProfile(Record):
                 raise ParameterError(
                     f"custom profile has {len(degrees)} degrees; a word has letters 1..{MAX_LETTER}"
                 )
+        elif kind not in _GENERATOR_1_DEGREE:
+            raise ParameterError(f"unknown profile kind {kind!r}")
         elif degrees is not None:
             raise ParameterError(f"{kind} profile takes no degree sequence")
         super().__init__(kind, letter, degrees)
@@ -83,34 +87,26 @@ class GradingProfile(Record):
     def degree_of(self, i: int) -> int:
         if i < 1:
             raise ParameterError(f"generator index must be >= 1, got {i}")
-        if self.kind == "complex":
-            return 2 * i
-        if self.kind == "real":
-            return i
-        if i > len(self.degrees):
-            raise ParameterError(f"custom profile has {len(self.degrees)} generators")
-        return self.degrees[i - 1]
+        degrees = self.degrees
+        if degrees is None:
+            return i * _GENERATOR_1_DEGREE[self.kind]
+        if i > len(degrees):
+            raise ParameterError(f"custom profile has {len(degrees)} generators")
+        return degrees[i - 1]
 
     def generators_of_degree_at_most(self, d: int) -> list:
-        if self.kind == "complex":
-            return list(range(1, d // 2 + 1))
-        if self.kind == "real":
-            return list(range(1, d + 1))
-        return [i for i in range(1, len(self.degrees) + 1) if self.degrees[i - 1] <= d]
+        if self.degrees is None:
+            return list(range(1, d // _GENERATOR_1_DEGREE[self.kind] + 1))
+        return [i for i, degree in enumerate(self.degrees, 1) if degree <= d]
 
     @property
     def variable_degree(self) -> int:
         """Topological degree of a central series variable over this profile."""
-        if self.kind == "complex":
-            return 2
-        if self.kind == "real":
-            return 1
+        if self.degrees is None:
+            return _GENERATOR_1_DEGREE[self.kind]
         raise ParameterError("custom profiles must choose a variable degree explicitly")
 
     __hash__ = Record._hash
-
-    def __repr__(self):
-        return f"GradingProfile({self.kind!r})"
 
 
 COMPLEX = GradingProfile("complex", "Z")
@@ -176,7 +172,6 @@ class FreeAlgebra(SparseAlgebra):
     __slots__ = ("profile", "ring")
     element_class = FreeElement
     unit_key = b""
-    key_of = staticmethod(_word_key)
     public_key = staticmethod(tuple)
     key_mul = staticmethod(bytes.__add__)
 
@@ -184,6 +179,13 @@ class FreeAlgebra(SparseAlgebra):
         super().__init__(profile, ring)
 
     # -- basis ---------------------------------------------------------------
+
+    def key_of(self, word) -> bytes:
+        """The stored word of ``word``, refusing a letter the profile lacks."""
+        key = _word_key(word)
+        if key:
+            self.profile.degree_of(max(key))
+        return key
 
     def word_degree(self, word: Word) -> int:
         deg = self.profile.degree_of
@@ -218,8 +220,7 @@ class FreeAlgebra(SparseAlgebra):
     # -- element construction --------------------------------------------------
 
     def gen(self, i: int) -> FreeElement:
-        self.profile.degree_of(i)  # validates the index
-        return self._wrap({_word_key((i,)): self.ring.one})
+        return self.monomial((i,))
 
     def from_data(self, data) -> FreeElement:
         """The element whose ``to_data()`` is ``data``; a record without a

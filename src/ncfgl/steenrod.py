@@ -414,29 +414,32 @@ def cartan_extend(table: GeneratorActionTable, a, op: MilnorOp):
     """
     if op.kind != table.kind or op.prime != table.prime:
         raise ModeMismatchError("operation does not match the action table")
-    carrier = table.carrier
-    if a.algebra != carrier:
+    if a.algebra != table.carrier:
         raise ModeMismatchError("element does not live over the table's algebra")
-    act = _cartan(table)
+    return _extended(table.carrier, table.image, a, op.index)
+
+
+def _extended(carrier, image, a, k: int):
+    """``a`` under the index-k operation whose generator images are
+    ``image(index, generator)``, by :func:`_cartan` on each term."""
+    act = _cartan(carrier, image)
     acc: dict = {}
     for key, coeff in a._terms.items():
-        carrier.add_multiple(acc, coeff, act(key, op.index))
+        carrier.add_multiple(acc, coeff, act(key, k))
     return carrier.from_accumulator(acc)
 
 
-def _cartan(table: GeneratorActionTable):
-    """act(key, k): the index-k operation of the table's kind on one basis
-    element, by the Cartan rule on its first generator and the rest.  One
-    memo of (key, k) serves every call of one ``act``, so keys that share a
-    suffix act on it once.  The identity image of each generator, the one
-    image the table builds on every read, is read once per ``act`` and kept
-    in a local dict; the other images are stored entries, read as they are,
-    and the empty ones are skipped."""
-    carrier = table.carrier
+def _cartan(carrier, image):
+    """act(key, k): the index-k operation on one basis element of
+    ``carrier``, by the Cartan rule on its first generator and the rest,
+    where ``image(i, generator)`` is the generator's image under index i.
+    One memo of (key, k) serves every call of one ``act``, so keys that
+    share a suffix act on it once, and one memo of (i, generator) reads each
+    image once; the empty images are skipped."""
     zero = carrier.zero()
     one = carrier.ring.one
     memo: dict = {}
-    identities: dict = {}
+    images: dict = {}
 
     def act(key, k):
         if k == 0:
@@ -447,17 +450,14 @@ def _cartan(table: GeneratorActionTable):
         if cached is not None:
             return cached
         first, rest = carrier.split_key(key)
-        img = identities.get(first)
-        if img is None:
-            img = identities[first] = table.image(0, first)
         acc: dict = {}
-        carrier.add_product(acc, img, act(rest, k))
-        for i in range(1, k + 1):
-            img = table.image(i, first)
+        for i in range(k + 1):
+            img = images.get((i, first))
+            if img is None:
+                img = images[(i, first)] = image(i, first)
             if img._terms:
                 carrier.add_product(acc, img, act(rest, k - i))
-        total = memo[(key, k)] = carrier.from_accumulator(acc)
-        return total
+        return memo.setdefault((key, k), carrier.from_accumulator(acc))
 
     return act
 
@@ -465,45 +465,40 @@ def _cartan(table: GeneratorActionTable):
 # -- the induced action on the free algebra ------------------------------------------
 
 
-def _generator_image(algebra: FreeAlgebra, op: MilnorOp, k: int, i: int) -> FreeElement:
-    """Image of generator i under the index-k operation of ``op``'s kind, by
-    the index-shift rule (module docstring): the degree of an operation is
-    proportional to its index, so that operation has degree k/index of
-    ``op.degree``."""
-    s, rest = divmod(k * op.degree // op.index, algebra.profile.variable_degree)
-    if rest or s > i:
-        return algebra.zero()
-    coeff = lucas_binomial(i - s + 1, s // (op.prime - 1), op.prime)
-    if not coeff:
-        return algebra.zero()
-    # coeff is a residue mod p, so only the word needs its stored form
-    return algebra._wrap({algebra.key_of((i - s,)) if s < i else algebra.unit_key: coeff})
+def _index_shift(algebra, op: MilnorOp):
+    """image(k, i): generator i under the index-k operation of ``op``'s
+    kind over a free algebra, by the index-shift rule (module docstring).
 
-
-def _induced_table(algebra, op: MilnorOp, words) -> GeneratorActionTable:
-    """The table of ``op``'s kind over a free algebra, for every letter of
-    ``words`` and every index up to ``op.index``, by the index-shift rule."""
+    The profile decides where the rule holds: a custom profile has no
+    derived action, and one whose generator 1 has odd degree (the real
+    profile) acts only at p = 2."""
     if not isinstance(algebra, FreeAlgebra):
         raise UnsupportedInputError("nsym_action acts on free-algebra elements")
     ring = algebra.ring
     if ring.mode != "fp" or ring.prime != op.prime:
         raise ModeMismatchError("element must live over F_p for the acting prime")
-    kind = algebra.profile.kind
-    if kind == "real" and op.prime != 2:
-        raise UnsupportedInputError("the real profile carries an action only at p = 2")
-    if kind not in ("real", "complex"):
+    profile = algebra.profile
+    if profile.degrees is not None:
         raise UnsupportedInputError("no derived action for custom profiles")
-    entries = {
-        (k, letter): _generator_image(algebra, op, k, letter)
-        for letter in {i for word in words for i in word}
-        for k in range(1, op.index + 1)
-    }
-    return GeneratorActionTable(algebra, op.kind, op.prime, entries)
+    vardeg = profile.variable_degree
+    if vardeg % 2 and op.prime != 2:
+        raise UnsupportedInputError("the real profile carries an action only at p = 2")
+    p, step = op.prime, MilnorOp(op.prime, op.kind, 1).degree  # the degree per unit of index
+
+    def image(k, i):
+        s, rest = divmod(k * step, vardeg)
+        coeff = 0 if rest or s > i else lucas_binomial(i - s + 1, s // (p - 1), p)
+        if not coeff:
+            return algebra.zero()
+        # coeff is a residue mod p, and i - s a letter of a stored word
+        return algebra._wrap({bytes((i - s,)) if s < i else algebra.unit_key: coeff})
+
+    return image
 
 
 def nsym_action(op: MilnorOp, a: FreeElement) -> FreeElement:
     """Right Steenrod action on free-algebra elements via the Cartan rule."""
-    return cartan_extend(_induced_table(a.algebra, op, a._terms), a, op)
+    return _extended(a.algebra, _index_shift(a.algebra, op), a, op.index)
 
 
 # -- obstruction certificates ----------------------------------------------------------
@@ -539,11 +534,10 @@ class ObstructionCertificate(Record):
         return "\n".join(lines)
 
 
-def _acting(algebra, op, words):
+def _acting(algebra, op):
     """stored word -> the stored terms of op applied to the word, as a map
-    for :func:`matrix_of` over ``words``, with one action table and one
-    Cartan memo for all of them."""
-    act = _cartan(_induced_table(algebra, op, words))
+    for :func:`matrix_of`, with one Cartan memo for all the words."""
+    act = _cartan(algebra, _index_shift(algebra, op))
     return lambda word: act(word, op.index)._terms
 
 
@@ -575,7 +569,7 @@ def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
     W = algebra._keys_of_degree(low_degree)
     targets = algebra._keys_of_degree(c.degree())
     particular, kernel = solve(
-        low_degree, W, matrix_of(_acting(algebra, op, W), W, targets), column(c, targets)
+        low_degree, W, matrix_of(_acting(algebra, op), W, targets), column(c, targets)
     )
     candidates = []
     if particular is not None:
@@ -593,7 +587,7 @@ def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
     action_rows = [
         row
         for (theta, _), words in zip(blocks, block_targets)
-        for row in matrix_of(_acting(algebra, theta, V), V, words)
+        for row in matrix_of(_acting(algebra, theta), V, words)
     ]
 
     def written(vec):

@@ -339,6 +339,11 @@ _CUSTOM = GradingProfile.custom((2, 4))
 _Z = FreeAlgebra()
 _Q = FreeAlgebra(COMPLEX, QQ)
 
+
+def _custom(n: int) -> FreeAlgebra:
+    """The free algebra over a custom profile of n generators in degree 1."""
+    return FreeAlgebra(GradingProfile.custom([1] * n))
+
 # One row per refusal of the free-algebra layer: (callable, args, error type, message fragment).
 _REFUSALS = [
     (GradingProfile, ("weird", "g"), ParameterError, "unknown profile kind 'weird'"),
@@ -349,6 +354,12 @@ _REFUSALS = [
     (_CUSTOM.degree_of, (3,), ParameterError, "custom profile has 2 generators"),
     (getattr, (_CUSTOM, "variable_degree"), ParameterError,
      "custom profiles must choose a variable degree explicitly"),
+    # a letter that a custom profile lacks is refused where its word enters
+    # the algebra; the profiles differ in size only so that the ids differ
+    (_custom(3).monomial, ((4,),), ParameterError, "custom profile has 3 generators"),
+    (_custom(4).element, ({(1, 5): 1},), ParameterError, "custom profile has 4 generators"),
+    (_custom(5).from_data, ([{"word": [7], "coeff": "1"}],), ParameterError,
+     "custom profile has 5 generators"),
     (_Z.from_data, ([{"word": [1], "coeff": "x"}],), ParameterError,
      "cannot read the term record {'word': [1], 'coeff': 'x'}: cannot parse 'x'"),
     (_Z.from_data, ([{"word": [1], "coeff": "1/2"}],), ParameterError,
@@ -370,6 +381,27 @@ _REFUSALS = [
 def test_free_algebra_refusals(call, args, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         call(*args)
+
+
+def test_a_letter_a_custom_profile_lacks_has_coefficient_zero_and_no_generator():
+    algebra = FreeAlgebra(GradingProfile.custom((1, 3)))
+    element = algebra.gen(1) + algebra.gen(2)
+    assert element.coefficient((5,)) == element.coefficient((256,)) == 0
+    assert element.coefficient((2,)) == 1
+    with pytest.raises(ParameterError, match="custom profile has 2 generators"):
+        algebra.gen(3)
+
+
+def test_algebras_over_different_custom_profiles_name_their_degrees():
+    left = FreeAlgebra(GradingProfile.custom((1, 3))).gen(1)
+    right = FreeAlgebra(GradingProfile.custom((2, 3))).gen(1)
+    with pytest.raises(ModeMismatchError) as caught:
+        left + right
+    assert str(caught.value) == (
+        "operands live in different algebras "
+        "(FreeAlgebra(GradingProfile(kind='custom', letter='g', degrees=(1, 3)), ZZ) vs "
+        "FreeAlgebra(GradingProfile(kind='custom', letter='g', degrees=(2, 3)), ZZ))"
+    )
 
 
 def test_from_data_keeps_a_word_given_once_and_drops_zeros(A):

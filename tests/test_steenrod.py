@@ -3,6 +3,7 @@ import json
 import random
 import re
 import time
+from math import comb
 
 import pytest
 
@@ -34,6 +35,7 @@ from ncfgl import (
     lucas_binomial,
     milnor_pair,
     nsym_action,
+    random_homogeneous,
     right_action,
 )
 from ncfgl.freealg import matrix_of
@@ -390,7 +392,7 @@ def test_cartan_reads_the_images_of_its_own_table():
     one = algebra.one()
     plus = GeneratorActionTable(algebra, "P", 3, {(1, 1): one, (2, 1): algebra.zero()})
     minus = GeneratorActionTable(algebra, "P", 3, {(1, 1): -one, (2, 1): algebra.zero()})
-    act_plus, act_minus = _cartan(plus), _cartan(minus)
+    act_plus, act_minus = _cartan(algebra, plus.image), _cartan(algebra, minus.image)
     z1z1 = b"\x01\x01"
     for _ in range(2):
         assert act_plus(z1z1, 1) == algebra.gen(1).scale(2)
@@ -407,7 +409,7 @@ def test_cartan_missing_entry_is_refused_after_other_images_are_read():
     # every act that needs it is refused, naming the generator and the index
     algebra = FreeAlgebra(COMPLEX, GF(3))
     table = GeneratorActionTable(algebra, "P", 3, {(1, 1): algebra.one()})
-    act = _cartan(table)
+    act = _cartan(algebra, table.image)
     assert act(b"\x01\x01", 1) == algebra.gen(1).scale(2)
     for _ in range(2):
         with pytest.raises(IncompleteTableError, match="generator 1 under index 2"):
@@ -433,7 +435,7 @@ def test_action_rows_match_the_closed_form_oracle(profile, p):
     entries = 0
     for k in range(1, 4):
         op = MilnorOp(p, "Sq" if p == 2 else "P", k)
-        rows = matrix_of(_acting(algebra, op, sources), sources, sources)
+        rows = matrix_of(_acting(algebra, op), sources, sources)
         images = [free_action(tuple(word), k, p, profile.kind) for word in sources]
         got = {(i, j): c for i, row in enumerate(rows) for j, c in row.items()}
         assert got == plain_matrix(images, [tuple(word) for word in sources]), k
@@ -532,9 +534,9 @@ def test_nsym_action_matches_the_closed_form_oracle(profile, p):
     assert nonzero > 20
 
 
-def test_certificates_build_one_action_table_per_operation_and_word_list(monkeypatch):
-    # stage one acts with one operation on one word list; stage two with one
-    # operation per block on another
+def test_certificates_and_nsym_action_build_no_action_table(monkeypatch):
+    # the induced action reads the index-shift rule directly: a
+    # GeneratorActionTable is built only by a caller of cartan_extend
     import ncfgl.steenrod
 
     built = []
@@ -548,10 +550,43 @@ def test_certificates_build_one_action_table_per_operation_and_word_list(monkeyp
 
     monkeypatch.setattr(ncfgl.steenrod, "GeneratorActionTable", Counted)
     bp_obstruction_certificate(3)
-    assert built == [("P", 3)] * 3
-    built.clear()
     hf2_obstruction_certificate()
-    assert built == [("Sq", 2)] * 3
+    nsym_action(MilnorOp(3, "P", 2), FreeAlgebra(COMPLEX, GF(3)).monomial((2, 1, 3)))
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "profile, p",
+    [(REAL, 2), (COMPLEX, 2), (COMPLEX, 3), (COMPLEX, 5)],
+    ids=["real-2", "complex-2", "complex-3", "complex-5"],
+)
+def test_nsym_action_agrees_with_cartan_extend_over_the_index_shift_table(profile, p):
+    # a hand-written table of the index-shift images, generator i under
+    # index k to C(i - s + 1, s / (p - 1)) Z_{i-s} with s the degree of the
+    # operation over the variable degree, extended by cartan_extend
+    algebra = FreeAlgebra(profile, GF(p))
+    vardeg = profile.variable_degree
+    kind = "Sq" if p == 2 else "P"
+    step = MilnorOp(p, kind, 1).degree
+    entries = {}
+    for k in range(1, 5):
+        for i in range(1, 9):
+            s, rest = divmod(k * step, vardeg)
+            coeff = 0 if rest or s > i else comb(i - s + 1, s // (p - 1))
+            entries[(k, i)] = algebra.monomial((i - s,) if s < i else (), coeff)
+    rng = random.Random(p)
+    elements = [
+        random_homogeneous(algebra, rng.randrange(1, 9 * vardeg), rng, 4) for _ in range(12)
+    ] + [algebra.monomial((i, j)) for i in (1, 4, 8) for j in (2, 5)]
+    table = GeneratorActionTable(algebra, kind, p, entries)
+    nonzero = 0
+    for k in range(5):
+        op = MilnorOp(p, kind, k)
+        for element in elements:
+            image = nsym_action(op, element)
+            assert image == cartan_extend(table, element, op), (k, element)
+            nonzero += k > 0 and not image.is_zero()
+    assert nonzero > 5
 
 
 def test_degree_vanishing_on_words():
