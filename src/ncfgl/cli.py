@@ -57,7 +57,8 @@ _TERM_RE = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*\*\s*)?([A-Za-z_]\w*)\s*")
 # through the conjugate chi(xi_N).  On a word of L letters, P^k (or Sq^k)
 # gives at most one term per split of k over the letters, so the action is
 # refused when the C(k + L - 1, L - 1) splits number more than "action
-# terms".  The slowest accepted inputs of the length and index rows, at primes
+# terms", 199 396 = C(632, 2) (P630 on 3 letters), the greatest count within
+# 200 000 that an --op index and a --word length reach.  The slowest accepted inputs of the length and index rows, at primes
 # below 3.3e24: steenrod --gen t17 at the prime 3e24 + 7 in 6.9 s and 388 MiB
 # (t18 took 16 s and 799 MiB); commutator with 32 letters at --k 8 --degree 24
 # --mode rat --format json in 2.6-2.9 s and 318 MiB; a 20-letter Sq^6 action
@@ -83,7 +84,7 @@ LIMITS = {
     "--ext entries": 4096,
     "--gen index": 17,
     "--op index": 4096,
-    "action terms": 200_000,
+    "action terms": 199_396,
 }
 
 

@@ -616,8 +616,8 @@ def _limit_cases(limits):
         "--op index": lambda n: ("steenrod", "--prime", "3", "--op", f"P{n}", "--gen", "t1"),
     }
     cases = {row: (build(limits[row]), build(limits[row] + 1)) for row, build in builders.items()}
-    # P^k on a word of three letters has C(k + 2, 2) possible terms; no k
-    # gives exactly the limit, so the largest k within it and the next one
+    # P^k on a word of three letters has C(k + 2, 2) possible terms; the
+    # largest k within the limit, which meets it exactly, and the next one
     # stand for "at" and "above"
     k = 0
     while comb(k + 3, 2) <= limits["action terms"]:
@@ -672,6 +672,21 @@ def test_every_limit_accepts_its_value_and_refuses_the_next(monkeypatch, capsys)
         assert err.startswith(f"error: {row} ") and err.endswith(
             f" is above the budget of {limit}\n"
         ), (row, err)
+
+
+def test_the_action_terms_limit_is_a_count_that_inputs_reach():
+    # the row's value is C(k + L - 1, L - 1) for some --op index k and some
+    # --word length L within their own rows, so an argv can sit at it
+    from math import comb
+
+    import ncfgl.cli
+
+    limits = ncfgl.cli.LIMITS
+    assert any(
+        comb(k + length - 1, length - 1) == limits["action terms"]
+        for k in range(limits["--op index"] + 1)
+        for length in range(1, limits["--word letters"] + 1)
+    )
 
 
 class _Negative(_Stub):

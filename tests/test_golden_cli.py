@@ -130,6 +130,10 @@ RATIONAL = [
     ["commutator", "--word", "1,2", "--k", "2", "--degree", "8", "--mode", "rat"],
 ]
 
+# A free-algebra action at an odd prime near the "action terms" limit:
+# C(104 + 4 - 1, 4 - 1) = 198 485 possible terms, and about 8 300 formed.
+ODD_ACTION = [["steenrod", "--prime", "3", "--op", "P104", "--word", "200,200,200,200"]]
+
 # The real profile where no list above reaches it: a series whose
 # generators pass letter 255, and the refusal of an odd prime.
 REAL_PROFILE = [["poincare", "--profile", "real", "--degree", "600"]]
@@ -197,7 +201,7 @@ ABOVE_LIMITS = {
     "--ext entries": ["poincare", "--ext", ",".join(["2"] * 4097)],
     "--gen index": ["steenrod", "--prime", "3", "--op", "P1", "--gen", "t18"],
     "--op index": ["steenrod", "--prime", "3", "--op", "P4097", "--gen", "t1"],
-    # C(5 + 28 - 1, 28 - 1) = 201 376, the least count above 200 000
+    # C(5 + 28 - 1, 28 - 1) = 201 376 possible terms, above 199 396
     "action terms": ["steenrod", "--op", "Sq5", "--word", ",".join(["1"] * 28), "--profile", "real"],
 }
 
@@ -217,10 +221,9 @@ AT_LIMITS = {
     "--poly entries": ["poincare", "--poly", ",".join(["2"] * 4096), "--degree", "4"],
     "--ext entries": ["poincare", "--ext", ",".join(["2"] * 4096), "--degree", "4"],
     "--op index": ["steenrod", "--prime", "3", "--op", "P4096", "--gen", "t1"],
-    # C(104 + 4 - 1, 4 - 1) = 198 485 possible terms, and about 8 300 formed;
-    # the greatest count within the limit, C(632, 2) = 199 396 for P630 on 3
-    # letters, is an action that sends every word to 0
-    "action terms": ["steenrod", "--prime", "3", "--op", "P104", "--word", "200,200,200,200"],
+    # C(630 + 3 - 1, 3 - 1) = 199 396 possible terms, an action that sends
+    # every word to 0
+    "action terms": ["steenrod", "--prime", "3", "--op", "P630", "--word", "1,1,1"],
 }
 HEAVY_AT_LIMITS = {
     "poincare --degree": ["poincare", "--degree", "4000"],
@@ -261,7 +264,7 @@ def corpus_argvs() -> list:
     argvs += EMPTY_POLY
     for argv in RATIONAL + REAL_PROFILE:
         argvs += _formats(argv)
-    argvs += REAL_REFUSED + ARGPARSE
+    argvs += ODD_ACTION + REAL_REFUSED + ARGPARSE
     unique = []
     for argv in argvs:
         if argv not in unique:
