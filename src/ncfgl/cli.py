@@ -58,12 +58,13 @@ _TERM_RE = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*\*\s*)?([A-Za-z_]\w*)\s*")
 # gives at most one term per split of k over the letters, so the action is
 # refused when the C(k + L - 1, L - 1) splits number more than "action
 # terms", 199 396 = C(632, 2) (P630 on 3 letters), the greatest count within
-# 200 000 that an --op index and a --word length reach.  The slowest accepted inputs of the length and index rows, at primes
-# below 3.3e24: steenrod --gen t17 at the prime 3e24 + 7 in 6.9 s and 388 MiB
-# (t18 took 16 s and 799 MiB); commutator with 32 letters at --k 8 --degree 24
-# --mode rat --format json in 2.6-2.9 s and 318 MiB; a 20-letter Sq^6 action
-# (177 100 splits) in 7.4 s and 490 MiB; poincare with 4096-entry --poly and
-# --ext lists at --degree 4000 in 13.6 s and 45 MiB.
+# 200 000 that an --op index and a --word length reach.  The slowest accepted
+# inputs of the length and index rows, at primes below 3.3e24: steenrod
+# --gen t17 at the prime 3e24 + 7 in 6.9 s and 388 MiB (t18 took 16 s and
+# 799 MiB); commutator with 32 letters at --k 8 --degree 24 --mode rat
+# --format json in 2.6-2.9 s and 318 MiB; a 20-letter Sq^6 action (177 100
+# splits) in 7.4 s and 490 MiB; poincare with 4096-entry --poly and --ext
+# lists at --degree 4000 in 13.6 s and 45 MiB.
 LIMITS = {
     "fgl --degree": 16,
     "inverse --degree": 20,
