@@ -305,3 +305,149 @@ def test_back_substitution_at_size_matches_the_dense_oracle(ring, p, integer):
     assert len(kernel_dims) > 1 and min(kernel_dims) <= 1
     if not integer:
         assert consistent == inconsistent == 3
+
+
+# -- singleton-heavy systems ----------------------------------------------------
+
+# Most rows of the centralizer and certificate systems hold one entry, and
+# clearing one such row's column from the others leaves more of them.  The
+# matrices below hold values that each ring must first reduce: multiples of
+# p over F_p, which read 0, and integral Fractions over Q; the sparse rows
+# built from them also store explicit zeros, so a row may become a singleton,
+# or empty, only once its entries are reduced.
+
+
+def _chain(rng, ncols, ring):
+    """Rows {c0: a}, {c0: b, c1: c}, {c1: d, c2: e}, ... over shuffled
+    columns: each column's singleton appears only once the previous column
+    is cleared."""
+    cols = rng.sample(range(ncols), ncols)
+    rows = [{cols[0]: _nonzero(ring, rng)}]
+    rows += [{a: _nonzero(ring, rng), b: _nonzero(ring, rng)} for a, b in zip(cols, cols[1:])]
+    return rows
+
+
+def _nonzero(ring, rng):
+    x = rng.choice((1, -1, 2, -2, 3))
+    return x if not ring.prime or x % ring.prime else 1
+
+
+def _singleton_heavy_cases(ring, rng):
+    """(matrix, ncols, rhs) triples: mostly-singleton rows, chains, and
+    chains whose zero right-hand sides leave a row reading 0 = b only once
+    the chain is cleared."""
+    cases = []
+    for _ in range(25):  # most rows hold one entry
+        ncols = rng.randint(2, 12)
+        rows = []
+        for _ in range(rng.randint(1, 2 * ncols)):
+            width = 1 if rng.random() < 0.75 else rng.randint(2, 3)
+            rows.append({c: _nonzero(ring, rng) for c in rng.sample(range(ncols), min(width, ncols))})
+        rhs = [_nonzero(ring, rng) if rng.random() < 0.3 else 0 for _ in rows]
+        cases.append((rows, ncols, rhs))
+    for _ in range(15):  # chains, with extra rows and zero right-hand sides
+        ncols = rng.randint(2, 10)
+        rows = _chain(rng, rng.randint(1, ncols), ring)
+        rows += [{c: _nonzero(ring, rng) for c in rng.sample(range(ncols), 2)}
+                 for _ in range(rng.randint(0, 3))]
+        rng.shuffle(rows)
+        cases.append((rows, ncols, [0] * len(rows)))
+    for _ in range(10):  # the chain forces its columns to 0, so the last row reads 0 = b
+        ncols = rng.randint(2, 10)
+        chain = _chain(rng, ncols, ring)
+        last = {c: _nonzero(ring, rng) for c in rng.sample(range(ncols), rng.randint(1, 2))}
+        rows = chain + [last]
+        order = rng.sample(range(len(rows)), len(rows))
+        rhs = [0] * len(chain) + [_nonzero(ring, rng)]
+        cases.append(([rows[i] for i in order], ncols, [rhs[i] for i in order]))
+    return [([[row.get(c, 0) for c in range(ncols)] for row in rows], ncols, rhs)
+            for rows, ncols, rhs in cases]
+
+
+def _unreduced(matrix, ring, rng):
+    """Sparse rows of ``matrix`` in forms the elimination must reduce: over
+    F_p each entry may gain a multiple of p, over Q become a Fraction, and a
+    zero is sometimes stored."""
+    p = ring.prime
+    rows = []
+    for dense_row in matrix:
+        row = {}
+        for c, x in enumerate(dense_row):
+            if p and rng.random() < 0.4:
+                x += rng.choice((1, 2, -1)) * p
+            elif ring is QQ and rng.random() < 0.5:
+                x = Fraction(2 * x, 2)
+            if x or rng.random() < 0.2:
+                row[c] = x
+        rows.append(row)
+    return rows
+
+
+def _check_against_the_oracle(rows, matrix, ncols, rhs, ring, p, integer):
+    """Assert every solver on ``rows`` against the dense oracle on
+    ``matrix``; returns whether ``rows * x = rhs`` is consistent, or None
+    over Z, where ``affine_solve`` is refused."""
+    before = [dict(row) for row in rows]
+    reduced, pivots = rref(rows, ncols, ring)
+    assert (_dense(reduced, ncols), pivots) == dense_rref(matrix, ncols, p)
+    kernel = nullspace(rows, ncols, ring)
+    assert _dense(kernel, ncols) == dense_nullspace(matrix, ncols, p, integer)
+    span = reduced_basis(rows, ncols, ring)
+    assert _dense(span, ncols) == dense_span(matrix, ncols, p, integer)
+    vectors = reduced + kernel + span
+    sparse_rhs = {i: b for i, b in enumerate(rhs) if b}
+    consistent = None
+    if integer:  # over Z, the kernel of the augmented matrix instead
+        with pytest.raises(ToolkitError):
+            affine_solve(rows, sparse_rhs, ncols, ring)
+        augmented = [{**row, ncols: rhs[i]} for i, row in enumerate(rows)]
+        dense_augmented = [row + [b] for row, b in zip(matrix, rhs)]
+        assert _dense(nullspace(augmented, ncols + 1, ring), ncols + 1) == \
+            dense_nullspace(dense_augmented, ncols + 1, p, integer)
+    else:
+        particular, affine_kernel, rank = affine_solve(rows, sparse_rhs, ncols, ring)
+        got = (None if particular is None else _dense([particular], ncols)[0],
+               _dense(affine_kernel, ncols), rank)
+        assert got == dense_affine_solve(matrix, rhs, ncols, p)
+        vectors += affine_kernel + ([] if particular is None else [particular])
+        consistent = particular is not None
+    for vec in vectors:  # no stored zero, and every entry in stored form
+        assert all(vec.values())
+        assert all(0 <= x < p for x in vec.values()) if p else all(map(_is_stored, vec.values()))
+    assert rows == before  # the inputs are left as they were
+    return consistent
+
+
+@pytest.mark.parametrize("ring, p, integer", _RINGS, ids=repr)
+def test_singleton_heavy_systems_match_the_dense_oracle(ring, p, integer):
+    rng = random.Random(60 + (p or 0) + integer)
+    outcomes = []
+    for matrix, ncols, rhs in _singleton_heavy_cases(ring, rng):
+        for rows in (_sparse(matrix), _unreduced(matrix, ring, rng)):
+            outcomes.append(_check_against_the_oracle(rows, matrix, ncols, rhs, ring, p, integer))
+    if not integer:
+        assert outcomes.count(True) and outcomes.count(False) >= 20
+
+
+def test_singleton_rows_reduce_to_one_entry_only_after_their_values_are_reduced():
+    # over GF(3), 3 and -6 read 0, so the first row holds one entry, the
+    # second none, and the third clears to 0 = 1 once columns 0 and 1 go
+    F = GF(3)
+    rows = [{0: 4, 1: 3}, {0: 0, 2: -6}, {0: 2, 1: 1}]
+    assert rref(rows, 3, F) == ([{0: 1}, {1: 1}], [0, 1])
+    assert nullspace(rows, 3, F) == [{2: 1}]
+    assert affine_solve(rows, {0: 3, 2: 0}, 3, F) == ({}, [{2: 1}], 2)
+    assert affine_solve(rows + [{1: 5}], {3: 1}, 3, F) == (None, [{2: 1}], 2)
+
+
+@pytest.mark.parametrize("ring", [GF(5), QQ, ZZ], ids=repr)
+def test_rref_keeps_entries_at_and_past_ncols_in_the_tail(ring):
+    # columns 3 and 4 lie past ncols = 3: the row {3: 4} holds one entry
+    # there but is no pivot, so it neither clears column 3 from the first row
+    # nor appears; {4: 2} stays in the tail of column 1's row
+    rows = [{0: 1, 3: 2}, {3: 4}, {1: 1, 4: 2}, {1: 1}]
+    reduced, pivots = rref(rows, 3, ring)
+    assert pivots == [0, 1]
+    assert reduced == [{0: 1, 3: 2}, {1: 1}]
+    reduced, pivots = rref(rows[:3], 3, ring)
+    assert reduced == [{0: 1, 3: 2}, {1: 1, 4: 2}] and pivots == [0, 1]
