@@ -667,7 +667,7 @@ def test_fgl_refusals(call, args, error, fragment):
     FreeAlgebra(COMPLEX, GF(2)),
     FreeAlgebra(COMPLEX, GF(3)),
     FreeAlgebra(REAL, GF(2)),
-], ids=repr)
+], ids=lambda algebra: f"{algebra.profile.kind}-{algebra.ring!r}")
 def test_filtration_run_gives_one_result_per_sample(algebra):
     # every drawn u is nonzero, so no sample is skipped
     for seed in range(3):
