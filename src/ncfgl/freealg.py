@@ -224,12 +224,13 @@ class FreeAlgebra(SparseAlgebra):
 
     def from_data(self, data) -> FreeElement:
         """The element whose ``to_data()`` is ``data``; a record without a
-        word or with a coefficient outside the ring, and a repeated word,
-        are refused with ParameterError naming the record."""
+        word, with a letter the profile lacks or a coefficient outside the
+        ring, and a repeated word, are refused with ParameterError naming
+        the record."""
         terms = {}
         for record in data:
             try:
-                word, coeff = tuple(record["word"]), self.ring.parse(record["coeff"])
+                word, coeff = self.key_of(tuple(record["word"])), self.ring.parse(record["coeff"])
             except KeyError as exc:
                 raise ParameterError(f"the term record {value_repr(record)} has no {exc}") from None
             except (TypeError, ParameterError) as exc:
@@ -239,7 +240,7 @@ class FreeAlgebra(SparseAlgebra):
             if word in terms:
                 raise ParameterError(f"the term record {value_repr(record)} repeats its word")
             terms[word] = coeff
-        return self.element(terms)
+        return self._wrap({word: coeff for word, coeff in terms.items() if coeff})
 
     def __repr__(self):
         return f"FreeAlgebra({self.profile!r}, {self.ring!r})"

@@ -360,6 +360,12 @@ _REFUSALS = [
     (_custom(4).element, ({(1, 5): 1},), ParameterError, "custom profile has 4 generators"),
     (_custom(5).from_data, ([{"word": [7], "coeff": "1"}],), ParameterError,
      "custom profile has 5 generators"),
+    (FreeAlgebra(GradingProfile.custom((1, 3))).from_data, ([{"word": [7], "coeff": "1"}],),
+     ParameterError, "cannot read the term record {'word': [7], 'coeff': '1'}: "
+     "custom profile has 2 generators"),
+    (_Z.from_data, ([{"word": [256], "coeff": "1"}],), ParameterError,
+     "cannot read the term record {'word': [256], 'coeff': '1'}: "
+     "generator index must be <= 255, got 256"),
     (_Z.from_data, ([{"word": [1], "coeff": "x"}],), ParameterError,
      "cannot read the term record {'word': [1], 'coeff': 'x'}: cannot parse 'x'"),
     (_Z.from_data, ([{"word": [1], "coeff": "1/2"}],), ParameterError,
