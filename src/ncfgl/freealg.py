@@ -25,10 +25,10 @@ back, at the key boundary of :mod:`ncfgl.lincomb`.
 
 :func:`matrix_of` writes a linear map between spans of words as the matrix
 that the exact elimination of :mod:`ncfgl.linalg` solves: one dict
-``{column: nonzero value}`` per target word, so that no zero of these
-few-percent-dense systems is ever stored.  It reads the map as stored terms,
-a stored word in and a ``{stored word: coefficient}`` dict out, so building
-a row re-keys no word and wraps no element.
+``{column: value}`` per target word.  It reads the map as a stored word in
+and unreduced ``(stored word, coefficient)`` pairs out, and sums the pairs
+into the rows, which the elimination reduces as it reads them, zeros and
+all; so building a row reduces nothing, re-keys no word and wraps no element.
 
 The words of one degree depend only on the grading profile, so every algebra
 over a profile reads them, stored, from one cache keyed by (profile, degree),
@@ -295,17 +295,16 @@ def commutator(a: FreeElement, b: FreeElement) -> FreeElement:
 
 
 def _bracket_terms(w: FreeElement):
-    """stored word -> the stored terms ``{word: coefficient}`` of [word, w]:
-    the loop of :func:`commutator` on the one term of the word, reduced in
-    the ring and handed to :func:`matrix_of` with no element around it."""
-    ring = w.algebra.ring
-    one = ring.one
+    """stored word -> the unreduced pairs ``(stored word, coefficient)`` of
+    [word, w]: ``(word + t, c)`` and ``(t + word, -c)`` for each term
+    ``(t, c)`` of ``w``, handed to :func:`matrix_of` with no element or
+    accumulator around them."""
     terms = w._terms.items()
 
     def bracket(word):
-        acc: dict = {}
-        _add_commutator(acc, ((word, one),), terms)
-        return ring.reduced(acc)
+        for t, c in terms:
+            yield word + t, c
+            yield t + word, -c
 
     return bracket
 
@@ -313,20 +312,20 @@ def _bracket_terms(w: FreeElement):
 def matrix_of(term_map, source_words, target_words) -> list:
     """Dict rows of the matrix of a linear map between spans of words.
 
-    ``term_map`` takes a stored word and returns the stored terms
-    ``{stored word: nonzero coefficient}`` of its image, whose words must
-    all lie in ``target_words``; column j holds the terms of
+    ``term_map`` takes a stored word and returns its image as an iterable of
+    unreduced ``(stored word, coefficient)`` pairs, whose words must all lie
+    in ``target_words``; column j holds the sums of the pairs of
     ``term_map(source_words[j])``, and row i belongs to ``target_words[i]``
-    and maps each column to its nonzero entry.  Both word lists hold stored
-    words (``FreeAlgebra._keys_of_degree``), so no word is re-keyed and no
-    element is built per column.
+    and maps each column to its sum, which may be zero or unreduced, as
+    :mod:`ncfgl.linalg` reduces what it reads.  Both word lists hold stored
+    words (``_keys_of_degree``), so no word is re-keyed or wrapped.
     """
-    index = {word: r for r, word in enumerate(target_words)}
-    rows = [{} for _ in target_words]
+    rows = {word: {} for word in target_words}
     for col, word in enumerate(source_words):
-        for target, coeff in term_map(word).items():
-            rows[index[target]][col] = coeff
-    return rows
+        for target, coeff in term_map(word):
+            row = rows[target]
+            row[col] = row.get(col, 0) + coeff
+    return list(rows.values())
 
 
 def centralizer_basis(w: FreeElement, degree: int) -> list:

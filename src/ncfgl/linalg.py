@@ -1,26 +1,32 @@
 """Exact sparse linear algebra used by the centralizer and certificate solvers.
 
-A row, and any vector, is a dict ``{column: nonzero value}`` over the scalars
-of the ambient :class:`~ncfgl.scalars.ScalarRing`; a matrix is a list of such
-rows, and a column absent from a row holds zero.  The systems solved here are
-a few percent dense at most, so no zero is ever stored or scanned.
+A row, and any vector, is a dict ``{column: value}`` over the scalars of the
+ambient :class:`~ncfgl.scalars.ScalarRing`; a matrix is a list of such rows,
+and a column absent from a row holds zero.  The systems solved here are a few
+percent dense at most, so no result stores a zero, nor does the elimination.
 
 One forward elimination, :func:`_echelon`, serves every ring: F_p in
 residues, and Z and Q in the stored form of
 :func:`~ncfgl.scalars.stored_rational`, an ``int`` while an entry is integral
 and a ``Fraction`` otherwise, so that the +-1 entries of the commutator
 systems run on int arithmetic; a pivot of -1 is inverted as the int -1, and
-only a pivot other than +-1 needs :mod:`fractions`.  It drops empty rows,
-picks each pivot as the shortest remaining row holding the column, to limit
-fill-in, and clears the pivot column only from the rows not yet chosen, so a
-chosen row is never read again.  :func:`nullspace` and :func:`affine_solve`
-read their solutions off the echelon rows by back-substitution, last pivot
-first; :func:`rref` adds one upward pass that clears each pivot column from
-the rows above.  The reduced row echelon form of a matrix is unique, and so
-is the solution that fixes every free variable, so the pivot choice cannot
-change any result: kernels are presented in reduced echelon form with
-respect to the given column order, and integer-mode kernels are primitive
-integer vectors with positive leading entry.
+only a pivot other than +-1 needs :mod:`fractions`.  It reduces every entry
+it reads, so input rows may hold zeros and unreduced values, and drops the
+rows left empty.  It takes singleton rows first, as structured Gaussian
+elimination does (LaMacchia and Odlyzko, CRYPTO '90): most rows of the
+commutator systems hold one entry, each its column's pivot with no fill-in,
+unless the column lies at or past ``ncols``, where no pivot is ever taken.
+Over the other columns it picks each pivot as the shortest remaining row
+holding the column, to limit fill-in, and clears the pivot column only from
+the rows not yet chosen, so a chosen row is never read again.
+:func:`nullspace` and :func:`affine_solve` read their solutions off the
+echelon rows by back-substitution, last pivot first; :func:`rref` adds one
+upward pass that clears each pivot column from the rows above.  The reduced
+row echelon form of a matrix is unique, and so is the solution that fixes
+every free variable, so the pivot choice cannot change any result: kernels
+are presented in reduced echelon form with respect to the given column
+order, and integer-mode kernels are primitive integer vectors with positive
+leading entry.
 """
 
 from __future__ import annotations
@@ -57,6 +63,12 @@ def _echelon(rows, ncols: int, ring: ScalarRing):
     of it, and zero left of it.  The input rows are not modified.  A column
     -> rows index over the rows not yet chosen lets each step touch only the
     rows that hold the pivot column; cancelled entries are dropped.
+
+    Singleton rows go first: a row holding one entry, in a column below
+    ``ncols``, is that column's pivot with an empty tail; the column is
+    deleted from its other holders, and a holder left with one entry is
+    queued in turn.  A singleton is the shortest row holding its column, so
+    this adds no pivot rule.
     """
     p = ring.prime
     work = []
@@ -77,7 +89,16 @@ def _echelon(rows, ncols: int, ring: ScalarRing):
     for i, row in enumerate(work):
         for c in row:
             holding.setdefault(c, set()).add(i)
-    echelon = []
+    tails = {}  # pivot column -> the tail of its echelon row
+    singletons = [i for i, row in enumerate(work) if len(row) == 1]
+    for i in singletons:
+        if len(work[i]) == 1 and (c := next(iter(work[i]))) < ncols:
+            tails[c] = {}
+            for h in holding.pop(c):
+                held = work[h]
+                del held[c]
+                if len(held) == 1:
+                    singletons.append(h)
     for c in range(ncols):
         holders = holding.pop(c, None)
         if not holders:
@@ -112,8 +133,8 @@ def _echelon(rows, ncols: int, ring: ScalarRing):
                 else:
                     del row[j]
                     holding[j].discard(i)
-        echelon.append((c, lead))
-    return echelon
+        tails[c] = lead
+    return sorted(tails.items())
 
 
 def _back_substitute(echelon, values: dict, p) -> dict:

@@ -535,10 +535,10 @@ class ObstructionCertificate(Record):
 
 
 def _acting(algebra, op):
-    """stored word -> the stored terms of op applied to the word, as a map
+    """stored word -> the stored terms of op applied to the word, as pairs
     for :func:`matrix_of`, with one Cartan memo for all the words."""
     act = _cartan(algebra, _index_shift(algebra, op))
-    return lambda word: act(word, op.index)._terms
+    return lambda word: act(word, op.index)._terms.items()
 
 
 def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:

@@ -24,6 +24,7 @@ from ncfgl import (
 )
 
 from ncfgl.freealg import _bracket_terms, matrix_of
+from ncfgl.linalg import _echelon, nullspace
 
 from oracles import plain_add, plain_bracket, plain_matrix, plain_product
 from props import random_element
@@ -99,20 +100,26 @@ def test_commutator_and_commutator_map_match_the_two_products(ring):
     pairs += [(random_element(algebra, rng), random_element(algebra, rng)) for _ in range(30)]
     for a, b in pairs:
         assert commutator(a, b) == a * b - b * a
-    # the commutator map word -> [word, w] gives stored terms
+    # the commutator map word -> [word, w] gives unreduced pairs, which
+    # sum, once reduced in the ring, to the terms of word*w - w*word
     for w in (repeated, overlapping, random_element(algebra, rng)):
         bracket = _bracket_terms(w)
         for word in ((1,), (1, 2), (1, 2, 1, 2), (3, 1)) + algebra.words_of_degree(6)[:8]:
             expected = algebra.monomial(word) * w - w * algebra.monomial(word)
-            assert bracket(bytes(word)) == expected.mutable_terms()
+            acc = {}
+            for target, coeff in bracket(bytes(word)):
+                acc[target] = acc.get(target, 0) + coeff
+            assert ring.reduced(acc) == expected.mutable_terms()
 
 
 @pytest.mark.parametrize("ring", [ZZ, GF(3), QQ], ids=repr)
 def test_commutator_rows_match_plain_dict_brackets(ring):
-    # matrix_of reads [word, w] as stored terms; every column must be the
-    # plain-dict bracket.  [Z1, Z1], [Z1*Z1, Z1] and [1, w] cancel, so their
-    # columns hold no entry at all, not a stored 0; the source words repeat
-    # letters and include the empty word
+    # matrix_of sums the unreduced pairs of [word, w] into its rows; reduced
+    # in the ring, every column must be the plain-dict bracket, and the
+    # elimination must read the raw rows as it reads the reduced ones.
+    # [Z1, Z1], [Z1*Z1, Z1] and [1, w] cancel, so once reduced their columns
+    # hold no entry at all; the source words repeat letters and include the
+    # empty word
     algebra = FreeAlgebra(COMPLEX, ring)
     p = ring.prime
     scalar = ring.coerce(Fraction(1, 2)) if ring is QQ else ring.of_int(2)  # 1/2 or 2
@@ -127,16 +134,25 @@ def test_commutator_rows_match_plain_dict_brackets(ring):
     ]
     for w in ws:
         rows = matrix_of(_bracket_terms(w), [bytes(v) for v in sources], targets)
+        reduced = [ring.reduced(dict(row)) for row in rows]
         plain_w = dict(w.terms())
         images = [plain_bracket(v, plain_w, p) for v in sources]
-        got = {(i, j): c for i, row in enumerate(rows) for j, c in row.items()}
+        got = {(i, j): c for i, row in enumerate(reduced) for j, c in row.items()}
         assert got == plain_matrix(images, [tuple(t) for t in targets]), w
-        assert all(c for c in got.values())
-        if ring is QQ:
-            assert all(c.__class__ is int or c.denominator > 1 for c in got.values())
-        assert not any(0 in row for row in rows)  # [1, w] = 0
+        assert not any(0 in row for row in reduced)  # [1, w] = 0
+        assert nullspace(rows, len(sources), ring) == nullspace(reduced, len(sources), ring)
+        # the echelon rows hold no zero, and every entry in stored form
+        echelon = _echelon(rows, len(sources), ring)
+        entries = [x for _, tail in echelon for x in tail.values()]
+        assert echelon and 0 not in [c for c, _ in echelon]
+        assert all(entries)
+        if p:
+            assert all(0 < x < p for x in entries)
+        else:
+            assert all(c.__class__ is int or c.denominator > 1 for c in entries)
     z1_rows = matrix_of(_bracket_terms(algebra.gen(1)), [b"\x01", b"\x01\x01", b"\x02"], targets)
-    assert {j for row in z1_rows for j in row} == {2}  # only [Z2, Z1] is nonzero
+    # only [Z2, Z1] is nonzero
+    assert {j for row in z1_rows for j in ring.reduced(dict(row))} == {2}
 
 
 @pytest.mark.parametrize("ring", [ZZ, GF(3), QQ], ids=repr)
