@@ -129,35 +129,48 @@ def _cases(ring, rng):
             for m, n, rhs in cases]
 
 
+def _check_against_the_oracle(rows, matrix, ncols, rhs, ring, p, integer):
+    """Assert every solver on ``rows`` against the dense oracle on
+    ``matrix``; returns whether ``rows * x = rhs`` is consistent, or None
+    over Z, where ``affine_solve`` is refused."""
+    before = [dict(row) for row in rows]
+    reduced, pivots = rref(rows, ncols, ring)
+    assert (_dense(reduced, ncols), pivots) == dense_rref(matrix, ncols, p)
+    kernel = nullspace(rows, ncols, ring)
+    assert _dense(kernel, ncols) == dense_nullspace(matrix, ncols, p, integer)
+    span = reduced_basis(rows, ncols, ring)
+    assert _dense(span, ncols) == dense_span(matrix, ncols, p, integer)
+    vectors = reduced + kernel + span
+    sparse_rhs = {i: b for i, b in enumerate(rhs) if b}
+    consistent = None
+    if integer:  # over Z, the kernel of the augmented matrix instead
+        with pytest.raises(ToolkitError):
+            affine_solve(rows, sparse_rhs, ncols, ring)
+        augmented = [{**row, ncols: rhs[i]} for i, row in enumerate(rows)]
+        dense_augmented = [row + [b] for row, b in zip(matrix, rhs)]
+        assert _dense(nullspace(augmented, ncols + 1, ring), ncols + 1) == \
+            dense_nullspace(dense_augmented, ncols + 1, p, integer)
+    else:
+        particular, affine_kernel, rank = affine_solve(rows, sparse_rhs, ncols, ring)
+        got = (None if particular is None else _dense([particular], ncols)[0],
+               _dense(affine_kernel, ncols), rank)
+        assert got == dense_affine_solve(matrix, rhs, ncols, p)
+        vectors += affine_kernel + ([] if particular is None else [particular])
+        consistent = particular is not None
+    for vec in vectors:  # no stored zero, and every entry in stored form
+        assert all(vec.values())
+        assert all(0 <= x < p for x in vec.values()) if p else all(map(_is_stored, vec.values()))
+    assert rows == before  # the inputs are left as they were
+    return consistent
+
+
 @pytest.mark.parametrize("ring, p, integer", _RINGS, ids=repr)
 def test_sparse_elimination_matches_the_dense_oracle(ring, p, integer):
     rng = random.Random(20 + (p or 0) + integer)
-    inconsistent = consistent = 0
-    for matrix, ncols, rhs in _cases(ring, rng):
-        rows = _sparse(matrix)
-        reduced, pivots = rref(rows, ncols, ring)
-        assert (_dense(reduced, ncols), pivots) == dense_rref(matrix, ncols, p)
-        assert _dense(nullspace(rows, ncols, ring), ncols) == dense_nullspace(
-            matrix, ncols, p, integer
-        )
-        assert _dense(reduced_basis(rows, ncols, ring), ncols) == dense_span(
-            matrix, ncols, p, integer
-        )
-        assert rows == _sparse(matrix)  # the inputs are left as they were
-        sparse_rhs = {i: b for i, b in enumerate(rhs) if b}
-        if integer:
-            with pytest.raises(ToolkitError):
-                affine_solve(rows, sparse_rhs, ncols, ring)
-            continue
-        particular, kernel, rank = affine_solve(rows, sparse_rhs, ncols, ring)
-        expected = dense_affine_solve(matrix, rhs, ncols, p)
-        got = (None if particular is None else _dense([particular], ncols)[0],
-               _dense(kernel, ncols), rank)
-        assert got == expected
-        inconsistent += particular is None
-        consistent += particular is not None
+    outcomes = [_check_against_the_oracle(_sparse(matrix), matrix, ncols, rhs, ring, p, integer)
+                for matrix, ncols, rhs in _cases(ring, rng)]
     if not integer:
-        assert inconsistent and consistent
+        assert True in outcomes and False in outcomes
 
 
 # -- the stored form over Z and Q ------------------------------------------------
@@ -381,41 +394,6 @@ def _unreduced(matrix, ring, rng):
                 row[c] = x
         rows.append(row)
     return rows
-
-
-def _check_against_the_oracle(rows, matrix, ncols, rhs, ring, p, integer):
-    """Assert every solver on ``rows`` against the dense oracle on
-    ``matrix``; returns whether ``rows * x = rhs`` is consistent, or None
-    over Z, where ``affine_solve`` is refused."""
-    before = [dict(row) for row in rows]
-    reduced, pivots = rref(rows, ncols, ring)
-    assert (_dense(reduced, ncols), pivots) == dense_rref(matrix, ncols, p)
-    kernel = nullspace(rows, ncols, ring)
-    assert _dense(kernel, ncols) == dense_nullspace(matrix, ncols, p, integer)
-    span = reduced_basis(rows, ncols, ring)
-    assert _dense(span, ncols) == dense_span(matrix, ncols, p, integer)
-    vectors = reduced + kernel + span
-    sparse_rhs = {i: b for i, b in enumerate(rhs) if b}
-    consistent = None
-    if integer:  # over Z, the kernel of the augmented matrix instead
-        with pytest.raises(ToolkitError):
-            affine_solve(rows, sparse_rhs, ncols, ring)
-        augmented = [{**row, ncols: rhs[i]} for i, row in enumerate(rows)]
-        dense_augmented = [row + [b] for row, b in zip(matrix, rhs)]
-        assert _dense(nullspace(augmented, ncols + 1, ring), ncols + 1) == \
-            dense_nullspace(dense_augmented, ncols + 1, p, integer)
-    else:
-        particular, affine_kernel, rank = affine_solve(rows, sparse_rhs, ncols, ring)
-        got = (None if particular is None else _dense([particular], ncols)[0],
-               _dense(affine_kernel, ncols), rank)
-        assert got == dense_affine_solve(matrix, rhs, ncols, p)
-        vectors += affine_kernel + ([] if particular is None else [particular])
-        consistent = particular is not None
-    for vec in vectors:  # no stored zero, and every entry in stored form
-        assert all(vec.values())
-        assert all(0 <= x < p for x in vec.values()) if p else all(map(_is_stored, vec.values()))
-    assert rows == before  # the inputs are left as they were
-    return consistent
 
 
 @pytest.mark.parametrize("ring, p, integer", _RINGS, ids=repr)
