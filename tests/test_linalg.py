@@ -429,3 +429,83 @@ def test_rref_keeps_entries_at_and_past_ncols_in_the_tail(ring):
     assert reduced == [{0: 1, 3: 2}, {1: 1}]
     reduced, pivots = rref(rows[:3], 3, ring)
     assert reduced == [{0: 1, 3: 2}, {1: 1, 4: 2}] and pivots == [0, 1]
+
+
+# -- one-entry rows, by hand ----------------------------------------------------
+
+# The elimination takes a row that reduces to one entry, in a column below
+# ncols, as that column's pivot.  Each system below is worked by hand, pinned,
+# and also checked against the dense oracle; the rows hold plain ints and
+# Fractions only.
+
+
+@pytest.mark.parametrize("ring, p, integer, zero", [
+    (GF(3), 3, False, 3), (GF(3), 3, False, -6), (QQ, None, False, Fraction(0)),
+    (ZZ, None, True, Fraction(0)),
+], ids=repr)
+def test_a_one_entry_row_whose_value_reads_zero_is_no_pivot(ring, p, integer, zero):
+    # {0: zero} and {2: zero} are empty once reduced: columns 0 and 2 stay
+    # free, and the right-hand side 1 on the first row reads 0 = 1
+    rows = [{0: zero}, {1: 2}, {2: zero}]
+    assert rref(rows, 3, ring) == ([{1: 1}], [1])
+    assert nullspace(rows, 3, ring) == [{0: 1}, {2: 1}]
+    assert _check_against_the_oracle(rows, _dense(rows, 3), 3, [1, 0, 0], ring, p,
+                                     integer) is (None if integer else False)
+
+
+@pytest.mark.parametrize("ring, p, integer, row", [
+    (GF(3), 3, False, {0: 6, 1: 2}), (GF(5), 5, False, {0: -5, 1: 7}),
+    (QQ, None, False, {0: Fraction(0), 1: Fraction(4, 2)}), (ZZ, None, True, {0: Fraction(0), 1: 2}),
+], ids=repr)
+def test_a_two_entry_row_that_reduces_to_one_entry_is_its_columns_pivot(ring, p, integer, row):
+    # the second row reads 2 * x1, so x1 is pivot 1 with an empty tail; the
+    # first row loses column 1 and leaves x0 + x2 = 0
+    rows = [{0: 1, 1: 1, 2: 1}, row]
+    assert rref(rows, 3, ring) == ([{0: 1, 2: 1}, {1: 1}], [0, 1])
+    assert nullspace(rows, 3, ring) == [{0: 1, 2: p - 1 if p else -1}]
+    _check_against_the_oracle(rows, _dense(rows, 3), 3, [1, 2], ring, p, integer)
+    if not integer:
+        assert affine_solve(rows, {0: 1, 1: 2}, 3, ring)[0] == {1: 1}
+
+
+@pytest.mark.parametrize("ring, p, integer", [
+    (GF(3), 3, False), (GF(5), 5, False), (QQ, None, False), (ZZ, None, True),
+], ids=repr)
+def test_two_one_entry_rows_in_one_column_give_one_pivot(ring, p, integer):
+    # {0: 2} and {0: -1} both hold column 0 alone; clearing it leaves {1: 1},
+    # and clearing that leaves {2: 1}: three pivots, each taken once
+    rows = [{0: 2}, {0: -1}, {0: 1, 1: 1}, {1: 1, 2: 1}, {0: -1}]
+    assert rref(rows, 3, ring) == ([{0: 1}, {1: 1}, {2: 1}], [0, 1, 2])
+    assert nullspace(rows, 4, ring) == [{3: 1}]
+    for rhs in ([0, 0, 1, 1, 0], [0, 1, 0, 0, 1]):
+        _check_against_the_oracle(rows, _dense(rows, 3), 3, rhs, ring, p, integer)
+    if not integer:
+        particular, kernel, rank = affine_solve(rows, {2: 1, 3: 1}, 3, ring)
+        assert (particular, kernel, rank) == ({1: 1}, [], 3)
+
+
+@pytest.mark.parametrize("ring, p", [(GF(5), 5), (QQ, None), (ZZ, None)], ids=repr)
+def test_a_peel_chain_ending_past_ncols_keeps_that_entry_in_the_tail(ring, p):
+    # clearing column 0 leaves {1: 1}, and clearing column 1 leaves {3: 2},
+    # whose one entry lies past ncols = 3: it is no pivot, so column 3 stays
+    # in the tail of column 2's row
+    rows = [{0: 1}, {0: 2, 1: 1}, {1: 1, 3: 2}, {2: 1, 3: 1}]
+    reduced, pivots = rref(rows, 3, ring)
+    assert (reduced, pivots) == ([{0: 1}, {1: 1}, {2: 1, 3: 1}], [0, 1, 2])
+    assert (_dense(reduced, 4), pivots) == dense_rref(_dense(rows, 4), 3, p)
+    assert rref(rows, 4, ring) == ([{0: 1}, {1: 1}, {2: 1}, {3: 1}], [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("ring, p", [(GF(3), 3), (GF(5), 5)], ids=repr)
+def test_a_back_substitution_sum_of_p_stores_no_zero(ring, p):
+    # x1 = a and x2 = b with a + b = p, so x0 = -(a + b) reads 0 and is not
+    # stored in the particular solution
+    a, b = 1, p - 1
+    rows = [{0: 1, 1: 1, 2: 1}, {1: 1}, {2: 1}]
+    particular, kernel, rank = affine_solve(rows, {1: a, 2: b}, 3, ring)
+    assert (particular, kernel, rank) == ({1: a, 2: b}, [], 3)
+    # the same sum in a kernel vector: x3 = 1 gives x1 = a, x2 = b, x0 = 0
+    augmented = [{0: 1, 1: 1, 2: 1}, {1: 1, 3: -a}, {2: 1, 3: -b}]
+    kernel = nullspace(augmented, 4, ring)
+    assert kernel == [{1: 1, 2: b * pow(a, -1, p) % p, 3: pow(a, -1, p) % p}]
+    assert _check_against_the_oracle(rows, _dense(rows, 3), 3, [0, a, b], ring, p, False)
