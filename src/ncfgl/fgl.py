@@ -31,7 +31,7 @@ from .errors import (
 )
 from .freealg import FreeAlgebra, FreeElement, random_homogeneous
 from .record import Record
-from .series import CentralSeries, VarSet, _powers, left_combination, left_expand
+from .series import CentralSeries, VarSet, _powers, _substitution, left_combination, left_expand
 
 
 def orientation_series(
@@ -294,8 +294,9 @@ def verify_axioms(
     are the rows of ``_AXIOM_ROWS``; every series in them is z(x) after one
     central substitution.  The powers z(x)^0, ..., z(x)^order are built once
     per call, by univariate products, and each row's power lists z(L)^k and
-    expected series z(L) are derived from them by ``specialize``.  That is
-    exact: substituting a linear form for the central variable is a ring
+    expected series z(L) are derived from them by ``specialize``; a power
+    list shares one substitution, so it builds the monomial images once.
+    That is exact: substituting a linear form for the central variable is a ring
     homomorphism that keeps the total exponent, so z(L)^k is the image of
     z(x)^k and no term crosses the truncation order.  Each grouping's sum
     is still formed by its own products.  Failures are reported with the
@@ -333,7 +334,8 @@ def verify_axioms(
             for form in forms:
                 key = tuple(form.items())
                 if key not in powers:
-                    powers[key] = [zk.specialize({"x": form}, varset) for zk in base]
+                    substitute = _substitution({"x": form}, base[0].varset, varset)
+                    powers[key] = [substitute(zk) for zk in base]
                 pair.append(powers[key])
             got = _fgl_sum(table, *pair)
             if got != expected:

@@ -12,10 +12,12 @@ and a ``Fraction`` otherwise, so that the +-1 entries of the commutator
 systems run on int arithmetic; a pivot of -1 is inverted as the int -1, and
 only a pivot other than +-1 needs :mod:`fractions`.  It reduces every entry
 it reads, so input rows may hold zeros and unreduced values, and drops the
-rows left empty.  It takes singleton rows first, as structured Gaussian
+rows left empty.  It takes one-entry rows first, as structured Gaussian
 elimination does (LaMacchia and Odlyzko, CRYPTO '90): most rows of the
 commutator systems hold one entry, each its column's pivot with no fill-in,
 unless the column lies at or past ``ncols``, where no pivot is ever taken.
+Such a row is peeled as it is read, and never stored: only its column is
+queued, and clearing that column may leave further one-entry rows to peel.
 Over the other columns it picks each pivot as the shortest remaining row
 holding the column, to limit fill-in, and clears the pivot column only from
 the rows not yet chosen, so a chosen row is never read again.
@@ -64,41 +66,58 @@ def _echelon(rows, ncols: int, ring: ScalarRing):
     -> rows index over the rows not yet chosen lets each step touch only the
     rows that hold the pivot column; cancelled entries are dropped.
 
-    Singleton rows go first: a row holding one entry, in a column below
-    ``ncols``, is that column's pivot with an empty tail; the column is
-    deleted from its other holders, and a holder left with one entry is
-    queued in turn.  A singleton is the shortest row holding its column, so
-    this adds no pivot rule.
+    One-entry rows are peeled as they are read: a row that reduces to one
+    entry, in a column below ``ncols``, only queues that column, and is
+    never stored or indexed; a row whose one entry lies at or past ``ncols``
+    can never be a pivot and is dropped.  Each queued column that is not yet
+    a pivot becomes one with an empty tail, is deleted from the stored rows
+    that hold it, and a holder left with one entry below ``ncols`` queues its
+    column in turn.  A one-entry row is the shortest row holding its column,
+    so this adds no pivot rule.
     """
     p = ring.prime
-    work = []
+    work = []  # the stored rows, each holding two entries or more
+    holding = {}  # column -> indices of the stored rows that hold it
+    queue = []  # the columns of one-entry rows, to be peeled in order
     # The entry rule of _stored and the update of _subtract are written out
     # in this function, as calls cost a certificate round's linear algebra
-    # 5-15 %; and most rows of a commutator system are empty, so skipping
-    # them before building a dict saves another ~13 %.
+    # 5-15 %; so is the copy of each row, as a dict comprehension builds a
+    # function frame per row on Python 3.11; and most rows of a commutator
+    # system are empty, so they are skipped before any copy.
     for row in rows:
         if not row:
             continue
+        kept = {}
         if p:
-            row = {c: x % p for c, x in row.items() if x % p}
+            for c, x in row.items():
+                x %= p
+                if x:
+                    kept[c] = x
         else:
-            row = {c: x if x.__class__ is int else stored_rational(x) for c, x in row.items() if x}
-        if row:
-            work.append(row)
-    holding = {}
-    for i, row in enumerate(work):
-        for c in row:
-            holding.setdefault(c, set()).add(i)
+            for c, x in row.items():
+                if x:
+                    kept[c] = x if x.__class__ is int else stored_rational(x)
+        if len(kept) > 1:
+            i = len(work)
+            work.append(kept)
+            for c in kept:
+                holding.setdefault(c, set()).add(i)
+        elif kept:
+            (c,) = kept
+            if c < ncols:
+                queue.append(c)
     tails = {}  # pivot column -> the tail of its echelon row
-    singletons = [i for i, row in enumerate(work) if len(row) == 1]
-    for i in singletons:
-        if len(work[i]) == 1 and (c := next(iter(work[i]))) < ncols:
-            tails[c] = {}
-            for h in holding.pop(c):
-                held = work[h]
-                del held[c]
-                if len(held) == 1:
-                    singletons.append(h)
+    for c in queue:
+        if c in tails:
+            continue
+        tails[c] = {}
+        for h in holding.pop(c, ()):
+            held = work[h]
+            del held[c]
+            if len(held) == 1:
+                (j,) = held
+                if j < ncols:
+                    queue.append(j)
     for c in range(ncols):
         holders = holding.pop(c, None)
         if not holders:
@@ -142,9 +161,14 @@ def _back_substitute(echelon, values: dict, p) -> dict:
     zero, to the solution of the echelon rows ``x_c + tail . x = 0``,
     solving the pivot variables last pivot first."""
     for c, tail in reversed(echelon):
-        v = _stored(-sum(x * values[j] for j, x in tail.items() if j in values), p)
-        if v:
-            values[c] = v
+        v = 0
+        for j, x in tail.items():
+            if j in values:
+                v -= x * values[j]
+        if v:  # an empty tail, as every peeled pivot has, sums to 0
+            v = _stored(v, p)
+            if v:
+                values[c] = v
     return values
 
 

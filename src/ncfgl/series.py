@@ -271,48 +271,11 @@ class CentralSeries(Record):
         ``assignment`` maps a variable name to ``{target_name: int}``.  Variables
         without an entry are carried along unchanged (they must exist in the
         target variable set).  This is a ring homomorphism: it touches only the
-        central variables and leaves coefficient order alone.  The image of each
-        monomial x^I is kept in one memo, built as the image of x^(I - e_v) times
-        the form of v; a linear form keeps the total exponent, so no image
-        leaves the truncation order.
+        central variables and leaves coefficient order alone.  See
+        :func:`_substitution`, which also serves a list of series that share
+        one substitution.
         """
-        if target is None:
-            target = self.varset
-        forms = []
-        for name in self.varset.names:
-            if name in assignment:
-                form = []
-                for tname, c in assignment[name].items():
-                    j = target.index(tname)
-                    if not isinstance(c, int):
-                        raise ParameterError("substitutions must have integer coefficients")
-                    if c:
-                        form.append((j, c))
-                forms.append(form)
-            else:
-                forms.append([(target.index(name), 1)])
-        images = {(0,) * len(self.varset): {(0,) * len(target): 1}}
-
-        def image(index):
-            # {target index: int}; v is the first variable of the index
-            found = images.get(index)
-            if found is None:
-                v = next(v for v, e in enumerate(index) if e)
-                found = {}
-                for key, c in image(index[:v] + (index[v] - 1,) + index[v + 1:]).items():
-                    for j, cj in forms[v]:
-                        new = key[:j] + (key[j] + 1,) + key[j + 1:]
-                        found[new] = found.get(new, 0) + c * cj
-                images[index] = found
-            return found
-
-        add_multiple = self.algebra.add_multiple
-        accs: dict = {}
-        for index, element in self._coeffs.items():
-            for key, c in image(index).items():
-                if c:
-                    add_multiple(accs.setdefault(key, {}), c, element)
-        return self._from_accumulators(accs, target)
+        return _substitution(assignment, self.varset, target)(self)
 
     # -- presentation ----------------------------------------------------------
 
@@ -386,6 +349,58 @@ def _powers(series: CentralSeries, count: int, first: CentralSeries | None = Non
     for _ in range(count):
         out.append(out[-1] * series)
     return out
+
+
+def _substitution(assignment: dict, source: VarSet, target: VarSet | None = None):
+    """The map ``f -> f.specialize(assignment, target)`` on series over
+    ``source``, for :meth:`CentralSeries.specialize` and for callers that
+    substitute into many series at once.
+
+    The image of each monomial x^I is kept in one memo, shared by every
+    series the map is applied to, and built as the image of x^(I - e_v)
+    times the form of v; a linear form keeps the total exponent, so no
+    image leaves the truncation order.
+    """
+    if target is None:
+        target = source
+    forms = []
+    for name in source.names:
+        if name in assignment:
+            form = []
+            for tname, c in assignment[name].items():
+                j = target.index(tname)
+                if not isinstance(c, int):
+                    raise ParameterError("substitutions must have integer coefficients")
+                if c:
+                    form.append((j, c))
+            forms.append(form)
+        else:
+            forms.append([(target.index(name), 1)])
+    images = {(0,) * len(source): {(0,) * len(target): 1}}
+
+    def image(index):
+        # {target index: int}; v is the first variable of the index
+        found = images.get(index)
+        if found is None:
+            v = next(v for v, e in enumerate(index) if e)
+            found = {}
+            for key, c in image(index[:v] + (index[v] - 1,) + index[v + 1:]).items():
+                for j, cj in forms[v]:
+                    new = key[:j] + (key[j] + 1,) + key[j + 1:]
+                    found[new] = found.get(new, 0) + c * cj
+            images[index] = found
+        return found
+
+    def apply(series: CentralSeries) -> CentralSeries:
+        add_multiple = series.algebra.add_multiple
+        accs: dict = {}
+        for index, element in series._coeffs.items():
+            for key, c in image(index).items():
+                if c:
+                    add_multiple(accs.setdefault(key, {}), c, element)
+        return series._from_accumulators(accs, target)
+
+    return apply
 
 
 def left_combination(pairs, like: CentralSeries) -> CentralSeries:
