@@ -296,9 +296,9 @@ def verify_axioms(
     per call, by univariate products, and each row's power lists z(L)^k and
     expected series z(L) are derived from them by ``specialize``; a power
     list shares one substitution, so it builds the monomial images once.
-    That is exact: substituting a linear form for the central variable is a ring
-    homomorphism that keeps the total exponent, so z(L)^k is the image of
-    z(x)^k and no term crosses the truncation order.  Each grouping's sum
+    That is exact: substituting a linear form for the central variable is a
+    ring homomorphism that keeps the total exponent, so z(L)^k is the image
+    of z(x)^k and no term crosses the truncation order.  Each grouping's sum
     is still formed by its own products.  Failures are reported with the
     first offending monomial, never raised.
     A given ``table`` of another order is refused with ParameterError, one
