@@ -136,9 +136,15 @@ class CommAlgebra(SparseAlgebra):
         return "*".join(f"{family}{i}" if e == 1 else f"{family}{i}^{e}" for i, e in mono)
 
     def split_key(self, mono: Monomial):
-        """(lowest generator, the rest) of a monomial other than 1."""
+        """((lowest generator i, q), the rest) of a monomial other than 1,
+        where i^q is peeled and q is the largest power of p dividing the
+        exponent of i (q = 1 over a ring of characteristic 0), so that a
+        monomial splits as often as its exponents' base-p digits add up to."""
         (i, e), rest = mono[0], mono[1:]
-        return i, (((i, e - 1),) + rest if e > 1 else rest)
+        p, q = self.ring.prime, 1
+        while p and e % (q * p) == 0:
+            q *= p
+        return (i, q), (((i, e - q),) + rest if e > q else rest)
 
     # -- element construction --------------------------------------------------
 

@@ -214,8 +214,9 @@ class FreeAlgebra(SparseAlgebra):
         return "*".join(f"{letter}{i}" for i in word)
 
     def split_key(self, word: Word):
-        """(first generator, rest of the word) of a word other than the unit."""
-        return word[0], word[1:]
+        """((first generator, 1), rest of the word) of a word other than the
+        unit: one letter at a time, in the shape of the commutative split."""
+        return (word[0], 1), word[1:]
 
     # -- element construction --------------------------------------------------
 

@@ -7,11 +7,16 @@ algebra on the polynomial algebra F_p[t_1, t_2, ...] with deg t_r = 2p^r - 2,
 right actions a.theta = sum <theta, a'> a'', the Cartan rule for extending a
 generator action table over products, the induced action on the free algebra
 generators, and two finite obstruction certificates built from these actions
-by exact linear algebra; tensors are sums over a :class:`TensorAlgebra`.  The
-induced action has one index-shift rule for both profiles and every prime: an
-operation of degree d sends Z_i to C(i - s + 1, s/(p - 1)) Z_{i-s}, where
-s = d / (degree of the series variable), Z_0 = 1, and the image is zero
-unless s is a whole number at most i.
+by exact linear algebra; tensors are sums over a :class:`TensorAlgebra`.
+
+Every right action runs one Cartan engine, :func:`_cartan`, and only the
+generator images differ: a hand table's entries, the index-shift rule on
+free-algebra generators, or, on a polynomial, the right factors of each
+generator's coaction beside xi_1^i, its image under P^i.  The induced action
+has one index-shift rule for both profiles and every prime: an operation of
+degree d sends Z_i to C(i - s + 1, s/(p - 1)) Z_{i-s}, where s = d / (degree
+of the series variable), Z_0 = 1, and the image is zero unless s is a whole
+number at most i.
 
 Only the polynomial (even) part of the dual Steenrod algebra is modelled; the
 exterior generators at odd primes are never needed by the computations here.
@@ -134,13 +139,6 @@ class TensorElement(LinearCombination):
         acc = {(lm, rm): lc * rc for lm, lc in a._terms.items() for rm, rc in b._terms.items()}
         return TensorAlgebra(a.algebra, b.algebra).from_accumulator(acc)
 
-    def pair_left(self, op: MilnorOp):
-        """Contract the left factor against a Milnor operation."""
-        dual = _dual_monomial(op)
-        return self.algebra.right._wrap(
-            {rm: coeff for (lm, rm), coeff in self._terms.items() if lm == dual}
-        )
-
 
 class TensorAlgebra(SparseAlgebra):
     """The tensor product of two algebras over one ring, on (left, right) keys.
@@ -189,64 +187,46 @@ class TensorAlgebra(SparseAlgebra):
         return f"({left} (x) {right})"
 
 
-def _dual_monomial(op: MilnorOp):
-    """xi_1^k: <P^k, xi_1^k> = 1 (likewise Sq^k at p = 2), and the pairing
-    is zero on every other monomial."""
-    return ((1, op.index),) if op.index else ()
-
-
 def milnor_pair(op: MilnorOp, a: CommElement):
-    """Linear extension of the dual-basis pairing; returns a scalar."""
+    """Linear extension of the dual-basis pairing; returns a scalar:
+    <P^k, xi_1^k> = 1 (likewise Sq^k at p = 2), and the pairing is zero on
+    every other monomial."""
     algebra = a.algebra
     if algebra.kind != "dual-steenrod" or algebra.ring.prime != op.prime:
         raise UnsupportedInputError("pairing is defined on dual Steenrod elements")
-    return a.coefficient(_dual_monomial(op))
+    return a.coefficient(((1, op.index),) if op.index else ())
 
 
 # -- coproduct, counit, antipode ------------------------------------------------
 
 
-def _multiplicative(a: CommElement, target: SparseAlgebra, image, keep=None) -> LinearCombination:
+def _multiplicative(a: CommElement, target: SparseAlgebra, image) -> LinearCombination:
     """The algebra map into ``target`` sending generator i to image(i), at ``a``.
 
     Both algebras are commutative over F_p, so for e = sum_j d_j p^j in base
     p the power image(i)^e is the product over j of image(i)^(d_j) followed
     by the Frobenius p^j on its keys.  The image of each monomial is its
     coefficient times the product of these powers; the last product goes
-    straight into one accumulator for all of ``a``.
-
-    With ``keep``, a predicate on the keys of ``target``, every term it
-    refuses is dropped from each factor and each product as soon as that is
-    formed, and the result holds only the terms it keeps.  This is exact when
-    ``keep`` refuses every multiple of a key it refuses: a product key is a
-    multiple of each of its factors, and a Frobenius key of its own, so a
-    dropped term could only ever have reached refused keys.
-    :func:`right_action` keeps the tensor keys whose left monomial divides
-    xi_1^k, and a multiple of a left monomial that does not divide xi_1^k
-    does not divide it either.
+    straight into one accumulator for all of ``a``.  Right actions do not
+    come through here: they pair only the generators' own coactions, and
+    :func:`_cartan` extends those images over products.
     """
     p = a.algebra.ring.prime
-
-    def cut(element):
-        if keep is None:
-            return element
-        return target._wrap({key: c for key, c in element._terms.items() if keep(key)})
-
     acc: dict = {}
     for mono, coeff in a._terms.items():
         term, last = target._wrap({target.unit_key: coeff}), target.one()
         for i, e in mono:
-            gen, q = cut(image(i)), 1
+            gen, q = image(i), 1
             while e:
                 e, digit = divmod(e, p)
                 if digit:
                     power = gen
                     for _ in range(digit - 1):
-                        power = cut(power * gen)
-                    term, last = cut(term * last), cut(frobenius(power, q))
+                        power = power * gen
+                    term, last = term * last, frobenius(power, q)
                 q *= p
         target.add_product(acc, term, last)
-    return cut(target.from_accumulator(acc))
+    return target.from_accumulator(acc)
 
 
 @cache
@@ -264,7 +244,7 @@ def coproduct(a: CommElement) -> TensorElement:
     """psi(xi_n) = sum_{i} xi_{n-i}^{p^i} (x) xi_i, extended multiplicatively."""
     if a.algebra.kind != "dual-steenrod":
         raise UnsupportedInputError("coproduct is defined on dual Steenrod elements")
-    return _coaction(a)
+    return _multiplicative(a, *_coaction(a.algebra))
 
 
 def counit(a: CommElement):
@@ -302,27 +282,24 @@ def bp_coaction(a: CommElement) -> TensorElement:
     """psi(t_n) = sum_{k=0}^{n} zeta_k (x) t_{n-k}^{p^k}, extended multiplicatively."""
     if a.algebra.kind != "bp-homology":
         raise UnsupportedInputError("this coaction acts on t-polynomials")
-    return _coaction(a)
+    return _multiplicative(a, *_coaction(a.algebra))
 
 
-def _coaction(a: CommElement, keep=None) -> TensorElement:
-    """The registered coaction of ``a``: the coproduct of a dual Steenrod
-    element, the coaction on a t-polynomial at an odd prime; with ``keep``,
-    only the terms that :func:`_multiplicative` keeps."""
-    algebra = a.algebra
+def _coaction(algebra: CommAlgebra):
+    """(tensor algebra, n -> the coaction of generator n) of the registered
+    coaction on ``algebra``: the coproduct of the dual Steenrod algebra, the
+    coaction on the t-polynomials at an odd prime; other algebras are
+    refused here, before any term is read.  :func:`_multiplicative` extends
+    it over products, and :func:`_paired` pairs it with xi_1^i."""
     p = algebra.ring.prime
     if algebra.kind == "dual-steenrod":
-        return _multiplicative(
-            a, TensorAlgebra(algebra, algebra), lambda i: _xi_coproduct(p, i), keep
-        )
+        return TensorAlgebra(algebra, algebra), lambda n: _xi_coproduct(p, n)
     if algebra.kind != "bp-homology":
         raise UnsupportedInputError(f"no registered coaction for the {algebra.family!r} family")
     if p == 2:
         raise UnsupportedInputError("the displayed coaction is the odd-prime form")
     steenrod = dual_steenrod(p)
-    return _multiplicative(
-        a, TensorAlgebra(steenrod, algebra), lambda n: _t_coaction(p, n, steenrod, algebra), keep
-    )
+    return TensorAlgebra(steenrod, algebra), lambda n: _t_coaction(p, n, steenrod, algebra)
 
 
 def _t_coaction(p, n, steenrod, algebra) -> TensorElement:
@@ -342,23 +319,43 @@ def _t_coaction(p, n, steenrod, algebra) -> TensorElement:
 def right_action(a, op: MilnorOp):
     """a . theta = sum <theta, a'> a'' over the registered coaction of ``a``.
 
-    The pairing reads only the terms whose left factor a' is xi_1^k, so on a
-    commutative element the coaction is formed pruned: a term is dropped as
-    soon as its left monomial no longer divides xi_1^k.  Monomials only grow
-    under product, power and Frobenius, so such a term can never come back
-    to xi_1^k, and the result is that of the full coaction.
+    <P^k, -> reads only the left factor xi_1^k, and the coefficient of
+    xi_1^k in a product is the sum over i of those of xi_1^i and xi_1^(k-i)
+    in its factors; so the pairing of a coaction obeys the Cartan rule.  On a
+    commutative element each generator's image under P^i is read from the
+    generator's own coaction, its right factors beside xi_1^i, and
+    :func:`_cartan` extends these images over products, as it does for words
+    (:func:`nsym_action`) and for hand tables (:func:`cartan_extend`).
     """
     if isinstance(a, FreeElement):
         return nsym_action(op, a)
     if isinstance(a, CommElement):
-        k = op.index
-
-        def divides(key):
-            left = key[0]
-            return not left or (len(left) == 1 and left[0][0] == 1 and left[0][1] <= k)
-
-        return _coaction(a, divides).pair_left(op)
+        return _extended(a.algebra, _paired(a.algebra, op), a, op.index)
     raise UnsupportedInputError(f"no registered coaction for {type(a).__name__}")
+
+
+def _paired(algebra: CommAlgebra, op: MilnorOp):
+    """image(i, n): generator n under the index-i operation of ``op``'s
+    kind, the right factors of its coaction whose left factor is xi_1^i;
+    each generator's coaction is read once, grouped by i.
+
+    An algebra without a registered coaction is refused first, and then one
+    over another prime than ``op``'s, before any term is read."""
+    _, generator_coaction = _coaction(algebra)
+    if algebra.ring.prime != op.prime:
+        raise ModeMismatchError("element must live over F_p for the acting prime")
+    grouped: dict = {}
+
+    def image(i, n):
+        groups = grouped.get(n)
+        if groups is None:
+            groups = grouped[n] = {}
+            for (left, right), coeff in generator_coaction(n)._terms.items():
+                if not left or (len(left) == 1 and left[0][0] == 1):  # 1 or xi_1^i
+                    groups.setdefault(left[0][1] if left else 0, {})[right] = coeff
+        return algebra._wrap(groups.get(i, {}))
+
+    return image
 
 
 class Action(Record):
@@ -431,11 +428,17 @@ def _extended(carrier, image, a, k: int):
 
 def _cartan(carrier, image):
     """act(key, k): the index-k operation on one basis element of
-    ``carrier``, by the Cartan rule on its first generator and the rest,
-    where ``image(i, generator)`` is the generator's image under index i.
-    One memo of (key, k) serves every call of one ``act``, so keys that
-    share a suffix act on it once, and one memo of (i, generator) reads each
-    image once; the empty images are skipped."""
+    ``carrier``, by the Cartan rule on its first letter and the rest, where
+    ``image(i, generator)`` is the generator's image under index i.
+
+    ``carrier.split_key`` peels a letter g^q: q = 1 on a word, and on a
+    monomial the largest power of p dividing g's exponent.  Over F_p the
+    total operation sum_i P^i is a ring map, so g^q . P^i is the Frobenius
+    q-th power of g . P^(i/q), and zero unless q divides i; a monomial then
+    splits once per base-p digit of its exponents, not once per unit.  One
+    memo of (key, k) serves every call of one ``act``, so keys that share a
+    suffix act on it once, and one memo of (i, g, q) reads each image
+    once; the empty images are skipped."""
     zero = carrier.zero()
     one = carrier.ring.one
     memo: dict = {}
@@ -449,12 +452,13 @@ def _cartan(carrier, image):
         cached = memo.get((key, k))
         if cached is not None:
             return cached
-        first, rest = carrier.split_key(key)
+        (generator, q), rest = carrier.split_key(key)
         acc: dict = {}
-        for i in range(k + 1):
-            img = images.get((i, first))
+        for i in range(0, k + 1, q):
+            img = images.get((i, generator, q))
             if img is None:
-                img = images[(i, first)] = image(i, first)
+                img = image(i // q, generator)
+                img = images[(i, generator, q)] = frobenius(img, q) if q > 1 else img
             if img._terms:
                 carrier.add_product(acc, img, act(rest, k - i))
         return memo.setdefault((key, k), carrier.from_accumulator(acc))

@@ -325,17 +325,9 @@ def _draw_monomial(rng, p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_right_action_is_the_pairing_of_the_full_coaction(p, monkeypatch):
-    # right_action forms the coaction pruned to left monomials dividing
-    # xi_1^k; pairing the full tensor must give the same element
-    paired = []
-    pair_left = TensorElement.pair_left
-
-    def recording(tensor, op):
-        paired.append(tensor)
-        return pair_left(tensor, op)
-
-    monkeypatch.setattr(TensorElement, "pair_left", recording)
+def test_right_action_is_the_pairing_of_the_full_coaction(p):
+    # right_action extends the generators' images by the Cartan rule;
+    # pairing the full tensor with xi_1^k must give the same element
     rng = random.Random(40 + p)
     kind = "Sq" if p == 2 else "P"
     families = [(dual_steenrod(p), coproduct)]
@@ -347,12 +339,10 @@ def test_right_action_is_the_pairing_of_the_full_coaction(p, monkeypatch):
             element = algebra.monomial(mono, rng.randint(1, p - 1))
             full = coaction(element)
             for k in range(5):
-                op = MilnorOp(p, kind, k)
-                paired.clear()
-                action = right_action(element, op)
-                divisors = {()} | {((1, j),) for j in range(1, k + 1)}
-                assert {left for left, _ in paired[0].support()} <= divisors, (mono, k)
-                assert action == full.pair_left(op), (mono, k)
+                dual = ((1, k),) if k else ()
+                paired = {right: c for (left, right), c in full.terms() if left == dual}
+                action = right_action(element, MilnorOp(p, kind, k))
+                assert action == algebra.element(paired), (mono, k)
 
 
 # -- Cartan rule -----------------------------------------------------------------------------
@@ -369,6 +359,39 @@ def test_cartan_on_symbolic_generator(p):
     power = w ** (p + 1)
     assert cartan_extend(table, power, MilnorOp(p, "P", 1)) == -(w ** p)
     assert cartan_extend(table, power, MilnorOp(p, "P", p)) == -w
+
+
+# Exponents far past the recursion limit if a monomial were split one unit
+# at a time: 2000 = 2202002 and 3^8 + 7 = 100000021 in base 3.
+_DEEP_EXPONENTS = (2000, 3 ** 8 + 7)
+
+
+def _binomial_terms(e, k, p):
+    """The public terms of C(e, k) (-1)^k g^(e-k) over F_p, from math.comb."""
+    coeff = comb(e, k) * (-1) ** k % p
+    return [(((1, e - k),), coeff)] if coeff else []
+
+
+@pytest.mark.parametrize("e", _DEEP_EXPONENTS)
+def test_cartan_on_a_deep_power_of_a_symbolic_generator(e):
+    # w.P^1 = -1 and w.P^i = 0 for 1 < i <= p, so w^e.P^k = C(e, k)(-1)^k w^(e-k)
+    p = 3
+    W = CommAlgebra.with_degrees("w", (2 * p - 2,), GF(p))
+    entries = {(1, 1): W.one().scale(-1)}
+    entries.update({(i, 1): W.zero() for i in range(2, p + 1)})
+    table = GeneratorActionTable(W, "P", p, entries)
+    power = W.monomial(((1, e),))
+    for k in range(4):
+        assert cartan_extend(table, power, MilnorOp(p, "P", k)).terms() == _binomial_terms(e, k, p)
+
+
+@pytest.mark.parametrize("e", _DEEP_EXPONENTS)
+def test_right_action_on_a_deep_power_of_t1(e):
+    # t1.P^1 = -1 and t1.P^i = 0 for i > 1, so t1^e.P^k = C(e, k)(-1)^k t1^(e-k)
+    p = 3
+    power = bp_homology(p).monomial(((1, e),))
+    for k in range(6):
+        assert right_action(power, MilnorOp(p, "P", k)).terms() == _binomial_terms(e, k, p)
 
 
 def test_cartan_derivation_for_sq1():
@@ -786,6 +809,12 @@ _REFUSALS = [
      UnsupportedInputError, "no registered coaction for the 'u' family"),
     (lambda: right_action(3, MilnorOp(3, "P", 1)), UnsupportedInputError,
      "no registered coaction for int"),
+    (lambda: right_action(bp_homology(3).gen(2), MilnorOp(2, "Sq", 1)), ModeMismatchError,
+     "element must live over F_p for the acting prime"),
+    (lambda: right_action(dual_steenrod(3).gen(2), MilnorOp(5, "P", 1)), ModeMismatchError,
+     "element must live over F_p for the acting prime"),
+    (lambda: right_action(dual_steenrod(3).zero(), MilnorOp(5, "P", 1)), ModeMismatchError,
+     "element must live over F_p for the acting prime"),
     (lambda: cartan_extend(
         GeneratorActionTable(bp_homology(3), "P", 3, {}), dual_steenrod(3).gen(1), MilnorOp(3, "P", 1)
     ), ModeMismatchError, "element does not live over the table's algebra"),
