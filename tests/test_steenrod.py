@@ -427,6 +427,18 @@ def test_cartan_reads_the_images_of_its_own_table():
     assert cartan_extend(minus, algebra.gen(1) ** 2, MilnorOp(3, "P", 1)) == algebra.gen(1)
 
 
+def test_cartan_on_a_p_th_power_reads_only_the_entries_it_needs():
+    # (sum_i w.P^i)^3 = sum_i (w.P^i)^3 over F_3, so w^3.P^3 = (w.P^1)^3 = -1
+    # whatever w.P^2 and w.P^3 are: a table without them still answers, and
+    # w^3.P^2 = 0; w^2.P^2 does need w.P^2, and is refused
+    # (test_cartan_missing_entry_names_generator_and_index)
+    W = CommAlgebra.with_degrees("w", (4,), GF(3))
+    table = GeneratorActionTable(W, "P", 3, {(1, 1): W.one().scale(-1)})
+    cube = W.monomial(((1, 3),))
+    assert cartan_extend(table, cube, MilnorOp(3, "P", 3)).terms() == [((), 2)]
+    assert cartan_extend(table, cube, MilnorOp(3, "P", 2)).terms() == []
+
+
 def test_cartan_missing_entry_is_refused_after_other_images_are_read():
     # the index-1 image is read and kept; the index-2 one is missing, and
     # every act that needs it is refused, naming the generator and the index
