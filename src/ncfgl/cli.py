@@ -351,13 +351,12 @@ def cmd_expand(args) -> int:
 
     algebra = _algebra(args)
     source, form = args.assign
-    vardeg = algebra.profile.variable_degree
-    target = VarSet(tuple(form), vardeg)
+    target = VarSet(tuple(form))
     _limit(f"expand in {len(target)} variable{'s' * (len(target) > 1)} --degree", args.degree)
-    z = orientation_series(args.degree, algebra, VarSet((source,), vardeg))
+    z = orientation_series(args.degree, algebra, VarSet((source,)))
     specialized = z.specialize({source: form}, target)
     basis = {
-        name: orientation_series(args.degree, algebra, VarSet((name,), vardeg))
+        name: orientation_series(args.degree, algebra, VarSet((name,)))
         for name in target.names
     }
     terms = [

@@ -31,7 +31,14 @@ from .errors import (
 )
 from .freealg import FreeAlgebra, FreeElement, random_homogeneous
 from .record import Record
-from .series import CentralSeries, VarSet, _powers, _substitution, left_combination, left_expand
+from .series import (
+    CentralSeries,
+    VarSet,
+    _powers,
+    _substitution,
+    left_expand,
+    left_product_combination,
+)
 
 
 def orientation_series(
@@ -46,7 +53,7 @@ def orientation_series(
     if algebra is None:
         algebra = FreeAlgebra()
     if varset is None:
-        varset = VarSet(("x",), algebra.profile.variable_degree)
+        varset = VarSet(("x",))
     if variable is None:
         variable = varset.names[0]
     slot = varset.index(variable)
@@ -114,13 +121,12 @@ def fgl_table(order: int, algebra: FreeAlgebra | None = None) -> FGLTable:
         raise ParameterError("formal group law table needs order >= 2")
     if algebra is None:
         algebra = FreeAlgebra()
-    vardeg = algebra.profile.variable_degree
-    pair = VarSet(("x", "y"), vardeg)
+    pair = VarSet(("x", "y"))
     z = orientation_series(order, algebra)
     target = z.specialize({"x": {"x": 1, "y": 1}}, pair)
     basis = {
         "x": z,
-        "y": orientation_series(order, algebra, VarSet(("y",), vardeg)),
+        "y": orientation_series(order, algebra, VarSet(("y",))),
     }
     expansion = left_expand(target, basis)
     return FGLTable(algebra, order, expansion)
@@ -239,20 +245,16 @@ def _first_difference(left: CentralSeries, right: CentralSeries) -> str:
 def _fgl_sum(table: FGLTable, zs1, zs2) -> CentralSeries:
     """sum a_{i,j} * (zs1^i * zs2^j) with coefficients on the left.
 
-    Each product zs1^i * zs2^j is one series product, and a_{i,j} times each
-    of its coefficients goes straight into one total accumulator per index
-    (:func:`~ncfgl.series.left_combination`).  The association a (P Q) is
-    kept on purpose: factoring as sum_j (sum_i a_{i,j} zs1^i) zs2^j forms
-    3.6 times as many pairs of terms at order 9 (371 098 against 101 908)
-    and was no faster.
+    No product series zs1^i * zs2^j is formed: each pair of terms of zs1^i
+    and zs2^j within the order adds a_{i,j} times their product straight
+    into one total accumulator per index
+    (:func:`~ncfgl.series.left_product_combination`).  The association
+    a (P Q) is kept on purpose: factoring as sum_j (sum_i a_{i,j} zs1^i)
+    zs2^j forms 3.6 times as many pairs of terms at order 9 (371 098
+    against 101 908) and was no faster.
     """
-    return left_combination(
-        (
-            (element, zs1[i] * zs2[j])
-            for (i, j), element in table.items()
-            if not element.is_zero()
-        ),
-        zs1[0],
+    return left_product_combination(
+        (item for item in table.items() if not item[1].is_zero()), zs1, zs2
     )
 
 
@@ -323,10 +325,9 @@ def verify_axioms(
             if table.entry(*key) != expected:
                 failures.setdefault("unit", f"a[{key[0]},{key[1]}] = {table.entry(*key)}")
 
-    vardeg = algebra.profile.variable_degree
     base = _powers(orientation_series(order, algebra), order)
     for name, variables, expected_form, groupings in _AXIOM_ROWS:
-        varset = VarSet(variables, vardeg)
+        varset = VarSet(variables)
         expected = base[1].specialize({"x": expected_form}, varset)
         powers = {}
         for label, forms in groupings:

@@ -14,13 +14,17 @@ term satisfies
     variable_degree * total_exponent - word_degree(coefficient) = D,
 
 matching the convention that coefficient degrees count negatively against the
-variable grading.
+variable grading; ``variable_degree`` is that of the coefficient algebra's
+grading profile.
 
-Arithmetic never builds intermediate series.  A product, a sum of left
+Arithmetic builds no intermediate series.  A product, a sum of left
 multiples (:func:`left_combination`, which a substitution is) and each
 step of :func:`left_expand` add every coefficient product into one word ->
 value accumulator per multi-index with ``FreeAlgebra.add_product``, the loop
-that multiplies two free-algebra elements; a sum, a difference and
+that multiplies two free-algebra elements; a sum of left multiples of
+products, sum a_{i,j} (P_i Q_j) (:func:`left_product_combination`, which
+the axiom checks use), adds each a_{i,j} (c1 c2) into them word by word,
+without forming the product series P_i Q_j; a sum, a difference and
 :meth:`CentralSeries.specialize` add integer multiples of coefficients into
 the same kind of accumulators with ``add_multiple``.  Each accumulator is
 reduced once with ``from_accumulator``.  Results are wrapped by the internal
@@ -47,19 +51,22 @@ from .record import Record
 
 
 class VarSet(Record):
-    """An ordered tuple of 1 to 3 central variable names with one degree."""
+    """An ordered tuple of 1 to 3 central variable names.
 
-    __slots__ = ("names", "variable_degree")
+    The degree of the variables is not stored here: it is the
+    ``variable_degree`` of the coefficient algebra's grading profile, the
+    one value that every degree rule reads.
+    """
 
-    def __init__(self, names, variable_degree: int):
+    __slots__ = ("names",)
+
+    def __init__(self, names):
         names = tuple(names)
         if not 1 <= len(names) <= 3:
             raise ParameterError("a variable set holds 1 to 3 variables")
         if len(set(names)) != len(names):
             raise ParameterError("variable names must be distinct")
-        if variable_degree < 1:
-            raise ParameterError("variable degree must be positive")
-        super().__init__(names, variable_degree)
+        super().__init__(names)
 
     def index(self, name: str) -> int:
         try:
@@ -424,6 +431,59 @@ def left_combination(pairs, like: CentralSeries) -> CentralSeries:
             if acc is None:
                 acc = accs[index] = {}
             add_product(acc, value, element)
+    return like._from_accumulators(accs)
+
+
+def left_product_combination(terms, lefts: list, rights: list) -> CentralSeries:
+    """sum a_{i,j} (lefts[i] * rights[j]) over ((i, j), a_{i,j}) pairs, each
+    a_{i,j} on the left of the product.
+
+    Every series in ``lefts`` and ``rights`` has the shape of ``lefts[0]``.
+    No product series is formed: for each a_{i,j}, each term c1 x^I1 of
+    lefts[i] and each term c2 x^I2 of rights[j] with I1 + I2 within the
+    order, a_{i,j} (c1 c2) is added word by word into the accumulator of
+    I1 + I2, with the terms of a_{i,j} innermost, and each accumulator is
+    reduced once.  Each right series is sorted by total degree once, so
+    each left index stops at the first right index past the order, as in
+    :meth:`CentralSeries.__mul__`.
+    """
+    like = lefts[0]
+    for series in (*lefts, *rights):
+        like._check_shape(series)
+    algebra = like.algebra
+    order = like.order
+    sorted_rights = {}
+    accs: dict = {}
+    get = accs.get
+    for (i, j), value in terms:
+        if value.algebra != algebra:
+            raise ModeMismatchError("coefficient and series live in different algebras")
+        right = sorted_rights.get(j)
+        if right is None:
+            # (total, index, terms): the indices are distinct, so the sort
+            # never compares two term views.
+            right = sorted_rights[j] = sorted(
+                (sum(index), index, element._terms.items())
+                for index, element in rights[j]._coeffs.items()
+            )
+        value_terms = value._terms.items()
+        for i1, c1 in lefts[i]._coeffs.items():
+            room = order - sum(i1)
+            c1_terms = c1._terms.items()
+            for t2, i2, c2_terms in right:
+                if t2 > room:
+                    break
+                index = tuple(map(add, i1, i2))
+                acc = get(index)
+                if acc is None:
+                    acc = accs[index] = {}
+                acc_get = acc.get
+                for w1, k1 in c1_terms:
+                    for w2, k2 in c2_terms:
+                        w12, k12 = w1 + w2, k1 * k2
+                        for wa, ka in value_terms:
+                            word = wa + w12
+                            acc[word] = acc_get(word, 0) + ka * k12
     return like._from_accumulators(accs)
 
 

@@ -438,30 +438,54 @@ def _cartan(carrier, image):
     splits once per base-p digit of its exponents, not once per unit.  One
     memo of (key, k) serves every call of one ``act``, so keys that share a
     suffix act on it once, and one memo of (i, g, q) reads each image
-    once; the empty images are skipped."""
+    once; the empty images are skipped.
+
+    The Python stack depth stays constant however long the key: ``act``
+    sums each (key, k) not yet known in a frame of an explicit stack, which
+    stops at the first (rest, k - i) that is not known either, pushes it,
+    and resumes at that i once it is summed.  Images are read and sums
+    formed in the order of a recursion on the rest, so a missing table
+    entry is reported as that recursion would."""
     zero = carrier.zero()
     one = carrier.ring.one
+    split_key, add_product, wrap = carrier.split_key, carrier.add_product, carrier._wrap
     memo: dict = {}
     images: dict = {}
 
     def act(key, k):
         if k == 0:
-            return carrier._wrap({key: one})
+            return wrap({key: one})
         if not key:
             return zero
-        cached = memo.get((key, k))
-        if cached is not None:
-            return cached
-        (generator, q), rest = carrier.split_key(key)
-        acc: dict = {}
-        for i in range(0, k + 1, q):
-            img = images.get((i, generator, q))
-            if img is None:
-                img = image(i // q, generator)
-                img = images[(i, generator, q)] = frobenius(img, q) if q > 1 else img
-            if img._terms:
-                carrier.add_product(acc, img, act(rest, k - i))
-        return memo.setdefault((key, k), carrier.from_accumulator(acc))
+        value = memo.get((key, k))
+        if value is not None:
+            return value
+        # a frame: key, k, (generator, q), rest, accumulator, next i
+        stack = [[key, k, *split_key(key), {}, 0]]
+        while stack:
+            frame = stack[-1]
+            key, k, (generator, q), rest, acc, i = frame
+            while i <= k:
+                img = images.get((i, generator, q))
+                if img is None:
+                    img = image(i // q, generator)
+                    img = images[(i, generator, q)] = frobenius(img, q) if q > 1 else img
+                if img._terms:
+                    m = k - i
+                    if not m:
+                        add_product(acc, img, wrap({rest: one}))
+                    elif rest:
+                        right = memo.get((rest, m))
+                        if right is None:
+                            frame[5] = i
+                            stack.append([rest, m, *split_key(rest), {}, 0])
+                            break
+                        add_product(acc, img, right)
+                i += q
+            else:
+                memo[(key, k)] = value = carrier.from_accumulator(acc)
+                stack.pop()
+        return value
 
     return act
 

@@ -46,7 +46,7 @@ def random_series(algebra, varset, order, rng, max_coeff_degree=4):
 
 
 def random_unit_linear(algebra, order, rng, name="x"):
-    varset = VarSet((name,), algebra.profile.variable_degree)
+    varset = VarSet((name,))
     coeffs = {(1,): algebra.one()}
     for k in range(2, order + 1):
         if rng.random() < 0.6:
@@ -61,8 +61,8 @@ def run_specialize_props(seed=0, pairs_per_width=200, order=4):
     failures = []
     names = ("x", "y", "w")
     for width in (1, 2, 3):
-        varset = VarSet(names[:width], 2)
-        target = VarSet(names[: min(3, width + 1)], 2)
+        varset = VarSet(names[:width])
+        target = VarSet(names[: min(3, width + 1)])
         for trial in range(pairs_per_width):
             f = random_series(algebra, varset, order, rng)
             g = random_series(algebra, varset, order, rng)
@@ -92,10 +92,10 @@ def run_left_expand_roundtrip(seed=0, trials=40, order=5):
     for trial in range(trials):
         algebra = algebras[trial % len(algebras)]
         width = rng.choice((1, 2, 3))
-        varset = VarSet(names[:width], 2)
+        varset = VarSet(names[:width])
         target = random_series(algebra, varset, order, rng)
         basis = {
-            name: orientation_series(order, algebra, VarSet((name,), 2))
+            name: orientation_series(order, algebra, VarSet((name,)))
             for name in varset.names
         }
         expansion = left_expand(target, basis)

@@ -37,7 +37,9 @@ from oracles import (
     brute_force_fgl_table,
     commutative_fgl,
     commutator_with_z_power,
+    plain_add,
     plain_mul,
+    plain_scale,
     plain_series,
     plain_specialize,
 )
@@ -115,7 +117,7 @@ def test_table_over_other_scalars():
 def test_reconstruction_round_trip(A):
     order = 6
     table = fgl_table(order, A)
-    vs2 = VarSet(("x", "y"), 2)
+    vs2 = VarSet(("x", "y"))
     zx = orientation_series(order, A, vs2, "x")
     zy = orientation_series(order, A, vs2, "y")
     total = left_combination(
@@ -124,8 +126,8 @@ def test_reconstruction_round_trip(A):
     target = orientation_series(order, A).specialize({"x": {"x": 1, "y": 1}}, vs2)
     assert total == target
     # specialization coherence on the reconstructed series
-    assert total.specialize({"y": {"x": -1}}, VarSet(("x",), 2)).is_zero()
-    assert total.specialize({"y": {}}, VarSet(("x",), 2)) == orientation_series(order, A)
+    assert total.specialize({"y": {"x": -1}}, VarSet(("x",))).is_zero()
+    assert total.specialize({"y": {}}, VarSet(("x",))) == orientation_series(order, A)
 
 
 def test_degree_law(A):
@@ -143,9 +145,9 @@ def test_expansion_determinism_under_shuffled_solve_order(A):
     # re-solve the two-variable expansion processing the indices inside each
     # total degree in reversed order; triangularity makes the answer identical
     order = 5
-    vs2 = VarSet(("x", "y"), 2)
+    vs2 = VarSet(("x", "y"))
     z = orientation_series(order, A)
-    zy = orientation_series(order, A, VarSet(("y",), 2))
+    zy = orientation_series(order, A, VarSet(("y",)))
     target = z.specialize({"x": {"x": 1, "y": 1}}, vs2)
     standard = left_expand(target, {"x": z, "y": zy})
 
@@ -535,6 +537,65 @@ def test_axiom_rows_read_the_powers_of_the_plain_oracle(monkeypatch, profile, ri
                 assert [plain_series(s) for s in powers] == oracle(form, variables, order), (
                     order, variables, form
                 )
+
+
+@pytest.mark.parametrize("profile", [COMPLEX, REAL], ids=["complex", "real"])
+@pytest.mark.parametrize("ring", [ZZ, GF(3), QQ], ids=["ZZ", "GF3", "QQ"])
+def test_fgl_sum_matches_the_plain_oracle_on_a_random_table(profile, ring):
+    # A seeded table of random homogeneous entries, about a fifth of them
+    # zero, is no formal group law table, so no sum reduces to z(L).  Each
+    # grouping of every axiom row sums it over the plain oracle's power
+    # lists, and the result must be sum a_{i,j} (z(L1)^i z(L2)^j) as
+    # plain_mul, plain_scale and plain_add form it, with no ncfgl arithmetic.
+    from ncfgl.fgl import _AXIOM_ROWS, _fgl_sum
+
+    algebra = FreeAlgebra(profile, ring)
+    p = ring.prime
+    rng = random.Random(31)
+    for order in range(2, 10):
+        entries = {
+            (i, j): algebra.zero() if rng.random() < 0.2 else random_homogeneous(
+                algebra, profile.variable_degree * max(i + j - 1, 0), rng
+            )
+            for i in range(order + 1)
+            for j in range(order + 1 - i)
+        }
+        table = FGLTable(algebra, order, entries)
+        plain_table = [((i, j), dict(element.terms())) for (i, j), element in table.items()]
+        for _, variables, _, groupings in _AXIOM_ROWS:
+            varset = VarSet(variables)
+            for _, forms in groupings:
+                plain = [_plain_powers(tuple(form.items()), variables, order, p) for form in forms]
+                lists = [
+                    [
+                        CentralSeries(algebra, varset, order, {
+                            index: algebra.element(terms) for index, terms in power.items()
+                        })
+                        for power in powers
+                    ]
+                    for powers in plain
+                ]
+                expected = {}
+                for (i, j), element in plain_table:
+                    product = plain_mul(plain[0][i], plain[1][j], order, p)
+                    expected = plain_add(expected, plain_scale(product, element, p, True), p)
+                assert plain_series(_fgl_sum(table, *lists)) == expected, (order, forms)
+
+
+def test_verify_axioms_forms_no_product_series_beyond_the_powers_of_z(monkeypatch):
+    # z(x)^1, ..., z(x)^9 are the only series products at order 9: every row
+    # substitutes into them, and no grouping's sum forms a product series
+    table = fgl_table(9)
+    products = []
+    multiply = CentralSeries.__mul__
+
+    def counting(self, other):
+        products.append(other.order)
+        return multiply(self, other)
+
+    monkeypatch.setattr(CentralSeries, "__mul__", counting)
+    assert verify_axioms(9, table=table).failures == {}
+    assert products == [9] * 9
 
 
 @pytest.mark.parametrize("ring", [ZZ, GF(3), QQ])

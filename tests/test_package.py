@@ -292,7 +292,7 @@ def _value_instances():
         (ncfgl.COMPLEX, "kind"),
         (ncfgl.REAL, "letter"),
         (ncfgl.GradingProfile.custom((1, 3)), "degrees"),
-        (ncfgl.VarSet(("x", "y"), 2), "names"),
+        (ncfgl.VarSet(("x", "y")), "names"),
         (PoincareSeries(2, [1, 0, 1]), "dims"),
         (gf3, "ring"),
         (TensorAlgebra(gf3, real), "left"),
@@ -321,7 +321,7 @@ def test_values_built_separately_are_equal_and_hash_equal():
         (ncfgl.GradingProfile.custom([1, 3]), ncfgl.GradingProfile.custom((1, 3))),
         (ncfgl.FreeAlgebra(), ncfgl.FreeAlgebra(ncfgl.COMPLEX, ncfgl.ZZ)),
         (ncfgl.FreeAlgebra(ncfgl.REAL, ncfgl.GF(2)), ncfgl.FreeAlgebra(ncfgl.REAL, ncfgl.GF(2))),
-        (ncfgl.VarSet(["x", "y"], 2), ncfgl.VarSet(("x", "y"), 2)),
+        (ncfgl.VarSet(["x", "y"]), ncfgl.VarSet(("x", "y"))),
         (PoincareSeries(2, [1, 0, 1]), PoincareSeries(2, (1, 0, 1))),
     ]
     for a, b in pairs:
@@ -329,7 +329,7 @@ def test_values_built_separately_are_equal_and_hash_equal():
     assert ncfgl.GF(5) != ncfgl.GF(7) and ncfgl.ZZ != ncfgl.QQ
     assert ncfgl.FreeAlgebra() != ncfgl.FreeAlgebra(ncfgl.COMPLEX, ncfgl.QQ)
     assert ncfgl.COMPLEX != ncfgl.GradingProfile("complex", "W")
-    assert ncfgl.VarSet(("x",), 2) != ncfgl.VarSet(("x",), 1)
+    assert ncfgl.VarSet(("x", "y")) != ncfgl.VarSet(("y", "x"))
 
 
 def test_values_pickle_round_trip():
@@ -342,7 +342,7 @@ def test_values_pickle_round_trip():
         ncfgl.ZZ,
         ncfgl.QQ,
         ncfgl.GF(3),
-        ncfgl.VarSet(("x", "y"), 2),
+        ncfgl.VarSet(("x", "y")),
         PoincareSeries(3, [1, 0, 2, 0]),
         ncfgl.fgl_table(5),
         ncfgl.fgl_table(4, gf3),

@@ -8,6 +8,7 @@ from ncfgl import (
     COMPLEX,
     GF,
     QQ,
+    REAL,
     ZZ,
     CentralSeries,
     ComposabilityError,
@@ -24,7 +25,7 @@ from ncfgl import (
     orientation_series,
     revert,
 )
-from ncfgl.series import left_combination
+from ncfgl.series import left_combination, left_product_combination
 
 from oracles import (
     plain_add,
@@ -54,12 +55,12 @@ def A():
 
 @pytest.fixture
 def vs1():
-    return VarSet(("x",), 2)
+    return VarSet(("x",))
 
 
 @pytest.fixture
 def vs2():
-    return VarSet(("x", "y"), 2)
+    return VarSet(("x", "y"))
 
 
 def x_series(A, vs, order, name="x"):
@@ -263,7 +264,7 @@ def test_expand_sum_gives_first_fgl_coefficient(A, vs2):
     target = z.specialize({"x": {"x": 1, "y": 1}}, vs2)
     basis = {
         "x": z,
-        "y": orientation_series(4, A, VarSet(("y",), 2)),
+        "y": orientation_series(4, A, VarSet(("y",))),
     }
     expansion = left_expand(target, basis)
     assert expansion[(1, 1)] == A.gen(1).scale(2)
@@ -301,7 +302,7 @@ def test_expand_with_different_bases_matches_plain_dict_solve(ring):
     names = ("x", "y", "w")
     for trial in range(12):
         width, order = 2 + trial % 2, rng.randint(3, 5)
-        varset = VarSet(names[:width], 2)
+        varset = VarSet(names[:width])
         # f(x + y + ...) touches every index, so every table row is read
         f = random_unit_linear(algebra, order, rng)
         target = f.specialize({"x": dict.fromkeys(varset.names, 1)}, varset)
@@ -309,7 +310,7 @@ def test_expand_with_different_bases_matches_plain_dict_solve(ring):
         bases = [random_unit_linear(algebra, order, rng, name) for name in varset.names]
         if trial >= 8:
             coeffs = {(k,): bases[0].coefficient((k,)) for k in range(order + 1)}
-            bases[1] = CentralSeries(algebra, VarSet(("y",), 2), order, coeffs)
+            bases[1] = CentralSeries(algebra, VarSet(("y",)), order, coeffs)
         expansion = left_expand(target, dict(zip(varset.names, bases)))
         plain_bases = [plain_series(b) for b in bases]
         assert {index: dict(e.terms()) for index, e in expansion.items()} == plain_expand(
@@ -325,7 +326,7 @@ def test_expand_homogeneity(A, vs2):
     assert {2 * sum(i) - target.coefficient(i).degree() for i in target.support()} == {2}
     basis = {
         "x": z,
-        "y": orientation_series(5, A, VarSet(("y",), 2)),
+        "y": orientation_series(5, A, VarSet(("y",))),
     }
     for index, coeff in left_expand(target, basis).items():
         assert coeff.is_homogeneous()
@@ -389,11 +390,11 @@ def test_serialization(A, vs2):
 
 
 def test_varset_validation():
-    assert list(VarSet(("x", "y"), 2)) == ["x", "y"]
+    assert list(VarSet(("x", "y"))) == ["x", "y"]
     with pytest.raises(Exception):
-        VarSet(("x", "x"), 2)
+        VarSet(("x", "x"))
     with pytest.raises(Exception):
-        VarSet(("a", "b", "c", "d"), 2)
+        VarSet(("a", "b", "c", "d"))
 
 
 # -- the accumulator kernel against plain dictionaries ------------------------------
@@ -406,7 +407,7 @@ def test_series_arithmetic_against_plain_dict_oracle(ring):
     p = ring.prime
     checked = substituted = 0
     for width in (1, 2, 3):
-        varset = VarSet(("x", "y", "w")[:width], 2)
+        varset = VarSet(("x", "y", "w")[:width])
         for _ in range(20):
             order = rng.randint(2, 6)
             f = random_series(algebra, varset, order, rng)
@@ -486,7 +487,7 @@ def test_results_own_their_terms_and_leave_operands_alone(ring):
     rng = random.Random(23)
     algebra = FreeAlgebra(COMPLEX, ring)
     p = ring.prime
-    varset = VarSet(("x", "y"), 2)
+    varset = VarSet(("x", "y"))
     cancelled = 0
     for _ in range(12):
         order = rng.randint(2, 5)
@@ -543,7 +544,7 @@ def test_series_product_stops_exactly_at_the_truncation_order(width, ring):
     # land below, at and past the order in every product.
     rng = random.Random(width)
     algebra = FreeAlgebra(COMPLEX, ring)
-    varset = VarSet(("x", "y", "w")[:width], 2)
+    varset = VarSet(("x", "y", "w")[:width])
     at_order = 0
     for order in range(1, 7):
         by_total = {}
@@ -599,8 +600,8 @@ def test_left_expand_refuses_a_basis_of_another_ring(A, vs2):
     for ring in (GF(3), QQ):
         other = FreeAlgebra(COMPLEX, ring)
         basis = {
-            "x": orientation_series(4, A, VarSet(("x",), 2)),
-            "y": orientation_series(4, other, VarSet(("y",), 2)),
+            "x": orientation_series(4, A, VarSet(("x",))),
+            "y": orientation_series(4, other, VarSet(("y",))),
         }
         with pytest.raises(ModeMismatchError):
             left_expand(target, basis)
@@ -609,15 +610,14 @@ def test_left_expand_refuses_a_basis_of_another_ring(A, vs2):
 
 
 _A = FreeAlgebra()
-_XY = VarSet(("x", "y"), 2)
+_XY = VarSet(("x", "y"))
 _Z3 = orientation_series(3)
 _BIVARIATE = CentralSeries.variable(_A, _XY, 3, "x")
 
 # One row per refusal of the series layer: (callable, args, error type, message fragment).
 _REFUSALS = [
-    (VarSet, (("x",), 0), ParameterError, "variable degree must be positive"),
     (_XY.index, ("w",), ParameterError, "unknown variable 'w'"),
-    (CentralSeries, (_A, VarSet(("x",), 2), 3, {(1, 0): _A.one()}), ShapeError,
+    (CentralSeries, (_A, VarSet(("x",)), 3, {(1, 0): _A.one()}), ShapeError,
      "multi-index width does not match the variable set"),
     (lambda a, b: a + b, (_Z3, orientation_series(4)), ShapeError,
      "series operands disagree in algebra, variables, or order"),
@@ -636,6 +636,10 @@ _REFUSALS = [
      "basis and target must share the truncation order"),
     (_Z3.specialize, ({"x": {"x": 1.5}},), ParameterError,
      "substitutions must have integer coefficients"),
+    (left_product_combination, ([((1, 0), _A.one())], [_Z3, _Z3], [orientation_series(4)]),
+     ShapeError, "disagree in algebra, variables, or order"),
+    (left_product_combination, ([((1, 0), FreeAlgebra(REAL).one())], [_Z3, _Z3], [_Z3]),
+     ModeMismatchError, "coefficient and series live in different algebras"),
 ]
 
 

@@ -525,6 +525,19 @@ def test_nsym_complex_p3():
     assert nsym_action(P1, algebra.gen(1) ** 2).is_zero()
 
 
+@pytest.mark.parametrize("n", [1000, 3 ** 7 + 1])
+def test_p1_on_a_long_power_of_z2(n):
+    # P^1 Z2 = 1 at p = 3, so by the Cartan rule Z2^n . P^1 = n Z2^(n-1); a
+    # word has no Frobenius shortcut, so the engine walks all n letters, far
+    # past the depth that a recursion per letter could reach
+    algebra = FreeAlgebra(COMPLEX, GF(3))
+    word = algebra.monomial((2,) * n)
+    expected = algebra.monomial((2,) * (n - 1)).scale(n)
+    assert not expected.is_zero()
+    assert nsym_action(MilnorOp(3, "P", 1), word) == expected
+    assert right_action(word, MilnorOp(3, "P", 1)) == expected
+
+
 def test_nsym_complex_p2_even_squares_only():
     algebra = FreeAlgebra(COMPLEX, GF(2))
     assert nsym_action(MilnorOp(2, "Sq", 1), algebra.gen(1)).is_zero()
