@@ -49,9 +49,10 @@ _TERM_RE = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*\*\s*)?([A-Za-z_]\w*)\s*")
 
 # The largest accepted value of each measured input.  At these limits every
 # mode and format finished in under 30 s and 800 MiB on a 2-core machine with
-# Python 3.11 (the slowest: verify --degree 12 --mode rat --samples 1000 in
-# 26 s; the slowest JSON, inverse --degree 20 --mode rat --format json, in
-# 6-8 s and 499 MiB, and fgl --degree 16 --format json in 5-6 s and 386 MiB);
+# Python 3.11 (verify --degree 12 --mode rat --samples 1000, in either
+# format, in 1.7 s and 42 MiB; the slowest JSON, inverse --degree 20 --mode
+# rat --format json, in 6-8 s and 499 MiB, and fgl --degree 16 --format json
+# in 5-6 s and 386 MiB);
 # one more order roughly doubles both, and commutator, costliest near k =
 # degree / 3, grows ~1.6-fold per degree.  steenrod --gen tN costs ~2^N terms
 # through the conjugate chi(xi_N).  On a word of L letters, P^k (or Sq^k)
