@@ -7,7 +7,7 @@ The corpus is replayed in-process through :func:`ncfgl.cli.run`, so a change
 that alters any byte of output, any error message or any exit code of these
 commands fails here.  The heavier ``fgl``, ``inverse`` and ``verify`` orders
 and the slower ``LIMITS`` values of :func:`heavy_argvs` are pinned the same
-way in ``tests/golden/cli_heavy.json``; their 35 argvs take about 20 s and a
+way in ``tests/golden/cli_heavy.json``; their 45 argvs take about 32 s and a
 peak RSS of about 520 MiB on a 2-core machine with Python 3.11, so the tests
 here check only that the file lists them, and CI replays them with
 
@@ -173,13 +173,6 @@ ARGPARSE = [
     ["fgl", "--degree", "3", "extra"],
 ]
 
-# The JSON tables at their degree budgets, the largest outputs the CLI
-# accepts to write.
-HEAVY_LIMITS = [
-    ["fgl", "--degree", "16", "--format", "json"],
-    ["inverse", "--degree", "20", "--format", "json"],
-]
-
 # One argv just above each row of ``ncfgl.cli.LIMITS``.
 ABOVE_LIMITS = {
     "fgl --degree": ["fgl", "--degree", "17"],
@@ -207,8 +200,8 @@ ABOVE_LIMITS = {
 
 # One argv at the value of each row of ``ncfgl.cli.LIMITS`` that the lists
 # above do not reach; each sits just before its row's argv of ABOVE_LIMITS.
-# The rows whose argv takes over 0.5 s in-process are in HEAVY_AT_LIMITS, and
-# the fgl, inverse and verify degrees in HEAVY_LIMITS and HEAVY_VERIFY.
+# The rows whose argv takes over 0.5 s in-process are in HEAVY_AT_LIMITS, the
+# fgl and inverse degrees in heavy_argvs and the verify degree in HEAVY_VERIFY.
 AT_LIMITS = {
     "commutator --degree": ["commutator", "--degree", "24"],
     "parity --degree": ["parity", "--prime", "2", "--degree", "4000"],
@@ -274,19 +267,19 @@ def corpus_argvs() -> list:
 
 def heavy_argvs() -> list:
     """The argvs of the heavy corpus, in both formats: ``fgl`` at orders
-    11-14 and ``inverse`` at 13-16 over ZZ, then ``fgl`` at order 13 over QQ
-    and ``inverse`` at order 16 over GF(3), then ``verify`` at order 12 over
-    ZZ, over GF(3) and on the real profile; then, in JSON only, ``fgl`` at
-    order 16 and ``inverse`` at order 20 over ZZ, their ``LIMITS`` values;
-    then, as text, the argvs of HEAVY_AT_LIMITS; last, as text, the real
-    profile's ``poincare`` at its degree budget."""
+    11-16 and ``inverse`` at 13-20 over ZZ, up to their ``LIMITS`` values and
+    so the largest outputs the CLI accepts to write, then ``fgl`` at order 13
+    over QQ and ``inverse`` at order 16 over GF(3), then ``verify`` at order
+    12 over ZZ, over GF(3) and on the real profile; then, as text, the argvs
+    of HEAVY_AT_LIMITS; last, as text, the real profile's ``poincare`` at its
+    degree budget."""
     argvs = []
-    for command, orders in (("fgl", range(11, 15)), ("inverse", range(13, 17))):
+    for command, orders in (("fgl", range(11, 17)), ("inverse", range(13, 21))):
         for order in orders:
             argvs += _formats([command, "--degree", str(order)])
     for argv in HEAVY_RINGS + HEAVY_VERIFY:
         argvs += _formats(argv)
-    return argvs + HEAVY_LIMITS + list(HEAVY_AT_LIMITS.values()) + HEAVY_REAL
+    return argvs + list(HEAVY_AT_LIMITS.values()) + HEAVY_REAL
 
 
 def _run(argv) -> tuple:
@@ -368,8 +361,8 @@ def test_every_limit_row_has_an_argv_at_its_value():
     from ncfgl.cli import LIMITS
 
     elsewhere = {
-        "fgl --degree": HEAVY_LIMITS[0],
-        "inverse --degree": HEAVY_LIMITS[1],
+        "fgl --degree": ["fgl", "--degree", "16"],
+        "inverse --degree": ["inverse", "--degree", "20"],
         "verify --degree": HEAVY_VERIFY[0],
     }
     rows = [*AT_LIMITS, *HEAVY_AT_LIMITS, *elsewhere]
