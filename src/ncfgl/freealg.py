@@ -355,5 +355,5 @@ def random_homogeneous(algebra: FreeAlgebra, degree: int, rng, max_terms: int = 
     if not words:
         return algebra.zero()
     count = rng.randint(1, min(max_terms, len(words)))
-    chosen = rng.sample(list(words), count)
+    chosen = rng.sample(words, count)
     return algebra._wrap({w: algebra.ring.random_value(rng, nonzero=True) for w in chosen})

@@ -443,41 +443,51 @@ def left_product_combination(terms, lefts: list, rights: list) -> CentralSeries:
     lefts[i] and each term c2 x^I2 of rights[j] with I1 + I2 within the
     order, a_{i,j} (c1 c2) is added word by word into the accumulator of
     I1 + I2, with the terms of a_{i,j} innermost, and each accumulator is
-    reduced once.  Each right series is sorted by total degree once, so
-    each left index stops at the first right index past the order, as in
-    :meth:`CentralSeries.__mul__`.
+    reduced once.  What does not depend on (i, j) is found once per call:
+    each right series' (total degree, index, terms) rows, sorted by total
+    degree, so that each left index stops at the first right index past the
+    order, as in :meth:`CentralSeries.__mul__`; each left series' (room left
+    in the order, index, terms) rows; and a plan I1 -> {I2: (accumulator,
+    its get)}, so that the index I1 + I2 of each distinct pair is summed and
+    looked up once, however many (i, j) reach it.
     """
     like = lefts[0]
     for series in (*lefts, *rights):
         like._check_shape(series)
     algebra = like.algebra
     order = like.order
-    sorted_rights = {}
+    right_rows = {}
+    left_rows = {}
+    plan: dict = {}
     accs: dict = {}
-    get = accs.get
     for (i, j), value in terms:
         if value.algebra != algebra:
             raise ModeMismatchError("coefficient and series live in different algebras")
-        right = sorted_rights.get(j)
+        right = right_rows.get(j)
         if right is None:
             # (total, index, terms): the indices are distinct, so the sort
-            # never compares two term views.
-            right = sorted_rights[j] = sorted(
-                (sum(index), index, element._terms.items())
+            # never compares two term lists.
+            right = right_rows[j] = sorted(
+                (sum(index), index, list(element._terms.items()))
                 for index, element in rights[j]._coeffs.items()
             )
-        value_terms = value._terms.items()
-        for i1, c1 in lefts[i]._coeffs.items():
-            room = order - sum(i1)
-            c1_terms = c1._terms.items()
+        left = left_rows.get(i)
+        if left is None:
+            # (room, index, terms, the plan's slots {I2: (acc, acc.get)})
+            left = left_rows[i] = [
+                (order - sum(i1), i1, list(c1._terms.items()), plan.setdefault(i1, {}))
+                for i1, c1 in lefts[i]._coeffs.items()
+            ]
+        value_terms = list(value._terms.items())
+        for room, i1, c1_terms, slots in left:
             for t2, i2, c2_terms in right:
                 if t2 > room:
                     break
-                index = tuple(map(add, i1, i2))
-                acc = get(index)
-                if acc is None:
-                    acc = accs[index] = {}
-                acc_get = acc.get
+                slot = slots.get(i2)
+                if slot is None:
+                    acc = accs.setdefault(tuple(map(add, i1, i2)), {})
+                    slot = slots[i2] = (acc, acc.get)
+                acc, acc_get = slot
                 for w1, k1 in c1_terms:
                     for w2, k2 in c2_terms:
                         w12, k12 = w1 + w2, k1 * k2

@@ -400,6 +400,49 @@ def test_varset_validation():
 # -- the accumulator kernel against plain dictionaries ------------------------------
 
 
+def _sparse_series(algebra, varset, order, rng):
+    """A series on a random half of the indices within the order, so that
+    two draws differ in support and each misses some indices."""
+    coeffs = {
+        index: random_element(algebra, rng, 4, 3)
+        for index in product(range(order + 1), repeat=len(varset))
+        if sum(index) <= order and rng.random() < 0.5
+    }
+    return CentralSeries(algebra, varset, order, coeffs)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3), QQ])
+def test_left_product_combination_against_plain_dict_oracle(ring):
+    # Each lefts[i] and rights[j] has its own sparse support, so one index
+    # I1 + I2 is reached from several (i, j) and several (I1, I2), and terms
+    # near the order meet the truncation.  The sum, in table order or
+    # shuffled, must be sum a_{i,j} (lefts[i] rights[j]) as plain_mul,
+    # plain_scale and plain_add form it.
+    rng = random.Random(32)
+    algebra = FreeAlgebra(COMPLEX, ring)
+    p = ring.prime
+    for width in (1, 2, 3):
+        varset = VarSet(("x", "y", "w")[:width])
+        for _ in range(8):
+            order = rng.randint(2, 6)
+            lefts = [_sparse_series(algebra, varset, order, rng) for _ in range(rng.randint(1, 4))]
+            rights = [_sparse_series(algebra, varset, order, rng) for _ in range(rng.randint(1, 4))]
+            terms = [
+                ((i, j), random_element(algebra, rng, 4, 3))
+                for i in range(len(lefts))
+                for j in range(len(rights))
+                if rng.random() < 0.7
+            ]
+            expected = {}
+            for (i, j), value in terms:
+                pair = plain_mul(plain_series(lefts[i]), plain_series(rights[j]), order, p)
+                expected = plain_add(expected, plain_scale(pair, dict(value.terms()), p, True), p)
+            shuffled = rng.sample(terms, len(terms))
+            for order_of_terms in (terms, shuffled):
+                got = left_product_combination(order_of_terms, lefts, rights)
+                assert plain_series(got) == expected, (width, order)
+
+
 @pytest.mark.parametrize("ring", [ZZ, GF(3), QQ])
 def test_series_arithmetic_against_plain_dict_oracle(ring):
     rng = random.Random(2024)
