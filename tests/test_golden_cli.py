@@ -7,7 +7,7 @@ The corpus is replayed in-process through :func:`ncfgl.cli.run`, so a change
 that alters any byte of output, any error message or any exit code of these
 commands fails here.  The heavier ``fgl``, ``inverse`` and ``verify`` orders
 and the slower ``LIMITS`` values of :func:`heavy_argvs` are pinned the same
-way in ``tests/golden/cli_heavy.json``; their 45 argvs take about 32 s and a
+way in ``tests/golden/cli_heavy.json``; their 45 argvs take 30-50 s and a
 peak RSS of about 520 MiB on a 2-core machine with Python 3.11, so the tests
 here check only that the file lists them, and CI replays them with
 
