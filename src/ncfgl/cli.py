@@ -347,22 +347,16 @@ def cmd_commutator(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    from .fgl import Expansion, orientation_series
-    from .series import VarSet, left_expand
+    from .fgl import Expansion, _expand_after
+    from .series import VarSet
 
     algebra = _algebra(args)
     source, form = args.assign
     target = VarSet(tuple(form))
     _limit(f"expand in {len(target)} variable{'s' * (len(target) > 1)} --degree", args.degree)
-    z = orientation_series(args.degree, algebra, VarSet((source,)))
-    specialized = z.specialize({source: form}, target)
-    basis = {
-        name: orientation_series(args.degree, algebra, VarSet((name,)))
-        for name in target.names
-    }
     terms = [
         {"exponents": list(index), "element": element}
-        for index, element in left_expand(specialized, basis).items()
+        for index, element in _expand_after(args.degree, algebra, source, form).items()
     ]
     return _emit(args, Expansion({source: form}, args.degree, terms))
 

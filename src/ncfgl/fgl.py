@@ -65,6 +65,17 @@ def orientation_series(
     return CentralSeries(algebra, varset, order, coeffs)
 
 
+def _expand_after(order: int, algebra: FreeAlgebra, source: str, form: dict) -> dict:
+    """The left expansion of z(source) after source -> ``form``, a linear
+    form {variable: int}, in the powers of the orientation series of each
+    variable of the form, in the form's order: the one route of
+    :func:`fgl_table`, :func:`inverse_table` and the CLI's ``expand``."""
+    target = VarSet(tuple(form))
+    z = orientation_series(order, algebra, VarSet((source,)))
+    basis = {name: orientation_series(order, algebra, VarSet((name,))) for name in target}
+    return left_expand(z.specialize({source: form}, target), basis)
+
+
 class FGLTable(Record):
     """The coefficients a_{i,j} of the formal group law, i + j <= order.
 
@@ -121,15 +132,7 @@ def fgl_table(order: int, algebra: FreeAlgebra | None = None) -> FGLTable:
         raise ParameterError("formal group law table needs order >= 2")
     if algebra is None:
         algebra = FreeAlgebra()
-    pair = VarSet(("x", "y"))
-    z = orientation_series(order, algebra)
-    target = z.specialize({"x": {"x": 1, "y": 1}}, pair)
-    basis = {
-        "x": z,
-        "y": orientation_series(order, algebra, VarSet(("y",))),
-    }
-    expansion = left_expand(target, basis)
-    return FGLTable(algebra, order, expansion)
+    return FGLTable(algebra, order, _expand_after(order, algebra, "x", {"x": 1, "y": 1}))
 
 
 class InverseTable(Record):
@@ -179,9 +182,7 @@ def inverse_table(order: int, algebra: FreeAlgebra | None = None) -> InverseTabl
         raise ParameterError("inverse table needs order >= 2")
     if algebra is None:
         algebra = FreeAlgebra()
-    z = orientation_series(order, algebra)
-    zbar = z.specialize({"x": {"x": -1}})
-    expansion = left_expand(zbar, {"x": z})
+    expansion = _expand_after(order, algebra, "x", {"x": -1})
     linear = expansion.get((1,), algebra.zero())
     if linear != algebra.one().scale(-1):
         raise DegenerateInputError("inverse expansion lost its leading -1")
@@ -218,7 +219,6 @@ class AxiomReport(Record):
     """Outcome of the four formal group law checks at one truncation order."""
 
     __slots__ = ("order", *(f"{name}_ok" for name in AXIOM_CHECKS), "failures")
-    _defaults = {"failures": dict}
 
     def to_data(self):
         return {
@@ -301,8 +301,9 @@ def verify_axioms(
     That is exact: substituting a linear form for the central variable is a
     ring homomorphism that keeps the total exponent, so z(L)^k is the image
     of z(x)^k and no term crosses the truncation order.  Each grouping's sum
-    is still formed by its own products.  Failures are reported with the
-    first offending monomial, never raised.
+    runs the word loop of :func:`~ncfgl.series.left_product_combination`
+    and forms no product series.  Failures are reported with the first
+    offending monomial, never raised.
     A given ``table`` of another order is refused with ParameterError, one
     over another algebra with ModeMismatchError, before any series is built.
     """

@@ -4,11 +4,11 @@ Every value of the toolkit is a record: scalar rings, grading profiles,
 variable sets, Poincaré series, the free, commutative and tensor algebras,
 their elements, central series, the formal group law tables, action tables
 and every result record.  A record class lists its fields in ``__slots__``, in
-constructor order, and names a zero-argument factory for each trailing field
-that has a default in ``_defaults``; a subclass with ``__slots__ = ()`` keeps
-its parent's fields, and one that declares slots appends them.  A record gets
-a constructor taking the fields by position or by keyword, field-wise ``==``
-between records of one class, a ``Name(field=value, ...)`` repr and pickling.
+constructor order; a subclass with ``__slots__ = ()`` keeps its parent's
+fields, and one that declares slots appends them.  A record gets a
+constructor taking every field by position, with no keywords and no
+defaults, field-wise ``==`` between records of one class, a
+``Name(field=value, ...)`` repr and pickling.
 A class that checks or normalizes its arguments defines ``__init__`` and
 passes the normalized fields on to ``Record.__init__``, which must accept its
 own fields again, since unpickling calls the class with them, unless it
@@ -44,7 +44,6 @@ def plain(value):
 class Record:
     __slots__ = ()
     _fields: tuple = ()
-    _defaults: dict = {}
     _values = staticmethod(lambda record: ())  # record -> its field values
 
     def __init_subclass__(cls, **kwargs):
@@ -53,25 +52,13 @@ class Record:
         if cls._fields:
             cls._values = attrgetter(*cls._fields)
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         fields = self._fields
-        name = type(self).__name__
-        if len(args) > len(fields):
-            raise TypeError(f"{name} takes {len(fields)} arguments but {len(args)} were given")
-        values = dict(zip(fields, args))
-        for key, value in kwargs.items():
-            if key not in fields:
-                raise TypeError(f"{name} got an unexpected keyword argument {key!r}")
-            if key in values:
-                raise TypeError(f"{name} got multiple values for argument {key!r}")
-            values[key] = value
-        for field in fields:
-            if field in values:
-                value = values[field]
-            elif field in self._defaults:
-                value = self._defaults[field]()
-            else:
-                raise TypeError(f"{name} missing required argument {field!r}")
+        if len(args) != len(fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(fields)} arguments but {len(args)} were given"
+            )
+        for field, value in zip(fields, args):
             object.__setattr__(self, field, value)
 
     def __setattr__(self, name, value=None):

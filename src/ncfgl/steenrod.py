@@ -541,7 +541,6 @@ class ObstructionCertificate(Record):
     """
 
     __slots__ = ("prime", "candidates", "systems", "solutions", "verdict", "centralizers")
-    _defaults = {"centralizers": dict}
     to_data = Record._data
 
     @property
@@ -677,7 +676,7 @@ def bp_obstruction_certificate(p: int) -> ObstructionCertificate:
         2 * (p * p - 1),
         [(MilnorOp(p, "P", p), lambda w: zero), (op1, lambda w: -(w ** p))],
     )
-    return ObstructionCertificate(*fields)
+    return ObstructionCertificate(*fields, {})
 
 
 def hf2_obstruction_certificate() -> ObstructionCertificate:

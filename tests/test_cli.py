@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -313,7 +314,6 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
 
 def test_degree_budgets_refuse_before_any_work(monkeypatch, capsys):
     import ncfgl.fgl
-    import ncfgl.series
     import ncfgl.steenrod
 
     def no_work(*args, **kwargs):
@@ -321,7 +321,7 @@ def test_degree_budgets_refuse_before_any_work(monkeypatch, capsys):
 
     for name in ("fgl_table", "inverse_table", "verify_axioms"):
         monkeypatch.setattr(ncfgl.fgl, name, no_work)
-    monkeypatch.setattr(ncfgl.series, "left_expand", no_work)
+    patch_for_handlers(monkeypatch, ncfgl.fgl, "_expand_after", no_work)
     monkeypatch.setattr(ncfgl.steenrod, "FreeAlgebra", no_work)
     for argv in (
         ("fgl", "--degree", "17"),
@@ -330,6 +330,7 @@ def test_degree_budgets_refuse_before_any_work(monkeypatch, capsys):
         ("expand", "--assign", "x=-x", "--degree", "19"),
         ("expand", "--assign", "x=x+y", "--degree", "17"),
         ("expand", "--assign", "x=x+y+w", "--degree", "15"),
+        ("expand", "--assign", "x=x+y+w+v", "--degree", "30"),
         ("expand", "--assign", "x=10*x", "--degree", "3"),
         ("expand", "--assign", "x=5*x+5*x", "--degree", "3"),
         ("certificate", "bp", "--prime", "5"),
@@ -366,7 +367,6 @@ def test_degree_budgets_accept_their_limits(monkeypatch, capsys):
     # the computations are replaced by cheap ones of order 3; only the
     # argument checks run at the limits
     import ncfgl.fgl
-    import ncfgl.series
     from ncfgl import fgl_table, inverse_table, verify_axioms
 
     seen = []
@@ -377,14 +377,14 @@ def test_degree_budgets_accept_their_limits(monkeypatch, capsys):
             return function(3, *args, **kwargs)
         return call
 
-    def small_expand(target, basis):
-        seen.append(target.order)
+    def small_expand(order, algebra, source, form):
+        seen.append(order)
         return {}
 
     patch_for_handlers(monkeypatch, ncfgl.fgl, "fgl_table", small(fgl_table))
     patch_for_handlers(monkeypatch, ncfgl.fgl, "inverse_table", small(inverse_table))
     patch_for_handlers(monkeypatch, ncfgl.fgl, "verify_axioms", small(verify_axioms))
-    monkeypatch.setattr(ncfgl.series, "left_expand", small_expand)
+    patch_for_handlers(monkeypatch, ncfgl.fgl, "_expand_after", small_expand)
     monkeypatch.setattr(ncfgl.fgl, "filtration_property_run", lambda **kwargs: (True, []))
     for argv in (
         ("fgl", "--degree", "16"),
@@ -633,7 +633,6 @@ def test_every_limit_accepts_its_value_and_refuses_the_next(monkeypatch, capsys)
     import ncfgl.cli
     import ncfgl.fgl
     import ncfgl.gradebook
-    import ncfgl.series
     import ncfgl.steenrod
 
     calls = []
@@ -655,7 +654,7 @@ def test_every_limit_accepts_its_value_and_refuses_the_next(monkeypatch, capsys)
         for name in names:
             monkeypatch.setattr(module, name, stub(name, _Stub))
     monkeypatch.setattr(ncfgl.fgl, "filtration_property_run", stub("filtration", (True, [])))
-    monkeypatch.setattr(ncfgl.series, "left_expand", stub("left_expand", dict))
+    patch_for_handlers(monkeypatch, ncfgl.fgl, "_expand_after", stub("_expand_after", dict))
 
     cases = _limit_cases(ncfgl.cli.LIMITS)
     assert set(cases) == set(ncfgl.cli.LIMITS)
@@ -687,6 +686,35 @@ def test_the_action_terms_limit_is_a_count_that_inputs_reach():
         for k in range(limits["--op index"] + 1)
         for length in range(1, limits["--word letters"] + 1)
     )
+
+
+def _readme_limits():
+    """{row: value} of README's table of ``LIMITS`` rows.  A table row names
+    one or more rows in backquotes, among other backquoted text, and gives
+    one value per name, separated by " / ", or one value for all, followed
+    by "each"; a value may group its digits with spaces."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    table = text.split("The rows are `LIMITS` in `ncfgl.cli`:", 1)[1].split("\n\n", 2)[1]
+    names = set(ncfgl.cli.LIMITS)
+    documented = {}
+    for line in table.splitlines()[2:]:
+        cell, value = line.strip("|").split("|")
+        rows = [name for name in re.findall(r"`([^`]+)`", cell) if name in names]
+        values = [int(v.replace(" ", "")) for v in re.findall(r"\d[\d ]*\d|\d", value)]
+        assert rows, line
+        if value.strip().endswith("each"):
+            values *= len(rows)
+        assert len(values) == len(rows), line
+        documented.update(zip(rows, values))
+    return documented
+
+
+def test_readme_lists_every_limit_with_its_value():
+    import ncfgl.cli
+
+    assert _readme_limits() == ncfgl.cli.LIMITS
 
 
 class _Negative(_Stub):
@@ -887,12 +915,23 @@ def bare_start():
         (("parity", "--prime", "2"), 0, "ncfgl.gradebook",
          _GRADEBOOK_ONLY | _NO_RATIONALS | {"json", "ncfgl.freealg", "ncfgl.lincomb",
                                             "ncfgl.linalg"}),
+        (("split", "--prime", "2"), 0, "ncfgl.gradebook",
+         _GRADEBOOK_ONLY | _NO_RATIONALS | {"json", "ncfgl.freealg", "ncfgl.lincomb",
+                                            "ncfgl.linalg"}),
+        (("rational",), 0, "ncfgl.gradebook",
+         _GRADEBOOK_ONLY | _NO_RATIONALS | {"json", "ncfgl.freealg", "ncfgl.lincomb",
+                                            "ncfgl.linalg"}),
         (("poincare", "--format", "json"), 0, "ncfgl.gradebook",
          _GRADEBOOK_ONLY | _NO_RATIONALS | {"json"}),
         (("steenrod", "--prime", "3", "--op", "P1", "--gen", "t2"), 0, "ncfgl.steenrod",
          _STEENROD_ONLY | _NO_RATIONALS | {"json"}),
         (("certificate", "hf2"), 0, "ncfgl.steenrod", _STEENROD_ONLY | _NO_RATIONALS | {"json"}),
         (("fgl", "--degree", "3"), 0, "ncfgl.fgl", _FGL_ONLY | _NO_RATIONALS | {"json"}),
+        (("inverse", "--degree", "3"), 0, "ncfgl.fgl", _FGL_ONLY | _NO_RATIONALS | {"json"}),
+        (("commutator", "--word", "1", "--k", "1", "--degree", "4"), 0, "ncfgl.fgl",
+         _FGL_ONLY | _NO_RATIONALS | {"json"}),
+        (("expand", "--assign", "x=x+y", "--degree", "4"), 0, "ncfgl.fgl",
+         _FGL_ONLY | _NO_RATIONALS | {"json"}),
         (("verify", "--degree", "3", "--format", "json"), 0, "ncfgl.fgl",
          _FGL_ONLY | _NO_RATIONALS | {"json"}),
         # the filtration run draws rational samples
@@ -966,6 +1005,7 @@ _REFUSALS = [
     (("expand", "--assign", "=x"), "--assign must look like 'x=x+y'"),
     (("expand", "--assign", "x=x+"), "cannot parse linear form 'x+'"),
     (("expand", "--assign", "x=2*"), "cannot parse linear form '2*'"),
+    (("expand", "--assign", "x=x+y+w+v", "--degree", "30"), "a variable set holds 1 to 3 variables"),
     (("fgl", "--mode", "fp"), "--mode fp needs --prime"),
     (("certificate", "bp"), "certificate bp needs --prime"),
     (("split",), "split needs --prime"),

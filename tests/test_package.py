@@ -104,16 +104,16 @@ def test_import_loads_submodules_on_first_use():
 # -- the record classes -------------------------------------------------------------
 
 
-def test_records_take_positional_and_keyword_arguments():
+def test_records_take_their_fields_by_position_only():
     by_position = AxiomReport(3, True, True, False, True, {"associativity": "x"})
-    by_keyword = AxiomReport(
-        order=3, unit_ok=True, commutativity_ok=True, associativity_ok=False, inverse_ok=True,
-        failures={"associativity": "x"},
-    )
-    assert by_position == by_keyword
     assert by_position.associativity_ok is False and by_position.unit_ok is True
-    mixed = MilnorOp(3, "P", index=2)
-    assert (mixed.prime, mixed.kind, mixed.index) == (3, "P", 2)
+    with pytest.raises(TypeError):
+        AxiomReport(
+            order=3, unit_ok=True, commutativity_ok=True, associativity_ok=False,
+            inverse_ok=True, failures={"associativity": "x"},
+        )
+    with pytest.raises(TypeError):
+        ObstructionCertificate(3, [], [], [], "INFEASIBLE", centralizers={})
 
 
 def test_record_constructors_refuse_bad_arguments():
@@ -129,14 +129,15 @@ def test_record_constructors_refuse_bad_arguments():
         MilnorOp(3, "P")
 
 
-def test_default_dicts_are_fresh_per_instance():
-    first, second = AxiomReport(3, True, True, True, True), AxiomReport(3, True, True, True, True)
-    assert first.failures == {} and first.failures is not second.failures
-    first.failures["unit"] = "detail"
-    assert second.failures == {}
-    a, b = (ObstructionCertificate(3, [], [], [], "INFEASIBLE") for _ in range(2))
-    assert a.centralizers == {} and a.centralizers is not b.centralizers
-    assert a == b and a.infeasible
+def test_records_have_no_default_fields():
+    # every field is passed: a passing report's failures and a certificate
+    # without centralizers are given as {}
+    with pytest.raises(TypeError):
+        AxiomReport(3, True, True, True, True)
+    with pytest.raises(TypeError):
+        ObstructionCertificate(3, [], [], [], "INFEASIBLE")
+    report = AxiomReport(3, True, True, True, True, {})
+    assert report.failures == {} and report == ncfgl.verify_axioms(3)
 
 
 def test_record_equality_and_repr():
@@ -146,7 +147,7 @@ def test_record_equality_and_repr():
     assert report != ParityReport(3, 2, series, series, None, True, "INCONCLUSIVE")
     assert report != "INCONCLUSIVE"
     assert repr(MilnorOp(3, "P", 1)) == "MilnorOp(prime=3, kind='P', index=1)"
-    assert repr(AxiomReport(2, True, True, True, True)) == (
+    assert repr(AxiomReport(2, True, True, True, True, {})) == (
         "AxiomReport(order=2, unit_ok=True, commutativity_ok=True, associativity_ok=True, "
         "inverse_ok=True, failures={})"
     )
@@ -161,7 +162,7 @@ def test_record_fields_cannot_be_assigned_or_deleted():
     with pytest.raises(AttributeError):
         del report.unit_ok
     assert report.unit_ok and report.failures == {}
-    certificate = ObstructionCertificate(3, [], [], [], "INFEASIBLE")
+    certificate = ObstructionCertificate(3, [], [], [], "INFEASIBLE", {})
     with pytest.raises(AttributeError):
         certificate.centralizers = {"w": []}
     assert certificate.centralizers == {}
@@ -451,7 +452,7 @@ def test_records_that_opt_in_serialize_their_fields_in_order():
         report,
         ObstructionCertificate(3, ("w",), [{"degree": 4}], [], "INFEASIBLE", {"w": ("v",)}),
         Expansion({"x": {"x": -1}}, 3, ({"exponents": [1], "element": ncfgl.FreeAlgebra().one()},)),
-        Verification(3, 0, [("unit", True)], AxiomReport(3, True, True, True, True), 5),
+        Verification(3, 0, [("unit", True)], AxiomReport(3, True, True, True, True, {}), 5),
         Action(2, "Sq1", "z1", ncfgl.FreeAlgebra(ncfgl.REAL, ncfgl.GF(2)).one()),
     ):
         assert type(value).to_data is Record._data
@@ -463,7 +464,7 @@ def test_records_that_opt_in_serialize_their_fields_in_order():
 def test_negative_verdicts_read_as_ok_false():
     series = PoincareSeries(2, [1, 0, 1])
     assert ncfgl.hf2_obstruction_certificate().ok is True
-    assert ObstructionCertificate(3, [], [], [{}], "FEASIBLE").ok is False
+    assert ObstructionCertificate(3, [], [], [{}], "FEASIBLE", {}).ok is False
     assert ncfgl.parity_check_ku(2, 20).ok is True
     assert ncfgl.parity_check_ku(2, 8).ok is False
     assert ParityReport(2, 2, series, series, None, True, "INCONCLUSIVE").ok is False
@@ -474,7 +475,7 @@ def test_negative_verdicts_read_as_ok_false():
 def test_verification_checks_are_read_only_and_decide_ok():
     from ncfgl.fgl import Verification
 
-    axioms = AxiomReport(3, True, True, True, True)
+    axioms = AxiomReport(3, True, True, True, True, {})
     passing = Verification(3, 0, [("unit", True), ("filtration", True)], axioms, 2)
     failing = Verification(3, 0, [("unit", True), ("filtration", False)], axioms, 2)
     assert passing.ok and not failing.ok

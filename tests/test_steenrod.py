@@ -721,7 +721,7 @@ def test_two_stage_reports_a_feasible_system():
     candidates, fields = _two_stage(
         MilnorOp(2, "Sq", 1), algebra.one(), 3, [(MilnorOp(2, "Sq", 2), lambda w: w)]
     )
-    certificate = ObstructionCertificate(*fields)
+    certificate = ObstructionCertificate(*fields, {})
     assert candidates == [algebra.gen(1)]
     assert not certificate.infeasible
     assert certificate.to_data() == {
