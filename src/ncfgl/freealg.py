@@ -8,12 +8,13 @@ dimension 2^(n-1).  Elements are sparse mappings from words to nonzero
 scalars; their arithmetic and rendering are those of :mod:`ncfgl.lincomb`,
 with words multiplied by concatenation: :meth:`FreeAlgebra.add_product`
 concatenates inline, and every product of two elements, on their own or as
-series coefficients, runs that loop.  The axiom sums, which add a (c1 c2)
-for three coefficients, run the own word loop of
-:func:`ncfgl.series.left_product_combination` instead.  ``add_product``
-runs the operand with more terms innermost, so that the common product of a many-term coefficient with a
-one-term one is one loop, not one loop per term; ``_add_commutator`` keeps
-its order, since its callers already pass the longer side second.
+series coefficients, runs that loop.  Only the axiom sums, which add
+a (c1 c2) for three coefficients at once, run a word loop of their own, in
+:func:`ncfgl.series.left_product_combination`.  ``add_product`` runs the
+operand with more terms innermost, so that the common product of a
+many-term coefficient with a one-term one is one loop, not one loop per
+term; ``_add_commutator`` keeps its order, since its callers already pass
+the longer side second.
 
 A word is public as a tuple of generator indices, the empty tuple being the
 unit, and stored as the ``bytes`` of those indices, so a letter lies in

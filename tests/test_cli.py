@@ -688,33 +688,28 @@ def test_the_action_terms_limit_is_a_count_that_inputs_reach():
     )
 
 
-def _readme_limits():
-    """{row: value} of README's table of ``LIMITS`` rows.  A table row names
-    one or more rows in backquotes, among other backquoted text, and gives
-    one value per name, separated by " / ", or one value for all, followed
-    by "each"; a value may group its digits with spaces."""
+def test_readme_lists_every_limit_with_its_value():
+    # README's table names one or more rows in backquotes, among other
+    # backquoted text, and gives one value per name, separated by " / ", or
+    # one value for all, followed by "each"; a value may group its digits
+    # with spaces
+    import ncfgl.cli
+
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
     with open(readme, encoding="utf-8") as handle:
         text = handle.read()
     table = text.split("The rows are `LIMITS` in `ncfgl.cli`:", 1)[1].split("\n\n", 2)[1]
-    names = set(ncfgl.cli.LIMITS)
     documented = {}
     for line in table.splitlines()[2:]:
         cell, value = line.strip("|").split("|")
-        rows = [name for name in re.findall(r"`([^`]+)`", cell) if name in names]
+        rows = [name for name in re.findall(r"`([^`]+)`", cell) if name in ncfgl.cli.LIMITS]
         values = [int(v.replace(" ", "")) for v in re.findall(r"\d[\d ]*\d|\d", value)]
         assert rows, line
         if value.strip().endswith("each"):
             values *= len(rows)
         assert len(values) == len(rows), line
         documented.update(zip(rows, values))
-    return documented
-
-
-def test_readme_lists_every_limit_with_its_value():
-    import ncfgl.cli
-
-    assert _readme_limits() == ncfgl.cli.LIMITS
+    assert documented == ncfgl.cli.LIMITS
 
 
 class _Negative(_Stub):
