@@ -910,27 +910,27 @@ def bare_start():
         (("parity", "--prime", "2"), 0, "ncfgl.gradebook",
          _GRADEBOOK_ONLY | _NO_RATIONALS | {"json", "ncfgl.freealg", "ncfgl.lincomb",
                                             "ncfgl.linalg"}),
-        (("split", "--prime", "2"), 0, "ncfgl.gradebook",
-         _GRADEBOOK_ONLY | _NO_RATIONALS | {"json", "ncfgl.freealg", "ncfgl.lincomb",
-                                            "ncfgl.linalg"}),
-        (("rational",), 0, "ncfgl.gradebook",
-         _GRADEBOOK_ONLY | _NO_RATIONALS | {"json", "ncfgl.freealg", "ncfgl.lincomb",
-                                            "ncfgl.linalg"}),
         (("poincare", "--format", "json"), 0, "ncfgl.gradebook",
          _GRADEBOOK_ONLY | _NO_RATIONALS | {"json"}),
         (("steenrod", "--prime", "3", "--op", "P1", "--gen", "t2"), 0, "ncfgl.steenrod",
          _STEENROD_ONLY | _NO_RATIONALS | {"json"}),
         (("certificate", "hf2"), 0, "ncfgl.steenrod", _STEENROD_ONLY | _NO_RATIONALS | {"json"}),
         (("fgl", "--degree", "3"), 0, "ncfgl.fgl", _FGL_ONLY | _NO_RATIONALS | {"json"}),
+        (("verify", "--degree", "3", "--format", "json"), 0, "ncfgl.fgl",
+         _FGL_ONLY | _NO_RATIONALS | {"json"}),
+        # the filtration run draws rational samples
+        (("verify", "--degree", "3", "--mode", "rat"), 0, "fractions", _FGL_ONLY | {"json"}),
+        (("split", "--prime", "2"), 0, "ncfgl.gradebook",
+         _GRADEBOOK_ONLY | _NO_RATIONALS | {"json", "ncfgl.freealg", "ncfgl.lincomb",
+                                            "ncfgl.linalg"}),
+        (("rational",), 0, "ncfgl.gradebook",
+         _GRADEBOOK_ONLY | _NO_RATIONALS | {"json", "ncfgl.freealg", "ncfgl.lincomb",
+                                            "ncfgl.linalg"}),
         (("inverse", "--degree", "3"), 0, "ncfgl.fgl", _FGL_ONLY | _NO_RATIONALS | {"json"}),
         (("commutator", "--word", "1", "--k", "1", "--degree", "4"), 0, "ncfgl.fgl",
          _FGL_ONLY | _NO_RATIONALS | {"json"}),
         (("expand", "--assign", "x=x+y", "--degree", "4"), 0, "ncfgl.fgl",
          _FGL_ONLY | _NO_RATIONALS | {"json"}),
-        (("verify", "--degree", "3", "--format", "json"), 0, "ncfgl.fgl",
-         _FGL_ONLY | _NO_RATIONALS | {"json"}),
-        # the filtration run draws rational samples
-        (("verify", "--degree", "3", "--mode", "rat"), 0, "fractions", _FGL_ONLY | {"json"}),
     ],
 )
 def test_each_command_loads_only_its_layer(bare_start, argv, code, needed, forbidden):
