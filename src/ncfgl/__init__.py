@@ -31,8 +31,8 @@ _ORIGIN = {
             "orientation_series", "verify_axioms",
         ),
         "freealg": (
-            "COMPLEX", "REAL", "FreeAlgebra", "FreeElement", "GradingProfile",
-            "centralizer_basis", "commutator", "random_homogeneous",
+            "COMPLEX", "REAL", "FreeAlgebra", "FreeElement", "GradingProfile", "commutator",
+            "random_homogeneous",
         ),
         "gradebook": (
             "ParityReport", "PoincareSeries", "RationalComparisonReport", "parity_check_ku",
@@ -44,9 +44,9 @@ _ORIGIN = {
         "steenrod": (
             "GeneratorActionTable", "MilnorOp", "ObstructionCertificate", "TensorElement",
             "antipode", "bp_coaction", "bp_homology", "bp_obstruction_certificate",
-            "cartan_extend", "conjugate_generator", "coproduct", "counit", "dual_steenrod",
-            "hf2_obstruction_certificate", "lucas_binomial", "milnor_pair", "nsym_action",
-            "right_action",
+            "cartan_extend", "centralizer_basis", "conjugate_generator", "coproduct", "counit",
+            "dual_steenrod", "hf2_obstruction_certificate", "lucas_binomial", "milnor_pair",
+            "nsym_action", "right_action",
         ),
     }.items()
     for name in names

@@ -117,14 +117,12 @@ class CommAlgebra(SparseAlgebra):
         p = self.ring.prime
         return (p ** i - 1) * (1 if p == 2 and self.kind == "dual-steenrod" else 2)
 
-    def monomial_degree(self, mono: Monomial) -> int:
+    def key_degree(self, mono: Monomial) -> int:
         return sum(e * self.degree_of(i) for i, e in mono)
-
-    key_degree = monomial_degree
 
     def term_key(self, mono: Monomial):
         """Canonical term order: by (degree, monomial)."""
-        return (self.monomial_degree(mono), mono)
+        return (self.key_degree(mono), mono)
 
     @staticmethod
     def key_frobenius(mono: Monomial, q: int) -> Monomial:

@@ -26,13 +26,6 @@ makes the dict lookups of the word-pair loop cheaper.
 letter that the profile lacks, and :meth:`~FreeAlgebra.public_key` turns it
 back, at the key boundary of :mod:`ncfgl.lincomb`.
 
-:func:`matrix_of` writes a linear map between spans of words as the matrix
-that the exact elimination of :mod:`ncfgl.linalg` solves: one dict
-``{column: value}`` per target word.  It reads the map as a stored word in
-and unreduced ``(stored word, coefficient)`` pairs out, and sums the pairs
-into the rows, which the elimination reduces as it reads them, zeros and
-all; so building a row reduces nothing, re-keys no word and wraps no element.
-
 The words of one degree depend only on the grading profile, so every algebra
 over a profile reads them, stored, from one cache keyed by (profile, degree),
 filled on first use and shared across algebras and scalar rings.
@@ -45,9 +38,8 @@ from __future__ import annotations
 
 from functools import cache
 
-from .errors import DegenerateInputError, ParameterError, UnsupportedInputError
+from .errors import ParameterError
 from .lincomb import LinearCombination, SparseAlgebra
-from .linalg import nullspace
 from .record import Record
 from .scalars import ZZ, ScalarRing, value_repr
 
@@ -190,11 +182,9 @@ class FreeAlgebra(SparseAlgebra):
             self.profile.degree_of(max(key))
         return key
 
-    def word_degree(self, word: Word) -> int:
+    def key_degree(self, word: Word) -> int:
         deg = self.profile.degree_of
         return sum(deg(i) for i in word)
-
-    key_degree = word_degree
 
     def words_of_degree(self, d: int) -> tuple:
         """All words of total degree d as tuples, sorted by (length, letters)."""
@@ -210,7 +200,7 @@ class FreeAlgebra(SparseAlgebra):
 
     def term_key(self, word: Word):
         """Canonical term order: by (degree, length, letters)."""
-        return (self.word_degree(word), len(word), word)
+        return (self.key_degree(word), len(word), word)
 
     def render_key(self, word: Word) -> str:
         letter = self.profile.letter
@@ -301,8 +291,8 @@ def commutator(a: FreeElement, b: FreeElement) -> FreeElement:
 def _bracket_terms(w: FreeElement):
     """stored word -> the unreduced pairs ``(stored word, coefficient)`` of
     [word, w]: ``(word + t, c)`` and ``(t + word, -c)`` for each term
-    ``(t, c)`` of ``w``, handed to :func:`matrix_of` with no element or
-    accumulator around them."""
+    ``(t, c)`` of ``w``, handed to :func:`ncfgl.linalg.matrix_of` with no
+    element or accumulator around them."""
     terms = w._terms.items()
 
     def bracket(word):
@@ -311,45 +301,6 @@ def _bracket_terms(w: FreeElement):
             yield t + word, -c
 
     return bracket
-
-
-def matrix_of(term_map, source_words, target_words) -> list:
-    """Dict rows of the matrix of a linear map between spans of words.
-
-    ``term_map`` takes a stored word and returns its image as an iterable of
-    unreduced ``(stored word, coefficient)`` pairs, whose words must all lie
-    in ``target_words``; column j holds the sums of the pairs of
-    ``term_map(source_words[j])``, and row i belongs to ``target_words[i]``
-    and maps each column to its sum, which may be zero or unreduced, as
-    :mod:`ncfgl.linalg` reduces what it reads.  Both word lists hold stored
-    words (``_keys_of_degree``), so no word is re-keyed or wrapped.
-    """
-    rows = {word: {} for word in target_words}
-    for col, word in enumerate(source_words):
-        for target, coeff in term_map(word):
-            row = rows[target]
-            row[col] = row.get(col, 0) + coeff
-    return list(rows.values())
-
-
-def centralizer_basis(w: FreeElement, degree: int) -> list:
-    """Basis of the elements of one degree that commute with ``w``.
-
-    Solves the linear system [v, w] = 0 over the word basis of the requested
-    degree and returns the kernel in reduced echelon form with respect to the
-    canonical word order (so the result is deterministic).
-    """
-    algebra = w.algebra
-    if w.is_zero():
-        raise DegenerateInputError("every element commutes with 0")
-    if not w.is_homogeneous():
-        raise UnsupportedInputError("centralizer solving needs a homogeneous element")
-    words = algebra._keys_of_degree(degree)
-    if not words:
-        return []
-    rows = matrix_of(_bracket_terms(w), words, algebra._keys_of_degree(degree + w.degree()))
-    kernel = nullspace(rows, len(words), algebra.ring)
-    return [algebra._wrap({words[j]: x for j, x in vec.items()}) for vec in kernel]
 
 
 def random_homogeneous(algebra: FreeAlgebra, degree: int, rng, max_terms: int = 3) -> FreeElement:

@@ -29,6 +29,14 @@ every free variable, so the pivot choice cannot change any result: kernels
 are presented in reduced echelon form with respect to the given column
 order, and integer-mode kernels are primitive integer vectors with positive
 leading entry.
+
+:func:`matrix_of` writes a linear map between spans of words as such a
+matrix: one row per target word, one column per source word.  It reads the
+map as a stored word in and unreduced ``(stored word, coefficient)`` pairs
+out, and sums the pairs into the rows, which the elimination reduces as it
+reads them, zeros and all; so building a row reduces nothing, re-keys no
+word and wraps no element.  It only hashes the words, so this module needs
+nothing of the algebra they come from.
 """
 
 from __future__ import annotations
@@ -37,6 +45,26 @@ from math import gcd, lcm
 
 from .errors import UnsupportedInputError
 from .scalars import ScalarRing, fraction_type, stored_rational
+
+
+def matrix_of(term_map, source_words, target_words) -> list:
+    """Dict rows of the matrix of a linear map between spans of words.
+
+    ``term_map`` takes a stored word and returns its image as an iterable of
+    unreduced ``(stored word, coefficient)`` pairs, whose words must all lie
+    in ``target_words``; column j holds the sums of the pairs of
+    ``term_map(source_words[j])``, and row i belongs to ``target_words[i]``
+    and maps each column to its sum, which may be zero or unreduced, as
+    :func:`_echelon` reduces what it reads.  Both word lists hold stored
+    words (``FreeAlgebra._keys_of_degree``), so no word is re-keyed or
+    wrapped.
+    """
+    rows = {word: {} for word in target_words}
+    for col, word in enumerate(source_words):
+        for target, coeff in term_map(word):
+            row = rows[target]
+            row[col] = row.get(col, 0) + coeff
+    return list(rows.values())
 
 
 def _stored(value, p):

@@ -11,7 +11,7 @@ Truncation bounds the total variable exponent only; coefficient degrees are
 unbounded.  A series is graded by "cohomological" degree D when every stored
 term satisfies
 
-    variable_degree * total_exponent - word_degree(coefficient) = D,
+    variable_degree * total_exponent - degree(coefficient) = D,
 
 matching the convention that coefficient degrees count negatively against the
 variable grading; ``variable_degree`` is that of the coefficient algebra's

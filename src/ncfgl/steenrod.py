@@ -18,6 +18,14 @@ degree d sends Z_i to C(i - s + 1, s/(p - 1)) Z_{i-s}, where s = d / (degree
 of the series variable), Z_0 = 1, and the image is zero unless s is a whole
 number at most i.
 
+The certificates and :func:`centralizer_basis` solve linear systems over the
+words of the free algebra: :func:`ncfgl.linalg.matrix_of` writes each block
+from unreduced pairs, the brackets [v, w] from
+:func:`ncfgl.freealg._bracket_terms` and the actions from :func:`_acting`,
+and the exact elimination of :mod:`ncfgl.linalg` solves them.  The
+centralizer of a homogeneous w in one degree is the kernel of the bracket
+block alone.
+
 Only the polynomial (even) part of the dual Steenrod algebra is modelled; the
 exterior generators at odd primes are never needed by the computations here.
 """
@@ -31,22 +39,15 @@ from types import MappingProxyType
 
 from .commalg import CommAlgebra, CommElement, frobenius
 from .errors import (
+    DegenerateInputError,
     IncompleteTableError,
     ModeMismatchError,
     ParameterError,
     UnsupportedInputError,
 )
-from .freealg import (
-    COMPLEX,
-    REAL,
-    FreeAlgebra,
-    FreeElement,
-    _bracket_terms,
-    centralizer_basis,
-    matrix_of,
-)
+from .freealg import COMPLEX, REAL, FreeAlgebra, FreeElement, _bracket_terms
 from .lincomb import LinearCombination, SparseAlgebra
-from .linalg import affine_solve
+from .linalg import affine_solve, matrix_of, nullspace
 from .record import Record
 from .scalars import GF, is_prime
 
@@ -637,6 +638,27 @@ def _two_stage(op: MilnorOp, c: FreeElement, high_degree: int, blocks) -> tuple:
             })
     verdict = "INFEASIBLE" if not solutions else "FEASIBLE"
     return candidates, (ring.prime, [str(w) for w in candidates], systems, solutions, verdict)
+
+
+def centralizer_basis(w: FreeElement, degree: int) -> list:
+    """Basis of the elements of one degree that commute with ``w``.
+
+    Solves the linear system [v, w] = 0 over the word basis of the requested
+    degree, with the rows of :func:`_two_stage`'s bracket block, and returns
+    the kernel in reduced echelon form with respect to the canonical word
+    order (so the result is deterministic).
+    """
+    algebra = w.algebra
+    if w.is_zero():
+        raise DegenerateInputError("every element commutes with 0")
+    if not w.is_homogeneous():
+        raise UnsupportedInputError("centralizer solving needs a homogeneous element")
+    words = algebra._keys_of_degree(degree)
+    if not words:
+        return []
+    rows = matrix_of(_bracket_terms(w), words, algebra._keys_of_degree(degree + w.degree()))
+    kernel = nullspace(rows, len(words), algebra.ring)
+    return [algebra._wrap({words[j]: x for j, x in vec.items()}) for vec in kernel]
 
 
 # Largest number of words in the degree-2(p^2 - 1) component, whose 2^(p^2 - 2)

@@ -878,7 +878,7 @@ def test_profile_is_read_by_steenrod_word_and_poincare_without_lists(capsys):
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(ncfgl.__file__)))
 _GRADEBOOK_ONLY = {"ncfgl.fgl", "ncfgl.series", "ncfgl.steenrod", "ncfgl.commalg"}
 _STEENROD_ONLY = {"ncfgl.fgl", "ncfgl.series", "ncfgl.gradebook"}
-_FGL_ONLY = {"ncfgl.steenrod", "ncfgl.gradebook", "ncfgl.commalg"}
+_FGL_ONLY = {"ncfgl.steenrod", "ncfgl.gradebook", "ncfgl.commalg", "ncfgl.linalg"}
 # fractions, which loads decimal, is imported for rational values only.
 _NO_RATIONALS = {"fractions", "decimal"}
 
@@ -911,7 +911,7 @@ def bare_start():
          _GRADEBOOK_ONLY | _NO_RATIONALS | {"json", "ncfgl.freealg", "ncfgl.lincomb",
                                             "ncfgl.linalg"}),
         (("poincare", "--format", "json"), 0, "ncfgl.gradebook",
-         _GRADEBOOK_ONLY | _NO_RATIONALS | {"json"}),
+         _GRADEBOOK_ONLY | _NO_RATIONALS | {"json", "ncfgl.linalg"}),
         (("steenrod", "--prime", "3", "--op", "P1", "--gen", "t2"), 0, "ncfgl.steenrod",
          _STEENROD_ONLY | _NO_RATIONALS | {"json"}),
         (("certificate", "hf2"), 0, "ncfgl.steenrod", _STEENROD_ONLY | _NO_RATIONALS | {"json"}),
@@ -931,6 +931,8 @@ def bare_start():
          _FGL_ONLY | _NO_RATIONALS | {"json"}),
         (("expand", "--assign", "x=x+y", "--degree", "4"), 0, "ncfgl.fgl",
          _FGL_ONLY | _NO_RATIONALS | {"json"}),
+        (("certificate", "bp", "--prime", "3"), 0, "ncfgl.linalg",
+         _STEENROD_ONLY | _NO_RATIONALS | {"json"}),
     ],
 )
 def test_each_command_loads_only_its_layer(bare_start, argv, code, needed, forbidden):
@@ -938,6 +940,13 @@ def test_each_command_loads_only_its_layer(bare_start, argv, code, needed, forbi
     assert returncode == code
     assert needed in loaded
     assert not (loaded - bare_start) & (forbidden | {"dataclasses", "inspect"})
+
+
+def test_the_fgl_layer_loads_no_elimination():
+    returncode, loaded = _imports("-c", "import ncfgl.fgl")
+    assert returncode == 0
+    assert "ncfgl.freealg" in loaded
+    assert "ncfgl.linalg" not in loaded
 
 
 def test_an_argparse_refusal_loads_no_layer(bare_start):

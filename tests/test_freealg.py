@@ -23,8 +23,8 @@ from ncfgl import (
     random_homogeneous,
 )
 
-from ncfgl.freealg import _bracket_terms, matrix_of
-from ncfgl.linalg import _echelon, nullspace
+from ncfgl.freealg import _bracket_terms
+from ncfgl.linalg import _echelon, matrix_of, nullspace
 
 from oracles import plain_add, plain_bracket, plain_matrix, plain_product
 from props import random_element

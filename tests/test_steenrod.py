@@ -38,7 +38,7 @@ from ncfgl import (
     random_homogeneous,
     right_action,
 )
-from ncfgl.freealg import matrix_of
+from ncfgl.linalg import matrix_of
 from ncfgl.steenrod import TensorAlgebra, TensorElement, _acting, _cartan, _two_stage
 
 from oracles import free_action, plain_matrix
