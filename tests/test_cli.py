@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -883,12 +884,18 @@ _FGL_ONLY = {"ncfgl.steenrod", "ncfgl.gradebook", "ncfgl.commalg", "ncfgl.linalg
 _NO_RATIONALS = {"fractions", "decimal"}
 
 
+def _child_env(**extra):
+    """The environment of a fresh interpreter that imports this ncfgl."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return env
+
+
 def _imports(*args):
     """(exit code, the modules named by -X importtime) of a fresh interpreter."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True,
+        env=_child_env(),
     )
     names = {
         line.rsplit("|", 1)[1].strip()
@@ -985,13 +992,11 @@ def test_a_letter_above_255_is_a_usage_error(capsys):
 def test_output_does_not_depend_on_the_hash_seed(argv):
     # free-algebra words are bytes, whose hashes, unlike those of tuples of
     # ints, change with PYTHONHASHSEED; no output may follow them
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     runs = [
         subprocess.run(
             [sys.executable, "-m", "ncfgl.cli", *argv],
             capture_output=True,
-            env=dict(env, PYTHONHASHSEED=seed),
+            env=_child_env(PYTHONHASHSEED=seed),
         )
         for seed in ("0", "1")
     ]
@@ -1020,3 +1025,61 @@ _REFUSALS = [
 @pytest.mark.parametrize("argv, fragment", _REFUSALS, ids=[r[1] for r in _REFUSALS])
 def test_cli_refusals(capsys, argv, fragment):
     assert f"error: {fragment}" in assert_usage_error(capsys, *argv)
+
+
+# -- the process entry point ---------------------------------------------------------
+
+
+def test_main_exits_with_the_code_of_run_and_a_frozen_collector(monkeypatch, capsys):
+    # run() leaves the collector alone; main() freezes it before sys.exit, so
+    # that the collections at interpreter exit skip what the call made
+    from ncfgl.cli import main
+
+    monkeypatch.setattr(sys, "argv", ["ncfgl", "parity", "--prime", "2", "--degree", "8"])
+    gc.unfreeze()
+    try:
+        assert gc.get_freeze_count() == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == 1
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out.startswith("parity comparison at p = 2, order 8\n")
+
+
+def test_run_leaves_the_collector_unfrozen(capsys):
+    gc.unfreeze()
+    assert invoke(capsys, "parity", "--prime", "2", "--degree", "20")[0] == 0
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("parity", "--prime", "2", "--degree", "20"), 0),
+        (("parity", "--prime", "2", "--degree", "8"), 1),
+        (("fgl", "--degree", "0"), 2),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, tuple) else str(value),
+)
+def test_a_fresh_process_exits_as_run_returns(capsys, argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncfgl.cli", *argv], capture_output=True, text=True,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == invoke(capsys, *argv)
+    assert proc.returncode == code
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_to_stdout_is_a_usage_error():
+    # the write and its flush fail inside _emit, and leave nothing for the
+    # interpreter's final flush, whose failure would exit 120
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncfgl.cli", "parity", "--prime", "2", "--degree", "20"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_child_env(),
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
