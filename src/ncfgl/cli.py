@@ -312,9 +312,9 @@ def _emit(args, result, title=None) -> int:
     ``str(result)``, below a ``title`` line when one is given.  Only the
     selected form is built.  Stdout is flushed here, so that a failed write
     is a usage error like a failed ``--out``, and the interpreter's final
-    flush has nothing left to fail on.  This is the one place where a verdict becomes
-    an exit code: 1 when ``result.ok`` is false, else 0, also for a result
-    that carries no verdict.
+    flush has nothing left to fail on.  This is the one place where a
+    verdict becomes an exit code: 1 when ``result.ok`` is false, else 0,
+    also for a result that carries no verdict.
     """
     if args.format == "json":
         body = _json(result.to_data()) + "\n"
@@ -548,7 +548,7 @@ def run(argv) -> int:
 
 def main() -> None:
     code = run(sys.argv[1:])
-    # Frozen objects are skipped by the shutdown collections: 232 -> 207 ms per command.
+    # Exit-time collections skip frozen objects: 76.6 -> 70.7 ms per call (BENCH_35.json).
     gc.freeze()
     sys.exit(code)
 

@@ -1054,15 +1054,15 @@ def test_run_leaves_the_collector_unfrozen(capsys):
     assert gc.get_freeze_count() == 0
 
 
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        (("parity", "--prime", "2", "--degree", "20"), 0),
-        (("parity", "--prime", "2", "--degree", "8"), 1),
-        (("fgl", "--degree", "0"), 2),
-    ],
-    ids=lambda value: " ".join(value) if isinstance(value, tuple) else str(value),
-)
+# One command per exit code: (argv, the code it exits with).
+_EXITS = [
+    (("parity", "--prime", "2", "--degree", "20"), 0),
+    (("parity", "--prime", "2", "--degree", "8"), 1),
+    (("fgl", "--degree", "0"), 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", _EXITS, ids=[" ".join(argv) for argv, _ in _EXITS])
 def test_a_fresh_process_exits_as_run_returns(capsys, argv, code):
     proc = subprocess.run(
         [sys.executable, "-m", "ncfgl.cli", *argv], capture_output=True, text=True,
