@@ -14,7 +14,8 @@ class ModeMismatchError(ToolkitError):
 
 
 class ShapeError(ToolkitError):
-    """Series operands disagree in variable set or truncation order."""
+    """Operands disagree in shape: series in variable set or truncation order,
+    or a right-hand side naming a row that its linear system lacks."""
 
 
 class DegenerateInputError(ToolkitError):

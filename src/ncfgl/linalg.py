@@ -12,22 +12,25 @@ and a ``Fraction`` otherwise, so that the +-1 entries of the commutator
 systems run on int arithmetic; a pivot of -1 is inverted as the int -1, and
 only a pivot other than +-1 needs :mod:`fractions`.  It reduces every entry
 it reads, so input rows may hold zeros and unreduced values, and drops the
-rows left empty.  It takes one-entry rows first, as structured Gaussian
-elimination does (LaMacchia and Odlyzko, CRYPTO '90): most rows of the
-commutator systems hold one entry, each its column's pivot with no fill-in,
-unless the column lies at or past ``ncols``, where no pivot is ever taken.
-Such a row is peeled as it is read, and never stored: only its column is
-queued, and clearing that column may leave further one-entry rows to peel.
-Over the other columns it picks each pivot as the shortest remaining row
-holding the column, to limit fill-in, and clears the pivot column only from
-the rows not yet chosen, so a chosen row is never read again.
-:func:`nullspace` and :func:`affine_solve` read their solutions off the
-echelon rows by back-substitution, last pivot first; :func:`rref` adds one
-upward pass that clears each pivot column from the rows above.  The reduced
-row echelon form of a matrix is unique, and so is the solution that fixes
-every free variable, so the pivot choice cannot change any result: kernels
-are presented in reduced echelon form with respect to the given column
-order, and integer-mode kernels are primitive integer vectors with positive
+rows left empty.  It pivots in the columns of a ``range``, in that range's
+order, and never in a column outside it.  It takes one-entry rows first, as
+structured Gaussian elimination does (LaMacchia and Odlyzko, CRYPTO '90):
+most rows of the commutator systems hold one entry, each its column's pivot
+with no fill-in.  Such a row is peeled as it is read, and never stored: only
+its column is queued, and clearing that column may leave further one-entry
+rows to peel.  Over the other columns it picks each pivot as the shortest
+remaining row holding the column, to limit fill-in, and clears the pivot
+column only from the rows not yet chosen, so a chosen row is never read
+again.  One upward pass, :func:`_reduced`, then clears each pivot column
+from the rows taken before it, and every result is read off those reduced
+rows: :func:`rref` sorts them; :func:`nullspace` eliminates the columns
+last to first, so each free column ``f`` gives its kernel vector directly,
+1 at ``f`` and minus ``f``'s entry at each pivot, all of which lie after
+``f``; :func:`affine_solve` reads its particular solution off the
+right-hand side's column.  The reduced row echelon form of a matrix is
+unique, so the pivot choice cannot change any result: kernels are
+presented in reduced echelon form with respect to the given column order,
+and integer-mode kernels are primitive integer vectors with positive
 leading entry.
 
 :func:`matrix_of` writes a linear map between spans of words as such a
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .errors import UnsupportedInputError
+from .errors import ShapeError, UnsupportedInputError
 from .scalars import ScalarRing, fraction_type, stored_rational
 
 
@@ -85,23 +88,25 @@ def _subtract(row, f, lead, p) -> None:
             del row[j]
 
 
-def _echelon(rows, ncols: int, ring: ScalarRing):
-    """Forward elimination of dict rows in columns ``0 .. ncols - 1``.
+def _echelon(rows, columns: range, ring: ScalarRing) -> dict:
+    """Forward elimination of dict rows, pivoting in the columns of ``columns``.
 
-    Returns one ``(pivot column, tail)`` pair per pivot, in increasing
-    column order: the echelon row is 1 at its pivot column, ``tail`` right
-    of it, and zero left of it.  The input rows are not modified.  A column
-    -> rows index over the rows not yet chosen lets each step touch only the
-    rows that hold the pivot column; cancelled entries are dropped.
+    Returns ``{pivot column: tail}`` in the order the pivots were taken: the
+    echelon row is 1 at its pivot column, ``tail`` beside it, and zero in
+    every column pivoted before it, so each pivot column a tail holds was
+    taken later.  The main pass takes the columns in ``columns``' own order.
+    The input rows are not modified.  A column -> rows index over the rows
+    not yet chosen lets each step touch only the rows that hold the pivot
+    column; cancelled entries are dropped.
 
-    One-entry rows are peeled as they are read: a row that reduces to one
-    entry, in a column below ``ncols``, only queues that column, and is
-    never stored or indexed; a row whose one entry lies at or past ``ncols``
-    can never be a pivot and is dropped.  Each queued column that is not yet
-    a pivot becomes one with an empty tail, is deleted from the stored rows
-    that hold it, and a holder left with one entry below ``ncols`` queues its
-    column in turn.  A one-entry row is the shortest row holding its column,
-    so this adds no pivot rule.
+    One-entry rows are peeled as they are read, so their pivots come first:
+    a row that reduces to one entry, in a column of ``columns``, only queues
+    that column, and is never stored or indexed; a row whose one entry lies
+    outside ``columns`` can never be a pivot and is dropped.  Each queued
+    column that is not yet a pivot becomes one with an empty tail, is
+    deleted from the stored rows that hold it, and a holder left with one
+    entry in ``columns`` queues its column in turn.  A one-entry row is the
+    shortest row holding its column, so this adds no pivot rule.
     """
     p = ring.prime
     work = []  # the stored rows, each holding two entries or more
@@ -132,7 +137,7 @@ def _echelon(rows, ncols: int, ring: ScalarRing):
                 holding.setdefault(c, set()).add(i)
         elif kept:
             (c,) = kept
-            if c < ncols:
+            if c in columns:
                 queue.append(c)
     tails = {}  # pivot column -> the tail of its echelon row
     for c in queue:
@@ -144,9 +149,9 @@ def _echelon(rows, ncols: int, ring: ScalarRing):
             del held[c]
             if len(held) == 1:
                 (j,) = held
-                if j < ncols:
+                if j in columns:
                     queue.append(j)
-    for c in range(ncols):
+    for c in columns:
         holders = holding.pop(c, None)
         if not holders:
             continue
@@ -181,31 +186,22 @@ def _echelon(rows, ncols: int, ring: ScalarRing):
                     del row[j]
                     holding[j].discard(i)
         tails[c] = lead
-    return sorted(tails.items())
+    return tails
 
 
-def _back_substitute(echelon, values: dict, p) -> dict:
-    """Complete ``values``, which fixes every free variable that is not
-    zero, to the solution of the echelon rows ``x_c + tail . x = 0``,
-    solving the pivot variables last pivot first."""
-    for c, tail in reversed(echelon):
-        v = 0
-        for j, x in tail.items():
-            if j in values:
-                v -= x * values[j]
-        if v:  # an empty tail, as every peeled pivot has, sums to 0
-            v = _stored(v, p)
-            if v:
-                values[c] = v
-    return values
+def _reduced(tails: dict, p) -> dict:
+    """The reduced rows of :func:`_echelon`'s ``{pivot: tail}``, in place.
 
-
-def _kernel_basis(echelon, ncols: int, ring: ScalarRing):
-    """Canonical kernel basis of echelon rows: one vector per free column
-    below ``ncols``, that variable 1 and the other free ones 0."""
-    pivots = {c for c, _ in echelon}
-    basis = [_back_substitute(echelon, {f: 1}, ring.prime) for f in range(ncols) if f not in pivots]
-    return reduced_basis(basis, ncols, ring)
+    Walks the pivots in the reverse of the order taken and clears from each
+    tail the pivot columns it holds; those were taken later, so their rows
+    are already reduced, and subtracting them brings in no pivot column.
+    The empty tails of peeled pivots are skipped.  Returns ``tails``.
+    """
+    for tail in reversed(tails.values()):
+        if tail:
+            for k in [k for k in tail if k in tails]:
+                _subtract(tail, tail.pop(k), tails[k], p)
+    return tails
 
 
 def rref(rows, ncols: int, ring: ScalarRing):
@@ -215,27 +211,18 @@ def rref(rows, ncols: int, ring: ScalarRing):
     columns in increasing order, and the list of pivot columns.  The input
     rows are not modified.  Over F_p the entries are residues; over Z and Q
     they are rationals in stored form (module docstring), in the input and
-    the output alike.  The upward pass takes the echelon rows last pivot
-    first and clears from each the later pivot columns it holds, with the
-    rows below it already reduced.
+    the output alike.
     """
-    p = ring.prime
-    echelon = _echelon(rows, ncols, ring)
-    reduced = {}  # pivot column -> its reduced row, without the pivot's 1
-    for c, tail in reversed(echelon):
-        row = dict(tail)
-        for k in [k for k in tail if k in reduced]:
-            _subtract(row, row.pop(k), reduced[k], p)
-        reduced[c] = row
-    pivots = [c for c, _ in echelon]
+    reduced = _reduced(_echelon(rows, range(ncols), ring), ring.prime)
+    pivots = sorted(reduced)
     return [dict(sorted({c: 1, **reduced[c]}.items())) for c in pivots], pivots
 
 
 def _primitive(vec):
     """Scale a rational vector to a primitive integer vector.
 
-    Every caller passes an :func:`rref` row, whose leading entry is 1, so
-    scaling by the positive lcm and gcd keeps that entry positive.
+    Every caller passes a vector whose leading entry is 1, so scaling by the
+    positive lcm and gcd keeps that entry positive.
     """
     denom = lcm(*(x.denominator for x in vec.values()))
     ints = {c: int(x * denom) for c, x in vec.items()}
@@ -248,9 +235,26 @@ def nullspace(rows, ncols: int, ring: ScalarRing):
 
     The basis is returned in reduced echelon form with respect to the column
     order (so it is canonical).  In integer mode the kernel is computed over Q
-    and each vector is returned primitive.
+    and each vector is returned primitive.  Entries in columns at or past
+    ``ncols`` are ignored.
+
+    The columns are eliminated last to first, so every column a reduced row
+    holds lies before its pivot.  Free column ``f`` then gives the vector 1
+    at ``f`` and minus ``f``'s entry at each pivot: it leads at ``f``, and
+    is zero at every other free column, which makes the vectors the reduced
+    echelon basis in the given order.
     """
-    return _kernel_basis(_echelon(rows, ncols, ring), ncols, ring)
+    p = ring.prime
+    reduced = _reduced(_echelon(rows, range(ncols - 1, -1, -1), ring), p)
+    basis = {f: {f: 1} for f in range(ncols) if f not in reduced}
+    for c in sorted(reduced):
+        for f, x in reduced[c].items():
+            vec = basis.get(f)  # None for a column at or past ncols
+            if vec is not None:
+                vec[c] = p - x if p else -x
+    if ring.mode == "integer":
+        return [_primitive(v) for v in basis.values()]
+    return list(basis.values())
 
 
 def reduced_basis(vectors, ncols: int, ring: ScalarRing):
@@ -269,17 +273,22 @@ def affine_solve(rows, rhs, ncols: int, ring: ScalarRing):
     Returns ``(particular, kernel_basis, rank)`` where ``particular`` is None
     when the system is inconsistent.  The particular solution sets every free
     variable to zero: it is the kernel vector of the augmented matrix that is
-    -1 in the right-hand side's column ``ncols``.  Over Z a solution may not
-    exist where one over Q does, so the integers are refused.
+    -1 in the right-hand side's column ``ncols``, read off that column of the
+    reduced rows.  A key of ``rhs`` that names no row is refused.  Over Z a
+    solution may not exist where one over Q does, so the integers are
+    refused.
     """
     if not ring.is_field:
         raise UnsupportedInputError(f"affine_solve needs a field, got {ring!r}")
+    if not all(i in range(len(rows)) for i in rhs):
+        raise ShapeError(f"right-hand side names a row outside 0 .. {len(rows) - 1}")
     augmented = [{**row, ncols: rhs[i]} if i in rhs else row for i, row in enumerate(rows)]
-    echelon = _echelon(augmented, ncols + 1, ring)
+    tails = _echelon(augmented, range(ncols + 1), ring)
     particular = None
-    if echelon and echelon[-1][0] == ncols:  # a row reading 0 = 1
-        echelon.pop()
+    if ncols in tails:  # a row reading 0 = 1
+        del tails[ncols]
     else:
-        solution = _back_substitute(echelon, {ncols: -1}, ring.prime)
-        particular = {c: x for c, x in sorted(solution.items()) if c != ncols}
-    return particular, _kernel_basis(echelon, ncols, ring), len(echelon)
+        reduced = sorted(_reduced(tails, ring.prime).items())
+        particular = {c: row[ncols] for c, row in reduced if ncols in row}
+    kernel = nullspace(rows, ncols, ring) if len(tails) < ncols else []
+    return particular, kernel, len(tails)

@@ -142,7 +142,7 @@ def test_commutator_rows_match_plain_dict_brackets(ring):
         assert not any(0 in row for row in reduced)  # [1, w] = 0
         assert nullspace(rows, len(sources), ring) == nullspace(reduced, len(sources), ring)
         # the echelon rows hold no zero, and every entry in stored form
-        echelon = _echelon(rows, len(sources), ring)
+        echelon = list(_echelon(rows, range(len(sources)), ring).items())
         entries = [x for _, tail in echelon for x in tail.values()]
         assert echelon and 0 not in [c for c, _ in echelon]
         assert all(entries)

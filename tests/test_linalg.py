@@ -1,10 +1,19 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from ncfgl import GF, QQ, ZZ, ToolkitError
-from ncfgl.linalg import affine_solve, nullspace, reduced_basis, rref
+from ncfgl import COMPLEX, GF, QQ, REAL, ZZ, FreeAlgebra, MilnorOp, ShapeError, ToolkitError
+from ncfgl import linalg
+from ncfgl.gradebook import (
+    series_divide,
+    series_free_assoc,
+    series_graded_algebra,
+    splitting_multiplicities,
+)
+from ncfgl.linalg import affine_solve, matrix_of, nullspace, reduced_basis, rref
+from ncfgl.steenrod import _acting
 
 from oracles import dense_affine_solve, dense_nullspace, dense_rref, dense_span
 
@@ -86,6 +95,26 @@ def test_affine_solve_refuses_the_integers():
     # over Z, 2x = 1 has no solution although it has one over Q
     with pytest.raises(ToolkitError):
         affine_solve([{0: 2}], {0: 1}, 1, ZZ)
+
+
+@pytest.mark.parametrize("key", [5, 2, -1])
+def test_affine_solve_refuses_a_right_hand_side_naming_no_row(key, monkeypatch):
+    # the system has rows 0 and 1 only: the entry is refused before any
+    # elimination, not dropped to solve x0 = x1 = 0
+    calls = _count_echelon_calls(monkeypatch)
+    with pytest.raises(ShapeError, match="names a row"):
+        affine_solve([{0: 1}, {1: 1}], {key: 1}, 2, GF(3))
+    assert calls == []
+
+
+@pytest.mark.parametrize("ring", [GF(3), QQ, ZZ], ids=repr)
+def test_nullspace_ignores_entries_at_and_past_ncols(ring):
+    # column 3 lies past ncols = 2: it is never a pivot, and no kernel
+    # vector holds it
+    assert nullspace([{0: 1, 3: 1}], 2, ring) == [{1: 1}]
+    assert nullspace([{0: 1, 2: 1}, {1: 2, 5: 1}], 2, ring) == []
+    if ring.is_field:
+        assert affine_solve([{0: 1, 3: 1}], {0: 1}, 2, ring) == ({0: 1}, [{1: 1}], 1)
 
 
 # -- against the dense oracle --------------------------------------------------
@@ -259,7 +288,7 @@ def test_minus_one_pivots_match_the_dense_oracle(ring, integer):
         assert rows == _sparse(matrix)
 
 
-# -- back-substitution at size: commutator-shaped systems ---------------------------
+# -- kernels at size: commutator-shaped systems ----------------------------------
 
 # Like the matrix of [v, w] = 0: two +-1 entries per column, and most rows
 # empty (each system draws its entries from a random minority of its rows).
@@ -509,3 +538,104 @@ def test_a_back_substitution_sum_of_p_stores_no_zero(ring, p):
     kernel = nullspace(augmented, 4, ring)
     assert kernel == [{1: 1, 2: b * pow(a, -1, p) % p, 3: pow(a, -1, p) % p}]
     assert _check_against_the_oracle(rows, _dense(rows, 3), 3, [0, a, b], ring, p, False)
+
+
+# -- kernels of the stacked Steenrod systems ------------------------------------
+
+# The primitives of H_*(Mxi; F_p) under the right action are the words killed
+# by every Sq^(2^k), or P^(p^k): the kernel of those matrices stacked.  A
+# splitting into shifted copies of H_*BP (or of A_* on the real profile)
+# makes its dimension the multiplicity in each degree.
+
+
+def _primitives_system(profile, p, degree):
+    """(rows, ncols) of the stacked generator matrices on the words of ``degree``."""
+    algebra = FreeAlgebra(profile, GF(p))
+    words = algebra._keys_of_degree(degree)
+    kind = "Sq" if p == 2 else "P"
+    rows = []
+    k = 1
+    while MilnorOp(p, kind, k).degree <= degree:
+        op = MilnorOp(p, kind, k)
+        rows += matrix_of(_acting(algebra, op), words, algebra._keys_of_degree(degree - op.degree))
+        k *= p
+    return rows, len(words)
+
+
+def _real_multiplicities(top):
+    """F_2<z_1, z_2, ...> divided by A_* = F_2[xi_1, xi_2, ...], deg xi_k = 2^k - 1."""
+    xi = [2 ** k - 1 for k in range(1, top.bit_length() + 1)]
+    return series_divide(series_free_assoc(range(1, top + 1), top),
+                         series_graded_algebra(xi, (), top)).dims
+
+
+@pytest.mark.parametrize("profile, p, top, step", [
+    (COMPLEX, 2, 16, 2), (COMPLEX, 3, 18, 2), (REAL, 2, 9, 1),
+], ids=["complex-2", "complex-3", "real-2"])
+def test_primitive_kernels_match_the_oracle_and_the_splitting(profile, p, top, step):
+    ring = GF(p)
+    if profile is REAL:
+        expected = _real_multiplicities(top)
+    else:
+        expected = splitting_multiplicities(p, top).dims
+    dims = []
+    for degree in range(0, top + 1, step):
+        rows, ncols = _primitives_system(profile, p, degree)
+        kernel = nullspace(rows, ncols, ring)
+        assert _dense(kernel, ncols) == dense_nullspace(_dense(rows, ncols), ncols, p), degree
+        assert affine_solve(rows, {}, ncols, ring) == ({}, kernel, ncols - len(kernel))
+        dims.append(len(kernel))
+    assert dims == list(expected[::step])
+    assert max(dims) > 50
+
+
+# sha256 of repr(nullspace(...)) in degree 24, which covers the values and the
+# order of the vectors and of their entries; computed by another route, one
+# back-substitution per free column and then an rref of those vectors
+_DEGREE_24_KERNELS = {
+    2: (889, "89fddc99c2e5e0be6d246e5c7f1ef9d479997a0892ba3e8c87d7026d0e838b2f"),
+    3: (1530, "3b1fe8168bf192b5be490b8f0a7e4ec57ee8b5edc03e81214c0a91b2fb7c28f8"),
+}
+
+
+@pytest.mark.parametrize("p", sorted(_DEGREE_24_KERNELS))
+def test_degree_24_primitive_kernels_are_pinned(p):
+    rows, ncols = _primitives_system(COMPLEX, p, 24)
+    kernel = nullspace(rows, ncols, GF(p))
+    assert ncols == 2048
+    assert (len(kernel), hashlib.sha256(repr(kernel).encode()).hexdigest()) == _DEGREE_24_KERNELS[p]
+
+
+def _count_echelon_calls(monkeypatch):
+    """Record each call of ``linalg._echelon``, and refuse any of ``rref``."""
+    calls = []
+    echelon = linalg._echelon
+
+    def counted(*args):
+        calls.append(args[1])
+        return echelon(*args)
+
+    def refused(*args):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    monkeypatch.setattr(linalg, "rref", refused)
+    return calls
+
+
+def test_nullspace_and_affine_solve_eliminate_once_per_route(monkeypatch):
+    calls = _count_echelon_calls(monkeypatch)
+    F = GF(5)
+    rows = [{0: 1, 1: 2, 2: 3}, {1: 1, 2: 4}]
+    assert len(nullspace(rows, 3, F)) == 1
+    assert calls == [range(2, -1, -1)]  # one elimination, last column first
+    calls.clear()
+    assert affine_solve(rows + [{2: 1}], {0: 1}, 3, F) == ({0: 1}, [], 3)
+    assert calls == [range(4)]  # full rank: no kernel to find
+    calls.clear()
+    particular, kernel, rank = affine_solve(rows, {0: 1}, 3, F)
+    assert (particular, rank, len(kernel)) == ({0: 1}, 2, 1)
+    assert calls == [range(4), range(2, -1, -1)]
+    calls.clear()
+    assert affine_solve([{0: 1}, {0: 2}], {0: 1}, 2, F) == (None, [{1: 1}], 1)
+    assert len(calls) == 2
